@@ -45,7 +45,13 @@ from .modes import (
     mode_from_id,
     mode_interval,
 )
-from .optimizer import ResourceLimitError, brute_force_binary, build_ilp, solve_ilp
+from .optimizer import (
+    ModelStructure,
+    ResourceLimitError,
+    brute_force_binary,
+    build_ilp,
+    solve_ilp,
+)
 from .sources import (
     SourceDistribution,
     entropy,

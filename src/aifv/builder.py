@@ -39,6 +39,7 @@ from .modes import (
 )
 from .optimizer import (
     NODE_BUDGET_DEFAULT,
+    ModelStructure,
     aifvm_link_ids,
     brute_force_binary,
     build_ilp,
@@ -79,9 +80,6 @@ class BuildConfig:
     init: str = "formula"  # or "huffman-floor"
     symmetry_reuse: bool = True
     node_budget: int = NODE_BUDGET_DEFAULT
-    # construction is unconditionally deterministic; the flag is kept so
-    # configs can state the expectation explicitly
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.n < 1:
@@ -136,6 +134,7 @@ class _Family:
         self.cfg = cfg
         self.probs = probs
         n = cfg.n
+        self.depth = cfg.max_depth or default_depth(len(probs), n)
         if cfg.family == "full-binary":
             if len(probs) != 2:
                 raise BuildError("the full basic family is solvable for binary alphabets only")
@@ -149,11 +148,13 @@ class _Family:
             self.ids = ids
             self.modes = [mode_from_id(n, cid) for cid in ids]
             self.index_of_id = {cid: i for i, cid in enumerate(ids)}
+            self.base_costs = initial_costs(n)
+            self.structure = ModelStructure(n, len(probs), self.depth,
+                                            aifvm=(cfg.family == "aifvm"))
         # index 0 must be the empty-string mode: it anchors the encoder
         if self.modes[0].words != frozenset({EMPTY}):
             raise AssertionError("canonical ordering must put the empty mode first")
         self.k = len(self.modes)
-        self.depth = cfg.max_depth or default_depth(len(probs), n)
         self.mirror = self._mirror_map()
 
     def _mirror_map(self) -> list[int] | None:
@@ -172,23 +173,30 @@ class _Family:
                              for m in self.modes])
         if self.cfg.family == "full-binary":
             return np.array([_leafset_cost(m) for m in self.modes])
-        table = initial_costs(self.cfg.n)
-        return np.array([table[cid] for cid in self.ids])
+        return np.array([self.base_costs[cid] for cid in self.ids])
 
-    def solve_tree(self, index: int, costs: np.ndarray) -> tuple[CodeTree, float]:
+    def price(self, costs: np.ndarray) -> dict:
+        """The link-cost table every tree solve of one iteration reads:
+        keyed by word set for the full family, by continuous id (every
+        id of the delay, with the starting cost for those outside the
+        family) otherwise."""
+        if self.cfg.family == "full-binary":
+            return {m.words: costs[i] for i, m in enumerate(self.modes)}
+        table = dict(self.base_costs)
+        for cid, i in self.index_of_id.items():
+            table[cid] = float(costs[i])
+        return table
+
+    def solve_tree(self, index: int, table: dict) -> tuple[CodeTree, float]:
         cfg = self.cfg
         if cfg.family == "full-binary":
-            words_costs = {m.words: costs[i] for i, m in enumerate(self.modes)}
             return brute_force_binary(cfg.n, self.modes[index], self.probs,
-                                      words_costs, self.index_of_words)
-        cost_table = dict(initial_costs(cfg.n))
-        for cid, i in self.index_of_id.items():
-            cost_table[cid] = float(costs[i])
-        model = build_ilp(cfg.n, len(self.probs), self.ids[index], self.probs,
-                          cost_table, self.depth, aifvm=(cfg.family == "aifvm"))
+                                      table, self.index_of_words)
+        model = build_ilp(self.structure, self.ids[index], self.probs, table)
         sol = solve_ilp(model, node_budget=cfg.node_budget)
         tree = decode_solution(model, sol.assignment,
-                               index_of=lambda cid: self.index_of_id[cid])
+                               index_of=self.index_of_id.__getitem__,
+                               mode=self.modes[index])
         return tree, sol.objective
 
 
@@ -229,16 +237,18 @@ def construct(p, cfg: BuildConfig) -> tuple[CodeForest, OptimalityReport]:
     lbars: list[float] = []
     iterations = 0
 
+    mirror_links = dict(enumerate(fam.mirror)) if reuse else None
     prev_trees: list[CodeTree] | None = None
     for iteration in range(1, cfg.max_iterations + 1):
         iterations = iteration
+        table = fam.price(costs)
         trees = [None] * k
         for i in range(k):
             j = fam.mirror[i] if reuse else i
             if reuse and j < i and trees[j] is not None:
-                trees[i] = flip_tree(trees[j], {a: fam.mirror[a] for a in range(k)})
+                trees[i] = flip_tree(trees[j], mirror_links)
                 continue
-            fresh, fresh_obj = fam.solve_tree(i, costs)
+            fresh, fresh_obj = fam.solve_tree(i, table)
             trees[i] = fresh
             if prev_trees is not None:
                 prev = prev_trees[i]
@@ -267,8 +277,9 @@ def construct(p, cfg: BuildConfig) -> tuple[CodeForest, OptimalityReport]:
 
         max_lbar = max(lbars)
         if max_lbar_trace and max_lbar > max_lbar_trace[-1] + TRACE_SLACK:
-            raise AssertionError(
-                f"worst-block expected length increased: {max_lbar_trace[-1]} -> {max_lbar}"
+            raise BuildError(
+                f"iteration {iteration}: worst-block expected length increased "
+                f"from {max_lbar_trace[-1]!r} to {max_lbar!r}"
             )
         max_lbar_trace.append(max_lbar)
         iteration_lbars.append(tuple(lbars))

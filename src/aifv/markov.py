@@ -57,12 +57,6 @@ class BlockDecomposition:
     def order(self) -> tuple[int, ...]:
         return tuple(i for b in self.blocks for i in b)
 
-    def block_of(self, state: int) -> int:
-        for j, b in enumerate(self.blocks):
-            if state in b:
-                return j
-        raise ValueError(f"state {state} not in decomposition")
-
 
 def _tarjan_sccs(adj: list[list[int]]) -> list[list[int]]:
     n = len(adj)
@@ -192,23 +186,6 @@ def _lu_solve_checked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return scipy.linalg.lu_solve((lu, piv), b)
 
 
-def cost_update_simple(lengths: Sequence[float], mat: np.ndarray, lbar: float) -> np.ndarray:
-    """Per-tree linking costs when every tree can reach tree 0.
-
-    Pins the initial tree at zero and solves the remaining states
-    against the chain-wide expected length.
-    """
-    lv = np.asarray(lengths, dtype=float)
-    k_total = mat.shape[0]
-    costs = np.zeros(k_total)
-    if k_total == 1:
-        return costs
-    sub = mat[1:, 1:] - np.eye(k_total - 1)
-    rhs = np.full(k_total - 1, lbar) - lv[1:]
-    costs[1:] = _lu_solve_checked(sub, rhs)
-    return costs
-
-
 def cost_update_general(
     lengths: Sequence[float],
     mat: np.ndarray,
@@ -220,8 +197,9 @@ def cost_update_general(
     Absorption blocks are solved against their own expected length with
     their first state pinned at zero; the remaining blocks are solved in
     full against the worst absorption-block length plus the inflow of
-    already-priced blocks.  Returns the cost vector, the absorption
-    blocks' expected lengths, and the index of the worst one.
+    already-priced blocks, gathered over all of them at once.  Returns
+    the cost vector, the absorption blocks' expected lengths, and the
+    index of the worst one.
     """
     lv = np.asarray(lengths, dtype=float)
     if pis is None:
@@ -231,11 +209,13 @@ def cost_update_general(
     lbar_star = lbars[j_star]
 
     costs = np.zeros(mat.shape[0])
-    block_cost: list[np.ndarray] = []
+    order = np.array(blocks.order)
+    done = 0  # states order[:done] are priced
     for j, idx_t in enumerate(blocks.blocks):
         idx = np.array(idx_t)
         size = len(idx)
-        sub = mat[np.ix_(idx, idx)]
+        rows = mat[idx]
+        sub = rows[:, idx]
         if j < blocks.n_absorbing:
             c = np.zeros(size)
             if size > 1:
@@ -243,15 +223,13 @@ def cost_update_general(
                 rhs = np.full(size - 1, lbars[j]) - lv[idx][1:]
                 c[1:] = _lu_solve_checked(a, rhs)
         else:
-            inflow = np.zeros(size)
-            for j2 in range(j):
-                idx2 = np.array(blocks.blocks[j2])
-                inflow += mat[np.ix_(idx, idx2)] @ block_cost[j2]
+            priced = order[:done]
+            inflow = rows[:, priced] @ costs[priced]
             a = sub - np.eye(size)
             rhs = np.full(size, lbar_star) - lv[idx] - inflow
             c = _lu_solve_checked(a, rhs)
-        block_cost.append(c)
         costs[idx] = c
+        done += size
     return costs, lbars, j_star
 
 

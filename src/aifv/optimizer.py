@@ -16,6 +16,13 @@ mode's margins.  That tiling view drives both halves of this module:
   optimal tree whose variable assignment is then verified against every
   row of the model.
 
+The model's variables and coefficient rows depend only on the family
+(delay, alphabet size, depth bound, link restriction), so a
+:class:`ModelStructure` builds them once, compiled to flat integer
+arrays.  A tree's model adds only its mode's boundary right-hand sides
+and the current link costs, and every solve is still checked against
+every row.
+
 For binary alphabets and small delays an independent partition search
 over the mode's full leaf set covers discontinuous link modes as well.
 """
@@ -26,6 +33,8 @@ import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from .bitstrings import BitString, WordSet, common_prefix, expand_to_length, reduced, strip_prefix_all
 from .forest import CodeTree
@@ -79,183 +88,251 @@ class Row:
     scale: int
 
 
-@dataclass
-class IlpModel:
-    n: int
-    m_symbols: int
-    d_max: int
-    mode_id: ContinuousModeId
-    probs: tuple[float, ...]
-    costs: dict[ContinuousModeId, float]
-    aifvm: bool
-    variables: dict  # name tuple -> upper bound (1 for binaries)
-    rows: list[Row]
-    objective: dict  # name tuple -> float coefficient
-
-    @property
-    def allowed_links(self) -> list[ContinuousModeId]:
-        r = 1 << (self.n - 1)
-        all_ids = [ContinuousModeId(a, b) for a in range(r) for b in range(r)]
-        if not self.aifvm:
-            return all_ids
-        allowed = set(aifvm_link_ids(self.n))
-        return [cid for cid in all_ids if cid in allowed]
-
-
-def build_ilp(
-    n: int,
-    m: int,
-    mode_id: ContinuousModeId,
-    probs: Sequence[float],
-    costs: Mapping[ContinuousModeId, float],
-    d_max: int,
-    aifvm: bool = False,
-) -> IlpModel:
-    """Assemble the integer model for one tree of the given mode.
+class ModelStructure:
+    """The mode- and cost-independent part of the tree model.
 
     Variables: ``t[m,d]`` symbol depth selectors, ``u[m,k1,k2]`` link
     selectors, ``w/wb[m,i]`` codeword bits and their flips, ``v`` chain
     adjacency indicators, and ``k[j,m,d]`` carrying the linked margins at
     the active depth.  Interval rows are scaled by ``2**(d_max + n)``.
+
+    Every coefficient depends only on the delay, the alphabet size, the
+    depth bound and the link restriction, so one structure serves every
+    tree of a family.  The rows are kept only in compiled form: flat
+    int64 arrays of column, coefficient and row start, which
+    :func:`check_assignment` evaluates with one exact integer product.
+    ``rhs0`` holds the right-hand sides of mode (0, 0); a mode moves only
+    the four boundary rows of each symbol, by ``k1 << d_max`` or
+    ``k2 << d_max`` with the sign in ``k1_shift`` or ``k2_shift``.
     """
-    if d_max < 1:
-        raise ValueError("depth bound must be at least 1")
-    if len(probs) != m:
-        raise ValueError("one probability per symbol required")
-    r = 1 << (n - 1)
-    if not (0 <= mode_id.k1 < r and 0 <= mode_id.k2 < r):
-        raise ValueError(f"mode id {mode_id} out of range for delay {n}")
-    scale = 1 << (d_max + n)
-    link_ids = [ContinuousModeId(a, b) for a in range(r) for b in range(r)]
 
-    variables: dict = {}
-    for sym in range(m):
-        for d in range(d_max + 1):
-            variables[("t", sym, d)] = 1
-        for cid in link_ids:
-            variables[("u", sym, cid.k1, cid.k2)] = 1
-        for i in range(d_max):
-            variables[("w", sym, i)] = 1
-            variables[("wb", sym, i)] = 1
-        for j in (1, 2):
-            for d in range(d_max + 1):
-                variables[("k", j, sym, d)] = r - 1
-        variables[("vL", sym)] = 1
-        variables[("vR", sym)] = 1
-    for sym in range(m):
-        for sym2 in range(m):
-            if sym != sym2:
-                variables[("v", sym, sym2)] = 1
+    def __init__(self, n: int, m: int, d_max: int, aifvm: bool = False):
+        if d_max < 1:
+            raise ValueError("depth bound must be at least 1")
+        self.n, self.m_symbols, self.d_max = n, m, d_max
+        r = 1 << (n - 1)
+        scale = 1 << (d_max + n)
+        link_ids = tuple(ContinuousModeId(a, b) for a in range(r) for b in range(r))
+        allowed = set(aifvm_link_ids(n)) if aifvm else set(link_ids)
+        self.link_ids = link_ids
+        self.allowed_links = tuple(c for c in link_ids if c in allowed)
 
-    rows: list[Row] = []
-
-    def le(tag, coeffs, rhs, scale_=1):
-        rows.append(Row(tag, coeffs, "le", rhs, scale_))
-
-    def eq(tag, coeffs, rhs, scale_=1):
-        rows.append(Row(tag, coeffs, "eq", rhs, scale_))
-
-    for sym in range(m):
-        for i in range(d_max):
-            le(f"cw_consis1[{sym},{i}]", {("w", sym, i): 1, ("wb", sym, i): 1}, 1)
-        for i in range(d_max - 1):
-            le(f"cw_consis2[{sym},{i}]",
-               {("w", sym, i + 1): 1, ("wb", sym, i + 1): 1,
-                ("w", sym, i): -1, ("wb", sym, i): -1}, 0)
-        eq(f"pick_t[{sym}]", {("t", sym, d): 1 for d in range(d_max + 1)}, 1)
-        eq(f"pick_u[{sym}]", {("u", sym, c.k1, c.k2): 1 for c in link_ids}, 1)
-        eq(f"chain_in[{sym}]",
-           {("v", s2, sym): 1 for s2 in range(m) if s2 != sym} | {("vL", sym): 1}, 1)
-        eq(f"chain_out[{sym}]",
-           {("v", sym, s2): 1 for s2 in range(m) if s2 != sym} | {("vR", sym): 1}, 1)
-        depth_coeffs = {("w", sym, i): 1 for i in range(d_max)}
-        depth_coeffs |= {("wb", sym, i): 1 for i in range(d_max)}
-        depth_coeffs |= {("t", sym, d): -d for d in range(d_max + 1) if d}
-        eq(f"depth[{sym}]", depth_coeffs, 0)
-        for j in (1, 2):
-            for d in range(d_max + 1):
-                le(f"k_gate[{j},{sym},{d}]",
-                   {("k", j, sym, d): 1, ("t", sym, d): -(r - 1)}, 0)
-            sel = {("u", sym, c.k1, c.k2): (c.k1 if j == 1 else c.k2)
-                   for c in link_ids if (c.k1 if j == 1 else c.k2)}
-            sel |= {("k", j, sym, d): -1 for d in range(d_max + 1)}
-            eq(f"k_select[{j},{sym}]", sel, 0)
-    eq("pick_vL", {("vL", sym): 1 for sym in range(m)}, 1)
-    eq("pick_vR", {("vR", sym): 1 for sym in range(m)}, 1)
-
-    cw = [1 << (d_max + n - i - 1) for i in range(d_max)]
-    kc = [1 << (d_max - d) for d in range(d_max + 1)]
-    for sym in range(m):
-        for sym2 in range(m):
-            if sym == sym2:
-                continue
-            neg = {("wb", sym, i): -cw[i] for i in range(d_max)}
-            neg |= {("w", sym2, i): -cw[i] for i in range(d_max)}
-            neg |= {("k", 2, sym, d): -kc[d] for d in range(d_max + 1)}
-            neg |= {("k", 1, sym2, d): -kc[d] for d in range(d_max + 1)}
-            le(f"adjacency[{sym},{sym2}]", neg | {("v", sym, sym2): scale}, 0, scale)
-            pos = {name: -c for name, c in neg.items()}
-            le(f"adjacency_full[{sym},{sym2}]",
-               pos | {("v", sym, sym2): scale}, 2 * scale, scale)
-        neg_l = {("w", sym, i): -cw[i] for i in range(d_max)}
-        neg_l |= {("k", 1, sym, d): -kc[d] for d in range(d_max + 1)}
-        le(f"left[{sym}]", neg_l | {("vL", sym): scale},
-           scale - (mode_id.k1 << d_max), scale)
-        le(f"left_full[{sym}]",
-           {name: -c for name, c in neg_l.items()} | {("vL", sym): scale},
-           scale + (mode_id.k1 << d_max), scale)
-        neg_r = {("wb", sym, i): -cw[i] for i in range(d_max)}
-        neg_r |= {("k", 2, sym, d): -kc[d] for d in range(d_max + 1)}
-        le(f"right[{sym}]", neg_r | {("vR", sym): scale},
-           scale - (mode_id.k2 << d_max), scale)
-        le(f"right_full[{sym}]",
-           {name: -c for name, c in neg_r.items()} | {("vR", sym): scale},
-           scale + (mode_id.k2 << d_max), scale)
-
-    if aifvm:
-        allowed = set(aifvm_link_ids(n))
+        variables: dict = {}
         for sym in range(m):
-            eq(f"aifvm[{sym}]",
-               {("u", sym, c.k1, c.k2): 1 for c in link_ids if c in allowed}, 1)
+            for d in range(d_max + 1):
+                variables[("t", sym, d)] = 1
+            for cid in link_ids:
+                variables[("u", sym, cid.k1, cid.k2)] = 1
+            for i in range(d_max):
+                variables[("w", sym, i)] = 1
+                variables[("wb", sym, i)] = 1
+            for j in (1, 2):
+                for d in range(d_max + 1):
+                    variables[("k", j, sym, d)] = r - 1
+            variables[("vL", sym)] = 1
+            variables[("vR", sym)] = 1
+        for sym in range(m):
+            for sym2 in range(m):
+                if sym != sym2:
+                    variables[("v", sym, sym2)] = 1
 
-    objective = {}
-    for sym in range(m):
-        for d in range(d_max + 1):
-            if d:
-                objective[("t", sym, d)] = probs[sym] * d
-        for c in link_ids:
-            objective[("u", sym, c.k1, c.k2)] = probs[sym] * costs[c]
+        rows: list[Row] = []
+        k1_shift: list[int] = []
+        k2_shift: list[int] = []
 
+        def add(tag, coeffs, sense, rhs, scale_=1, s1=0, s2=0):
+            rows.append(Row(tag, coeffs, sense, rhs, scale_))
+            k1_shift.append(s1)
+            k2_shift.append(s2)
+
+        def le(tag, coeffs, rhs, scale_=1, s1=0, s2=0):
+            add(tag, coeffs, "le", rhs, scale_, s1, s2)
+
+        def eq(tag, coeffs, rhs):
+            add(tag, coeffs, "eq", rhs)
+
+        for sym in range(m):
+            for i in range(d_max):
+                le(f"cw_consis1[{sym},{i}]", {("w", sym, i): 1, ("wb", sym, i): 1}, 1)
+            for i in range(d_max - 1):
+                le(f"cw_consis2[{sym},{i}]",
+                   {("w", sym, i + 1): 1, ("wb", sym, i + 1): 1,
+                    ("w", sym, i): -1, ("wb", sym, i): -1}, 0)
+            eq(f"pick_t[{sym}]", {("t", sym, d): 1 for d in range(d_max + 1)}, 1)
+            eq(f"pick_u[{sym}]", {("u", sym, c.k1, c.k2): 1 for c in link_ids}, 1)
+            eq(f"chain_in[{sym}]",
+               {("v", s2, sym): 1 for s2 in range(m) if s2 != sym} | {("vL", sym): 1}, 1)
+            eq(f"chain_out[{sym}]",
+               {("v", sym, s2): 1 for s2 in range(m) if s2 != sym} | {("vR", sym): 1}, 1)
+            depth_coeffs = {("w", sym, i): 1 for i in range(d_max)}
+            depth_coeffs |= {("wb", sym, i): 1 for i in range(d_max)}
+            depth_coeffs |= {("t", sym, d): -d for d in range(d_max + 1) if d}
+            eq(f"depth[{sym}]", depth_coeffs, 0)
+            for j in (1, 2):
+                for d in range(d_max + 1):
+                    le(f"k_gate[{j},{sym},{d}]",
+                       {("k", j, sym, d): 1, ("t", sym, d): -(r - 1)}, 0)
+                sel = {("u", sym, c.k1, c.k2): (c.k1 if j == 1 else c.k2)
+                       for c in link_ids if (c.k1 if j == 1 else c.k2)}
+                sel |= {("k", j, sym, d): -1 for d in range(d_max + 1)}
+                eq(f"k_select[{j},{sym}]", sel, 0)
+        eq("pick_vL", {("vL", sym): 1 for sym in range(m)}, 1)
+        eq("pick_vR", {("vR", sym): 1 for sym in range(m)}, 1)
+
+        cw = [1 << (d_max + n - i - 1) for i in range(d_max)]
+        kc = [1 << (d_max - d) for d in range(d_max + 1)]
+        for sym in range(m):
+            for sym2 in range(m):
+                if sym == sym2:
+                    continue
+                neg = {("wb", sym, i): -cw[i] for i in range(d_max)}
+                neg |= {("w", sym2, i): -cw[i] for i in range(d_max)}
+                neg |= {("k", 2, sym, d): -kc[d] for d in range(d_max + 1)}
+                neg |= {("k", 1, sym2, d): -kc[d] for d in range(d_max + 1)}
+                le(f"adjacency[{sym},{sym2}]", neg | {("v", sym, sym2): scale}, 0, scale)
+                pos = {name: -c for name, c in neg.items()}
+                le(f"adjacency_full[{sym},{sym2}]",
+                   pos | {("v", sym, sym2): scale}, 2 * scale, scale)
+            neg_l = {("w", sym, i): -cw[i] for i in range(d_max)}
+            neg_l |= {("k", 1, sym, d): -kc[d] for d in range(d_max + 1)}
+            le(f"left[{sym}]", neg_l | {("vL", sym): scale}, scale, scale, s1=-1)
+            le(f"left_full[{sym}]",
+               {name: -c for name, c in neg_l.items()} | {("vL", sym): scale},
+               scale, scale, s1=1)
+            neg_r = {("wb", sym, i): -cw[i] for i in range(d_max)}
+            neg_r |= {("k", 2, sym, d): -kc[d] for d in range(d_max + 1)}
+            le(f"right[{sym}]", neg_r | {("vR", sym): scale}, scale, scale, s2=-1)
+            le(f"right_full[{sym}]",
+               {name: -c for name, c in neg_r.items()} | {("vR", sym): scale},
+               scale, scale, s2=1)
+
+        if aifvm:
+            for sym in range(m):
+                eq(f"aifvm[{sym}]",
+                   {("u", sym, c.k1, c.k2): 1 for c in link_ids if c in allowed}, 1)
+
+        self.variables = variables
+        self.column = {name: j for j, name in enumerate(variables)}
+        self.tags = [row.tag for row in rows]
+        self.scales = [row.scale for row in rows]
+        cols, coefs, starts = [], [], []
+        for row in rows:
+            starts.append(len(cols))
+            for name, c in row.coeffs.items():
+                cols.append(self.column[name])
+                coefs.append(c)
+        self.cols = np.array(cols, dtype=np.intp)
+        self.coefs = np.array(coefs, dtype=np.int64)
+        self.starts = np.array(starts, dtype=np.intp)
+        self.is_eq = np.array([row.sense == "eq" for row in rows])
+        self.rhs0 = np.array([row.rhs for row in rows], dtype=np.int64)
+        self.k1_shift = np.array(k1_shift, dtype=np.int64)
+        self.k2_shift = np.array(k2_shift, dtype=np.int64)
+        # the largest |value| for which no row sum can leave int64
+        self.value_limit = (1 << 62) // int(np.add.reduceat(np.abs(self.coefs), self.starts).max())
+
+    def rows(self, rhs: np.ndarray) -> list[Row]:
+        """The rows written out, with the given right-hand sides."""
+        names = list(self.variables)
+        ends = [*self.starts[1:], len(self.cols)]
+        return [
+            Row(tag,
+                {names[j]: int(c) for j, c in zip(self.cols[lo:hi], self.coefs[lo:hi])},
+                "eq" if is_eq else "le", int(bound), scale)
+            for tag, lo, hi, is_eq, bound, scale
+            in zip(self.tags, self.starts, ends, self.is_eq, rhs, self.scales)
+        ]
+
+
+@dataclass
+class IlpModel:
+    """One tree's model: a shared structure plus the tree's mode, the
+    symbol probabilities and the current link costs."""
+
+    structure: ModelStructure
+    mode_id: ContinuousModeId
+    probs: tuple[float, ...]
+    costs: dict[ContinuousModeId, float]
+    rhs: np.ndarray  # every row's right-hand side for this mode
+
+    @property
+    def rows(self) -> list[Row]:
+        return self.structure.rows(self.rhs)
+
+    @property
+    def objective(self) -> dict:
+        """name tuple -> float coefficient"""
+        s = self.structure
+        out = {}
+        for sym, p in enumerate(self.probs):
+            for d in range(1, s.d_max + 1):
+                out[("t", sym, d)] = p * d
+            for c in s.link_ids:
+                out[("u", sym, c.k1, c.k2)] = p * self.costs[c]
+        return out
+
+
+def build_ilp(
+    structure: ModelStructure,
+    mode_id: ContinuousModeId,
+    probs: Sequence[float],
+    costs: Mapping[ContinuousModeId, float],
+) -> IlpModel:
+    """The model for one tree of the given mode: the shared structure
+    with the mode's boundary right-hand sides and the link costs."""
+    s = structure
+    if len(probs) != s.m_symbols:
+        raise ValueError("one probability per symbol required")
+    r = 1 << (s.n - 1)
+    if not (0 <= mode_id.k1 < r and 0 <= mode_id.k2 < r):
+        raise ValueError(f"mode id {mode_id} out of range for delay {s.n}")
+    rhs = s.rhs0 + (mode_id.k1 << s.d_max) * s.k1_shift + (mode_id.k2 << s.d_max) * s.k2_shift
     return IlpModel(
-        n=n, m_symbols=m, d_max=d_max, mode_id=mode_id,
+        structure=s, mode_id=mode_id,
         probs=tuple(float(x) for x in probs),
-        costs={c: float(costs[c]) for c in link_ids},
-        aifvm=aifvm, variables=variables, rows=rows, objective=objective,
+        costs={c: float(costs[c]) for c in s.link_ids},
+        rhs=rhs,
     )
 
 
 def check_assignment(model: IlpModel, assignment: Mapping) -> list[str]:
-    """Every violated row tag, evaluated in exact integer arithmetic."""
+    """Every violated row tag, evaluated in exact integer arithmetic.
+
+    Values must be integers; one whose magnitude could overflow a row
+    sum in int64 raises :class:`ModelError` instead of being evaluated.
+    """
+    s = model.structure
     bad = []
+    cols, values = [], []
     for name, value in assignment.items():
-        if name not in model.variables:
+        j = s.column.get(name)
+        if j is None:
             bad.append(f"unknown variable {name}")
-        elif not 0 <= value <= model.variables[name]:
+            continue
+        if not 0 <= value <= s.variables[name]:
             bad.append(f"variable {name} out of bounds: {value}")
-    for row in model.rows:
-        val = sum(c * assignment.get(name, 0) for name, c in row.coeffs.items())
-        ok = val <= row.rhs if row.sense == "le" else val == row.rhs
-        if not ok:
-            bad.append(f"{row.tag}: value {val} vs rhs {row.rhs}")
+        cols.append(j)
+        values.append(value)
+    x = np.zeros(len(s.column), dtype=np.int64)
+    if values:
+        given = np.array(values)
+        if given.dtype.kind not in "biu" or np.abs(given).max() > s.value_limit:
+            raise ModelError("assignment values must be integers of moderate size")
+        x[cols] = given
+    lhs = np.add.reduceat(s.coefs * x[s.cols], s.starts)
+    violated = np.where(s.is_eq, lhs != model.rhs, lhs > model.rhs)
+    for i in np.flatnonzero(violated):
+        bad.append(f"{s.tags[i]}: value {int(lhs[i])} vs rhs {int(model.rhs[i])}")
     return bad
 
 
 def dump_model(model: IlpModel) -> str:
     """Textual model: one constraint per line, integer coefficients."""
+    s = model.structure
     lines = [
-        f"# tree model: delay={model.n} symbols={model.m_symbols} "
-        f"depth<={model.d_max} mode=({model.mode_id.k1},{model.mode_id.k2})",
-        f"# interval rows scaled by 2^(d_max+n) = {1 << (model.d_max + model.n)}",
+        f"# tree model: delay={s.n} symbols={s.m_symbols} "
+        f"depth<={s.d_max} mode=({model.mode_id.k1},{model.mode_id.k2})",
+        f"# interval rows scaled by 2^(d_max+n) = {1 << (s.d_max + s.n)}",
         "min " + " + ".join(
             f"{c:.12g}*{'.'.join(map(str, name))}" for name, c in model.objective.items()
         ),
@@ -306,14 +383,15 @@ def solve_ilp(model: IlpModel, node_budget: int = NODE_BUDGET_DEFAULT) -> TreeSo
     probability are placed in ascending index order.  Deterministic:
     ties in the bound fall back to insertion order.
     """
-    n, d_max, m = model.n, model.d_max, model.m_symbols
+    s = model.structure
+    n, d_max, m = s.n, s.d_max, s.m_symbols
     probs = model.probs
     scale = 1 << (d_max + n)
     start = model.mode_id.k1 << d_max
     end = ((1 << n) - model.mode_id.k2) << d_max
     r = 1 << (n - 1)
 
-    allowed = model.allowed_links
+    allowed = s.allowed_links
     by_k1: dict[int, list[tuple[int, float]]] = {}
     for cid in allowed:
         by_k1.setdefault(cid.k1, []).append((cid.k2, model.costs[cid]))
@@ -479,17 +557,23 @@ def decode_solution(
     model: IlpModel,
     assignment: Mapping,
     index_of: Callable[[ContinuousModeId], int] | None = None,
+    mode: Mode | None = None,
 ) -> CodeTree:
     """Read a feasible assignment back into a code tree.
 
     Links are resolved to forest indices through ``index_of``; the
     default is the canonical continuous ordering ``k1 * 2^(n-1) + k2``.
+    ``mode`` is the tree's own mode, ``mode_from_id`` of the model's
+    mode id, which callers decoding many trees build once.
     """
+    s = model.structure
     if index_of is None:
-        index_of = lambda cid: cid.k1 * (1 << (model.n - 1)) + cid.k2  # noqa: E731
+        index_of = lambda cid: cid.k1 * (1 << (s.n - 1)) + cid.k2  # noqa: E731
+    if mode is None:
+        mode = mode_from_id(s.n, model.mode_id)
     codewords, links = [], []
-    for sym in range(model.m_symbols):
-        depths = [d for d in range(model.d_max + 1) if assignment.get(("t", sym, d))]
+    for sym in range(s.m_symbols):
+        depths = [d for d in range(s.d_max + 1) if assignment.get(("t", sym, d))]
         if len(depths) != 1:
             raise ModelError(f"symbol {sym} has {len(depths)} active depths")
         d = depths[0]
@@ -500,7 +584,7 @@ def decode_solution(
             if w + wb != 1:
                 raise ModelError(f"symbol {sym} bit {i} unset inside codeword")
             value = (value << 1) | w
-        chosen = [c for c in model.allowed_links
+        chosen = [c for c in s.allowed_links
                   if assignment.get(("u", sym, c.k1, c.k2))]
         if len(chosen) != 1:
             raise ModelError(f"symbol {sym} has {len(chosen)} active links")
@@ -510,8 +594,7 @@ def decode_solution(
                 raise ModelError(f"margin variable k[{j},{sym},{d}] inconsistent")
         codewords.append(BitString(d, value))
         links.append(index_of(cid))
-    return CodeTree(tuple(codewords), tuple(links),
-                    mode_from_id(model.n, model.mode_id))
+    return CodeTree(tuple(codewords), tuple(links), mode)
 
 
 # ---------------------------------------------------------------------------

@@ -199,3 +199,30 @@ def test_delay_monotonicity_spot():
         lens = [construct(probs, BuildConfig(n=n))[1].expected_len for n in (1, 2, 3)]
         assert lens[1] <= lens[0] + 1e-12
         assert lens[2] <= lens[1] + 1e-12
+
+
+def test_rising_worst_block_length_is_a_build_error(monkeypatch, tmp_path, capsys):
+    import aifv.builder as builder
+    from aifv.builder import BuildError
+    from aifv.cli import main
+    from aifv.markov import cost_update_general
+
+    calls = []
+
+    def rising(lengths, mat, blocks, pis):
+        costs, lbars, j_star = cost_update_general(lengths, mat, blocks, pis)
+        calls.append(None)
+        return costs, [lb + len(calls) for lb in lbars], j_star
+
+    monkeypatch.setattr(builder, "cost_update_general", rising)
+    with pytest.raises(BuildError, match=r"^iteration 2: worst-block expected length "
+                                         r"increased from \S+ to \S+$"):
+        construct((0.9, 0.1), BuildConfig(n=3))
+
+    dist = tmp_path / "binary.dist"
+    dist.write_text("a0 0.9\na1 0.1\n")
+    book = tmp_path / "book.aifv"
+    capsys.readouterr()
+    assert main(["construct", "--dist", str(dist), "-N", "3", "-o", str(book)]) == 2
+    assert "error: iteration 2: worst-block expected length increased" in capsys.readouterr().err
+    assert not book.exists()

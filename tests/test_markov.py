@@ -2,13 +2,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aifv.forest import CodeForest
 from aifv.markov import (
     SingularChainError,
+    _lu_solve_checked,
     block_decompose,
     cost_update_general,
-    cost_update_simple,
     costs_invariant,
     expected_length,
     stationary,
@@ -16,6 +17,58 @@ from aifv.markov import (
     worst_block_invariant,
 )
 from conftest import make_tree
+
+
+def cost_update_simple(lengths, mat, lbar):
+    """Per-tree linking costs when every tree can reach tree 0.
+
+    Pins the initial tree at zero and solves the remaining states
+    against the chain-wide expected length.
+    """
+    lv = np.asarray(lengths, dtype=float)
+    k_total = mat.shape[0]
+    costs = np.zeros(k_total)
+    if k_total == 1:
+        return costs
+    sub = mat[1:, 1:] - np.eye(k_total - 1)
+    rhs = np.full(k_total - 1, lbar) - lv[1:]
+    costs[1:] = _lu_solve_checked(sub, rhs)
+    return costs
+
+
+def cost_update_blockwise(lengths, mat, blocks, pis=None):
+    """The generalized cost update with each transient block's inflow
+    summed one earlier block at a time."""
+    lv = np.asarray(lengths, dtype=float)
+    if pis is None:
+        pis = stationary(mat, blocks)
+    lbars = [expected_length(lv, pi) for pi in pis]
+    j_star = int(np.argmax(lbars))
+    lbar_star = lbars[j_star]
+
+    costs = np.zeros(mat.shape[0])
+    block_cost = []
+    for j, idx_t in enumerate(blocks.blocks):
+        idx = np.array(idx_t)
+        size = len(idx)
+        sub = mat[np.ix_(idx, idx)]
+        if j < blocks.n_absorbing:
+            c = np.zeros(size)
+            if size > 1:
+                a = sub[1:, 1:] - np.eye(size - 1)
+                rhs = np.full(size - 1, lbars[j]) - lv[idx][1:]
+                c[1:] = _lu_solve_checked(a, rhs)
+        else:
+            inflow = np.zeros(size)
+            for j2 in range(j):
+                idx2 = np.array(blocks.blocks[j2])
+                inflow += mat[np.ix_(idx, idx2)] @ block_cost[j2]
+            a = sub - np.eye(size)
+            rhs = np.full(size, lbar_star) - lv[idx] - inflow
+            c = _lu_solve_checked(a, rhs)
+        block_cost.append(c)
+        costs[idx] = c
+    return costs, lbars, j_star
 
 
 def random_stochastic(rng, k):
@@ -215,3 +268,65 @@ def test_worst_block_invariant_rebases():
     block = np.array([0.0, 2.0])
     assert worst_block_invariant(block, c_old, [1, 2], tol=1e-14)
     assert not worst_block_invariant(np.array([0.0, 2.1]), c_old, [1, 2], tol=1e-14)
+
+
+@st.composite
+def block_triangular_chains(draw):
+    """A chain with known SCC blocks under shuffled state labels: the
+    first ``n_absorbing`` blocks are closed, every later block has edges
+    into earlier ones, and blocks of two or more states are complete."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=8))
+    n_absorbing = draw(st.integers(1, min(3, len(sizes) - 1)))
+    k = sum(sizes)
+    labels = draw(st.permutations(range(k)))
+    blocks, pos = [], 0
+    for size in sizes:
+        blocks.append(labels[pos:pos + size])
+        pos += size
+    mat = np.zeros((k, k))
+    for j, block in enumerate(blocks):
+        earlier = [s for b in blocks[:j] for s in b]
+        transient = j >= n_absorbing
+        for i in block:
+            for t in block:
+                mat[i, t] = draw(st.integers(0 if transient and len(block) == 1 else 1, 9))
+            if transient:
+                for t in draw(st.lists(st.sampled_from(earlier), min_size=1, max_size=3,
+                                       unique=True)):
+                    mat[i, t] = draw(st.integers(1, 9))
+    mat /= mat.sum(axis=1, keepdims=True)
+    lengths = draw(st.lists(st.floats(1.0, 3.0), min_size=k, max_size=k))
+    return mat, lengths, n_absorbing
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(block_triangular_chains())
+def test_cost_update_general_matches_blockwise_inflow(chain):
+    mat, lengths, n_absorbing = chain
+    blocks = block_decompose(mat)
+    assert blocks.n_absorbing == n_absorbing
+    costs, lbars, j_star = cost_update_general(lengths, mat, blocks)
+    ref, ref_lbars, ref_j = cost_update_blockwise(lengths, mat, blocks)
+    assert (lbars, j_star) == (ref_lbars, ref_j)
+    # only the inflow's summation order differs, so rounding scales with
+    # the size of the costs it sums
+    assert np.max(np.abs(costs - ref)) <= 1e-15 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_cost_update_general_matches_blockwise_on_build_chains(monkeypatch):
+    import aifv.builder as builder
+
+    chains = []
+
+    def capture(lengths, mat, blocks, pis):
+        chains.append((lengths, mat, blocks, pis))
+        return cost_update_general(lengths, mat, blocks, pis)
+
+    monkeypatch.setattr(builder, "cost_update_general", capture)
+    builder.construct((0.9, 0.1), builder.BuildConfig(n=4))
+    assert len(chains) > 1
+    assert any(len(blocks.blocks) > 1 for _, _, blocks, _ in chains)
+    for lengths, mat, blocks, pis in chains:
+        costs = cost_update_general(lengths, mat, blocks, pis)[0]
+        ref = cost_update_blockwise(lengths, mat, blocks, pis)[0]
+        assert np.max(np.abs(costs - ref)) <= 1e-15

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aifv.bitstrings import (
     BitString,
@@ -24,7 +25,9 @@ from aifv.modes import (
     mode_from_id,
 )
 from aifv.optimizer import (
+    ModelStructure,
     ResourceLimitError,
+    Row,
     _partition_table,
     aifvm_link_ids,
     brute_force_binary,
@@ -39,6 +42,11 @@ from aifv.optimizer import (
 B = BitString.from_text
 
 
+def tree_model(n, m, mode_id, probs, costs, d_max, aifvm=False):
+    """One tree's model on a structure of its own."""
+    return build_ilp(ModelStructure(n, m, d_max, aifvm), mode_id, probs, costs)
+
+
 def test_initial_costs_examples():
     c1 = initial_costs(1)
     assert c1[ContinuousModeId(0, 0)] == pytest.approx(0.0)
@@ -49,11 +57,11 @@ def test_initial_costs_examples():
 
 
 def _count(model, kind):
-    return sum(1 for name in model.variables if name[0] == kind)
+    return sum(1 for name in model.structure.variables if name[0] == kind)
 
 
 def test_variable_counts_n2_m2_d4():
-    model = build_ilp(2, 2, ContinuousModeId(0, 0), (0.5, 0.5), initial_costs(2), 4)
+    model = tree_model(2, 2, ContinuousModeId(0, 0), (0.5, 0.5), initial_costs(2), 4)
     assert _count(model, "t") == 10  # 2 symbols x depths 0..4
     assert _count(model, "u") == 8  # 2 symbols x 4 link modes
     assert _count(model, "v") == 2
@@ -65,8 +73,8 @@ def test_variable_counts_n2_m2_d4():
 
 
 def test_aifvm_flag_adds_m_rows():
-    base = build_ilp(3, 4, ContinuousModeId(0, 0), (0.4, 0.3, 0.2, 0.1), initial_costs(3), 6)
-    restr = build_ilp(3, 4, ContinuousModeId(0, 0), (0.4, 0.3, 0.2, 0.1), initial_costs(3), 6,
+    base = tree_model(3, 4, ContinuousModeId(0, 0), (0.4, 0.3, 0.2, 0.1), initial_costs(3), 6)
+    restr = tree_model(3, 4, ContinuousModeId(0, 0), (0.4, 0.3, 0.2, 0.1), initial_costs(3), 6,
                       aifvm=True)
     extra = [r for r in restr.rows if r.tag.startswith("aifvm")]
     assert len(restr.rows) - len(base.rows) == 4
@@ -76,14 +84,14 @@ def test_aifvm_flag_adds_m_rows():
 
 
 def test_mode_00_boundary_rows():
-    model = build_ilp(2, 2, ContinuousModeId(0, 0), (0.5, 0.5), initial_costs(2), 4)
+    model = tree_model(2, 2, ContinuousModeId(0, 0), (0.5, 0.5), initial_costs(2), 4)
     for tag in ("left[0]", "right[0]"):
         (row,) = [r for r in model.rows if r.tag == tag]
         assert row.rhs == row.scale  # unscaled right-hand side is exactly 1
 
 
 def test_solve_n1_full_tree():
-    model = build_ilp(1, 2, ContinuousModeId(0, 0), (0.5, 0.5), initial_costs(1), 4)
+    model = tree_model(1, 2, ContinuousModeId(0, 0), (0.5, 0.5), initial_costs(1), 4)
     sol = solve_ilp(model)
     assert {cw.text for cw in sol.codewords} == {"0", "1"}
     assert sol.link_ids == (ContinuousModeId(0, 0), ContinuousModeId(0, 0))
@@ -91,7 +99,7 @@ def test_solve_n1_full_tree():
 
 
 def test_solver_output_satisfies_model_exactly():
-    model = build_ilp(3, 3, ContinuousModeId(2, 1), (0.5, 0.3, 0.2), initial_costs(3), 8)
+    model = tree_model(3, 3, ContinuousModeId(2, 1), (0.5, 0.3, 0.2), initial_costs(3), 8)
     sol = solve_ilp(model)
     assert check_assignment(model, sol.assignment) == []
 
@@ -134,7 +142,7 @@ def test_exhaustive_oracle_n2():
                 value = (probs[0] * (cw0.length + costs[l0])
                          + probs[1] * (cw1.length + costs[l1]))
                 best = min(best, value)
-            sol = solve_ilp(build_ilp(n, 2, mode_id, probs, costs, d_small))
+            sol = solve_ilp(tree_model(n, 2, mode_id, probs, costs, d_small))
             assert sol.objective == pytest.approx(best, abs=1e-12), (mode_id, probs)
 
 
@@ -153,7 +161,7 @@ def test_model_feasible_set_is_exactly_the_valid_trees():
     all_cw = [BitString(ln, v) for ln in range(d_small + 1) for v in range(1 << ln)]
     choices = [(cw, cid) for cw in all_cw for cid in ids]
     for mode_id in ids:
-        model = build_ilp(n, 2, mode_id, (0.6, 0.4), costs, d_small)
+        model = tree_model(n, 2, mode_id, (0.6, 0.4), costs, d_small)
         for (cw0, l0), (cw1, l1) in itertools.product(choices, choices):
             valid = _standalone_tree_ok(n, mode_id, (cw0, cw1), (l0, l1))
             feasible = False
@@ -176,7 +184,7 @@ def test_decoded_tree_tiles_its_interval():
             m = rng.randrange(2, 5)
             raw = [rng.uniform(0.05, 1.0) for _ in range(m)]
             probs = tuple(x / sum(raw) for x in raw)
-            model = build_ilp(n, m, mode_id, probs, costs, 3 + n)
+            model = tree_model(n, m, mode_id, probs, costs, 3 + n)
             sol = solve_ilp(model)
             tree = decode_solution(model, sol.assignment)
             assert _standalone_tree_ok(n, mode_id, tree.codewords, sol.link_ids)
@@ -188,7 +196,7 @@ def test_decoded_tree_tiles_its_interval():
 
 
 def test_decode_solution_links_canonical():
-    model = build_ilp(2, 2, ContinuousModeId(0, 0), (0.9, 0.1), initial_costs(2), 5)
+    model = tree_model(2, 2, ContinuousModeId(0, 0), (0.9, 0.1), initial_costs(2), 5)
     sol = solve_ilp(model)
     tree = decode_solution(model, sol.assignment)
     for link, cid in zip(tree.links, sol.link_ids):
@@ -202,7 +210,7 @@ def test_binary_expansions_bounded_by_delay():
         for _ in range(8):
             p0 = rng.uniform(0.5, 0.99)
             mode_id = rng.choice(enumerate_continuous_ids(n))
-            model = build_ilp(n, 2, mode_id, (p0, 1 - p0), costs, 3 + n)
+            model = tree_model(n, 2, mode_id, (p0, 1 - p0), costs, 3 + n)
             sol = solve_ilp(model)
             for cw, cid in zip(sol.codewords, sol.link_ids):
                 linked = mode_from_id(n, cid)
@@ -250,7 +258,7 @@ def test_brute_force_matches_ilp_on_continuous_links():
             for cid in enumerate_continuous_ids(n):
                 mode = mode_from_id(n, cid)
                 _, bf_obj = brute_force_binary(n, mode, probs, words_costs, index_of)
-                sol = solve_ilp(build_ilp(n, 2, cid, probs, cont_costs, 3 + n))
+                sol = solve_ilp(tree_model(n, 2, cid, probs, cont_costs, 3 + n))
                 assert bf_obj == pytest.approx(sol.objective, abs=1e-12), (n, cid, p0)
 
 
@@ -274,13 +282,13 @@ def test_symmetric_modes_equal_objectives():
             sym_costs[flip_id(cid)] = sym_costs[cid]
         for cid in enumerate_continuous_ids(n):
             probs = (0.8, 0.2)
-            a = solve_ilp(build_ilp(n, 2, cid, probs, sym_costs, 3 + n))
-            b = solve_ilp(build_ilp(n, 2, flip_id(cid), probs, sym_costs, 3 + n))
+            a = solve_ilp(tree_model(n, 2, cid, probs, sym_costs, 3 + n))
+            b = solve_ilp(tree_model(n, 2, flip_id(cid), probs, sym_costs, 3 + n))
             assert a.objective == pytest.approx(b.objective, abs=1e-12)
 
 
 def test_objective_recompute_consistency():
-    model = build_ilp(3, 4, ContinuousModeId(1, 2), (0.4, 0.3, 0.2, 0.1), initial_costs(3), 9)
+    model = tree_model(3, 4, ContinuousModeId(1, 2), (0.4, 0.3, 0.2, 0.1), initial_costs(3), 9)
     sol = solve_ilp(model)
     recomputed = sum(
         model.probs[s] * (sol.codewords[s].length + model.costs[sol.link_ids[s]])
@@ -290,13 +298,153 @@ def test_objective_recompute_consistency():
 
 
 def test_node_budget_enforced():
-    model = build_ilp(3, 5, ContinuousModeId(0, 0), (0.2,) * 5, initial_costs(3), 12)
+    model = tree_model(3, 5, ContinuousModeId(0, 0), (0.2,) * 5, initial_costs(3), 12)
     with pytest.raises(ResourceLimitError):
         solve_ilp(model, node_budget=3)
 
 
 def test_model_dump_mentions_scaling():
-    model = build_ilp(2, 2, ContinuousModeId(1, 0), (0.5, 0.5), initial_costs(2), 4)
+    model = tree_model(2, 2, ContinuousModeId(1, 0), (0.5, 0.5), initial_costs(2), 4)
     text = dump_model(model)
     assert "2^(d_max+n) = 64" in text
     assert "adjacency[0,1]" in text
+
+
+# ---------------------------------------------------------------------------
+# oracles for the shared model structure: the per-mode row construction and
+# the row-by-row evaluator, both written out directly
+
+
+def reference_rows(n, m, mode_id, d_max, aifvm=False):
+    """Every row of one mode's model, built for that mode alone."""
+    r = 1 << (n - 1)
+    scale = 1 << (d_max + n)
+    link_ids = [ContinuousModeId(a, b) for a in range(r) for b in range(r)]
+    rows = []
+
+    def le(tag, coeffs, rhs, scale_=1):
+        rows.append(Row(tag, coeffs, "le", rhs, scale_))
+
+    def eq(tag, coeffs, rhs, scale_=1):
+        rows.append(Row(tag, coeffs, "eq", rhs, scale_))
+
+    for sym in range(m):
+        for i in range(d_max):
+            le(f"cw_consis1[{sym},{i}]", {("w", sym, i): 1, ("wb", sym, i): 1}, 1)
+        for i in range(d_max - 1):
+            le(f"cw_consis2[{sym},{i}]",
+               {("w", sym, i + 1): 1, ("wb", sym, i + 1): 1,
+                ("w", sym, i): -1, ("wb", sym, i): -1}, 0)
+        eq(f"pick_t[{sym}]", {("t", sym, d): 1 for d in range(d_max + 1)}, 1)
+        eq(f"pick_u[{sym}]", {("u", sym, c.k1, c.k2): 1 for c in link_ids}, 1)
+        eq(f"chain_in[{sym}]",
+           {("v", s2, sym): 1 for s2 in range(m) if s2 != sym} | {("vL", sym): 1}, 1)
+        eq(f"chain_out[{sym}]",
+           {("v", sym, s2): 1 for s2 in range(m) if s2 != sym} | {("vR", sym): 1}, 1)
+        depth_coeffs = {("w", sym, i): 1 for i in range(d_max)}
+        depth_coeffs |= {("wb", sym, i): 1 for i in range(d_max)}
+        depth_coeffs |= {("t", sym, d): -d for d in range(d_max + 1) if d}
+        eq(f"depth[{sym}]", depth_coeffs, 0)
+        for j in (1, 2):
+            for d in range(d_max + 1):
+                le(f"k_gate[{j},{sym},{d}]",
+                   {("k", j, sym, d): 1, ("t", sym, d): -(r - 1)}, 0)
+            sel = {("u", sym, c.k1, c.k2): (c.k1 if j == 1 else c.k2)
+                   for c in link_ids if (c.k1 if j == 1 else c.k2)}
+            sel |= {("k", j, sym, d): -1 for d in range(d_max + 1)}
+            eq(f"k_select[{j},{sym}]", sel, 0)
+    eq("pick_vL", {("vL", sym): 1 for sym in range(m)}, 1)
+    eq("pick_vR", {("vR", sym): 1 for sym in range(m)}, 1)
+
+    cw = [1 << (d_max + n - i - 1) for i in range(d_max)]
+    kc = [1 << (d_max - d) for d in range(d_max + 1)]
+    for sym in range(m):
+        for sym2 in range(m):
+            if sym == sym2:
+                continue
+            neg = {("wb", sym, i): -cw[i] for i in range(d_max)}
+            neg |= {("w", sym2, i): -cw[i] for i in range(d_max)}
+            neg |= {("k", 2, sym, d): -kc[d] for d in range(d_max + 1)}
+            neg |= {("k", 1, sym2, d): -kc[d] for d in range(d_max + 1)}
+            le(f"adjacency[{sym},{sym2}]", neg | {("v", sym, sym2): scale}, 0, scale)
+            pos = {name: -c for name, c in neg.items()}
+            le(f"adjacency_full[{sym},{sym2}]",
+               pos | {("v", sym, sym2): scale}, 2 * scale, scale)
+        neg_l = {("w", sym, i): -cw[i] for i in range(d_max)}
+        neg_l |= {("k", 1, sym, d): -kc[d] for d in range(d_max + 1)}
+        le(f"left[{sym}]", neg_l | {("vL", sym): scale},
+           scale - (mode_id.k1 << d_max), scale)
+        le(f"left_full[{sym}]",
+           {name: -c for name, c in neg_l.items()} | {("vL", sym): scale},
+           scale + (mode_id.k1 << d_max), scale)
+        neg_r = {("wb", sym, i): -cw[i] for i in range(d_max)}
+        neg_r |= {("k", 2, sym, d): -kc[d] for d in range(d_max + 1)}
+        le(f"right[{sym}]", neg_r | {("vR", sym): scale},
+           scale - (mode_id.k2 << d_max), scale)
+        le(f"right_full[{sym}]",
+           {name: -c for name, c in neg_r.items()} | {("vR", sym): scale},
+           scale + (mode_id.k2 << d_max), scale)
+
+    if aifvm:
+        allowed = set(aifvm_link_ids(n))
+        for sym in range(m):
+            eq(f"aifvm[{sym}]",
+               {("u", sym, c.k1, c.k2): 1 for c in link_ids if c in allowed}, 1)
+    return rows
+
+
+def reference_check(model, assignment):
+    """Row-by-row evaluation of every bound and row, in Python integers."""
+    variables = model.structure.variables
+    bad = []
+    for name, value in assignment.items():
+        if name not in variables:
+            bad.append(f"unknown variable {name}")
+        elif not 0 <= value <= variables[name]:
+            bad.append(f"variable {name} out of bounds: {value}")
+    for row in model.rows:
+        val = sum(c * assignment.get(name, 0) for name, c in row.coeffs.items())
+        ok = val <= row.rhs if row.sense == "le" else val == row.rhs
+        if not ok:
+            bad.append(f"{row.tag}: value {val} vs rhs {row.rhs}")
+    return bad
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 3), m=st.integers(1, 3), d_max=st.integers(1, 6), aifvm=st.booleans())
+def test_shared_structure_rows_match_per_mode_construction(n, m, d_max, aifvm):
+    structure = ModelStructure(n, m, d_max, aifvm)
+    probs = (1 / m,) * m
+    for cid in enumerate_continuous_ids(n):
+        model = build_ilp(structure, cid, probs, initial_costs(n))
+        assert model.rows == reference_rows(n, m, cid, d_max, aifvm), cid
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 3),
+    aifvm=st.booleans(),
+    weights=st.lists(st.integers(1, 20), min_size=1, max_size=3),
+    pick=st.integers(0, 10 ** 6),
+    at_upper=st.booleans(),
+    delta=st.integers(-3, 3),
+    unknown=st.booleans(),
+)
+def test_compiled_check_matches_row_by_row_oracle(n, aifvm, weights, pick, at_upper, delta,
+                                                  unknown):
+    m = len(weights)
+    probs = tuple(w / sum(weights) for w in weights)
+    structure = ModelStructure(n, m, 2 + n, aifvm)
+    names = list(structure.variables)
+    for cid in aifvm_link_ids(n) if aifvm else enumerate_continuous_ids(n):
+        model = build_ilp(structure, cid, probs, initial_costs(n))
+        sol = solve_ilp(model)
+        assert check_assignment(model, sol.assignment) == []
+        assert reference_check(model, sol.assignment) == []
+        # one variable moved to a value near or past one of its bounds
+        name = names[pick % len(names)]
+        perturbed = dict(sol.assignment)
+        perturbed[name] = (structure.variables[name] if at_upper else 0) + delta
+        if unknown:
+            perturbed[("z", 0)] = 1
+        assert check_assignment(model, perturbed) == reference_check(model, perturbed), (cid, name)
