@@ -47,6 +47,7 @@ from .optimizer import (
     initial_costs,
     solve_ilp,
 )
+from .sources import as_probs
 
 log = logging.getLogger("aifv.builder")
 
@@ -111,15 +112,6 @@ class OptimalityReport:
 
 def default_depth(m: int, n: int) -> int:
     return 3 * max(1, math.ceil(math.log2(m))) + n
-
-
-def as_probs(p) -> tuple[float, ...]:
-    probs = tuple(float(x) for x in getattr(p, "probs", p))
-    if len(probs) < 2:
-        raise ValueError("alphabet needs at least two symbols")
-    if any(x <= 0 for x in probs) or abs(sum(probs) - 1.0) > 1e-12:
-        raise ValueError("probabilities must be strictly positive and sum to 1")
-    return probs
 
 
 def _leafset_cost(mode: Mode) -> float:

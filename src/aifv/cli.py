@@ -121,6 +121,9 @@ def read_codebook(path: str):
 
 def cmd_encode(args) -> int:
     forest = read_codebook(args.codebook)
+    rule1 = validate_rule1(forest)
+    if not rule1.ok:
+        raise CodebookError(f"{args.codebook} is not decodable: {rule1.issues[0]}")
     with open(args.input) as fh:
         symbols = [int(tok) for tok in fh.read().split()]
     bits = encode(forest, symbols)

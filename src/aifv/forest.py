@@ -220,18 +220,10 @@ def encode(forest: CodeForest, symbols: Iterable[int]) -> str:
     return "".join(out)
 
 
-def _query_matches(mode: Mode, bits: str, pos: int, pad_tail: bool) -> bool:
+def _query_matches(mode: Mode, bits: str, pos: int) -> bool:
     for q in mode.words:
-        end = pos + q.length
-        if end <= len(bits):
-            if bits.startswith(q.text, pos):
-                return True
-        elif pad_tail:
-            # Missing lookahead bits on the very last symbol are treated
-            # as zero padding; see the codec notes in the README.
-            avail = len(bits) - pos
-            if q.text[:avail] == bits[pos:] and q.text[avail:].strip("0") == "":
-                return True
+        if bits.startswith(q.text, pos):
+            return True
     return False
 
 
@@ -240,23 +232,22 @@ def decode(forest: CodeForest, bits: str, count: int) -> list[int]:
 
     Each step consumes one codeword after confirming a query of the
     linked tree's mode matches the following bits; the query bits are
-    lookahead only.  A valid forest admits at most one candidate per
-    step; two candidates mean the forest violates its own rules.
+    lookahead only and must be present, which the encoder's termination
+    codeword ensures for the last symbol.  A valid forest admits at most
+    one candidate per step; two candidates mean the forest violates its
+    own rules.
     """
     out: list[int] = []
     k = 0
     pos = 0
-    for step in range(count):
+    for _ in range(count):
         tree = forest.trees[k]
-        last = step == count - 1
         match: int | None = None
         for s in range(forest.symbol_count):
             cw = tree.codewords[s]
-            # codeword bits must be physically present; only the final
-            # symbol's query check tolerates a short tail
-            if pos + cw.length > len(bits) or not bits.startswith(cw.text, pos):
+            if not bits.startswith(cw.text, pos):
                 continue
-            if _query_matches(forest.trees[tree.links[s]].mode, bits, pos + cw.length, last):
+            if _query_matches(forest.trees[tree.links[s]].mode, bits, pos + cw.length):
                 if match is not None:
                     raise DecodeError(
                         f"ambiguous decode at bit {pos}: symbols {match} and {s} "

@@ -4,9 +4,12 @@ The trees of a forest form a finite Markov chain through their links.
 Construction needs the chain's stationary behaviour (expected code
 length) and a virtual per-tree linking cost whose fixed point certifies
 optimality.  Chains met mid-iteration are not always irreducible, so the
-matrix is first block-triangularised by strongly connected components;
-components without outgoing edges ("absorption blocks") each carry an
-independent sub-forest with its own stationary distribution.
+matrix is first block-triangularised by strongly connected components,
+read off the chain's reachability closure; components without outgoing
+edges ("absorption blocks") each carry an independent sub-forest with
+its own stationary distribution.  The transient components follow in
+order of how many states they reach, which makes the permuted matrix
+block lower-triangular, and one linear solve prices all of them.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
+
+from .sources import as_probs
 
 # Pivot magnitudes below this are treated as singular in cost solves.
 PIVOT_TOL = 1e-12
@@ -30,8 +35,7 @@ def transition_matrix(forest, probs: Sequence[float]) -> np.ndarray:
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or len(p) != forest.symbol_count:
         raise ValueError("one probability per symbol required")
-    if np.any(p <= 0) or abs(p.sum() - 1.0) > 1e-12:
-        raise ValueError("probabilities must be strictly positive and sum to 1")
+    as_probs(p)
     k_total = len(forest.trees)
     mat = np.zeros((k_total, k_total))
     for k, tree in enumerate(forest.trees):
@@ -44,10 +48,12 @@ def transition_matrix(forest, probs: Sequence[float]) -> np.ndarray:
 class BlockDecomposition:
     """Strongly connected components in block-lower-triangular order.
 
-    Blocks ``0 .. n_absorbing-1`` have no outgoing edges and come first;
-    every later block has at least one edge into an earlier one.  States
-    inside a block are listed in ascending original index, blocks are
-    ordered deterministically by smallest contained index.
+    Blocks ``0 .. n_absorbing-1`` have no outgoing edges and come first,
+    ordered by smallest contained state.  The transient blocks follow,
+    ordered by how many states they reach, then by smallest contained
+    state; a block reaches strictly more states than any block it feeds,
+    so every edge leaving a block points to an earlier one.  States
+    inside a block are listed in ascending original index.
     """
 
     blocks: tuple[tuple[int, ...], ...]
@@ -58,88 +64,32 @@ class BlockDecomposition:
         return tuple(i for b in self.blocks for i in b)
 
 
-def _tarjan_sccs(adj: list[list[int]]) -> list[list[int]]:
-    n = len(adj)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(adj[v]):
-                w = adj[v][pi]
-                pi += 1
-                if index[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(sorted(comp))
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return sccs
-
-
 def block_decompose(mat: np.ndarray) -> BlockDecomposition:
     """Group mutually reachable states; absorption blocks first, then a
-    topological order so the permuted matrix is block lower-triangular."""
-    n = mat.shape[0]
-    adj = [[j for j in range(n) if mat[i, j] > 0.0] for i in range(n)]
-    sccs = _tarjan_sccs(adj)
-    comp_of = {}
-    for c, comp in enumerate(sccs):
-        for v in comp:
-            comp_of[v] = c
-    out_edges: list[set[int]] = [set() for _ in sccs]
-    for v in range(n):
-        for w in adj[v]:
-            if comp_of[v] != comp_of[w]:
-                out_edges[comp_of[v]].add(comp_of[w])
+    topological order so the permuted matrix is block lower-triangular.
 
-    placed: list[int] = []
-    placed_set: set[int] = set()
-    absorbing = sorted((c for c in range(len(sccs)) if not out_edges[c]),
-                       key=lambda c: sccs[c][0])
-    placed.extend(absorbing)
-    placed_set.update(absorbing)
-    remaining = set(range(len(sccs))) - placed_set
-    while remaining:
-        ready = sorted((c for c in remaining if out_edges[c] <= placed_set),
-                       key=lambda c: sccs[c][0])
-        if not ready:
-            raise AssertionError("cycle across components; SCC computation broken")
-        placed.append(ready[0])
-        placed_set.add(ready[0])
-        remaining.discard(ready[0])
+    The reachability closure of ``(mat > 0) | I`` comes from repeated
+    squaring, at most ceil(log2 K) + 1 matrix products; two states share
+    a block iff each reaches the other.
+    """
+    reach = (mat > 0.0) | np.eye(mat.shape[0], dtype=bool)
+    while True:
+        r = reach.astype(float)
+        closed = (r @ r) > 0.0
+        if np.array_equal(closed, reach):
+            break
+        reach = closed
+    same = reach & reach.T
+    first = np.argmax(same, axis=1)  # smallest state of each state's block
+    reps = np.flatnonzero(first == np.arange(len(first)))
+    n_reached = reach[reps].sum(axis=1)
+    absorbing = n_reached == same[reps].sum(axis=1)
+    # absorbing blocks sort first because a transient one reaches >= 2 states
+    key = np.where(absorbing, 0, n_reached)
+    ordered = reps[np.lexsort((reps, key))]
     return BlockDecomposition(
-        blocks=tuple(tuple(sccs[c]) for c in placed),
-        n_absorbing=len(absorbing),
+        blocks=tuple(tuple(np.flatnonzero(same[r]).tolist()) for r in ordered),
+        n_absorbing=int(absorbing.sum()),
     )
 
 
@@ -192,44 +142,33 @@ def cost_update_general(
     blocks: BlockDecomposition,
     pis: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, list[float], int]:
-    """Block-wise cost update that works for any chain shape.
+    """Cost update that works for any chain shape.
 
     Absorption blocks are solved against their own expected length with
-    their first state pinned at zero; the remaining blocks are solved in
-    full against the worst absorption-block length plus the inflow of
-    already-priced blocks, gathered over all of them at once.  Returns
-    the cost vector, the absorption blocks' expected lengths, and the
-    index of the worst one.
+    their first state pinned at zero; all transient states are then
+    solved at once against the worst absorption-block length plus the
+    inflow of the priced absorption blocks.  Returns the cost vector,
+    the absorption blocks' expected lengths, and the index of the worst
+    one.
     """
     lv = np.asarray(lengths, dtype=float)
     if pis is None:
         pis = stationary(mat, blocks)
     lbars = [expected_length(lv, pi) for pi in pis]
     j_star = int(np.argmax(lbars))
-    lbar_star = lbars[j_star]
 
     costs = np.zeros(mat.shape[0])
-    order = np.array(blocks.order)
-    done = 0  # states order[:done] are priced
-    for j, idx_t in enumerate(blocks.blocks):
-        idx = np.array(idx_t)
-        size = len(idx)
-        rows = mat[idx]
-        sub = rows[:, idx]
-        if j < blocks.n_absorbing:
-            c = np.zeros(size)
-            if size > 1:
-                a = sub[1:, 1:] - np.eye(size - 1)
-                rhs = np.full(size - 1, lbars[j]) - lv[idx][1:]
-                c[1:] = _lu_solve_checked(a, rhs)
-        else:
-            priced = order[:done]
-            inflow = rows[:, priced] @ costs[priced]
-            a = sub - np.eye(size)
-            rhs = np.full(size, lbar_star) - lv[idx] - inflow
-            c = _lu_solve_checked(a, rhs)
-        costs[idx] = c
-        done += size
+    for j in range(blocks.n_absorbing):
+        rest = np.array(blocks.blocks[j][1:], dtype=int)
+        if len(rest):
+            a = mat[np.ix_(rest, rest)] - np.eye(len(rest))
+            costs[rest] = _lu_solve_checked(a, lbars[j] - lv[rest])
+    trans = np.array([i for b in blocks.blocks[blocks.n_absorbing:] for i in b], dtype=int)
+    if len(trans):
+        rows = mat[trans]
+        a = rows[:, trans] - np.eye(len(trans))
+        # costs[trans] is still zero, so rows @ costs is the absorbing inflow
+        costs[trans] = _lu_solve_checked(a, lbars[j_star] - lv[trans] - rows @ costs)
     return costs, lbars, j_star
 
 

@@ -13,12 +13,7 @@ class SourceDistribution:
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.probs) < 2:
-            raise ValueError("alphabet needs at least two symbols")
-        if any(x <= 0 for x in self.probs):
-            raise ValueError("probabilities must be strictly positive")
-        if abs(sum(self.probs) - 1.0) > 1e-12:
-            raise ValueError("probabilities must sum to 1")
+        as_probs(self.probs)
 
     @property
     def m(self) -> int:
@@ -26,6 +21,20 @@ class SourceDistribution:
 
     def __iter__(self):
         return iter(self.probs)
+
+
+def as_probs(p) -> tuple[float, ...]:
+    """The probabilities of ``p`` (a sequence or a ``SourceDistribution``)
+    as floats; ValueError unless they form a distribution over at least
+    two symbols, each strictly positive, summing to 1 within 1e-12."""
+    probs = tuple(float(x) for x in getattr(p, "probs", p))
+    if len(probs) < 2:
+        raise ValueError("alphabet needs at least two symbols")
+    if not all(x > 0 for x in probs):
+        raise ValueError("probabilities must be strictly positive")
+    if abs(sum(probs) - 1.0) > 1e-12:
+        raise ValueError("probabilities must sum to 1")
+    return probs
 
 
 def sources_binary_grid() -> list[SourceDistribution]:

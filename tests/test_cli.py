@@ -76,6 +76,22 @@ def test_check_fails_on_broken_codebook(tmp_path, capsys):
     assert "Rule 1a" in capsys.readouterr().out
 
 
+def test_encode_rejects_broken_codebook(tmp_path, capsys):
+    book = str(tmp_path / "bad.aifv")
+    write(book, "\n".join([
+        "AIFV1 N=2 M=2 K=1",
+        "TREE 0 MODE -",
+        "SYM 0 CODE - LINK 0",
+        "SYM 1 CODE - LINK 0",
+    ]) + "\n")
+    syms = str(tmp_path / "input.sym")
+    write(syms, "0 1\n")
+    out = str(tmp_path / "payload.bin")
+    assert main(["encode", "--codebook", book, "--input", syms, "-o", out]) == 2
+    assert "Rule 1a" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_decode_requires_count(tmp_path, dist_file):
     with pytest.raises(SystemExit):
         main(["decode", "--codebook", "x", "--input", "y", "-o", "z"])

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aifv.bitstrings import BitString
+from aifv.builder import BuildConfig, construct
 from aifv.forest import (
     CodeForest,
     DecodeError,
@@ -114,6 +116,32 @@ def test_decode_ambiguity_raises():
 def test_decode_truncation_raises(demo_forest):
     with pytest.raises(DecodeError):
         decode(demo_forest, "11", 2)  # second symbol has nothing to match
+
+
+@pytest.fixture(scope="module")
+def binary_forest():
+    """The optimal delay-3 forest of the p0=0.9 binary source."""
+    return construct((0.9, 0.1), BuildConfig(n=3))[0]
+
+
+def test_decode_empty_stream_raises(binary_forest):
+    # the first symbol's codeword and lookahead are both missing
+    with pytest.raises(DecodeError):
+        decode(binary_forest, "", 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_truncated_stream_raises_or_round_trips(binary_forest, demo_forest, data):
+    forest = data.draw(st.sampled_from((binary_forest, demo_forest)))
+    message = data.draw(st.lists(st.integers(0, forest.symbol_count - 1), max_size=20))
+    bits = encode(forest, message)
+    cut = data.draw(st.integers(0, max(0, len(bits) - 1)))
+    try:
+        out = decode(forest, bits[:cut], len(message))
+    except DecodeError:
+        return
+    assert out == message
 
 
 def test_decode_short_count_stops_early(demo_forest):

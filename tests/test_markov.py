@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from aifv.forest import CodeForest
 from aifv.markov import (
+    BlockDecomposition,
     SingularChainError,
     _lu_solve_checked,
     block_decompose,
@@ -71,6 +72,104 @@ def cost_update_blockwise(lengths, mat, blocks, pis=None):
     return costs, lbars, j_star
 
 
+def _tarjan_sccs(adj):
+    n = len(adj)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    sccs = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            while pi < len(adj[v]):
+                w = adj[v][pi]
+                pi += 1
+                if index[w] == -1:
+                    work[-1] = (v, pi)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                sccs.append(sorted(comp))
+            if work:
+                u, _ = work[-1]
+                low[u] = min(low[u], low[v])
+    return sccs
+
+
+def block_decompose_tarjan(mat):
+    """The decomposition by Tarjan's SCC algorithm and a topological sort
+    that places the ready block with the smallest state first."""
+    n = mat.shape[0]
+    adj = [[j for j in range(n) if mat[i, j] > 0.0] for i in range(n)]
+    sccs = _tarjan_sccs(adj)
+    comp_of = {}
+    for c, comp in enumerate(sccs):
+        for v in comp:
+            comp_of[v] = c
+    out_edges = [set() for _ in sccs]
+    for v in range(n):
+        for w in adj[v]:
+            if comp_of[v] != comp_of[w]:
+                out_edges[comp_of[v]].add(comp_of[w])
+
+    absorbing = sorted((c for c in range(len(sccs)) if not out_edges[c]),
+                       key=lambda c: sccs[c][0])
+    placed = list(absorbing)
+    placed_set = set(absorbing)
+    remaining = set(range(len(sccs))) - placed_set
+    while remaining:
+        ready = sorted((c for c in remaining if out_edges[c] <= placed_set),
+                       key=lambda c: sccs[c][0])
+        assert ready, "cycle across components"
+        placed.append(ready[0])
+        placed_set.add(ready[0])
+        remaining.discard(ready[0])
+    return BlockDecomposition(
+        blocks=tuple(tuple(sccs[c]) for c in placed),
+        n_absorbing=len(absorbing),
+    )
+
+
+def assert_matches_tarjan(mat, blocks):
+    """Same blocks and the same absorption blocks in the same order as
+    the oracle, and every edge between blocks points to an earlier one."""
+    ref = block_decompose_tarjan(mat)
+    assert blocks.n_absorbing == ref.n_absorbing
+    assert blocks.blocks[:ref.n_absorbing] == ref.blocks[:ref.n_absorbing]
+    assert set(blocks.blocks) == set(ref.blocks)
+    order = np.array(blocks.order)
+    assert sorted(order.tolist()) == list(range(mat.shape[0]))
+    block_of = np.empty(len(order), dtype=int)
+    for j, b in enumerate(blocks.blocks):
+        block_of[list(b)] = j
+    src, dst = np.nonzero(mat > 0.0)
+    assert np.all(block_of[dst] <= block_of[src]), "edge points to a later block"
+
+
 def random_stochastic(rng, k):
     m = np.array([[rng.random() for _ in range(k)] for _ in range(k)])
     return m / m.sum(axis=1, keepdims=True)
@@ -102,6 +201,8 @@ def test_transition_matrix_rejects_bad_distribution(demo_forest):
         transition_matrix(demo_forest, [0.5, 0.5, 0.1])
     with pytest.raises(ValueError):
         transition_matrix(demo_forest, [1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="strictly positive"):
+        transition_matrix(demo_forest, [float("nan"), 0.5, 0.5])
 
 
 def test_block_decompose_irreducible():
@@ -148,6 +249,39 @@ def test_block_decompose_partition_and_triangularity():
             members = set(blocks.blocks[j])
             for s in members:
                 assert all(mat[s, t] == 0 for t in range(k) if t not in members)
+
+
+@st.composite
+def sparse_chains(draw):
+    """Up to 40 shuffled states cut into runs of self-loops, cycles and
+    feeder chains; a cycle or feeder run after the first also leads into
+    an earlier run.  A few random extra edges follow."""
+    k = draw(st.integers(1, 40))
+    labels = draw(st.permutations(range(k)))
+    mat = np.zeros((k, k))
+    pos = 0
+    while pos < k:
+        run = labels[pos:pos + draw(st.integers(1, min(6, k - pos)))]
+        kind = draw(st.sampled_from(("loops", "cycle", "feeder")))
+        for a, b in zip(run, run[1:]):
+            mat[a, a if kind == "loops" else b] = 1.0
+        if kind == "loops" or pos == 0:
+            mat[run[-1], run[-1]] = 1.0
+        else:
+            mat[run[-1], labels[draw(st.integers(0, pos - 1))]] = 1.0
+        if kind == "cycle":
+            mat[run[-1], run[0]] = 1.0
+        pos += len(run)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+                              max_size=k // 4)):
+        mat[i, j] = 1.0
+    return mat / mat.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sparse_chains())
+def test_block_decompose_matches_tarjan_on_sparse_chains(mat):
+    assert_matches_tarjan(mat, block_decompose(mat))
 
 
 def test_stationary_symmetric_cycle():
@@ -327,6 +461,7 @@ def test_cost_update_general_matches_blockwise_on_build_chains(monkeypatch):
     assert len(chains) > 1
     assert any(len(blocks.blocks) > 1 for _, _, blocks, _ in chains)
     for lengths, mat, blocks, pis in chains:
+        assert_matches_tarjan(mat, blocks)
         costs = cost_update_general(lengths, mat, blocks, pis)[0]
         ref = cost_update_blockwise(lengths, mat, blocks, pis)[0]
         assert np.max(np.abs(costs - ref)) <= 1e-15
