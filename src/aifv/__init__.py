@@ -46,6 +46,7 @@ from .modes import (
     mode_interval,
 )
 from .optimizer import (
+    LinkPrices,
     ModelStructure,
     ResourceLimitError,
     brute_force_binary,

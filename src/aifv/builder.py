@@ -39,6 +39,7 @@ from .modes import (
 )
 from .optimizer import (
     NODE_BUDGET_DEFAULT,
+    LinkPrices,
     ModelStructure,
     aifvm_link_ids,
     brute_force_binary,
@@ -167,24 +168,23 @@ class _Family:
             return np.array([_leafset_cost(m) for m in self.modes])
         return np.array([self.base_costs[cid] for cid in self.ids])
 
-    def price(self, costs: np.ndarray) -> dict:
-        """The link-cost table every tree solve of one iteration reads:
-        keyed by word set for the full family, by continuous id (every
-        id of the delay, with the starting cost for those outside the
-        family) otherwise."""
+    def price(self, costs: np.ndarray) -> dict | LinkPrices:
+        """The link prices every tree solve of one iteration reads: a
+        table keyed by word set for the full family, otherwise the tree
+        model's prices of every continuous id of the delay, with the
+        starting cost for those outside the family."""
         if self.cfg.family == "full-binary":
             return {m.words: costs[i] for i, m in enumerate(self.modes)}
         table = dict(self.base_costs)
-        for cid, i in self.index_of_id.items():
-            table[cid] = float(costs[i])
-        return table
+        table.update(zip(self.ids, costs))
+        return self.structure.price(table)
 
-    def solve_tree(self, index: int, table: dict) -> tuple[CodeTree, float]:
+    def solve_tree(self, index: int, prices: dict | LinkPrices) -> tuple[CodeTree, float]:
         cfg = self.cfg
         if cfg.family == "full-binary":
             return brute_force_binary(cfg.n, self.modes[index], self.probs,
-                                      table, self.index_of_words)
-        model = build_ilp(self.structure, self.ids[index], self.probs, table)
+                                      prices, self.index_of_words)
+        model = build_ilp(self.structure, self.ids[index], self.probs, prices)
         sol = solve_ilp(model, node_budget=cfg.node_budget)
         tree = decode_solution(model, sol.assignment,
                                index_of=self.index_of_id.__getitem__,
@@ -233,14 +233,14 @@ def construct(p, cfg: BuildConfig) -> tuple[CodeForest, OptimalityReport]:
     prev_trees: list[CodeTree] | None = None
     for iteration in range(1, cfg.max_iterations + 1):
         iterations = iteration
-        table = fam.price(costs)
+        prices = fam.price(costs)
         trees = [None] * k
         for i in range(k):
             j = fam.mirror[i] if reuse else i
             if reuse and j < i and trees[j] is not None:
                 trees[i] = flip_tree(trees[j], mirror_links)
                 continue
-            fresh, fresh_obj = fam.solve_tree(i, table)
+            fresh, fresh_obj = fam.solve_tree(i, prices)
             trees[i] = fresh
             if prev_trees is not None:
                 prev = prev_trees[i]

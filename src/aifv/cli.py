@@ -64,9 +64,16 @@ def read_distribution(path: str) -> SourceDistribution:
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
+            malformed = ValueError(f"{path}:{lineno}: expected 'a<m> <probability>', got {line!r}")
             if len(parts) != 2 or not parts[0].startswith("a"):
-                raise ValueError(f"{path}:{lineno}: expected 'a<m> <probability>'")
-            probs[int(parts[0][1:])] = float(parts[1])
+                raise malformed
+            try:
+                sym, prob = int(parts[0][1:]), float(parts[1])
+            except ValueError:
+                raise malformed from None
+            if sym in probs:
+                raise ValueError(f"{path}:{lineno}: symbol a{sym} given twice")
+            probs[sym] = prob
     if sorted(probs) != list(range(len(probs))):
         raise ValueError(f"{path}: symbols must be a0..a{len(probs) - 1} exactly")
     return SourceDistribution(tuple(probs[i] for i in range(len(probs))))

@@ -237,6 +237,8 @@ def decode(forest: CodeForest, bits: str, count: int) -> list[int]:
     one candidate per step; two candidates mean the forest violates its
     own rules.
     """
+    if count < 0:
+        raise ValueError(f"symbol count must not be negative, got {count}")
     out: list[int] = []
     k = 0
     pos = 0

@@ -19,9 +19,14 @@ mode's margins.  That tiling view drives both halves of this module:
 The model's variables and coefficient rows depend only on the family
 (delay, alphabet size, depth bound, link restriction), so a
 :class:`ModelStructure` builds them once, compiled to flat integer
-arrays.  A tree's model adds only its mode's boundary right-hand sides
-and the current link costs, and every solve is still checked against
-every row.
+arrays.  The link costs change once per iteration of the forest
+construction, so :meth:`ModelStructure.price` turns them once into the
+:class:`LinkPrices` every tree of that iteration reads: the allowed
+links grouped by left margin with their costs, and the width and cost
+extremes the search bounds use.  A tree's model adds only its mode's
+boundary right-hand sides to these, the search enumerates only the
+pieces that fit the mode's interval, and every solve is still checked
+against every row.
 
 For binary alphabets and small delays an independent partition search
 over the mode's full leaf set covers discontinuous link modes as well.
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -116,6 +122,8 @@ class ModelStructure:
         allowed = set(aifvm_link_ids(n)) if aifvm else set(link_ids)
         self.link_ids = link_ids
         self.allowed_links = tuple(c for c in link_ids if c in allowed)
+        self.allowed_link_vars = frozenset(
+            ("u", sym, c.k1, c.k2) for sym in range(m) for c in self.allowed_links)
 
         variables: dict = {}
         for sym in range(m):
@@ -243,16 +251,58 @@ class ModelStructure:
             in zip(self.tags, self.starts, ends, self.is_eq, rhs, self.scales)
         ]
 
+    def price(self, costs: Mapping[ContinuousModeId, float]) -> LinkPrices:
+        """The link costs as every tree solve against them reads them;
+        ``costs`` must price every link id of the delay."""
+        table = {c: float(costs[c]) for c in self.link_ids}
+        full = 1 << self.n
+        allowed = self.allowed_links
+        by_k1: dict[int, tuple[list[int], list[float]]] = {}
+        for c in allowed:  # k2 ascending within each k1
+            k2s, link_costs = by_k1.setdefault(c.k1, ([], []))
+            k2s.append(c.k2)
+            link_costs.append(table[c])
+        return LinkPrices(
+            structure=self,
+            costs=table,
+            by_k1=by_k1,
+            min_width=min(full - c.k1 - c.k2 for c in allowed),
+            max_width=max(full - c.k1 - c.k2 for c in allowed),
+            min_cost=min(table[c] for c in allowed),
+            alpha_min=min(table[c] + math.log2((full - c.k1 - c.k2) / full) for c in allowed),
+        )
+
+
+@dataclass(frozen=True)
+class LinkPrices:
+    """One iteration's link costs, shared by every tree solved against
+    them.
+
+    ``costs`` prices every link id of the delay; ``by_k1`` maps each left
+    margin to its allowed right margins, ascending, and their costs.
+    The widths ``2^n - k1 - k2`` are those of linked pieces, in units of
+    ``2^-n`` of the codeword's cell; ``alpha_min`` is the least link cost
+    plus the log of the share of the cell the link keeps.
+    """
+
+    structure: ModelStructure
+    costs: dict[ContinuousModeId, float]
+    by_k1: dict[int, tuple[list[int], list[float]]]
+    min_width: int
+    max_width: int
+    min_cost: float
+    alpha_min: float
+
 
 @dataclass
 class IlpModel:
     """One tree's model: a shared structure plus the tree's mode, the
-    symbol probabilities and the current link costs."""
+    symbol probabilities and the current link prices."""
 
     structure: ModelStructure
     mode_id: ContinuousModeId
     probs: tuple[float, ...]
-    costs: dict[ContinuousModeId, float]
+    prices: LinkPrices
     rhs: np.ndarray  # every row's right-hand side for this mode
 
     @property
@@ -268,7 +318,7 @@ class IlpModel:
             for d in range(1, s.d_max + 1):
                 out[("t", sym, d)] = p * d
             for c in s.link_ids:
-                out[("u", sym, c.k1, c.k2)] = p * self.costs[c]
+                out[("u", sym, c.k1, c.k2)] = p * self.prices.costs[c]
         return out
 
 
@@ -276,13 +326,15 @@ def build_ilp(
     structure: ModelStructure,
     mode_id: ContinuousModeId,
     probs: Sequence[float],
-    costs: Mapping[ContinuousModeId, float],
+    prices: LinkPrices,
 ) -> IlpModel:
     """The model for one tree of the given mode: the shared structure
-    with the mode's boundary right-hand sides and the link costs."""
+    with the mode's boundary right-hand sides and the link prices."""
     s = structure
     if len(probs) != s.m_symbols:
         raise ValueError("one probability per symbol required")
+    if prices.structure is not s:
+        raise ValueError("link prices were built for another model structure")
     r = 1 << (s.n - 1)
     if not (0 <= mode_id.k1 < r and 0 <= mode_id.k2 < r):
         raise ValueError(f"mode id {mode_id} out of range for delay {s.n}")
@@ -290,7 +342,7 @@ def build_ilp(
     return IlpModel(
         structure=s, mode_id=mode_id,
         probs=tuple(float(x) for x in probs),
-        costs={c: float(costs[c]) for c in s.link_ids},
+        prices=prices,
         rhs=rhs,
     )
 
@@ -382,27 +434,23 @@ def solve_ilp(model: IlpModel, node_budget: int = NODE_BUDGET_DEFAULT) -> TreeSo
     are deduplicated by position and placed set; symbols of equal
     probability are placed in ascending index order.  Deterministic:
     ties in the bound fall back to insertion order.
+
+    Everything that depends only on the link costs comes precomputed in
+    ``model.prices``; the pieces that fit at a state are enumerated once
+    per expanded state and shared by every symbol placed there.
     """
     s = model.structure
     n, d_max, m = s.n, s.d_max, s.m_symbols
     probs = model.probs
+    prices = model.prices
+    by_k1 = prices.by_k1
+    min_width, max_width = prices.min_width, prices.max_width << d_max
+    min_cost, alpha_min = prices.min_cost, prices.alpha_min
     scale = 1 << (d_max + n)
-    start = model.mode_id.k1 << d_max
-    end = ((1 << n) - model.mode_id.k2) << d_max
-    r = 1 << (n - 1)
-
-    allowed = s.allowed_links
-    by_k1: dict[int, list[tuple[int, float]]] = {}
-    for cid in allowed:
-        by_k1.setdefault(cid.k1, []).append((cid.k2, model.costs[cid]))
-    for lst in by_k1.values():
-        lst.sort()
-    min_width = min((1 << n) - c.k1 - c.k2 for c in allowed)
-    max_width = max((1 << n) - c.k1 - c.k2 for c in allowed) << d_max
-    min_cost = min(model.costs[c] for c in allowed)
-    alpha_min = min(
-        model.costs[c] + math.log2(((1 << n) - c.k1 - c.k2) / (1 << n)) for c in allowed
-    )
+    full_width = 1 << n
+    mode_id = model.mode_id
+    start = mode_id.k1 << d_max
+    end = (full_width - mode_id.k2) << d_max
 
     full_mask = (1 << m) - 1
     psum = [0.0] * (1 << m)
@@ -421,24 +469,42 @@ def solve_ilp(model: IlpModel, node_budget: int = NODE_BUDGET_DEFAULT) -> TreeSo
         ent = hsum[rem_mask] + p_total * (math.log2(p_total) - math.log2(frac) + alpha_min)
         return max(ent, p_total * min_cost) - BOUND_SLACK
 
-    def pieces_at(x: int):
+    def pieces_at(x: int, rem_after: int) -> list[tuple]:
+        """Every piece that can start at ``x`` with ``rem_after`` symbols
+        still to place after it, in (depth, k2) order.
+
+        A depth-d piece linked to (k1, k2) is ``(2^n - k1 - k2) << (d_max - d)``
+        wide and x fixes its k1.  The room it leaves must lie between
+        ``min_width`` and ``max_width`` times ``rem_after`` (and be none
+        after the last symbol), which bounds k2 from both sides.
+        """
+        room = end - x
+        lo, hi = min_width * rem_after, max_width * rem_after
+        out = []
         for d in range(d_max + 1):
-            shift = n + d_max - d
+            unit = d_max - d
+            if x & ((1 << unit) - 1):
+                continue  # x is not on the grid of depth-d pieces
+            shift = n + unit
             v = x >> shift
-            off = x - (v << shift)
-            g = 1 << (d_max - d)
-            if off & (g - 1):
-                continue
-            k1 = off >> (d_max - d)
-            if k1 >= r:
-                continue
+            k1 = (x & ((1 << shift) - 1)) >> unit
             entries = by_k1.get(k1)
-            if not entries:
+            if entries is None:
                 continue
-            for k2, cost in entries:
-                piece_end = x + (((1 << n) - k1 - k2) << (d_max - d))
-                if piece_end <= end:
-                    yield d, v, k1, k2, piece_end, d + cost
+            k2s, link_costs = entries
+            free = full_width - k1
+            if rem_after:
+                i = bisect_left(k2s, free - ((room - lo) >> unit))
+                j = bisect_right(k2s, free + ((hi - room) >> unit))
+            else:
+                if room & ((1 << unit) - 1):
+                    continue
+                i = bisect_left(k2s, free - (room >> unit))
+                j = bisect_right(k2s, free - (room >> unit), i)
+            for t in range(i, j):
+                k2 = k2s[t]
+                out.append((d, v, k1, k2, x + ((free - k2) << unit), d + link_costs[t]))
+        return out
 
     def candidates(used_mask: int, key):
         cands = []
@@ -456,32 +522,29 @@ def solve_ilp(model: IlpModel, node_budget: int = NODE_BUDGET_DEFAULT) -> TreeSo
 
     nodes = 0
 
-    def spend() -> None:
+    def spend(phase: str) -> None:
         nonlocal nodes
         nodes += 1
         if nodes > node_budget:
-            raise ResourceLimitError(f"node budget {node_budget} exhausted")
+            raise ResourceLimitError(
+                f"node budget {node_budget} exhausted in the {phase} "
+                f"for mode ({mode_id.k1}, {mode_id.k2})"
+            )
 
     def dive() -> tuple[float, tuple] | None:
         # first feasible solution, largest pieces first for big symbols
         stack = [(start, 0, 0.0, ())]
         while stack:
             x, used, g, path = stack.pop()
-            spend()
+            spend("dive")
             if used == full_mask:
                 if x == end:
                     return g, path
                 continue
+            pieces = pieces_at(x, (full_mask ^ used).bit_count() - 1)
             children = []
             for sym in candidates(used, key=lambda s: (-probs[s], s)):
-                left = full_mask ^ used ^ (1 << sym)
-                rem_after = bin(left).count("1")
-                for d, v, k1, k2, pe, cost in pieces_at(x):
-                    if left:
-                        if end - pe < min_width * rem_after or end - pe > max_width * rem_after:
-                            continue
-                    elif pe != end:
-                        continue
+                for d, v, k1, k2, pe, cost in pieces:
                     children.append(((pe - x, -cost), (sym, d, v, k1, k2, pe, cost)))
             children.sort(key=lambda c: c[0])
             for _, (sym, d, v, k1, k2, pe, cost) in children:
@@ -502,7 +565,7 @@ def solve_ilp(model: IlpModel, node_budget: int = NODE_BUDGET_DEFAULT) -> TreeSo
     closed: dict[tuple[int, int], float] = {}
     while heap:
         f, _, x, used, g, path = heapq.heappop(heap)
-        spend()
+        spend("proof")
         if best is not None and f >= best[0] - 1e-15:
             break
         state = (x, used)
@@ -514,16 +577,11 @@ def solve_ilp(model: IlpModel, node_budget: int = NODE_BUDGET_DEFAULT) -> TreeSo
             if x == end and (best is None or g < best[0]):
                 best = (g, path)
             continue
+        pieces = pieces_at(x, (full_mask ^ used).bit_count() - 1)
         for sym in candidates(used, key=lambda s: s):
             new_used = used | (1 << sym)
             left = full_mask ^ new_used
-            rem_after = bin(left).count("1")
-            for d, v, k1, k2, pe, cost in pieces_at(x):
-                if left:
-                    if end - pe < min_width * rem_after or end - pe > max_width * rem_after:
-                        continue
-                elif pe != end:
-                    continue
+            for d, v, k1, k2, pe, cost in pieces:
                 g2 = g + probs[sym] * cost
                 f2 = g2 + lower_bound(pe, left)
                 if best is not None and f2 >= best[0] - 1e-15:
@@ -546,7 +604,7 @@ def solve_ilp(model: IlpModel, node_budget: int = NODE_BUDGET_DEFAULT) -> TreeSo
     codewords = tuple(BitString(d, v) for d, v, _, _ in pieces)
     link_ids = tuple(ContinuousModeId(k1, k2) for _, _, k1, k2 in pieces)
     recomputed = sum(
-        probs[s] * (pieces[s][0] + model.costs[link_ids[s]]) for s in range(m)
+        probs[s] * (pieces[s][0] + prices.costs[link_ids[s]]) for s in range(m)
     )
     if abs(recomputed - objective) > 1e-9:
         raise ModelError("objective mismatch between search and recomputation")
@@ -571,6 +629,10 @@ def decode_solution(
         index_of = lambda cid: cid.k1 * (1 << (s.n - 1)) + cid.k2  # noqa: E731
     if mode is None:
         mode = mode_from_id(s.n, model.mode_id)
+    links_of: list[list[ContinuousModeId]] = [[] for _ in range(s.m_symbols)]
+    for name, value in assignment.items():
+        if value and name in s.allowed_link_vars:
+            links_of[name[1]].append(ContinuousModeId(name[2], name[3]))
     codewords, links = [], []
     for sym in range(s.m_symbols):
         depths = [d for d in range(s.d_max + 1) if assignment.get(("t", sym, d))]
@@ -584,8 +646,7 @@ def decode_solution(
             if w + wb != 1:
                 raise ModelError(f"symbol {sym} bit {i} unset inside codeword")
             value = (value << 1) | w
-        chosen = [c for c in s.allowed_links
-                  if assignment.get(("u", sym, c.k1, c.k2))]
+        chosen = links_of[sym]
         if len(chosen) != 1:
             raise ModelError(f"symbol {sym} has {len(chosen)} active links")
         cid = chosen[0]

@@ -108,6 +108,34 @@ def test_bad_distribution_is_validation_error(tmp_path):
                  "-o", str(tmp_path / "book")]) == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("a0 0.3\na0 0.5\na1 0.5\n", ":2: symbol a0 given twice"),
+    ("a0 0.9\nab 0.1\n", ":2: expected 'a<m> <probability>', got 'ab 0.1'"),
+    ("# comment\na0 0.9\na1 x\n", ":3: expected 'a<m> <probability>', got 'a1 x'"),
+])
+def test_distribution_errors_name_the_line(tmp_path, capsys, text, message):
+    path = str(tmp_path / "bad.dist")
+    write(path, text)
+    book = str(tmp_path / "book")
+    assert main(["construct", "--dist", path, "-N", "1", "-o", book]) == 2
+    assert f"error: {path}{message}\n" in capsys.readouterr().err
+    assert not os.path.exists(book)
+
+
+def test_decode_rejects_negative_count(tmp_path, dist_file, capsys):
+    book = str(tmp_path / "book.aifv")
+    assert main(["construct", "--dist", dist_file, "-N", "2", "-o", book]) == 0
+    syms = str(tmp_path / "input.sym")
+    write(syms, "0 1 0\n")
+    bits = str(tmp_path / "payload.bin")
+    assert main(["encode", "--codebook", book, "--input", syms, "-o", bits]) == 0
+    out = str(tmp_path / "output.sym")
+    assert main(["decode", "--codebook", book, "--input", bits, "-L", "-3",
+                 "-o", out]) == 2
+    assert "must not be negative" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_construct_aifvm_and_brute(tmp_path, dist_file):
     book_m = str(tmp_path / "m.aifv")
     assert main(["construct", "--dist", dist_file, "-N", "2", "--aifvm",

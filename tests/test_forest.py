@@ -149,6 +149,13 @@ def test_decode_short_count_stops_early(demo_forest):
     assert decode(demo_forest, bits, 3) == [0, 2, 1]
 
 
+def test_decode_rejects_negative_count(demo_forest):
+    bits = encode(demo_forest, [0, 2, 1, 0])
+    assert decode(demo_forest, bits, 0) == []
+    with pytest.raises(ValueError, match="must not be negative"):
+        decode(demo_forest, bits, -1)
+
+
 def test_delay_bound_examples(demo_forest):
     assert decoding_delay_bound(demo_forest) == 3
 

@@ -1,6 +1,8 @@
+import heapq
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,10 +26,16 @@ from aifv.modes import (
     id_interval,
     mode_from_id,
 )
+import aifv.builder
+from aifv.builder import BuildConfig, construct, default_depth
 from aifv.optimizer import (
+    BOUND_SLACK,
+    ModelError,
     ModelStructure,
     ResourceLimitError,
     Row,
+    TreeSolution,
+    _assignment_from_pieces,
     _partition_table,
     aifvm_link_ids,
     brute_force_binary,
@@ -44,7 +52,8 @@ B = BitString.from_text
 
 def tree_model(n, m, mode_id, probs, costs, d_max, aifvm=False):
     """One tree's model on a structure of its own."""
-    return build_ilp(ModelStructure(n, m, d_max, aifvm), mode_id, probs, costs)
+    structure = ModelStructure(n, m, d_max, aifvm)
+    return build_ilp(structure, mode_id, probs, structure.price(costs))
 
 
 def test_initial_costs_examples():
@@ -153,8 +162,6 @@ def test_model_feasible_set_is_exactly_the_valid_trees():
     feasible assignment under some chain order, and every invalid pair
     must violate at least one row under every chain order.
     """
-    from aifv.optimizer import _assignment_from_pieces
-
     n, d_small = 2, 2
     costs = initial_costs(n)
     ids = enumerate_continuous_ids(n)
@@ -291,7 +298,7 @@ def test_objective_recompute_consistency():
     model = tree_model(3, 4, ContinuousModeId(1, 2), (0.4, 0.3, 0.2, 0.1), initial_costs(3), 9)
     sol = solve_ilp(model)
     recomputed = sum(
-        model.probs[s] * (sol.codewords[s].length + model.costs[sol.link_ids[s]])
+        model.probs[s] * (sol.codewords[s].length + model.prices.costs[sol.link_ids[s]])
         for s in range(4)
     )
     assert recomputed == pytest.approx(sol.objective, abs=1e-12)
@@ -299,8 +306,24 @@ def test_objective_recompute_consistency():
 
 def test_node_budget_enforced():
     model = tree_model(3, 5, ContinuousModeId(0, 0), (0.2,) * 5, initial_costs(3), 12)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match=r"exhausted in the dive for mode \(0, 0\)"):
         solve_ilp(model, node_budget=3)
+    # raise the budget one node at a time: it runs out in the dive, then
+    # in the proof, then suffices
+    model = tree_model(2, 3, ContinuousModeId(1, 0), (0.5, 0.3, 0.2), initial_costs(2), 4)
+    phases = []
+    for budget in itertools.count(1):
+        try:
+            solve_ilp(model, node_budget=budget)
+            break
+        except ResourceLimitError as e:
+            found = re.fullmatch(rf"node budget {budget} exhausted in the (dive|proof) "
+                                 r"for mode \(1, 0\)", str(e))
+            assert found, str(e)
+            phases.append(found.group(1))
+    dives = phases.count("dive")
+    assert phases == ["dive"] * dives + ["proof"] * (len(phases) - dives)
+    assert 0 < dives < len(phases)
 
 
 def test_model_dump_mentions_scaling():
@@ -415,8 +438,9 @@ def reference_check(model, assignment):
 def test_shared_structure_rows_match_per_mode_construction(n, m, d_max, aifvm):
     structure = ModelStructure(n, m, d_max, aifvm)
     probs = (1 / m,) * m
+    prices = structure.price(initial_costs(n))
     for cid in enumerate_continuous_ids(n):
-        model = build_ilp(structure, cid, probs, initial_costs(n))
+        model = build_ilp(structure, cid, probs, prices)
         assert model.rows == reference_rows(n, m, cid, d_max, aifvm), cid
 
 
@@ -436,8 +460,9 @@ def test_compiled_check_matches_row_by_row_oracle(n, aifvm, weights, pick, at_up
     probs = tuple(w / sum(weights) for w in weights)
     structure = ModelStructure(n, m, 2 + n, aifvm)
     names = list(structure.variables)
+    prices = structure.price(initial_costs(n))
     for cid in aifvm_link_ids(n) if aifvm else enumerate_continuous_ids(n):
-        model = build_ilp(structure, cid, probs, initial_costs(n))
+        model = build_ilp(structure, cid, probs, prices)
         sol = solve_ilp(model)
         assert check_assignment(model, sol.assignment) == []
         assert reference_check(model, sol.assignment) == []
@@ -448,3 +473,242 @@ def test_compiled_check_matches_row_by_row_oracle(n, aifvm, weights, pick, at_up
         if unknown:
             perturbed[("z", 0)] = 1
         assert check_assignment(model, perturbed) == reference_check(model, perturbed), (cid, name)
+
+
+# ---------------------------------------------------------------------------
+# oracle for the search: the tree search with its prices derived inside the
+# solve and the pieces enumerated and filtered per (state, symbol)
+
+
+def solve_ilp_reference(model, node_budget=10_000_000):
+    """The branch-and-bound written without shared prices: every link is
+    priced for this tree alone, and every piece that ends inside the
+    interval is generated for each symbol, then filtered by the room
+    left for the other symbols."""
+    s = model.structure
+    n, d_max, m = s.n, s.d_max, s.m_symbols
+    probs = model.probs
+    scale = 1 << (d_max + n)
+    start = model.mode_id.k1 << d_max
+    end = ((1 << n) - model.mode_id.k2) << d_max
+    r = 1 << (n - 1)
+
+    allowed = s.allowed_links
+    by_k1 = {}
+    for cid in allowed:
+        by_k1.setdefault(cid.k1, []).append((cid.k2, model.prices.costs[cid]))
+    for lst in by_k1.values():
+        lst.sort()
+    min_width = min((1 << n) - c.k1 - c.k2 for c in allowed)
+    max_width = max((1 << n) - c.k1 - c.k2 for c in allowed) << d_max
+    min_cost = min(model.prices.costs[c] for c in allowed)
+    alpha_min = min(
+        model.prices.costs[c] + math.log2(((1 << n) - c.k1 - c.k2) / (1 << n)) for c in allowed
+    )
+
+    full_mask = (1 << m) - 1
+    psum = [0.0] * (1 << m)
+    hsum = [0.0] * (1 << m)
+    for mask in range(1, 1 << m):
+        low = mask & -mask
+        sym = low.bit_length() - 1
+        psum[mask] = psum[mask ^ low] + probs[sym]
+        hsum[mask] = hsum[mask ^ low] - probs[sym] * math.log2(probs[sym])
+
+    def lower_bound(x, rem_mask):
+        if not rem_mask:
+            return 0.0
+        p_total = psum[rem_mask]
+        frac = (end - x) / scale
+        ent = hsum[rem_mask] + p_total * (math.log2(p_total) - math.log2(frac) + alpha_min)
+        return max(ent, p_total * min_cost) - BOUND_SLACK
+
+    def pieces_at(x):
+        for d in range(d_max + 1):
+            shift = n + d_max - d
+            v = x >> shift
+            off = x - (v << shift)
+            g = 1 << (d_max - d)
+            if off & (g - 1):
+                continue
+            k1 = off >> (d_max - d)
+            if k1 >= r:
+                continue
+            entries = by_k1.get(k1)
+            if not entries:
+                continue
+            for k2, cost in entries:
+                piece_end = x + (((1 << n) - k1 - k2) << (d_max - d))
+                if piece_end <= end:
+                    yield d, v, k1, k2, piece_end, d + cost
+
+    def candidates(used_mask, key):
+        cands = []
+        for sym in range(m):
+            if used_mask >> sym & 1:
+                continue
+            dup = any(
+                not (used_mask >> s2 & 1) and probs[s2] == probs[sym]
+                for s2 in range(sym)
+            )
+            if not dup:
+                cands.append(sym)
+        cands.sort(key=key)
+        return cands
+
+    nodes = 0
+
+    def spend():
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise ResourceLimitError(f"node budget {node_budget} exhausted")
+
+    def dive():
+        stack = [(start, 0, 0.0, ())]
+        while stack:
+            x, used, g, path = stack.pop()
+            spend()
+            if used == full_mask:
+                if x == end:
+                    return g, path
+                continue
+            children = []
+            for sym in candidates(used, key=lambda s: (-probs[s], s)):
+                left = full_mask ^ used ^ (1 << sym)
+                rem_after = bin(left).count("1")
+                for d, v, k1, k2, pe, cost in pieces_at(x):
+                    if left:
+                        if end - pe < min_width * rem_after or end - pe > max_width * rem_after:
+                            continue
+                    elif pe != end:
+                        continue
+                    children.append(((pe - x, -cost), (sym, d, v, k1, k2, pe, cost)))
+            children.sort(key=lambda c: c[0])
+            for _, (sym, d, v, k1, k2, pe, cost) in children:
+                stack.append((pe, used | (1 << sym), g + probs[sym] * cost,
+                              path + ((sym, d, v, k1, k2),)))
+        return None
+
+    best = dive()
+    heap = []
+    seq = 0
+    heapq.heappush(heap, (lower_bound(start, full_mask), seq, start, 0, 0.0, ()))
+    closed = {}
+    while heap:
+        f, _, x, used, g, path = heapq.heappop(heap)
+        spend()
+        if best is not None and f >= best[0] - 1e-15:
+            break
+        state = (x, used)
+        prev = closed.get(state)
+        if prev is not None and prev <= g:
+            continue
+        closed[state] = g
+        if used == full_mask:
+            if x == end and (best is None or g < best[0]):
+                best = (g, path)
+            continue
+        for sym in candidates(used, key=lambda s: s):
+            new_used = used | (1 << sym)
+            left = full_mask ^ new_used
+            rem_after = bin(left).count("1")
+            for d, v, k1, k2, pe, cost in pieces_at(x):
+                if left:
+                    if end - pe < min_width * rem_after or end - pe > max_width * rem_after:
+                        continue
+                elif pe != end:
+                    continue
+                g2 = g + probs[sym] * cost
+                f2 = g2 + lower_bound(pe, left)
+                if best is not None and f2 >= best[0] - 1e-15:
+                    continue
+                seq += 1
+                heapq.heappush(heap, (f2, seq, pe, new_used, g2, path + ((sym, d, v, k1, k2),)))
+
+    if best is None:
+        raise ModelError(f"no feasible tree for mode {model.mode_id}")
+    objective, path = best
+    order = [sym for sym, *_ in path]
+    pieces = [None] * m
+    for sym, d, v, k1, k2 in path:
+        pieces[sym] = (d, v, k1, k2)
+    assignment = _assignment_from_pieces(model, pieces, order)
+    assert check_assignment(model, assignment) == []
+    codewords = tuple(BitString(d, v) for d, v, _, _ in pieces)
+    link_ids = tuple(ContinuousModeId(k1, k2) for _, _, k1, k2 in pieces)
+    recomputed = sum(
+        probs[s] * (pieces[s][0] + model.prices.costs[link_ids[s]]) for s in range(m)
+    )
+    assert abs(recomputed - objective) <= 1e-9
+    return TreeSolution(codewords, link_ids, float(recomputed), tuple(order), assignment)
+
+
+def assert_same_tree(model):
+    got, want = solve_ilp(model), solve_ilp_reference(model)
+    assert (got.codewords, got.link_ids, got.order) == (want.codewords, want.link_ids,
+                                                         want.order), model.mode_id
+    assert got.objective == want.objective, model.mode_id
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 4),
+    aifvm=st.booleans(),
+    weights=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    pool=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5]) | st.floats(0.0, 3.0),
+                  min_size=1, max_size=6),
+    on_start=st.booleans(),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_solver_matches_reference_search(n, aifvm, weights, pool, on_start, seed):
+    """Same trees and bit-equal objectives as the per-(state, symbol)
+    search, on costs and probabilities full of ties.  Each link costs a
+    value drawn from a small pool, added to its starting cost or not."""
+    m = len(weights)
+    probs = tuple(w / sum(weights) for w in weights)
+    rng = random.Random(seed)
+    costs = {cid: rng.choice(pool) + (c0 if on_start else 0.0)
+             for cid, c0 in initial_costs(n).items()}
+    structure = ModelStructure(n, m, n + 2, aifvm)
+    prices = structure.price(costs)
+    for cid in aifvm_link_ids(n) if aifvm else enumerate_continuous_ids(n):
+        assert_same_tree(build_ilp(structure, cid, probs, prices))
+
+
+@pytest.fixture(scope="module")
+def n4_build():
+    """The N=4 p0=0.9 build, with every price object it made and the
+    prices of every tree it solved."""
+    made, solved = [], []
+    price, solve = ModelStructure.price, aifv.builder.solve_ilp
+
+    def counting_price(self, costs):
+        made.append(price(self, costs))
+        return made[-1]
+
+    def recording_solve(model, **kwargs):
+        solved.append(model.prices)
+        return solve(model, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ModelStructure, "price", counting_price)
+        mp.setattr(aifv.builder, "solve_ilp", recording_solve)
+        _, report = construct((0.9, 0.1), BuildConfig(n=4))
+    return made, solved, report
+
+
+def test_prices_built_once_per_iteration(n4_build):
+    made, solved, report = n4_build
+    assert len(made) == report.iterations
+    assert len(solved) > 10 * report.iterations
+    assert {id(p) for p in solved} == {id(p) for p in made}
+
+
+def test_solver_matches_reference_on_build_costs(n4_build):
+    made, _, _ = n4_build
+    probs = (0.9, 0.1)
+    assert made[0].structure.d_max == default_depth(2, 4)
+    for prices in made:
+        for cid in enumerate_continuous_ids(4):
+            assert_same_tree(build_ilp(prices.structure, cid, probs, prices))
