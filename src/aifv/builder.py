@@ -80,7 +80,6 @@ class BuildConfig:
     tolerance: float = 1e-14
     max_iterations: int = 200
     init: str = "formula"  # or "huffman-floor"
-    symmetry_reuse: bool = True
     node_budget: int = NODE_BUDGET_DEFAULT
 
     def __post_init__(self):
@@ -186,7 +185,7 @@ class _Family:
                                       prices, self.index_of_words)
         model = build_ilp(self.structure, self.ids[index], self.probs, prices)
         sol = solve_ilp(model, node_budget=cfg.node_budget)
-        tree = decode_solution(model, sol.assignment,
+        tree = decode_solution(model, sol,
                                index_of=self.index_of_id.__getitem__,
                                mode=self.modes[index])
         return tree, sol.objective
@@ -217,7 +216,7 @@ def construct(p, cfg: BuildConfig) -> tuple[CodeForest, OptimalityReport]:
     fam = _Family(cfg, probs)
     k = fam.k
     costs = fam.initial_cost_vector()
-    reuse = cfg.symmetry_reuse and fam.mirror is not None
+    reuse = fam.mirror is not None
 
     max_lbar_trace: list[float] = []
     iteration_lbars: list[tuple[float, ...]] = []

@@ -3,8 +3,9 @@
 A code tree maps every source symbol to a codeword plus a link naming the
 tree used next; the attached mode is the query set a decoder reads ahead
 into.  A forest of such trees is the complete coding rule: encoding walks
-the links, decoding matches codeword-plus-query pairs, and a final
-termination codeword protects the last symbol from trailing garbage.
+the links, decoding matches each tree's expansions (codeword plus a query
+of the linked mode, the strings Rule 1 checks), and a final termination
+codeword protects the last symbol from trailing garbage.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from .bitstrings import (
     append_all,
     comparable,
     flipped,
-    interval_of,
     is_prefix,
-    merge_intervals,
     reduced,
 )
 from .modes import Mode, flip_mode, is_basic_mode
@@ -85,7 +84,6 @@ class TreeCheck:
     prefix_free: bool = True
     covered_by_mode: bool = True
     basic_mode: bool = True
-    interval_consistent: bool = True
     issues: list[str] = field(default_factory=list)
 
     @property
@@ -112,9 +110,7 @@ def validate_rule1(forest: CodeForest) -> Rule1Report:
     For every tree: (a) expanded codewords, counted per symbol occurrence,
     are mutually incomparable; (b) each expanded codeword extends some
     query of the tree's own mode; (c) the mode belongs to the basic
-    family for the forest's delay bound.  The same (a) and (b) are
-    re-derived from the interval picture and cross-checked against the
-    string picture.
+    family for the forest's delay bound.
     """
     report = Rule1Report([])
     for k in range(len(forest.trees)):
@@ -145,21 +141,6 @@ def validate_rule1(forest: CodeForest) -> Rule1Report:
             check.issues.append(
                 f"tree {k}: Rule 1c: mode {tree.mode.render()} is not a "
                 f"basic mode for delay {forest.n}"
-            )
-
-        # Interval formulation of (a) and (b); must agree with the above.
-        ivs = [interval_of(w) for _, w in occurrences]
-        disjoint = all(
-            not ivs[i].overlaps(ivs[j])
-            for i in range(len(ivs)) for j in range(i + 1, len(ivs))
-        )
-        mode_union = merge_intervals(interval_of(q) for q in tree.mode.words)
-        contained = all(any(mi.contains(iv) for mi in mode_union) for iv in ivs)
-        if disjoint != check.prefix_free or contained != check.covered_by_mode:
-            check.interval_consistent = False
-            check.issues.append(
-                f"tree {k}: interval-form check disagrees with string form "
-                f"(disjoint={disjoint}, contained={contained})"
             )
         report.per_tree.append(check)
     return report
@@ -220,47 +201,43 @@ def encode(forest: CodeForest, symbols: Iterable[int]) -> str:
     return "".join(out)
 
 
-def _query_matches(mode: Mode, bits: str, pos: int) -> bool:
-    for q in mode.words:
-        if bits.startswith(q.text, pos):
-            return True
-    return False
-
-
 def decode(forest: CodeForest, bits: str, count: int) -> list[int]:
     """Decode exactly ``count`` symbols from '0'/'1' text.
 
-    Each step consumes one codeword after confirming a query of the
-    linked tree's mode matches the following bits; the query bits are
-    lookahead only and must be present, which the encoder's termination
-    codeword ensures for the last symbol.  A valid forest admits at most
-    one candidate per step; two candidates mean the forest violates its
-    own rules.
+    Each step finds the symbols of the current tree whose expansion (its
+    codeword followed by a query of the linked tree's mode) the stream
+    continues with, and consumes that symbol's codeword; the query bits
+    are lookahead only and must be present, which the encoder's
+    termination codeword ensures for the last symbol.  A valid forest
+    admits at most one such symbol per step; two mean the forest
+    violates its own rules.
     """
     if count < 0:
         raise ValueError(f"symbol count must not be negative, got {count}")
+    # (expansion text, symbol) per tree, built when the decode first enters it
+    tables: list[list[tuple[str, int]] | None] = [None] * len(forest.trees)
     out: list[int] = []
     k = 0
     pos = 0
     for _ in range(count):
-        tree = forest.trees[k]
-        match: int | None = None
-        for s in range(forest.symbol_count):
-            cw = tree.codewords[s]
-            if not bits.startswith(cw.text, pos):
-                continue
-            if _query_matches(forest.trees[tree.links[s]].mode, bits, pos + cw.length):
-                if match is not None:
-                    raise DecodeError(
-                        f"ambiguous decode at bit {pos}: symbols {match} and {s} "
-                        f"both match (forest violates prefix-freeness)"
-                    )
-                match = s
-        if match is None:
+        table = tables[k]
+        if table is None:
+            per, _ = expansions(forest, k)
+            table = tables[k] = [(w.text, s) for s, ws in enumerate(per) for w in ws]
+        matches = {s for text, s in table if bits.startswith(text, pos)}
+        if not matches:
             raise DecodeError(f"no symbol matches at bit {pos} in tree {k}")
-        pos += tree.codewords[match].length
-        k = tree.links[match]
-        out.append(match)
+        if len(matches) > 1:
+            first, second = sorted(matches)[:2]
+            raise DecodeError(
+                f"ambiguous decode at bit {pos}: symbols {first} and {second} "
+                f"both match (forest violates prefix-freeness)"
+            )
+        (s,) = matches
+        tree = forest.trees[k]
+        pos += tree.codewords[s].length
+        k = tree.links[s]
+        out.append(s)
     return out
 
 

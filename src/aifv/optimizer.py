@@ -122,8 +122,6 @@ class ModelStructure:
         allowed = set(aifvm_link_ids(n)) if aifvm else set(link_ids)
         self.link_ids = link_ids
         self.allowed_links = tuple(c for c in link_ids if c in allowed)
-        self.allowed_link_vars = frozenset(
-            ("u", sym, c.k1, c.k2) for sym in range(m) for c in self.allowed_links)
 
         variables: dict = {}
         for sym in range(m):
@@ -267,7 +265,6 @@ class ModelStructure:
             costs=table,
             by_k1=by_k1,
             min_width=min(full - c.k1 - c.k2 for c in allowed),
-            max_width=max(full - c.k1 - c.k2 for c in allowed),
             min_cost=min(table[c] for c in allowed),
             alpha_min=min(table[c] + math.log2((full - c.k1 - c.k2) / full) for c in allowed),
         )
@@ -280,16 +277,15 @@ class LinkPrices:
 
     ``costs`` prices every link id of the delay; ``by_k1`` maps each left
     margin to its allowed right margins, ascending, and their costs.
-    The widths ``2^n - k1 - k2`` are those of linked pieces, in units of
-    ``2^-n`` of the codeword's cell; ``alpha_min`` is the least link cost
-    plus the log of the share of the cell the link keeps.
+    ``min_width`` is the narrowest linked piece, ``2^n - k1 - k2`` in
+    units of ``2^-n`` of the codeword's cell; ``alpha_min`` is the least
+    link cost plus the log of the share of the cell the link keeps.
     """
 
     structure: ModelStructure
     costs: dict[ContinuousModeId, float]
     by_k1: dict[int, tuple[list[int], list[float]]]
     min_width: int
-    max_width: int
     min_cost: float
     alpha_min: float
 
@@ -444,7 +440,7 @@ def solve_ilp(model: IlpModel, node_budget: int = NODE_BUDGET_DEFAULT) -> TreeSo
     probs = model.probs
     prices = model.prices
     by_k1 = prices.by_k1
-    min_width, max_width = prices.min_width, prices.max_width << d_max
+    min_width = prices.min_width
     min_cost, alpha_min = prices.min_cost, prices.alpha_min
     scale = 1 << (d_max + n)
     full_width = 1 << n
@@ -474,12 +470,15 @@ def solve_ilp(model: IlpModel, node_budget: int = NODE_BUDGET_DEFAULT) -> TreeSo
         still to place after it, in (depth, k2) order.
 
         A depth-d piece linked to (k1, k2) is ``(2^n - k1 - k2) << (d_max - d)``
-        wide and x fixes its k1.  The room it leaves must lie between
-        ``min_width`` and ``max_width`` times ``rem_after`` (and be none
-        after the last symbol), which bounds k2 from both sides.
+        wide and x fixes its k1.  The room it leaves must be at least
+        ``min_width`` times ``rem_after`` (and none after the last
+        symbol), which bounds k2 from below.  A width bound from above
+        could never exclude a piece: every family allows link (0, 0),
+        whose depth-0 piece spans the whole unit interval, so one
+        remaining symbol's widest piece already covers any room left.
         """
         room = end - x
-        lo, hi = min_width * rem_after, max_width * rem_after
+        lo = min_width * rem_after
         out = []
         for d in range(d_max + 1):
             unit = d_max - d
@@ -495,7 +494,7 @@ def solve_ilp(model: IlpModel, node_budget: int = NODE_BUDGET_DEFAULT) -> TreeSo
             free = full_width - k1
             if rem_after:
                 i = bisect_left(k2s, free - ((room - lo) >> unit))
-                j = bisect_right(k2s, free + ((hi - room) >> unit))
+                j = len(k2s)
             else:
                 if room & ((1 << unit) - 1):
                     continue
@@ -613,11 +612,12 @@ def solve_ilp(model: IlpModel, node_budget: int = NODE_BUDGET_DEFAULT) -> TreeSo
 
 def decode_solution(
     model: IlpModel,
-    assignment: Mapping,
+    solution: TreeSolution,
     index_of: Callable[[ContinuousModeId], int] | None = None,
     mode: Mode | None = None,
 ) -> CodeTree:
-    """Read a feasible assignment back into a code tree.
+    """The solved tree as a code tree, read from its tiling pieces, whose
+    assignment :func:`solve_ilp` has checked against every row.
 
     Links are resolved to forest indices through ``index_of``; the
     default is the canonical continuous ordering ``k1 * 2^(n-1) + k2``.
@@ -629,33 +629,7 @@ def decode_solution(
         index_of = lambda cid: cid.k1 * (1 << (s.n - 1)) + cid.k2  # noqa: E731
     if mode is None:
         mode = mode_from_id(s.n, model.mode_id)
-    links_of: list[list[ContinuousModeId]] = [[] for _ in range(s.m_symbols)]
-    for name, value in assignment.items():
-        if value and name in s.allowed_link_vars:
-            links_of[name[1]].append(ContinuousModeId(name[2], name[3]))
-    codewords, links = [], []
-    for sym in range(s.m_symbols):
-        depths = [d for d in range(s.d_max + 1) if assignment.get(("t", sym, d))]
-        if len(depths) != 1:
-            raise ModelError(f"symbol {sym} has {len(depths)} active depths")
-        d = depths[0]
-        value = 0
-        for i in range(d):
-            w = assignment.get(("w", sym, i), 0)
-            wb = assignment.get(("wb", sym, i), 0)
-            if w + wb != 1:
-                raise ModelError(f"symbol {sym} bit {i} unset inside codeword")
-            value = (value << 1) | w
-        chosen = links_of[sym]
-        if len(chosen) != 1:
-            raise ModelError(f"symbol {sym} has {len(chosen)} active links")
-        cid = chosen[0]
-        for j, kj in ((1, cid.k1), (2, cid.k2)):
-            if assignment.get(("k", j, sym, d), 0) != kj:
-                raise ModelError(f"margin variable k[{j},{sym},{d}] inconsistent")
-        codewords.append(BitString(d, value))
-        links.append(index_of(cid))
-    return CodeTree(tuple(codewords), tuple(links), mode)
+    return CodeTree(solution.codewords, tuple(map(index_of, solution.link_ids)), mode)
 
 
 # ---------------------------------------------------------------------------

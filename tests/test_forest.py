@@ -1,12 +1,14 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from aifv.bitstrings import BitString
-from aifv.builder import BuildConfig, construct
+from aifv.bitstrings import BitString, interval_of, merge_intervals
+from aifv.builder import BuildConfig, construct, huffman
 from aifv.forest import (
     CodeForest,
+    CodeTree,
     DecodeError,
     decode,
     decoding_delay_bound,
@@ -20,6 +22,8 @@ from aifv.forest import (
     validate_full,
     validate_rule1,
 )
+from aifv.modes import enumerate_basic_modes
+from aifv.sources import sources_polynomial
 from conftest import make_tree
 
 B = BitString.from_text
@@ -27,6 +31,27 @@ B = BitString.from_text
 
 def texts(ws):
     return {w.text for w in ws}
+
+
+def rule1_by_intervals(forest):
+    """Rules 1a and 1b in interval form, per tree: (the cells of the
+    expansions, one per symbol occurrence, are pairwise disjoint; each
+    lies inside the union of the cells of the tree's mode)."""
+    out = []
+    for k, tree in enumerate(forest.trees):
+        per, _ = expansions(forest, k)
+        ivs = [interval_of(w) for ws in per for w in ws]
+        disjoint = all(not a.overlaps(b) for a, b in itertools.combinations(ivs, 2))
+        mode_union = merge_intervals(interval_of(q) for q in tree.mode.words)
+        contained = all(any(mi.contains(iv) for mi in mode_union) for iv in ivs)
+        out.append((disjoint, contained))
+    return out
+
+
+def assert_rule1_forms_agree(forest):
+    report = validate_rule1(forest)
+    assert rule1_by_intervals(forest) == [(c.prefix_free, c.covered_by_mode)
+                                          for c in report.per_tree]
 
 
 def test_expansions_worked_example(demo_forest):
@@ -41,7 +66,7 @@ def test_expansions_worked_example(demo_forest):
 def test_validate_rule1_passes_demo(demo_forest):
     report = validate_rule1(demo_forest)
     assert report.ok
-    assert all(c.interval_consistent for c in report.per_tree)
+    assert_rule1_forms_agree(demo_forest)
     assert report.issues == []
 
 
@@ -57,7 +82,37 @@ def test_rule1a_collision_detected():
     report = validate_rule1(bad)
     assert not report.ok
     assert any("Rule 1a" in msg for msg in report.issues)
-    assert all(c.interval_consistent for c in report.per_tree)
+    assert_rule1_forms_agree(bad)
+
+
+@st.composite
+def small_forests(draw):
+    """Forests of one to three trees over basic modes of delay at most 3,
+    with random codewords of up to three bits and random links."""
+    n = draw(st.integers(1, 3))
+    modes = enumerate_basic_modes(n)
+    m = draw(st.integers(1, 3))
+    k_total = draw(st.integers(1, 3))
+    codeword = st.builds(lambda ln, v: BitString(ln, v % (1 << ln)),
+                         st.integers(0, 3), st.integers(0, 7))
+    trees = tuple(
+        CodeTree(tuple(draw(st.lists(codeword, min_size=m, max_size=m))),
+                 tuple(draw(st.lists(st.integers(0, k_total - 1), min_size=m, max_size=m))),
+                 draw(st.sampled_from(modes)))
+        for _ in range(k_total)
+    )
+    return CodeForest(trees, n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(forest=small_forests())
+# Rule 1a broken: two symbols share codeword and link
+@example(forest=CodeForest((make_tree(2, [""], [("", 0), ("", 0)]),), 2))
+# Rule 1b broken: tree 1's expansion '00' has no prefix in its mode {01, 1}
+@example(forest=CodeForest((make_tree(2, [""], [("0", 0), ("1", 1)]),
+                            make_tree(2, ["01", "1"], [("00", 0), ("1", 0)])), 2))
+def test_rule1_string_form_matches_interval_form(forest):
+    assert_rule1_forms_agree(forest)
 
 
 def test_rule1c_overlong_mode_detected():
@@ -142,6 +197,86 @@ def test_truncated_stream_raises_or_round_trips(binary_forest, demo_forest, data
     except DecodeError:
         return
     assert out == message
+
+
+def decode_reference(forest, bits, count):
+    """Reference decoder: for each symbol of the current tree, match its
+    codeword, then any query of its linked tree's mode, as separate
+    string scans."""
+    if count < 0:
+        raise ValueError(f"symbol count must not be negative, got {count}")
+
+    def query_matches(mode, pos):
+        return any(bits.startswith(q.text, pos) for q in mode.words)
+
+    out = []
+    k = 0
+    pos = 0
+    for _ in range(count):
+        tree = forest.trees[k]
+        match = None
+        for s in range(forest.symbol_count):
+            cw = tree.codewords[s]
+            if not bits.startswith(cw.text, pos):
+                continue
+            if query_matches(forest.trees[tree.links[s]].mode, pos + cw.length):
+                if match is not None:
+                    raise DecodeError(
+                        f"ambiguous decode at bit {pos}: symbols {match} and {s} "
+                        f"both match (forest violates prefix-freeness)"
+                    )
+                match = s
+        if match is None:
+            raise DecodeError(f"no symbol matches at bit {pos} in tree {k}")
+        pos += tree.codewords[match].length
+        k = tree.links[match]
+        out.append(match)
+    return out
+
+
+def decode_outcome(decoder, forest, bits, count):
+    try:
+        return decoder(forest, bits, count)
+    except (DecodeError, ValueError) as e:
+        return type(e), str(e)
+
+
+@pytest.fixture(scope="module")
+def codec_forests(demo_forest, binary_forest):
+    """Forests of every shape the decoder meets: multi-tree binary and
+    ternary, a one-tree Huffman code, and two that break Rule 1a, the
+    second with three symbols matching at once."""
+    p2 = sources_polynomial(3)[2]
+    return (
+        demo_forest,
+        binary_forest,
+        construct(p2, BuildConfig(n=2))[0],
+        huffman(sources_polynomial(4)[1]),
+        CodeForest((make_tree(2, [""], [("", 0), ("", 0)]),), 2),
+        CodeForest((make_tree(2, [""], [("1", 0), ("", 0), ("", 0), ("0", 0)]),), 2),
+    )
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.data())
+def test_decoder_matches_reference(codec_forests, data):
+    """Equal symbols, or the same error with the same message, on intact,
+    truncated, bit-flipped and suffixed streams, one symbol short, exact
+    and one symbol over."""
+    forest = data.draw(st.sampled_from(codec_forests))
+    message = data.draw(st.lists(st.integers(0, forest.symbol_count - 1), max_size=20))
+    bits = encode(forest, message)
+    damage = data.draw(st.sampled_from(("intact", "truncated", "flipped", "suffixed")))
+    if damage == "truncated":
+        bits = bits[:data.draw(st.integers(0, max(0, len(bits) - 1)))]
+    elif damage == "flipped" and bits:
+        i = data.draw(st.integers(0, len(bits) - 1))
+        bits = bits[:i] + "10"[int(bits[i])] + bits[i + 1:]
+    elif damage == "suffixed":
+        bits += data.draw(st.text("01", max_size=12))
+    count = len(message) + data.draw(st.integers(-1, 1))
+    assert (decode_outcome(decode, forest, bits, count)
+            == decode_outcome(decode_reference, forest, bits, count))
 
 
 def test_decode_short_count_stops_early(demo_forest):

@@ -28,6 +28,7 @@ from aifv.modes import (
 )
 import aifv.builder
 from aifv.builder import BuildConfig, construct, default_depth
+from aifv.forest import CodeTree
 from aifv.optimizer import (
     BOUND_SLACK,
     ModelError,
@@ -181,6 +182,42 @@ def test_model_feasible_set_is_exactly_the_valid_trees():
             assert feasible == valid, (mode_id, cw0.text, l0, cw1.text, l1)
 
 
+def tree_from_assignment(model, assignment):
+    """Reference reader: the tree read back from a model assignment, with
+    every depth, codeword bit, link and margin variable checked, for
+    comparison with :func:`decode_solution`, which reads the tiling."""
+    s = model.structure
+    allowed_link_vars = frozenset(
+        ("u", sym, c.k1, c.k2) for sym in range(s.m_symbols) for c in s.allowed_links)
+    links_of = [[] for _ in range(s.m_symbols)]
+    for name, value in assignment.items():
+        if value and name in allowed_link_vars:
+            links_of[name[1]].append(ContinuousModeId(name[2], name[3]))
+    codewords, links = [], []
+    for sym in range(s.m_symbols):
+        depths = [d for d in range(s.d_max + 1) if assignment.get(("t", sym, d))]
+        if len(depths) != 1:
+            raise ModelError(f"symbol {sym} has {len(depths)} active depths")
+        d = depths[0]
+        value = 0
+        for i in range(d):
+            w = assignment.get(("w", sym, i), 0)
+            wb = assignment.get(("wb", sym, i), 0)
+            if w + wb != 1:
+                raise ModelError(f"symbol {sym} bit {i} unset inside codeword")
+            value = (value << 1) | w
+        chosen = links_of[sym]
+        if len(chosen) != 1:
+            raise ModelError(f"symbol {sym} has {len(chosen)} active links")
+        cid = chosen[0]
+        for j, kj in ((1, cid.k1), (2, cid.k2)):
+            if assignment.get(("k", j, sym, d), 0) != kj:
+                raise ModelError(f"margin variable k[{j},{sym},{d}] inconsistent")
+        codewords.append(BitString(d, value))
+        links.append(cid.k1 * (1 << (s.n - 1)) + cid.k2)
+    return CodeTree(tuple(codewords), tuple(links), mode_from_id(s.n, model.mode_id))
+
+
 def test_decoded_tree_tiles_its_interval():
     rng = random.Random(8)
     for n in (2, 3):
@@ -193,7 +230,8 @@ def test_decoded_tree_tiles_its_interval():
             probs = tuple(x / sum(raw) for x in raw)
             model = tree_model(n, m, mode_id, probs, costs, 3 + n)
             sol = solve_ilp(model)
-            tree = decode_solution(model, sol.assignment)
+            tree = decode_solution(model, sol)
+            assert tree == tree_from_assignment(model, sol.assignment)
             assert _standalone_tree_ok(n, mode_id, tree.codewords, sol.link_ids)
             pieces = []
             for cw, cid in zip(tree.codewords, sol.link_ids):
@@ -205,7 +243,7 @@ def test_decoded_tree_tiles_its_interval():
 def test_decode_solution_links_canonical():
     model = tree_model(2, 2, ContinuousModeId(0, 0), (0.9, 0.1), initial_costs(2), 5)
     sol = solve_ilp(model)
-    tree = decode_solution(model, sol.assignment)
+    tree = decode_solution(model, sol)
     for link, cid in zip(tree.links, sol.link_ids):
         assert link == cid.k1 * 2 + cid.k2
 
