@@ -126,13 +126,28 @@ def read_codebook(path: str):
         return parse_codebook(fh.read())
 
 
+def read_symbols(path: str) -> list[int]:
+    """Whitespace-separated integer symbols; a bad token is named with
+    the file."""
+    with open(path) as fh:
+        tokens = fh.read().split()
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        for tok in tokens:
+            try:
+                int(tok)
+            except ValueError:
+                raise ValueError(f"{path}: symbol token {tok!r} is not an integer") from None
+        raise
+
+
 def cmd_encode(args) -> int:
     forest = read_codebook(args.codebook)
     rule1 = validate_rule1(forest)
     if not rule1.ok:
         raise CodebookError(f"{args.codebook} is not decodable: {rule1.issues[0]}")
-    with open(args.input) as fh:
-        symbols = [int(tok) for tok in fh.read().split()]
+    symbols = read_symbols(args.input)
     bits = encode(forest, symbols)
     atomic_write(args.output, pack_bits(bits))
     print(f"encoded {len(symbols)} symbols into {len(bits)} bits "

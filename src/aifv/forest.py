@@ -6,6 +6,12 @@ into.  A forest of such trees is the complete coding rule: encoding walks
 the links, decoding matches each tree's expansions (codeword plus a query
 of the linked mode, the strings Rule 1 checks), and a final termination
 codeword protects the last symbol from trailing garbage.
+
+The codec works on tables built once per call and dropped with it: the
+encoder reads per-tree (codeword text, link) rows; the decoder keys each
+step on the window of the next W_k stream bits, W_k being tree k's
+widest expansion, so a window seen before in the same call is one
+dictionary lookup.
 """
 
 from __future__ import annotations
@@ -189,16 +195,37 @@ def _termination_codeword(mode: Mode) -> BitString:
 def encode(forest: CodeForest, symbols: Iterable[int]) -> str:
     """Encode a symbol sequence; returns '0'/'1' text including the
     termination codeword."""
+    m = forest.symbol_count
+    # (codeword text, link) per symbol, per tree, built once per call
+    rows = [tuple(zip([cw.text for cw in t.codewords], t.links)) for t in forest.trees]
     out: list[str] = []
     k = 0
     for s in symbols:
-        if not 0 <= s < forest.symbol_count:
-            raise ValueError(f"symbol {s} outside alphabet of {forest.symbol_count}")
-        tree = forest.trees[k]
-        out.append(tree.codewords[s].text)
-        k = tree.links[s]
+        if not 0 <= s < m:
+            raise ValueError(f"symbol {s} outside alphabet of {m}")
+        text, k = rows[k][s]
+        out.append(text)
     out.append(_termination_codeword(forest.trees[k].mode).text)
     return "".join(out)
+
+
+Step = tuple[int, int, int]  # (symbol, codeword length, link)
+
+
+def _match(table: list[tuple[str, Step]], window: str, pos: int, k: int) -> Step:
+    """The step of the one symbol of tree ``k`` whose expansion starts
+    ``window``, the stream from bit ``pos`` on."""
+    matches = {step for text, step in table if window.startswith(text)}
+    if not matches:
+        raise DecodeError(f"no symbol matches at bit {pos} in tree {k}")
+    if len(matches) > 1:
+        first, second = sorted(matches)[:2]
+        raise DecodeError(
+            f"ambiguous decode at bit {pos}: symbols {first[0]} and {second[0]} "
+            f"both match (forest violates prefix-freeness)"
+        )
+    (step,) = matches
+    return step
 
 
 def decode(forest: CodeForest, bits: str, count: int) -> list[int]:
@@ -211,32 +238,37 @@ def decode(forest: CodeForest, bits: str, count: int) -> list[int]:
     termination codeword ensures for the last symbol.  A valid forest
     admits at most one such symbol per step; two mean the forest
     violates its own rules.
+
+    No expansion of tree k is longer than its widest, W_k bits, so the
+    window of the next W_k stream bits decides the step, and the step
+    found for a window is remembered for the rest of the call.  Within
+    W_k bits of the end the window is shorter; its length then fixes its
+    position, so it never stands for a different stream.
     """
     if count < 0:
         raise ValueError(f"symbol count must not be negative, got {count}")
-    # (expansion text, symbol) per tree, built when the decode first enters it
-    tables: list[list[tuple[str, int]] | None] = [None] * len(forest.trees)
+    # per tree, built when the decode first enters it: the (expansion
+    # text, step) list, the widest expansion and the window memo
+    tables: list[tuple[list[tuple[str, Step]], int, dict[str, Step]] | None]
+    tables = [None] * len(forest.trees)
     out: list[int] = []
     k = 0
     pos = 0
     for _ in range(count):
-        table = tables[k]
-        if table is None:
+        entry = tables[k]
+        if entry is None:
+            tree = forest.trees[k]
             per, _ = expansions(forest, k)
-            table = tables[k] = [(w.text, s) for s, ws in enumerate(per) for w in ws]
-        matches = {s for text, s in table if bits.startswith(text, pos)}
-        if not matches:
-            raise DecodeError(f"no symbol matches at bit {pos} in tree {k}")
-        if len(matches) > 1:
-            first, second = sorted(matches)[:2]
-            raise DecodeError(
-                f"ambiguous decode at bit {pos}: symbols {first} and {second} "
-                f"both match (forest violates prefix-freeness)"
-            )
-        (s,) = matches
-        tree = forest.trees[k]
-        pos += tree.codewords[s].length
-        k = tree.links[s]
+            table = [(w.text, (s, tree.codewords[s].length, tree.links[s]))
+                     for s, ws in enumerate(per) for w in ws]
+            entry = tables[k] = (table, max((len(t) for t, _ in table), default=0), {})
+        table, width, memo = entry
+        window = bits[pos:pos + width]
+        step = memo.get(window)
+        if step is None:
+            step = memo[window] = _match(table, window, pos, k)
+        s, length, k = step
+        pos += length
         out.append(s)
     return out
 
@@ -311,12 +343,16 @@ def parse_codebook(text: str) -> CodeForest:
 
 def pack_bits(bits: str) -> bytes:
     """Pack '0'/'1' text MSB-first, zero-padded to a byte boundary."""
-    out = bytearray()
-    for i in range(0, len(bits), 8):
-        chunk = bits[i:i + 8].ljust(8, "0")
-        out.append(int(chunk, 2))
-    return bytes(out)
+    bad = bits.strip("01")
+    if bad:
+        raise ValueError(f"not a bit string: {bad[0]!r} at position {bits.index(bad[0])}")
+    if not bits:
+        return b""
+    size = (len(bits) + 7) // 8
+    return int(bits.ljust(8 * size, "0"), 2).to_bytes(size, "big")
 
 
 def unpack_bits(data: bytes) -> str:
-    return "".join(format(b, "08b") for b in data)
+    if not data:
+        return ""
+    return format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")

@@ -92,6 +92,18 @@ def test_encode_rejects_broken_codebook(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("token", ["x", "1.5", "0x1"])
+def test_encode_names_bad_symbol_token(tmp_path, demo_forest, capsys, token):
+    book = str(tmp_path / "demo.aifv")
+    write(book, format_codebook(demo_forest))
+    syms = str(tmp_path / "input.sym")
+    write(syms, f"0 2\n1 {token} 0\n")
+    out = str(tmp_path / "payload.bin")
+    assert main(["encode", "--codebook", book, "--input", syms, "-o", out]) == 2
+    assert f"error: {syms}: symbol token {token!r} is not an integer" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_decode_requires_count(tmp_path, dist_file):
     with pytest.raises(SystemExit):
         main(["decode", "--codebook", "x", "--input", "y", "-o", "z"])

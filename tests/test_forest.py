@@ -234,11 +234,28 @@ def decode_reference(forest, bits, count):
     return out
 
 
-def decode_outcome(decoder, forest, bits, count):
+def outcome(codec, *args):
     try:
-        return decoder(forest, bits, count)
+        return codec(*args)
     except (DecodeError, ValueError) as e:
         return type(e), str(e)
+
+
+def encode_reference(forest, symbols):
+    """Reference encoder: each symbol's codeword text formatted as it is
+    met, then the termination codeword (the shortest query of the final
+    tree's mode, ties broken lexicographically)."""
+    out = []
+    k = 0
+    for s in symbols:
+        if not 0 <= s < forest.symbol_count:
+            raise ValueError(f"symbol {s} outside alphabet of {forest.symbol_count}")
+        tree = forest.trees[k]
+        out.append(tree.codewords[s].text)
+        k = tree.links[s]
+    mode = forest.trees[k].mode
+    out.append(min(mode.words, key=lambda w: (w.length, w.text)).text)
+    return "".join(out)
 
 
 @pytest.fixture(scope="module")
@@ -257,26 +274,52 @@ def codec_forests(demo_forest, binary_forest):
     )
 
 
+def messages(forest):
+    """Short messages, and long ones whose windows repeat."""
+    symbol = st.integers(0, forest.symbol_count - 1)
+    return st.one_of(st.lists(symbol, max_size=20),
+                     st.lists(symbol, min_size=200, max_size=260))
+
+
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(st.data())
 def test_decoder_matches_reference(codec_forests, data):
     """Equal symbols, or the same error with the same message, on intact,
-    truncated, bit-flipped and suffixed streams, one symbol short, exact
-    and one symbol over."""
+    truncated, bit-flipped and suffixed streams and on streams shorter
+    than tree 0's widest expansion, one symbol short, exact and one
+    symbol over."""
     forest = data.draw(st.sampled_from(codec_forests))
-    message = data.draw(st.lists(st.integers(0, forest.symbol_count - 1), max_size=20))
+    message = data.draw(messages(forest))
     bits = encode(forest, message)
-    damage = data.draw(st.sampled_from(("intact", "truncated", "flipped", "suffixed")))
+    damage = data.draw(st.sampled_from(("intact", "truncated", "flipped", "suffixed", "short")))
     if damage == "truncated":
         bits = bits[:data.draw(st.integers(0, max(0, len(bits) - 1)))]
+    elif damage == "short":
+        widest = max(w.length for w in expansions(forest, 0)[1])
+        bits = bits[:data.draw(st.integers(0, max(0, widest - 1)))]
     elif damage == "flipped" and bits:
         i = data.draw(st.integers(0, len(bits) - 1))
         bits = bits[:i] + "10"[int(bits[i])] + bits[i + 1:]
     elif damage == "suffixed":
         bits += data.draw(st.text("01", max_size=12))
     count = len(message) + data.draw(st.integers(-1, 1))
-    assert (decode_outcome(decode, forest, bits, count)
-            == decode_outcome(decode_reference, forest, bits, count))
+    assert (outcome(decode, forest, bits, count)
+            == outcome(decode_reference, forest, bits, count))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_encoder_matches_reference(codec_forests, data):
+    """Equal text, or ValueError with the same message, also for the empty
+    message and with an out-of-range symbol at any position."""
+    forest = data.draw(st.sampled_from(codec_forests))
+    message = data.draw(messages(forest))
+    if data.draw(st.booleans()):
+        bad = data.draw(st.one_of(st.integers(max_value=-1),
+                                  st.integers(min_value=forest.symbol_count)))
+        message.insert(data.draw(st.integers(0, len(message))), bad)
+    assert encode(forest, []) == encode_reference(forest, [])
+    assert outcome(encode, forest, message) == outcome(encode_reference, forest, message)
 
 
 def test_decode_short_count_stops_early(demo_forest):
@@ -360,5 +403,34 @@ def test_bit_packing():
     assert pack_bits(bits) == bytes([0b10101100])
     assert unpack_bits(pack_bits(bits)).startswith(bits)
     assert pack_bits("") == b""
+    assert unpack_bits(b"") == ""
     long = "1" * 16 + "01"
     assert unpack_bits(pack_bits(long))[:18] == long
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(bits=st.text("01", max_size=200))
+def test_pack_bits_round_trip(bits):
+    """One byte per started eight bits, the bits first, zeros after."""
+    packed = pack_bits(bits)
+    assert len(packed) == -(-len(bits) // 8)
+    unpacked = unpack_bits(packed)
+    assert unpacked[:len(bits)] == bits
+    assert unpacked[len(bits):] == "0" * (8 * len(packed) - len(bits))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(bits=st.text("01", max_size=40), bad=st.characters(blacklist_characters="01"),
+       data=st.data())
+def test_pack_bits_rejects_non_bits(bits, bad, data):
+    at = data.draw(st.integers(0, len(bits)))
+    with pytest.raises(ValueError, match="not a bit string"):
+        pack_bits(bits[:at] + bad + bits[at:])
+
+
+# int(..., 2) accepts a digit separator, surrounding whitespace and
+# non-ASCII digits
+@pytest.mark.parametrize("text", ["1_0", " 1", "1\n", "0\u0661"])
+def test_pack_bits_rejects_int_literal_extras(text):
+    with pytest.raises(ValueError, match="not a bit string"):
+        pack_bits(text)
