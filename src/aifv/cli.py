@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import re
 import sys
 import tempfile
 
@@ -39,6 +40,8 @@ EXIT_RESOURCE = 3
 EXIT_IO = 4
 
 log = logging.getLogger("aifv.cli")
+
+_SYMBOL_TOKEN = re.compile(r"-?[0-9]+")
 
 
 def atomic_write(path: str, data: str | bytes) -> None:
@@ -122,24 +125,32 @@ def cmd_construct(args) -> int:
 
 
 def read_codebook(path: str):
+    """The codebook file's forest; a parse error is named with the file."""
     with open(path) as fh:
-        return parse_codebook(fh.read())
+        text = fh.read()
+    try:
+        return parse_codebook(text)
+    except CodebookError as e:
+        raise CodebookError(f"{path}: {e}") from None
 
 
 def read_symbols(path: str) -> list[int]:
-    """Whitespace-separated integer symbols; a bad token is named with
-    the file."""
+    """Whitespace-separated symbols, each ``-?[0-9]+``; a bad token is
+    named with the file."""
     with open(path) as fh:
-        tokens = fh.read().split()
-    try:
-        return [int(tok) for tok in tokens]
-    except ValueError:
-        for tok in tokens:
-            try:
-                int(tok)
-            except ValueError:
-                raise ValueError(f"{path}: symbol token {tok!r} is not an integer") from None
-        raise
+        text = fh.read()
+    tokens = text.split()
+    # int() also reads a '+' sign, '_' separators and non-ASCII digits;
+    # in a text with none of them, every token it reads is -?[0-9]+
+    if text.isascii() and "+" not in text and "_" not in text:
+        try:
+            return [int(tok) for tok in tokens]
+        except ValueError:
+            pass
+    for tok in tokens:
+        if not _SYMBOL_TOKEN.fullmatch(tok):
+            raise ValueError(f"{path}: symbol token {tok!r} is not an integer")
+    return [int(tok) for tok in tokens]
 
 
 def cmd_encode(args) -> int:

@@ -302,42 +302,59 @@ def format_codebook(forest: CodeForest) -> str:
 
 
 def parse_codebook(text: str) -> CodeForest:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    """The forest a :func:`format_codebook` text describes; a malformed
+    line raises :class:`CodebookError` naming its line number."""
+    numbered = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not numbered:
         raise CodebookError("empty codebook")
-    head = lines[0].split()
+    head = numbered[0][1].split()
     if len(head) != 4 or head[0] != "AIFV1":
-        raise CodebookError(f"bad header: {lines[0]!r}")
+        raise CodebookError(f"line {numbered[0][0]}: bad header: {numbered[0][1]!r}")
     try:
         fields = dict(part.split("=", 1) for part in head[1:])
         n, m, k_total = int(fields["N"]), int(fields["M"]), int(fields["K"])
     except (ValueError, KeyError) as e:
-        raise CodebookError(f"bad header fields: {lines[0]!r}") from e
+        raise CodebookError(f"line {numbered[0][0]}: bad header fields: {numbered[0][1]!r}") from e
+
+    def integer(token: str, what: str, no: int) -> int:
+        try:
+            return int(token)
+        except ValueError:
+            raise CodebookError(f"line {no}: {what} {token!r} is not an integer") from None
+
+    def bits(token: str, no: int) -> BitString:
+        try:
+            return BitString.from_text(token)
+        except ValueError as e:
+            raise CodebookError(f"line {no}: {e}") from None
 
     trees: list[CodeTree] = []
     i = 1
     for k in range(k_total):
-        if i >= len(lines):
+        if i >= len(numbered):
             raise CodebookError(f"missing TREE {k}")
-        parts = lines[i].split(None, 3)
-        if len(parts) != 4 or parts[0] != "TREE" or int(parts[1]) != k or parts[2] != "MODE":
-            raise CodebookError(f"expected 'TREE {k} MODE ...', got {lines[i]!r}")
-        mode_words = frozenset(BitString.from_text(t) for t in parts[3].split(","))
+        no, line = numbered[i]
+        parts = line.split(None, 3)
+        if (len(parts) != 4 or parts[0] != "TREE" or integer(parts[1], "TREE index", no) != k
+                or parts[2] != "MODE"):
+            raise CodebookError(f"line {no}: expected 'TREE {k} MODE ...', got {line!r}")
+        mode_words = frozenset(bits(t, no) for t in parts[3].split(","))
         i += 1
         codewords, links = [], []
         for s in range(m):
-            if i >= len(lines):
+            if i >= len(numbered):
                 raise CodebookError(f"missing SYM {s} of TREE {k}")
-            sp = lines[i].split()
-            if (len(sp) != 6 or sp[0] != "SYM" or int(sp[1]) != s
+            no, line = numbered[i]
+            sp = line.split()
+            if (len(sp) != 6 or sp[0] != "SYM" or integer(sp[1], "SYM index", no) != s
                     or sp[2] != "CODE" or sp[4] != "LINK"):
-                raise CodebookError(f"expected 'SYM {s} CODE .. LINK ..', got {lines[i]!r}")
-            codewords.append(BitString.from_text(sp[3]))
-            links.append(int(sp[5]))
+                raise CodebookError(f"line {no}: expected 'SYM {s} CODE .. LINK ..', got {line!r}")
+            codewords.append(bits(sp[3], no))
+            links.append(integer(sp[5], "LINK", no))
             i += 1
         trees.append(CodeTree(tuple(codewords), tuple(links), Mode(mode_words, n)))
-    if i != len(lines):
-        raise CodebookError(f"trailing content after {k_total} trees")
+    if i != len(numbered):
+        raise CodebookError(f"line {numbered[i][0]}: trailing content after {k_total} trees")
     return CodeForest(tuple(trees), n)
 
 

@@ -28,6 +28,14 @@ boundary right-hand sides to these, the search enumerates only the
 pieces that fit the mode's interval, and every solve is still checked
 against every row.
 
+Inside one solve the search memoises the pieces at each (position,
+symbols left) pair, each with the log-room term of its bound, and the
+candidate symbols of each placed set; nothing outlives the solve.  An
+expansion pushes only its best surviving child and a popped child
+pushes its next sibling (partial expansion, Yoshizumi et al., AAAI
+2000), so the heap holds one entry per expansion instead of one per
+child, yet pops the same states in the same order.
+
 For binary alphabets and small delays an independent partition search
 over the mode's full leaf set covers discontinuous link modes as well.
 """
@@ -432,8 +440,16 @@ def solve_ilp(model: IlpModel, node_budget: int = NODE_BUDGET_DEFAULT) -> TreeSo
     ties in the bound fall back to insertion order.
 
     Everything that depends only on the link costs comes precomputed in
-    ``model.prices``; the pieces that fit at a state are enumerated once
-    per expanded state and shared by every symbol placed there.
+    ``model.prices``.  Within one solve, the pieces that fit at a
+    (position, symbols left) pair and the candidate symbols of a placed
+    set are computed once, and each piece carries the log of the room it
+    leaves, so a child's bound costs a few float operations.  Children
+    are merged lazily: an expansion bounds and prunes all of its
+    children, sorts the survivors by (bound, insertion number) and
+    pushes only the first, and popping a child pushes its next sibling.
+    The heap thus pops the same states in the same order, under the
+    same node budget, as one holding every child.  States point to their
+    parents, and the path is rebuilt once at the end.
     """
     s = model.structure
     n, d_max, m = s.n, s.d_max, s.m_symbols
@@ -447,6 +463,7 @@ def solve_ilp(model: IlpModel, node_budget: int = NODE_BUDGET_DEFAULT) -> TreeSo
     mode_id = model.mode_id
     start = mode_id.k1 << d_max
     end = (full_width - mode_id.k2) << d_max
+    log2 = math.log2
 
     full_mask = (1 << m) - 1
     psum = [0.0] * (1 << m)
@@ -455,19 +472,16 @@ def solve_ilp(model: IlpModel, node_budget: int = NODE_BUDGET_DEFAULT) -> TreeSo
         low = mask & -mask
         sym = low.bit_length() - 1
         psum[mask] = psum[mask ^ low] + probs[sym]
-        hsum[mask] = hsum[mask ^ low] - probs[sym] * math.log2(probs[sym])
+        hsum[mask] = hsum[mask ^ low] - probs[sym] * log2(probs[sym])
 
-    def lower_bound(x: int, rem_mask: int) -> float:
-        if not rem_mask:
-            return 0.0
-        p_total = psum[rem_mask]
-        frac = (end - x) / scale
-        ent = hsum[rem_mask] + p_total * (math.log2(p_total) - math.log2(frac) + alpha_min)
-        return max(ent, p_total * min_cost) - BOUND_SLACK
+    piece_memo: dict[tuple[int, int], list[tuple]] = {}
 
     def pieces_at(x: int, rem_after: int) -> list[tuple]:
         """Every piece that can start at ``x`` with ``rem_after`` symbols
-        still to place after it, in (depth, k2) order.
+        still to place after it, in (depth, k2) order, as
+        ``(d, v, k1, k2, piece end, depth + link cost, log2 of the room
+        left as a share of the unit interval)``, the last 0.0 when no
+        symbol remains.
 
         A depth-d piece linked to (k1, k2) is ``(2^n - k1 - k2) << (d_max - d)``
         wide and x fixes its k1.  The room it leaves must be at least
@@ -477,6 +491,9 @@ def solve_ilp(model: IlpModel, node_budget: int = NODE_BUDGET_DEFAULT) -> TreeSo
         whose depth-0 piece spans the whole unit interval, so one
         remaining symbol's widest piece already covers any room left.
         """
+        out = piece_memo.get((x, rem_after))
+        if out is not None:
+            return out
         room = end - x
         lo = min_width * rem_after
         out = []
@@ -502,21 +519,26 @@ def solve_ilp(model: IlpModel, node_budget: int = NODE_BUDGET_DEFAULT) -> TreeSo
                 j = bisect_right(k2s, free - (room >> unit), i)
             for t in range(i, j):
                 k2 = k2s[t]
-                out.append((d, v, k1, k2, x + ((free - k2) << unit), d + link_costs[t]))
+                pe = x + ((free - k2) << unit)
+                out.append((d, v, k1, k2, pe, d + link_costs[t],
+                            log2((end - pe) / scale) if rem_after else 0.0))
+        piece_memo[(x, rem_after)] = out
         return out
 
-    def candidates(used_mask: int, key):
-        cands = []
-        for sym in range(m):
-            if used_mask >> sym & 1:
-                continue
-            dup = any(
-                not (used_mask >> s2 & 1) and probs[s2] == probs[sym]
-                for s2 in range(sym)
-            )
-            if not dup:
-                cands.append(sym)
-        cands.sort(key=key)
+    cand_memo: dict[int, list[int]] = {}
+
+    def candidates(used_mask: int) -> list[int]:
+        """The unplaced symbols, ascending, that come first among the
+        unplaced ones of their probability."""
+        cands = cand_memo.get(used_mask)
+        if cands is None:
+            cands = [
+                sym for sym in range(m)
+                if not used_mask >> sym & 1 and not any(
+                    not (used_mask >> s2 & 1) and probs[s2] == probs[sym]
+                    for s2 in range(sym))
+            ]
+            cand_memo[used_mask] = cands
         return cands
 
     nodes = 0
@@ -530,43 +552,58 @@ def solve_ilp(model: IlpModel, node_budget: int = NODE_BUDGET_DEFAULT) -> TreeSo
                 f"for mode ({mode_id.k1}, {mode_id.k2})"
             )
 
+    # A state's node is None at the start, else (parent node, symbol,
+    # piece); g accumulates p * (depth + link cost).
     def dive() -> tuple[float, tuple] | None:
         # first feasible solution, largest pieces first for big symbols
-        stack = [(start, 0, 0.0, ())]
+        stack = [(start, 0, 0.0, None)]
         while stack:
-            x, used, g, path = stack.pop()
+            x, used, g, node = stack.pop()
             spend("dive")
             if used == full_mask:
                 if x == end:
-                    return g, path
+                    return g, node
                 continue
             pieces = pieces_at(x, (full_mask ^ used).bit_count() - 1)
             children = []
-            for sym in candidates(used, key=lambda s: (-probs[s], s)):
-                for d, v, k1, k2, pe, cost in pieces:
-                    children.append(((pe - x, -cost), (sym, d, v, k1, k2, pe, cost)))
+            for sym in sorted(candidates(used), key=lambda s: (-probs[s], s)):
+                for piece in pieces:
+                    children.append(((piece[4] - x, -piece[5]), sym, piece))
             children.sort(key=lambda c: c[0])
-            for _, (sym, d, v, k1, k2, pe, cost) in children:
-                stack.append((pe, used | (1 << sym), g + probs[sym] * cost,
-                              path + ((sym, d, v, k1, k2),)))
+            for _, sym, piece in children:
+                stack.append((piece[4], used | (1 << sym), g + probs[sym] * piece[5],
+                              (node, sym, piece)))
         return None
 
-    # The dive gives the incumbent; g accumulates p * (depth + link cost).
-    best: tuple[float, tuple] | None = None
-    dived = dive()
-    if dived is not None:
-        best = dived
+    best = dive()  # the incumbent, (g, node)
+    cutoff = math.inf if best is None else best[0] - 1e-15
 
     heap: list = []
+    heappush, heappop = heapq.heappush, heapq.heappop
+
+    def push_child(group: tuple, i: int) -> None:
+        kids, used, g, node = group
+        f2, seq2, sym, piece = kids[i]
+        heappush(heap, (f2, seq2, piece[4], used | (1 << sym), g + probs[sym] * piece[5],
+                        (node, sym, piece), group, i))
+
+    # A state's lower bound on the cost still to come: the entropy of the
+    # unplaced probabilities over the log share of the interval left to
+    # them, priced at alpha_min, and at least their total times the least
+    # link cost; 0.0 once every symbol is placed.
+    p_total = psum[full_mask]
+    ent = hsum[full_mask] + p_total * (
+        log2(p_total) - log2((end - start) / scale) + alpha_min)
+    heap.append((max(ent, p_total * min_cost) - BOUND_SLACK, 0, start, 0, 0.0, None, None, 0))
     seq = 0
-    g0 = 0.0
-    heapq.heappush(heap, (lower_bound(start, full_mask), seq, start, 0, g0, ()))
     closed: dict[tuple[int, int], float] = {}
     while heap:
-        f, _, x, used, g, path = heapq.heappop(heap)
+        f, _, x, used, g, node, group, i = heappop(heap)
         spend("proof")
-        if best is not None and f >= best[0] - 1e-15:
+        if f >= cutoff:
             break
+        if group is not None and i + 1 < len(group[0]):
+            push_child(group, i + 1)
         state = (x, used)
         prev = closed.get(state)
         if prev is not None and prev <= g:
@@ -574,24 +611,43 @@ def solve_ilp(model: IlpModel, node_budget: int = NODE_BUDGET_DEFAULT) -> TreeSo
         closed[state] = g
         if used == full_mask:
             if x == end and (best is None or g < best[0]):
-                best = (g, path)
+                best = (g, node)
+                cutoff = g - 1e-15
             continue
         pieces = pieces_at(x, (full_mask ^ used).bit_count() - 1)
-        for sym in candidates(used, key=lambda s: s):
-            new_used = used | (1 << sym)
-            left = full_mask ^ new_used
-            for d, v, k1, k2, pe, cost in pieces:
-                g2 = g + probs[sym] * cost
-                f2 = g2 + lower_bound(pe, left)
-                if best is not None and f2 >= best[0] - 1e-15:
-                    continue
-                seq += 1
-                heapq.heappush(heap, (f2, seq, pe, new_used, g2, path + ((sym, d, v, k1, k2),)))
+        kids = []
+        for sym in candidates(used):
+            p = probs[sym]
+            left = full_mask ^ used ^ (1 << sym)
+            if not left:
+                for piece in pieces:
+                    f2 = g + p * piece[5]
+                    if f2 < cutoff:
+                        seq += 1
+                        kids.append((f2, seq, sym, piece))
+                continue
+            # the same bound at the piece's end, the symbol's terms hoisted
+            p_total, h_total = psum[left], hsum[left]
+            log_p, floor = log2(p_total), p_total * min_cost
+            for piece in pieces:
+                ent = h_total + p_total * (log_p - piece[6] + alpha_min)
+                f2 = g + p * piece[5] + (max(ent, floor) - BOUND_SLACK)
+                if f2 < cutoff:
+                    seq += 1
+                    kids.append((f2, seq, sym, piece))
+        if kids:
+            kids.sort()
+            push_child((kids, used, g, node), 0)
 
     if best is None:
         raise ModelError(f"no feasible tree for mode {model.mode_id} (model bug)")
 
-    objective, path = best
+    objective, node = best
+    path = []
+    while node is not None:
+        node, sym, piece = node
+        path.append((sym, *piece[:4]))
+    path.reverse()
     order = [sym for sym, *_ in path]
     pieces = [None] * m
     for sym, d, v, k1, k2 in path:

@@ -92,7 +92,7 @@ def test_encode_rejects_broken_codebook(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("token", ["x", "1.5", "0x1"])
+@pytest.mark.parametrize("token", ["x", "1.5", "0x1", "+1", "1_0", "\u0661"])
 def test_encode_names_bad_symbol_token(tmp_path, demo_forest, capsys, token):
     book = str(tmp_path / "demo.aifv")
     write(book, format_codebook(demo_forest))
@@ -101,6 +101,39 @@ def test_encode_names_bad_symbol_token(tmp_path, demo_forest, capsys, token):
     out = str(tmp_path / "payload.bin")
     assert main(["encode", "--codebook", book, "--input", syms, "-o", out]) == 2
     assert f"error: {syms}: symbol token {token!r} is not an integer" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_encode_symbol_separators_and_negative_symbol(tmp_path, demo_forest, capsys):
+    book = str(tmp_path / "demo.aifv")
+    write(book, format_codebook(demo_forest))
+    syms = str(tmp_path / "input.sym")
+    out = str(tmp_path / "payload.bin")
+    write(syms, "0\u00a02\t1\n0")  # any whitespace separates symbols
+    assert main(["encode", "--codebook", book, "--input", syms, "-o", out]) == 0
+    os.remove(out)
+    write(syms, "0 -1\n")  # an integer, so the alphabet check rejects it
+    assert main(["encode", "--codebook", book, "--input", syms, "-o", out]) == 2
+    assert "error: symbol -1 outside alphabet of 3\n" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("line, field, token", [(3, 1, "TREE index"), (5, 1, "SYM index"),
+                                                 (6, 5, "LINK")])
+def test_codebook_bad_integer_names_file_and_line(tmp_path, demo_forest, capsys,
+                                                  line, field, token):
+    lines = format_codebook(demo_forest).splitlines()
+    lines.insert(1, "")  # line numbers count every line of the file
+    parts = lines[line - 1].split()
+    parts[field] = "x"
+    lines[line - 1] = " ".join(parts)
+    book = str(tmp_path / "bad.aifv")
+    write(book, "\n".join(lines) + "\n")
+    syms = str(tmp_path / "input.sym")
+    write(syms, "0 1\n")
+    out = str(tmp_path / "payload.bin")
+    assert main(["encode", "--codebook", book, "--input", syms, "-o", out]) == 2
+    assert capsys.readouterr().err == f"error: {book}: line {line}: {token} 'x' is not an integer\n"
     assert not os.path.exists(out)
 
 

@@ -47,6 +47,7 @@ from aifv.optimizer import (
     initial_costs,
     solve_ilp,
 )
+from aifv.sources import sources_polynomial
 
 B = BitString.from_text
 
@@ -689,8 +690,29 @@ def assert_same_tree(model):
     assert got.objective == want.objective, model.mode_id
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(
+def least_budget(solve, model):
+    """The least node budget under which ``solve`` finishes the model."""
+    hi = 1
+    while True:
+        try:
+            solve(model, node_budget=hi)
+            break
+        except ResourceLimitError:
+            hi *= 2
+    lo = hi // 2  # exhausted at lo, or lo is 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            solve(model, node_budget=mid)
+            hi = mid
+        except ResourceLimitError:
+            lo = mid
+    return hi
+
+
+# Costs and probabilities full of ties: each link costs a value drawn
+# from a small pool, added to its starting cost or not.
+REFERENCE_CASES = dict(
     n=st.integers(1, 4),
     aifvm=st.booleans(),
     weights=st.lists(st.integers(1, 3), min_size=1, max_size=4),
@@ -699,10 +721,10 @@ def assert_same_tree(model):
     on_start=st.booleans(),
     seed=st.integers(0, 2 ** 16),
 )
-def test_solver_matches_reference_search(n, aifvm, weights, pool, on_start, seed):
-    """Same trees and bit-equal objectives as the per-(state, symbol)
-    search, on costs and probabilities full of ties.  Each link costs a
-    value drawn from a small pool, added to its starting cost or not."""
+
+
+def reference_models(n, aifvm, weights, pool, on_start, seed):
+    """Every tree model of one drawn case of ``REFERENCE_CASES``."""
     m = len(weights)
     probs = tuple(w / sum(weights) for w in weights)
     rng = random.Random(seed)
@@ -711,13 +733,31 @@ def test_solver_matches_reference_search(n, aifvm, weights, pool, on_start, seed
     structure = ModelStructure(n, m, n + 2, aifvm)
     prices = structure.price(costs)
     for cid in aifvm_link_ids(n) if aifvm else enumerate_continuous_ids(n):
-        assert_same_tree(build_ilp(structure, cid, probs, prices))
+        yield build_ilp(structure, cid, probs, prices)
 
 
-@pytest.fixture(scope="module")
-def n4_build():
-    """The N=4 p0=0.9 build, with every price object it made and the
-    prices of every tree it solved."""
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**REFERENCE_CASES)
+def test_solver_matches_reference_search(n, aifvm, weights, pool, on_start, seed):
+    """Same trees and bit-equal objectives as the per-(state, symbol)
+    search."""
+    for model in reference_models(n, aifvm, weights, pool, on_start, seed):
+        assert_same_tree(model)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(**REFERENCE_CASES)
+def test_solver_node_count_matches_reference(n, aifvm, weights, pool, on_start, seed):
+    """The search spends exactly the reference's nodes: the least budget
+    under which each solves is the same."""
+    for model in reference_models(n, aifvm, weights, pool, on_start, seed):
+        assert least_budget(solve_ilp, model) == least_budget(solve_ilp_reference, model), \
+            model.mode_id
+
+
+def recorded_build(p, n):
+    """Build ``p`` at delay ``n``, recording every price object the build
+    made and the prices of every tree it solved."""
     made, solved = [], []
     price, solve = ModelStructure.price, aifv.builder.solve_ilp
 
@@ -732,8 +772,15 @@ def n4_build():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ModelStructure, "price", counting_price)
         mp.setattr(aifv.builder, "solve_ilp", recording_solve)
-        _, report = construct((0.9, 0.1), BuildConfig(n=4))
+        _, report = construct(p, BuildConfig(n=n))
     return made, solved, report
+
+
+@pytest.fixture(scope="module")
+def n4_build():
+    """The N=4 p0=0.9 build, with every price object it made and the
+    prices of every tree it solved."""
+    return recorded_build((0.9, 0.1), 4)
 
 
 def test_prices_built_once_per_iteration(n4_build):
@@ -750,3 +797,15 @@ def test_solver_matches_reference_on_build_costs(n4_build):
     for prices in made:
         for cid in enumerate_continuous_ids(4):
             assert_same_tree(build_ilp(prices.structure, cid, probs, prices))
+
+
+def test_solver_matches_reference_on_quinary_build_costs():
+    """The simulation's alphabet: every iteration's prices of the
+    P2 (M=5), N=2 build, trees and node counts."""
+    made, _, report = recorded_build(sources_polynomial(5)[2], 2)
+    assert len(made) == report.iterations > 1
+    for prices in made:
+        for cid in enumerate_continuous_ids(2):
+            model = build_ilp(prices.structure, cid, sources_polynomial(5)[2].probs, prices)
+            assert_same_tree(model)
+            assert least_budget(solve_ilp, model) == least_budget(solve_ilp_reference, model)
