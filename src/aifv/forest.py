@@ -307,14 +307,15 @@ def parse_codebook(text: str) -> CodeForest:
     numbered = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not numbered:
         raise CodebookError("empty codebook")
-    head = numbered[0][1].split()
+    no, line = numbered[0]
+    head = line.split()
     if len(head) != 4 or head[0] != "AIFV1":
-        raise CodebookError(f"line {numbered[0][0]}: bad header: {numbered[0][1]!r}")
+        raise CodebookError(f"line {no}: bad header: {line!r}")
     try:
         fields = dict(part.split("=", 1) for part in head[1:])
         n, m, k_total = int(fields["N"]), int(fields["M"]), int(fields["K"])
     except (ValueError, KeyError) as e:
-        raise CodebookError(f"line {numbered[0][0]}: bad header fields: {numbered[0][1]!r}") from e
+        raise CodebookError(f"line {no}: bad header fields: {line!r}") from e
 
     def integer(token: str, what: str, no: int) -> int:
         try:

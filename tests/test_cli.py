@@ -118,10 +118,14 @@ def test_encode_symbol_separators_and_negative_symbol(tmp_path, demo_forest, cap
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("line, field, token", [(3, 1, "TREE index"), (5, 1, "SYM index"),
-                                                 (6, 5, "LINK")])
-def test_codebook_bad_integer_names_file_and_line(tmp_path, demo_forest, capsys,
-                                                  line, field, token):
+@pytest.mark.parametrize("line, field, message", [
+    (3, 1, "TREE index 'x' is not an integer"),
+    (5, 1, "SYM index 'x' is not an integer"),
+    (6, 5, "LINK 'x' is not an integer"),
+    (6, 3, "not a bit string: 'x'"),
+])
+def test_codebook_bad_field_names_file_and_line(tmp_path, demo_forest, capsys,
+                                                line, field, message):
     lines = format_codebook(demo_forest).splitlines()
     lines.insert(1, "")  # line numbers count every line of the file
     parts = lines[line - 1].split()
@@ -133,7 +137,7 @@ def test_codebook_bad_integer_names_file_and_line(tmp_path, demo_forest, capsys,
     write(syms, "0 1\n")
     out = str(tmp_path / "payload.bin")
     assert main(["encode", "--codebook", book, "--input", syms, "-o", out]) == 2
-    assert capsys.readouterr().err == f"error: {book}: line {line}: {token} 'x' is not an integer\n"
+    assert capsys.readouterr().err == f"error: {book}: line {line}: {message}\n"
     assert not os.path.exists(out)
 
 

@@ -802,10 +802,11 @@ def test_solver_matches_reference_on_build_costs(n4_build):
 def test_solver_matches_reference_on_quinary_build_costs():
     """The simulation's alphabet: every iteration's prices of the
     P2 (M=5), N=2 build, trees and node counts."""
-    made, _, report = recorded_build(sources_polynomial(5)[2], 2)
+    source = sources_polynomial(5)[2]
+    made, _, report = recorded_build(source, 2)
     assert len(made) == report.iterations > 1
     for prices in made:
         for cid in enumerate_continuous_ids(2):
-            model = build_ilp(prices.structure, cid, sources_polynomial(5)[2].probs, prices)
+            model = build_ilp(prices.structure, cid, source.probs, prices)
             assert_same_tree(model)
             assert least_budget(solve_ilp, model) == least_budget(solve_ilp_reference, model)
