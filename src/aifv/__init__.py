@@ -3,13 +3,11 @@
 from .bitstrings import (
     BitString,
     CapacityError,
-    DyadicInterval,
     EMPTY,
     append,
     common_prefix,
     comparable,
     flipped,
-    interval_of,
     is_prefix,
     reduced,
 )
@@ -41,16 +39,14 @@ from .modes import (
     Mode,
     enumerate_basic_modes,
     enumerate_continuous_ids,
-    id_of_mode,
     mode_from_id,
-    mode_interval,
 )
 from .optimizer import (
     LinkPrices,
-    ModelStructure,
     ResourceLimitError,
     brute_force_binary,
     build_ilp,
+    link_prices,
     solve_ilp,
 )
 from .sources import (

@@ -1,11 +1,10 @@
-"""Exact binary-string algebra: prefix relations, tree reduction, intervals.
+"""Exact binary-string algebra: prefix relations, flips and tree reduction.
 
 Codewords, decoder queries, and mode members are short binary strings that
 must be manipulated without any rounding.  A string is stored as a
 ``(length, value)`` pair with the first bit in the most significant
-position, so appending, prefix tests, and interval endpoints are plain
-integer arithmetic.  Half-open probability intervals keep exact dyadic
-endpoints as ``numerator / 2**exponent``.
+position, so appending, prefix tests and common prefixes are plain
+integer arithmetic.
 """
 
 from __future__ import annotations
@@ -13,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable
 
-# Longest representable string; also bounds interval exponents so every
-# endpoint stays an exact integer-scaled dyadic.  Module-level so callers
-# can raise it before building unusually deep structures.
+# Longest representable string.  Module-level so callers can raise it
+# before building unusually deep structures.
 LMAX = 64
 
 
@@ -113,15 +111,6 @@ def append_all(w: BitString, words: Iterable[BitString]) -> WordSet:
     return frozenset(append(w, w2) for w2 in words)
 
 
-def is_prefix_free(words: Iterable[BitString]) -> bool:
-    ws = sorted(words, key=lambda w: (w.length, w.value))
-    for i, a in enumerate(ws):
-        for b in ws[i + 1:]:
-            if is_prefix(a, b):
-                return False
-    return True
-
-
 def common_prefix(words: WordSet) -> BitString:
     """Longest string that prefixes every member of a non-empty set."""
     if not words:
@@ -201,71 +190,3 @@ def reduced(words: WordSet) -> WordSet:
     full = full_nodes(words)
     return frozenset(w for w in full
                      if not any(is_prefix(p, w) and p != w for p in full))
-
-
-@dataclass(frozen=True)
-class DyadicInterval:
-    """Half-open interval [num_low, num_high) / 2**exp with exact endpoints."""
-
-    num_low: int
-    num_high: int
-    exp: int
-
-    def __post_init__(self):
-        if self.exp < 0 or self.exp > LMAX:
-            raise CapacityError(f"exponent {self.exp} outside 0..{LMAX}")
-        if not self.num_low < self.num_high:
-            raise ValueError("empty or reversed interval")
-        if self.num_low < 0 or self.num_high > (1 << self.exp):
-            raise ValueError("endpoints outside [0, 1]")
-        # Canonical form: smallest exponent representing both endpoints.
-        lo, hi, e = self.num_low, self.num_high, self.exp
-        while e > 0 and lo % 2 == 0 and hi % 2 == 0:
-            lo //= 2
-            hi //= 2
-            e -= 1
-        object.__setattr__(self, "num_low", lo)
-        object.__setattr__(self, "num_high", hi)
-        object.__setattr__(self, "exp", e)
-
-    def rescaled(self, exp: int) -> tuple[int, int]:
-        if exp < self.exp:
-            raise ValueError("cannot coarsen exactly")
-        s = exp - self.exp
-        return self.num_low << s, self.num_high << s
-
-    def overlaps(self, other: "DyadicInterval") -> bool:
-        e = max(self.exp, other.exp)
-        alo, ahi = self.rescaled(e)
-        blo, bhi = other.rescaled(e)
-        return alo < bhi and blo < ahi
-
-    def contains(self, other: "DyadicInterval") -> bool:
-        e = max(self.exp, other.exp)
-        alo, ahi = self.rescaled(e)
-        blo, bhi = other.rescaled(e)
-        return alo <= blo and bhi <= ahi
-
-    def __str__(self) -> str:
-        return f"[{self.num_low}/2^{self.exp}, {self.num_high}/2^{self.exp})"
-
-
-def interval_of(w: BitString) -> DyadicInterval:
-    """Map a string to its probability interval: the dyadic cell it names."""
-    return DyadicInterval(w.value, w.value + 1, w.length)
-
-
-def merge_intervals(intervals: Iterable[DyadicInterval]) -> tuple[DyadicInterval, ...]:
-    """Union of intervals as a sorted tuple of maximal disjoint pieces."""
-    items = list(intervals)
-    if not items:
-        return ()
-    e = max(iv.exp for iv in items)
-    spans = sorted(iv.rescaled(e) for iv in items)
-    out: list[tuple[int, int]] = [spans[0]]
-    for lo, hi in spans[1:]:
-        if lo <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
-        else:
-            out.append((lo, hi))
-    return tuple(DyadicInterval(lo, hi, e) for lo, hi in out)

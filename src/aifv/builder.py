@@ -40,12 +40,12 @@ from .modes import (
 from .optimizer import (
     NODE_BUDGET_DEFAULT,
     LinkPrices,
-    ModelStructure,
     aifvm_link_ids,
     brute_force_binary,
     build_ilp,
     decode_solution,
     initial_costs,
+    link_prices,
     solve_ilp,
 )
 from .sources import as_probs
@@ -141,8 +141,6 @@ class _Family:
             self.modes = [mode_from_id(n, cid) for cid in ids]
             self.index_of_id = {cid: i for i, cid in enumerate(ids)}
             self.base_costs = initial_costs(n)
-            self.structure = ModelStructure(n, len(probs), self.depth,
-                                            aifvm=(cfg.family == "aifvm"))
         # index 0 must be the empty-string mode: it anchors the encoder
         if self.modes[0].words != frozenset({EMPTY}):
             raise AssertionError("canonical ordering must put the empty mode first")
@@ -170,24 +168,19 @@ class _Family:
     def price(self, costs: np.ndarray) -> dict | LinkPrices:
         """The link prices every tree solve of one iteration reads: a
         table keyed by word set for the full family, otherwise the tree
-        model's prices of every continuous id of the delay, with the
-        starting cost for those outside the family."""
+        solver's prices of the family's links."""
         if self.cfg.family == "full-binary":
             return {m.words: costs[i] for i, m in enumerate(self.modes)}
-        table = dict(self.base_costs)
-        table.update(zip(self.ids, costs))
-        return self.structure.price(table)
+        return link_prices(self.cfg.n, self.ids, dict(zip(self.ids, costs)))
 
     def solve_tree(self, index: int, prices: dict | LinkPrices) -> tuple[CodeTree, float]:
         cfg = self.cfg
         if cfg.family == "full-binary":
             return brute_force_binary(cfg.n, self.modes[index], self.probs,
                                       prices, self.index_of_words)
-        model = build_ilp(self.structure, self.ids[index], self.probs, prices)
+        model = build_ilp(cfg.n, self.depth, self.ids[index], self.probs, prices)
         sol = solve_ilp(model, node_budget=cfg.node_budget)
-        tree = decode_solution(model, sol,
-                               index_of=self.index_of_id.__getitem__,
-                               mode=self.modes[index])
+        tree = decode_solution(sol, self.index_of_id.__getitem__, self.modes[index])
         return tree, sol.objective
 
 

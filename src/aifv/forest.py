@@ -303,7 +303,8 @@ def format_codebook(forest: CodeForest) -> str:
 
 def parse_codebook(text: str) -> CodeForest:
     """The forest a :func:`format_codebook` text describes; a malformed
-    line raises :class:`CodebookError` naming its line number."""
+    line, a header count below 1 or a link outside the forest raises
+    :class:`CodebookError` naming its line number."""
     numbered = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not numbered:
         raise CodebookError("empty codebook")
@@ -316,6 +317,9 @@ def parse_codebook(text: str) -> CodeForest:
         n, m, k_total = int(fields["N"]), int(fields["M"]), int(fields["K"])
     except (ValueError, KeyError) as e:
         raise CodebookError(f"line {no}: bad header fields: {line!r}") from e
+    for name, value in (("N", n), ("M", m), ("K", k_total)):
+        if value < 1:
+            raise CodebookError(f"line {no}: header {name}={value} is below 1")
 
     def integer(token: str, what: str, no: int) -> int:
         try:
@@ -351,7 +355,10 @@ def parse_codebook(text: str) -> CodeForest:
                     or sp[2] != "CODE" or sp[4] != "LINK"):
                 raise CodebookError(f"line {no}: expected 'SYM {s} CODE .. LINK ..', got {line!r}")
             codewords.append(bits(sp[3], no))
-            links.append(integer(sp[5], "LINK", no))
+            link = integer(sp[5], "LINK", no)
+            if not 0 <= link < k_total:
+                raise CodebookError(f"line {no}: LINK {link} outside forest of {k_total}")
+            links.append(link)
             i += 1
         trees.append(CodeTree(tuple(codewords), tuple(links), Mode(mode_words, n)))
     if i != len(numbered):

@@ -1,11 +1,12 @@
-"""Decoder-query sets (modes), their enumeration and interval identities.
+"""Decoder-query sets (modes) and their enumeration.
 
 A mode is the prefix-free string set a decoder queries to resolve one
 symbol.  The basic family for delay ``n`` is obtained by reducing
 ``'0' + Lb  union  '1' + Ub`` over all non-empty ``Lb, Ub`` of length
-``n - 1``.  Modes whose probability-interval image is one contiguous
-interval form the continuous subfamily, identified by a pair ``(k1, k2)``
-with interval ``[k1 / 2**n, 1 - k2 / 2**n)``.
+``n - 1``.  A mode of the continuous subfamily drops the ``k1``
+outermost length-``n`` leaves on the '0' side and the ``k2`` outermost on
+the '1' side, keeps the rest, and is identified by the pair ``(k1, k2)``;
+its leaves cover ``[k1 / 2**n, 1 - k2 / 2**n)`` of the unit interval.
 """
 
 from __future__ import annotations
@@ -15,14 +16,10 @@ from typing import NamedTuple
 
 from .bitstrings import (
     BitString,
-    DyadicInterval,
     EMPTY,
     WordSet,
     append,
-    expand_to_length,
     flip_words,
-    interval_of,
-    merge_intervals,
     reduced,
 )
 
@@ -132,32 +129,5 @@ def mode_from_id(n: int, cid: ContinuousModeId) -> Mode:
     return Mode(reduced(frozenset(keep)), n)
 
 
-def id_of_mode(mode: Mode) -> ContinuousModeId | None:
-    """Inverse of :func:`mode_from_id`; ``None`` for discontinuous modes."""
-    if not is_basic_mode(mode.words, mode.n):
-        raise ValueError(f"not a basic mode for delay {mode.n}: {mode}")
-    leaves = expand_to_length(mode.words, mode.n)
-    top = (1 << (mode.n - 1)) - 1
-    zero_side = sorted(leaf_number(w) for w in leaves if w.bit(0) == 0)
-    one_side = sorted(leaf_number(w) for w in leaves if w.bit(0) == 1)
-    for side in (zero_side, one_side):
-        if not side or side[-1] != top or side != list(range(side[0], top + 1)):
-            return None
-    return ContinuousModeId(zero_side[0], one_side[0])
-
-
-def mode_interval(mode: Mode) -> tuple[DyadicInterval, ...]:
-    """Union of the members' probability intervals, merged."""
-    return merge_intervals(interval_of(w) for w in mode.words)
-
-
-def id_interval(n: int, cid: ContinuousModeId) -> DyadicInterval:
-    return DyadicInterval(cid.k1, (1 << n) - cid.k2, n)
-
-
 def flip_mode(mode: Mode) -> Mode:
     return Mode(flip_words(mode.words), mode.n)
-
-
-def flip_id(cid: ContinuousModeId) -> ContinuousModeId:
-    return ContinuousModeId(cid.k2, cid.k1)

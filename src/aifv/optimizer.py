@@ -5,28 +5,18 @@ One tree of a forest assigns each symbol a codeword and a link, paying
 Restricted to continuous link modes, a feasible tree is exactly an
 abutting tiling of the tree's own interval ``[K1/2^n, 1 - K2/2^n)`` by
 per-symbol intervals of the form ``cell(codeword)`` shrunk by the linked
-mode's margins.  That tiling view drives both halves of this module:
+mode's margins.  The paper states the problem as an integer program; here
+a best-first branch-and-bound walks the tiling left to right, bounded
+below by a width-entropy relaxation, and returns a provably optimal tree.
+:func:`check_assignment` then checks every solved tree as a tiling:
+pieces on their depth's grid, abutting from the interval's start to its
+end, every link allowed.  The integer model itself lives in the tests
+(``tests/oracles.py``), where it checks this search and that check.
 
-* an explicit integer model over binary variables (symbol depth
-  selectors, link selectors, chain-adjacency indicators, codeword bits)
-  with every coefficient scaled by ``2**(d_max + n)`` so feasibility is
-  checked in exact integer arithmetic, and
-* a best-first branch-and-bound that walks the tiling left to right,
-  bounded below by a width-entropy relaxation, returning a provably
-  optimal tree whose variable assignment is then verified against every
-  row of the model.
-
-The model's variables and coefficient rows depend only on the family
-(delay, alphabet size, depth bound, link restriction), so a
-:class:`ModelStructure` builds them once, compiled to flat integer
-arrays.  The link costs change once per iteration of the forest
-construction, so :meth:`ModelStructure.price` turns them once into the
-:class:`LinkPrices` every tree of that iteration reads: the allowed
-links grouped by left margin with their costs, and the width and cost
-extremes the search bounds use.  A tree's model adds only its mode's
-boundary right-hand sides to these, the search enumerates only the
-pieces that fit the mode's interval, and every solve is still checked
-against every row.
+The link costs change once per iteration of the forest construction, so
+:func:`link_prices` turns them once into the :class:`LinkPrices` every
+tree of that iteration reads: the allowed links grouped by left margin
+with their costs, and the width and cost extremes the search bounds use.
 
 Inside one solve the search memoises the pieces at each (position,
 symbols left) pair, each with the log-room term of its bound, and the
@@ -48,11 +38,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from .bitstrings import BitString, WordSet, common_prefix, expand_to_length, reduced, strip_prefix_all
 from .forest import CodeTree
-from .modes import ContinuousModeId, Mode, is_basic_mode, mode_from_id
+from .modes import ContinuousModeId, Mode, is_basic_mode
 
 NODE_BUDGET_DEFAULT = 10_000_000
 
@@ -94,203 +82,19 @@ def aifvm_link_ids(n: int) -> list[ContinuousModeId]:
 
 
 @dataclass(frozen=True)
-class Row:
-    tag: str
-    coeffs: dict
-    sense: str  # 'le' or 'eq'
-    rhs: int
-    scale: int
-
-
-class ModelStructure:
-    """The mode- and cost-independent part of the tree model.
-
-    Variables: ``t[m,d]`` symbol depth selectors, ``u[m,k1,k2]`` link
-    selectors, ``w/wb[m,i]`` codeword bits and their flips, ``v`` chain
-    adjacency indicators, and ``k[j,m,d]`` carrying the linked margins at
-    the active depth.  Interval rows are scaled by ``2**(d_max + n)``.
-
-    Every coefficient depends only on the delay, the alphabet size, the
-    depth bound and the link restriction, so one structure serves every
-    tree of a family.  The rows are kept only in compiled form: flat
-    int64 arrays of column, coefficient and row start, which
-    :func:`check_assignment` evaluates with one exact integer product.
-    ``rhs0`` holds the right-hand sides of mode (0, 0); a mode moves only
-    the four boundary rows of each symbol, by ``k1 << d_max`` or
-    ``k2 << d_max`` with the sign in ``k1_shift`` or ``k2_shift``.
-    """
-
-    def __init__(self, n: int, m: int, d_max: int, aifvm: bool = False):
-        if d_max < 1:
-            raise ValueError("depth bound must be at least 1")
-        self.n, self.m_symbols, self.d_max = n, m, d_max
-        r = 1 << (n - 1)
-        scale = 1 << (d_max + n)
-        link_ids = tuple(ContinuousModeId(a, b) for a in range(r) for b in range(r))
-        allowed = set(aifvm_link_ids(n)) if aifvm else set(link_ids)
-        self.link_ids = link_ids
-        self.allowed_links = tuple(c for c in link_ids if c in allowed)
-
-        variables: dict = {}
-        for sym in range(m):
-            for d in range(d_max + 1):
-                variables[("t", sym, d)] = 1
-            for cid in link_ids:
-                variables[("u", sym, cid.k1, cid.k2)] = 1
-            for i in range(d_max):
-                variables[("w", sym, i)] = 1
-                variables[("wb", sym, i)] = 1
-            for j in (1, 2):
-                for d in range(d_max + 1):
-                    variables[("k", j, sym, d)] = r - 1
-            variables[("vL", sym)] = 1
-            variables[("vR", sym)] = 1
-        for sym in range(m):
-            for sym2 in range(m):
-                if sym != sym2:
-                    variables[("v", sym, sym2)] = 1
-
-        rows: list[Row] = []
-        k1_shift: list[int] = []
-        k2_shift: list[int] = []
-
-        def add(tag, coeffs, sense, rhs, scale_=1, s1=0, s2=0):
-            rows.append(Row(tag, coeffs, sense, rhs, scale_))
-            k1_shift.append(s1)
-            k2_shift.append(s2)
-
-        def le(tag, coeffs, rhs, scale_=1, s1=0, s2=0):
-            add(tag, coeffs, "le", rhs, scale_, s1, s2)
-
-        def eq(tag, coeffs, rhs):
-            add(tag, coeffs, "eq", rhs)
-
-        for sym in range(m):
-            for i in range(d_max):
-                le(f"cw_consis1[{sym},{i}]", {("w", sym, i): 1, ("wb", sym, i): 1}, 1)
-            for i in range(d_max - 1):
-                le(f"cw_consis2[{sym},{i}]",
-                   {("w", sym, i + 1): 1, ("wb", sym, i + 1): 1,
-                    ("w", sym, i): -1, ("wb", sym, i): -1}, 0)
-            eq(f"pick_t[{sym}]", {("t", sym, d): 1 for d in range(d_max + 1)}, 1)
-            eq(f"pick_u[{sym}]", {("u", sym, c.k1, c.k2): 1 for c in link_ids}, 1)
-            eq(f"chain_in[{sym}]",
-               {("v", s2, sym): 1 for s2 in range(m) if s2 != sym} | {("vL", sym): 1}, 1)
-            eq(f"chain_out[{sym}]",
-               {("v", sym, s2): 1 for s2 in range(m) if s2 != sym} | {("vR", sym): 1}, 1)
-            depth_coeffs = {("w", sym, i): 1 for i in range(d_max)}
-            depth_coeffs |= {("wb", sym, i): 1 for i in range(d_max)}
-            depth_coeffs |= {("t", sym, d): -d for d in range(d_max + 1) if d}
-            eq(f"depth[{sym}]", depth_coeffs, 0)
-            for j in (1, 2):
-                for d in range(d_max + 1):
-                    le(f"k_gate[{j},{sym},{d}]",
-                       {("k", j, sym, d): 1, ("t", sym, d): -(r - 1)}, 0)
-                sel = {("u", sym, c.k1, c.k2): (c.k1 if j == 1 else c.k2)
-                       for c in link_ids if (c.k1 if j == 1 else c.k2)}
-                sel |= {("k", j, sym, d): -1 for d in range(d_max + 1)}
-                eq(f"k_select[{j},{sym}]", sel, 0)
-        eq("pick_vL", {("vL", sym): 1 for sym in range(m)}, 1)
-        eq("pick_vR", {("vR", sym): 1 for sym in range(m)}, 1)
-
-        cw = [1 << (d_max + n - i - 1) for i in range(d_max)]
-        kc = [1 << (d_max - d) for d in range(d_max + 1)]
-        for sym in range(m):
-            for sym2 in range(m):
-                if sym == sym2:
-                    continue
-                neg = {("wb", sym, i): -cw[i] for i in range(d_max)}
-                neg |= {("w", sym2, i): -cw[i] for i in range(d_max)}
-                neg |= {("k", 2, sym, d): -kc[d] for d in range(d_max + 1)}
-                neg |= {("k", 1, sym2, d): -kc[d] for d in range(d_max + 1)}
-                le(f"adjacency[{sym},{sym2}]", neg | {("v", sym, sym2): scale}, 0, scale)
-                pos = {name: -c for name, c in neg.items()}
-                le(f"adjacency_full[{sym},{sym2}]",
-                   pos | {("v", sym, sym2): scale}, 2 * scale, scale)
-            neg_l = {("w", sym, i): -cw[i] for i in range(d_max)}
-            neg_l |= {("k", 1, sym, d): -kc[d] for d in range(d_max + 1)}
-            le(f"left[{sym}]", neg_l | {("vL", sym): scale}, scale, scale, s1=-1)
-            le(f"left_full[{sym}]",
-               {name: -c for name, c in neg_l.items()} | {("vL", sym): scale},
-               scale, scale, s1=1)
-            neg_r = {("wb", sym, i): -cw[i] for i in range(d_max)}
-            neg_r |= {("k", 2, sym, d): -kc[d] for d in range(d_max + 1)}
-            le(f"right[{sym}]", neg_r | {("vR", sym): scale}, scale, scale, s2=-1)
-            le(f"right_full[{sym}]",
-               {name: -c for name, c in neg_r.items()} | {("vR", sym): scale},
-               scale, scale, s2=1)
-
-        if aifvm:
-            for sym in range(m):
-                eq(f"aifvm[{sym}]",
-                   {("u", sym, c.k1, c.k2): 1 for c in link_ids if c in allowed}, 1)
-
-        self.variables = variables
-        self.column = {name: j for j, name in enumerate(variables)}
-        self.tags = [row.tag for row in rows]
-        self.scales = [row.scale for row in rows]
-        cols, coefs, starts = [], [], []
-        for row in rows:
-            starts.append(len(cols))
-            for name, c in row.coeffs.items():
-                cols.append(self.column[name])
-                coefs.append(c)
-        self.cols = np.array(cols, dtype=np.intp)
-        self.coefs = np.array(coefs, dtype=np.int64)
-        self.starts = np.array(starts, dtype=np.intp)
-        self.is_eq = np.array([row.sense == "eq" for row in rows])
-        self.rhs0 = np.array([row.rhs for row in rows], dtype=np.int64)
-        self.k1_shift = np.array(k1_shift, dtype=np.int64)
-        self.k2_shift = np.array(k2_shift, dtype=np.int64)
-        # the largest |value| for which no row sum can leave int64
-        self.value_limit = (1 << 62) // int(np.add.reduceat(np.abs(self.coefs), self.starts).max())
-
-    def rows(self, rhs: np.ndarray) -> list[Row]:
-        """The rows written out, with the given right-hand sides."""
-        names = list(self.variables)
-        ends = [*self.starts[1:], len(self.cols)]
-        return [
-            Row(tag,
-                {names[j]: int(c) for j, c in zip(self.cols[lo:hi], self.coefs[lo:hi])},
-                "eq" if is_eq else "le", int(bound), scale)
-            for tag, lo, hi, is_eq, bound, scale
-            in zip(self.tags, self.starts, ends, self.is_eq, rhs, self.scales)
-        ]
-
-    def price(self, costs: Mapping[ContinuousModeId, float]) -> LinkPrices:
-        """The link costs as every tree solve against them reads them;
-        ``costs`` must price every link id of the delay."""
-        table = {c: float(costs[c]) for c in self.link_ids}
-        full = 1 << self.n
-        allowed = self.allowed_links
-        by_k1: dict[int, tuple[list[int], list[float]]] = {}
-        for c in allowed:  # k2 ascending within each k1
-            k2s, link_costs = by_k1.setdefault(c.k1, ([], []))
-            k2s.append(c.k2)
-            link_costs.append(table[c])
-        return LinkPrices(
-            structure=self,
-            costs=table,
-            by_k1=by_k1,
-            min_width=min(full - c.k1 - c.k2 for c in allowed),
-            min_cost=min(table[c] for c in allowed),
-            alpha_min=min(table[c] + math.log2((full - c.k1 - c.k2) / full) for c in allowed),
-        )
-
-
-@dataclass(frozen=True)
 class LinkPrices:
     """One iteration's link costs, shared by every tree solved against
     them.
 
-    ``costs`` prices every link id of the delay; ``by_k1`` maps each left
-    margin to its allowed right margins, ascending, and their costs.
-    ``min_width`` is the narrowest linked piece, ``2^n - k1 - k2`` in
-    units of ``2^-n`` of the codeword's cell; ``alpha_min`` is the least
-    link cost plus the log of the share of the cell the link keeps.
+    ``costs`` prices exactly the allowed links of delay ``n``; ``by_k1``
+    maps each left margin to its allowed right margins, ascending, and
+    their costs.  ``min_width`` is the narrowest linked piece,
+    ``2^n - k1 - k2`` in units of ``2^-n`` of the codeword's cell;
+    ``alpha_min`` is the least link cost plus the log of the share of the
+    cell the link keeps.
     """
 
-    structure: ModelStructure
+    n: int
     costs: dict[ContinuousModeId, float]
     by_k1: dict[int, tuple[list[int], list[float]]]
     min_width: int
@@ -298,106 +102,63 @@ class LinkPrices:
     alpha_min: float
 
 
-@dataclass
-class IlpModel:
-    """One tree's model: a shared structure plus the tree's mode, the
-    symbol probabilities and the current link prices."""
+def link_prices(
+    n: int,
+    allowed_links: Sequence[ContinuousModeId],
+    costs: Mapping[ContinuousModeId, float],
+) -> LinkPrices:
+    """The link costs as every tree solve against them reads them;
+    ``costs`` must price every allowed link."""
+    allowed = sorted(allowed_links)
+    table = {c: float(costs[c]) for c in allowed}
+    full = 1 << n
+    by_k1: dict[int, tuple[list[int], list[float]]] = {}
+    for c in allowed:  # k2 ascending within each k1
+        k2s, link_costs = by_k1.setdefault(c.k1, ([], []))
+        k2s.append(c.k2)
+        link_costs.append(table[c])
+    return LinkPrices(
+        n=n,
+        costs=table,
+        by_k1=by_k1,
+        min_width=min(full - c.k1 - c.k2 for c in allowed),
+        min_cost=min(table[c] for c in allowed),
+        alpha_min=min(table[c] + math.log2((full - c.k1 - c.k2) / full) for c in allowed),
+    )
 
-    structure: ModelStructure
+
+@dataclass(frozen=True)
+class IlpModel:
+    """One tree's problem: its mode, the symbol probabilities, the depth
+    bound and the current link prices."""
+
+    n: int
+    d_max: int
+    m: int
     mode_id: ContinuousModeId
     probs: tuple[float, ...]
     prices: LinkPrices
-    rhs: np.ndarray  # every row's right-hand side for this mode
-
-    @property
-    def rows(self) -> list[Row]:
-        return self.structure.rows(self.rhs)
-
-    @property
-    def objective(self) -> dict:
-        """name tuple -> float coefficient"""
-        s = self.structure
-        out = {}
-        for sym, p in enumerate(self.probs):
-            for d in range(1, s.d_max + 1):
-                out[("t", sym, d)] = p * d
-            for c in s.link_ids:
-                out[("u", sym, c.k1, c.k2)] = p * self.prices.costs[c]
-        return out
 
 
 def build_ilp(
-    structure: ModelStructure,
+    n: int,
+    d_max: int,
     mode_id: ContinuousModeId,
     probs: Sequence[float],
     prices: LinkPrices,
 ) -> IlpModel:
-    """The model for one tree of the given mode: the shared structure
-    with the mode's boundary right-hand sides and the link prices."""
-    s = structure
-    if len(probs) != s.m_symbols:
+    """The problem of one tree of the given mode, checked for shape."""
+    if not probs:
         raise ValueError("one probability per symbol required")
-    if prices.structure is not s:
-        raise ValueError("link prices were built for another model structure")
-    r = 1 << (s.n - 1)
+    if d_max < 1:
+        raise ValueError("depth bound must be at least 1")
+    if prices.n != n:
+        raise ValueError(f"link prices were built for delay {prices.n}, not {n}")
+    r = 1 << (n - 1)
     if not (0 <= mode_id.k1 < r and 0 <= mode_id.k2 < r):
-        raise ValueError(f"mode id {mode_id} out of range for delay {s.n}")
-    rhs = s.rhs0 + (mode_id.k1 << s.d_max) * s.k1_shift + (mode_id.k2 << s.d_max) * s.k2_shift
-    return IlpModel(
-        structure=s, mode_id=mode_id,
-        probs=tuple(float(x) for x in probs),
-        prices=prices,
-        rhs=rhs,
-    )
-
-
-def check_assignment(model: IlpModel, assignment: Mapping) -> list[str]:
-    """Every violated row tag, evaluated in exact integer arithmetic.
-
-    Values must be integers; one whose magnitude could overflow a row
-    sum in int64 raises :class:`ModelError` instead of being evaluated.
-    """
-    s = model.structure
-    bad = []
-    cols, values = [], []
-    for name, value in assignment.items():
-        j = s.column.get(name)
-        if j is None:
-            bad.append(f"unknown variable {name}")
-            continue
-        if not 0 <= value <= s.variables[name]:
-            bad.append(f"variable {name} out of bounds: {value}")
-        cols.append(j)
-        values.append(value)
-    x = np.zeros(len(s.column), dtype=np.int64)
-    if values:
-        given = np.array(values)
-        if given.dtype.kind not in "biu" or np.abs(given).max() > s.value_limit:
-            raise ModelError("assignment values must be integers of moderate size")
-        x[cols] = given
-    lhs = np.add.reduceat(s.coefs * x[s.cols], s.starts)
-    violated = np.where(s.is_eq, lhs != model.rhs, lhs > model.rhs)
-    for i in np.flatnonzero(violated):
-        bad.append(f"{s.tags[i]}: value {int(lhs[i])} vs rhs {int(model.rhs[i])}")
-    return bad
-
-
-def dump_model(model: IlpModel) -> str:
-    """Textual model: one constraint per line, integer coefficients."""
-    s = model.structure
-    lines = [
-        f"# tree model: delay={s.n} symbols={s.m_symbols} "
-        f"depth<={s.d_max} mode=({model.mode_id.k1},{model.mode_id.k2})",
-        f"# interval rows scaled by 2^(d_max+n) = {1 << (s.d_max + s.n)}",
-        "min " + " + ".join(
-            f"{c:.12g}*{'.'.join(map(str, name))}" for name, c in model.objective.items()
-        ),
-    ]
-    for row in model.rows:
-        terms = " + ".join(f"{c}*{'.'.join(map(str, name))}" for name, c in row.coeffs.items())
-        op = "<=" if row.sense == "le" else "=="
-        lines.append(f"{row.tag}: {terms} {op} {row.rhs}")
-    return "\n".join(lines) + "\n"
+        raise ValueError(f"mode id {mode_id} out of range for delay {n}")
+    return IlpModel(n=n, d_max=d_max, m=len(probs), mode_id=mode_id,
+                    probs=tuple(float(x) for x in probs), prices=prices)
 
 
 @dataclass(frozen=True)
@@ -406,27 +167,44 @@ class TreeSolution:
     link_ids: tuple[ContinuousModeId, ...]
     objective: float
     order: tuple[int, ...]  # symbols in left-to-right interval order
-    assignment: dict
 
 
-def _assignment_from_pieces(model: IlpModel, pieces: list[tuple], order: list[int]) -> dict:
-    assignment: dict = {}
-    for sym, (d, v, k1, k2) in enumerate(pieces):
-        assignment[("t", sym, d)] = 1
-        for i in range(d):
-            bit = (v >> (d - 1 - i)) & 1
-            assignment[("w", sym, i)] = bit
-            assignment[("wb", sym, i)] = 1 - bit
-        assignment[("u", sym, k1, k2)] = 1
-        if k1:
-            assignment[("k", 1, sym, d)] = k1
-        if k2:
-            assignment[("k", 2, sym, d)] = k2
-    assignment[("vL", order[0])] = 1
-    assignment[("vR", order[-1])] = 1
-    for a, b in zip(order, order[1:]):
-        assignment[("v", a, b)] = 1
-    return assignment
+def check_assignment(model: IlpModel, solution: TreeSolution) -> list[str]:
+    """Every way the solved pieces fail to tile the tree's interval.
+
+    Positions are in units of ``2^-(d_max + n)``.  Symbol ``s``'s piece
+    starts at its codeword's cell ``v << (n + d_max - d)`` plus its
+    link's left margin ``k1 << (d_max - d)`` and is
+    ``(2^n - k1 - k2) << (d_max - d)`` wide.  Taken in ``order``, the
+    first piece must start at ``k1 << d_max`` of the tree's mode, each
+    next one where the last ended, and the last end at
+    ``(2^n - k2) << d_max``; every depth is at most ``d_max`` and every
+    link is allowed in the prices.
+    """
+    n, d_max, mode_id = model.n, model.d_max, model.mode_id
+    tree = f"mode ({mode_id.k1}, {mode_id.k2})"
+    if sorted(solution.order) != list(range(model.m)):
+        return [f"{tree}: order {solution.order} is not a permutation of {model.m} symbols"]
+    allowed = model.prices.costs
+    bad = []
+    x = mode_id.k1 << d_max
+    for pos, sym in enumerate(solution.order):
+        cw, link = solution.codewords[sym], solution.link_ids[sym]
+        at = f"{tree}, symbol {sym} at position {pos}"
+        if link not in allowed:
+            bad.append(f"{at}: link {link.render()} not allowed")
+        if not (cw.length <= d_max and 0 <= cw.value < 1 << cw.length):
+            bad.append(f"{at}: codeword {cw.render()} is no cell of depth at most {d_max}")
+            return bad  # no position to continue the tiling from
+        unit = d_max - cw.length
+        start = (cw.value << (n + unit)) + (link.k1 << unit)
+        if start != x:
+            bad.append(f"{at}: piece starts at {start}, previous piece ends at {x}")
+        x = start + (((1 << n) - link.k1 - link.k2) << unit)
+    end = ((1 << n) - mode_id.k2) << d_max
+    if x != end:
+        bad.append(f"{tree}: last piece ends at {x}, the tree's interval at {end}")
+    return bad
 
 
 def solve_ilp(model: IlpModel, node_budget: int = NODE_BUDGET_DEFAULT) -> TreeSolution:
@@ -450,9 +228,12 @@ def solve_ilp(model: IlpModel, node_budget: int = NODE_BUDGET_DEFAULT) -> TreeSo
     The heap thus pops the same states in the same order, under the
     same node budget, as one holding every child.  States point to their
     parents, and the path is rebuilt once at the end.
+
+    The result is checked by :func:`check_assignment` as a tiling of the
+    mode's interval, and its objective is recomputed from the pieces;
+    either failure raises :class:`ModelError`.
     """
-    s = model.structure
-    n, d_max, m = s.n, s.d_max, s.m_symbols
+    n, d_max, m = model.n, model.d_max, model.m
     probs = model.probs
     prices = model.prices
     by_k1 = prices.by_k1
@@ -652,39 +433,27 @@ def solve_ilp(model: IlpModel, node_budget: int = NODE_BUDGET_DEFAULT) -> TreeSo
     pieces = [None] * m
     for sym, d, v, k1, k2 in path:
         pieces[sym] = (d, v, k1, k2)
-    assignment = _assignment_from_pieces(model, pieces, order)
-    bad = check_assignment(model, assignment)
-    if bad:
-        raise ModelError(f"solver output violates the model: {bad[:3]}")
     codewords = tuple(BitString(d, v) for d, v, _, _ in pieces)
     link_ids = tuple(ContinuousModeId(k1, k2) for _, _, k1, k2 in pieces)
+    bad = check_assignment(model, TreeSolution(codewords, link_ids, objective, tuple(order)))
+    if bad:
+        raise ModelError(f"solver output is no tiling: {bad[:3]}")
     recomputed = sum(
         probs[s] * (pieces[s][0] + prices.costs[link_ids[s]]) for s in range(m)
     )
     if abs(recomputed - objective) > 1e-9:
         raise ModelError("objective mismatch between search and recomputation")
-    return TreeSolution(codewords, link_ids, float(recomputed), tuple(order), assignment)
+    return TreeSolution(codewords, link_ids, float(recomputed), tuple(order))
 
 
 def decode_solution(
-    model: IlpModel,
     solution: TreeSolution,
-    index_of: Callable[[ContinuousModeId], int] | None = None,
-    mode: Mode | None = None,
+    index_of: Callable[[ContinuousModeId], int],
+    mode: Mode,
 ) -> CodeTree:
-    """The solved tree as a code tree, read from its tiling pieces, whose
-    assignment :func:`solve_ilp` has checked against every row.
-
-    Links are resolved to forest indices through ``index_of``; the
-    default is the canonical continuous ordering ``k1 * 2^(n-1) + k2``.
-    ``mode`` is the tree's own mode, ``mode_from_id`` of the model's
-    mode id, which callers decoding many trees build once.
-    """
-    s = model.structure
-    if index_of is None:
-        index_of = lambda cid: cid.k1 * (1 << (s.n - 1)) + cid.k2  # noqa: E731
-    if mode is None:
-        mode = mode_from_id(s.n, model.mode_id)
+    """The solved tree, whose tiling :func:`solve_ilp` has checked, as a
+    code tree of the given mode, its links resolved to forest indices
+    through ``index_of``."""
     return CodeTree(solution.codewords, tuple(map(index_of, solution.link_ids)), mode)
 
 

@@ -1,0 +1,352 @@
+"""Slow, direct oracles the tests check the running code against.
+
+* The dyadic-interval layer: exact half-open intervals, the cell a
+  string names, their union, and a mode's interval.  Rule 1 and the
+  continuous mode ids were first stated in these terms.
+* The integer tree model of the paper, written out row by row: binary
+  symbol depth selectors ``t``, link selectors ``u``, codeword bits
+  ``w``/``wb``, chain-adjacency indicators ``v``/``vL``/``vR`` and
+  margin carriers ``k``, with every interval row scaled by
+  ``2**(d_max + n)`` so it holds in exact integers.  A tree is feasible
+  exactly when its pieces tile the mode's interval, which
+  :func:`aifv.optimizer.check_assignment` checks directly.
+"""
+
+from __future__ import annotations
+
+import functools
+from dataclasses import dataclass
+from typing import Iterable
+
+from aifv.bitstrings import LMAX, BitString, CapacityError, expand_to_length, is_prefix
+from aifv.forest import CodeTree
+from aifv.modes import (
+    ContinuousModeId,
+    Mode,
+    enumerate_continuous_ids,
+    is_basic_mode,
+    leaf_number,
+    mode_from_id,
+)
+from aifv.optimizer import IlpModel, LinkPrices, ModelError, TreeSolution
+
+# ---------------------------------------------------------------------------
+# dyadic intervals
+
+
+def is_prefix_free(words: Iterable[BitString]) -> bool:
+    ws = sorted(words, key=lambda w: (w.length, w.value))
+    for i, a in enumerate(ws):
+        for b in ws[i + 1:]:
+            if is_prefix(a, b):
+                return False
+    return True
+
+
+@dataclass(frozen=True)
+class DyadicInterval:
+    """Half-open interval [num_low, num_high) / 2**exp with exact endpoints."""
+
+    num_low: int
+    num_high: int
+    exp: int
+
+    def __post_init__(self):
+        if self.exp < 0 or self.exp > LMAX:
+            raise CapacityError(f"exponent {self.exp} outside 0..{LMAX}")
+        if not self.num_low < self.num_high:
+            raise ValueError("empty or reversed interval")
+        if self.num_low < 0 or self.num_high > (1 << self.exp):
+            raise ValueError("endpoints outside [0, 1]")
+        # Canonical form: smallest exponent representing both endpoints.
+        lo, hi, e = self.num_low, self.num_high, self.exp
+        while e > 0 and lo % 2 == 0 and hi % 2 == 0:
+            lo //= 2
+            hi //= 2
+            e -= 1
+        object.__setattr__(self, "num_low", lo)
+        object.__setattr__(self, "num_high", hi)
+        object.__setattr__(self, "exp", e)
+
+    def rescaled(self, exp: int) -> tuple[int, int]:
+        if exp < self.exp:
+            raise ValueError("cannot coarsen exactly")
+        s = exp - self.exp
+        return self.num_low << s, self.num_high << s
+
+    def overlaps(self, other: "DyadicInterval") -> bool:
+        e = max(self.exp, other.exp)
+        alo, ahi = self.rescaled(e)
+        blo, bhi = other.rescaled(e)
+        return alo < bhi and blo < ahi
+
+    def contains(self, other: "DyadicInterval") -> bool:
+        e = max(self.exp, other.exp)
+        alo, ahi = self.rescaled(e)
+        blo, bhi = other.rescaled(e)
+        return alo <= blo and bhi <= ahi
+
+    def __str__(self) -> str:
+        return f"[{self.num_low}/2^{self.exp}, {self.num_high}/2^{self.exp})"
+
+
+def interval_of(w: BitString) -> DyadicInterval:
+    """Map a string to its probability interval: the dyadic cell it names."""
+    return DyadicInterval(w.value, w.value + 1, w.length)
+
+
+def merge_intervals(intervals: Iterable[DyadicInterval]) -> tuple[DyadicInterval, ...]:
+    """Union of intervals as a sorted tuple of maximal disjoint pieces."""
+    items = list(intervals)
+    if not items:
+        return ()
+    e = max(iv.exp for iv in items)
+    spans = sorted(iv.rescaled(e) for iv in items)
+    out: list[tuple[int, int]] = [spans[0]]
+    for lo, hi in spans[1:]:
+        if lo <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
+    return tuple(DyadicInterval(lo, hi, e) for lo, hi in out)
+
+
+def id_of_mode(mode: Mode) -> ContinuousModeId | None:
+    """Inverse of :func:`mode_from_id`; ``None`` for discontinuous modes."""
+    if not is_basic_mode(mode.words, mode.n):
+        raise ValueError(f"not a basic mode for delay {mode.n}: {mode}")
+    leaves = expand_to_length(mode.words, mode.n)
+    top = (1 << (mode.n - 1)) - 1
+    zero_side = sorted(leaf_number(w) for w in leaves if w.bit(0) == 0)
+    one_side = sorted(leaf_number(w) for w in leaves if w.bit(0) == 1)
+    for side in (zero_side, one_side):
+        if not side or side[-1] != top or side != list(range(side[0], top + 1)):
+            return None
+    return ContinuousModeId(zero_side[0], one_side[0])
+
+
+def mode_interval(mode: Mode) -> tuple[DyadicInterval, ...]:
+    """Union of the members' probability intervals, merged."""
+    return merge_intervals(interval_of(w) for w in mode.words)
+
+
+def id_interval(n: int, cid: ContinuousModeId) -> DyadicInterval:
+    return DyadicInterval(cid.k1, (1 << n) - cid.k2, n)
+
+
+def flip_id(cid: ContinuousModeId) -> ContinuousModeId:
+    return ContinuousModeId(cid.k2, cid.k1)
+
+
+# ---------------------------------------------------------------------------
+# the integer tree model, row by row
+
+
+@dataclass(frozen=True)
+class Row:
+    tag: str
+    coeffs: dict
+    sense: str  # 'le' or 'eq'
+    rhs: int
+    scale: int
+
+
+def allowed_links(prices: LinkPrices) -> tuple[ContinuousModeId, ...]:
+    """The links the prices allow, ascending."""
+    return tuple(sorted(prices.costs))
+
+
+@functools.cache
+def reference_variables(n: int, m: int, d_max: int) -> dict:
+    """Every variable of the model with its upper bound; each is at least 0."""
+    r = 1 << (n - 1)
+    variables = {}
+    for sym in range(m):
+        for d in range(d_max + 1):
+            variables[("t", sym, d)] = 1
+        for cid in enumerate_continuous_ids(n):
+            variables[("u", sym, cid.k1, cid.k2)] = 1
+        for i in range(d_max):
+            variables[("w", sym, i)] = 1
+            variables[("wb", sym, i)] = 1
+        for j in (1, 2):
+            for d in range(d_max + 1):
+                variables[("k", j, sym, d)] = r - 1
+        variables[("vL", sym)] = 1
+        variables[("vR", sym)] = 1
+    for sym in range(m):
+        for sym2 in range(m):
+            if sym != sym2:
+                variables[("v", sym, sym2)] = 1
+    return variables
+
+
+@functools.cache
+def reference_rows(n, m, mode_id, d_max, allowed=None) -> tuple[Row, ...]:
+    """Every row of one mode's model.  ``allowed``, a tuple of link ids,
+    adds one row per symbol restricting its link to them (the AIFV-m
+    family); ``None`` allows every link of the delay."""
+    r = 1 << (n - 1)
+    scale = 1 << (d_max + n)
+    link_ids = enumerate_continuous_ids(n)
+    rows = []
+
+    def le(tag, coeffs, rhs, scale_=1):
+        rows.append(Row(tag, coeffs, "le", rhs, scale_))
+
+    def eq(tag, coeffs, rhs, scale_=1):
+        rows.append(Row(tag, coeffs, "eq", rhs, scale_))
+
+    for sym in range(m):
+        for i in range(d_max):
+            le(f"cw_consis1[{sym},{i}]", {("w", sym, i): 1, ("wb", sym, i): 1}, 1)
+        for i in range(d_max - 1):
+            le(f"cw_consis2[{sym},{i}]",
+               {("w", sym, i + 1): 1, ("wb", sym, i + 1): 1,
+                ("w", sym, i): -1, ("wb", sym, i): -1}, 0)
+        eq(f"pick_t[{sym}]", {("t", sym, d): 1 for d in range(d_max + 1)}, 1)
+        eq(f"pick_u[{sym}]", {("u", sym, c.k1, c.k2): 1 for c in link_ids}, 1)
+        eq(f"chain_in[{sym}]",
+           {("v", s2, sym): 1 for s2 in range(m) if s2 != sym} | {("vL", sym): 1}, 1)
+        eq(f"chain_out[{sym}]",
+           {("v", sym, s2): 1 for s2 in range(m) if s2 != sym} | {("vR", sym): 1}, 1)
+        depth_coeffs = {("w", sym, i): 1 for i in range(d_max)}
+        depth_coeffs |= {("wb", sym, i): 1 for i in range(d_max)}
+        depth_coeffs |= {("t", sym, d): -d for d in range(d_max + 1) if d}
+        eq(f"depth[{sym}]", depth_coeffs, 0)
+        for j in (1, 2):
+            for d in range(d_max + 1):
+                le(f"k_gate[{j},{sym},{d}]",
+                   {("k", j, sym, d): 1, ("t", sym, d): -(r - 1)}, 0)
+            sel = {("u", sym, c.k1, c.k2): (c.k1 if j == 1 else c.k2)
+                   for c in link_ids if (c.k1 if j == 1 else c.k2)}
+            sel |= {("k", j, sym, d): -1 for d in range(d_max + 1)}
+            eq(f"k_select[{j},{sym}]", sel, 0)
+    eq("pick_vL", {("vL", sym): 1 for sym in range(m)}, 1)
+    eq("pick_vR", {("vR", sym): 1 for sym in range(m)}, 1)
+
+    cw = [1 << (d_max + n - i - 1) for i in range(d_max)]
+    kc = [1 << (d_max - d) for d in range(d_max + 1)]
+    for sym in range(m):
+        for sym2 in range(m):
+            if sym == sym2:
+                continue
+            neg = {("wb", sym, i): -cw[i] for i in range(d_max)}
+            neg |= {("w", sym2, i): -cw[i] for i in range(d_max)}
+            neg |= {("k", 2, sym, d): -kc[d] for d in range(d_max + 1)}
+            neg |= {("k", 1, sym2, d): -kc[d] for d in range(d_max + 1)}
+            le(f"adjacency[{sym},{sym2}]", neg | {("v", sym, sym2): scale}, 0, scale)
+            pos = {name: -c for name, c in neg.items()}
+            le(f"adjacency_full[{sym},{sym2}]",
+               pos | {("v", sym, sym2): scale}, 2 * scale, scale)
+        neg_l = {("w", sym, i): -cw[i] for i in range(d_max)}
+        neg_l |= {("k", 1, sym, d): -kc[d] for d in range(d_max + 1)}
+        le(f"left[{sym}]", neg_l | {("vL", sym): scale},
+           scale - (mode_id.k1 << d_max), scale)
+        le(f"left_full[{sym}]",
+           {name: -c for name, c in neg_l.items()} | {("vL", sym): scale},
+           scale + (mode_id.k1 << d_max), scale)
+        neg_r = {("wb", sym, i): -cw[i] for i in range(d_max)}
+        neg_r |= {("k", 2, sym, d): -kc[d] for d in range(d_max + 1)}
+        le(f"right[{sym}]", neg_r | {("vR", sym): scale},
+           scale - (mode_id.k2 << d_max), scale)
+        le(f"right_full[{sym}]",
+           {name: -c for name, c in neg_r.items()} | {("vR", sym): scale},
+           scale + (mode_id.k2 << d_max), scale)
+
+    if allowed is not None:
+        for sym in range(m):
+            eq(f"allowed[{sym}]", {("u", sym, c.k1, c.k2): 1 for c in allowed}, 1)
+    return tuple(rows)
+
+
+def model_rows(model: IlpModel) -> tuple[Row, ...]:
+    """The rows of one tree's model, its links restricted to those its
+    prices allow when that is not every link."""
+    allowed = allowed_links(model.prices)
+    if set(allowed) == set(enumerate_continuous_ids(model.n)):
+        allowed = None
+    return reference_rows(model.n, model.m, model.mode_id, model.d_max, allowed)
+
+
+def reference_check(model: IlpModel, assignment: dict) -> list[str]:
+    """Every bound and row the assignment violates, in Python integers;
+    a variable absent from the assignment is 0."""
+    variables = reference_variables(model.n, model.m, model.d_max)
+    bad = []
+    for name, value in assignment.items():
+        if name not in variables:
+            bad.append(f"unknown variable {name}")
+        elif not 0 <= value <= variables[name]:
+            bad.append(f"variable {name} out of bounds: {value}")
+    for row in model_rows(model):
+        val = sum(c * assignment.get(name, 0) for name, c in row.coeffs.items())
+        ok = val <= row.rhs if row.sense == "le" else val == row.rhs
+        if not ok:
+            bad.append(f"{row.tag}: value {val} vs rhs {row.rhs}")
+    return bad
+
+
+def assignment_from_pieces(pieces: list[tuple], order: list[int]) -> dict:
+    """The model's nonzero variables for one tree: ``pieces[sym]`` is
+    ``(depth, codeword value, k1, k2)`` and ``order`` the symbols from
+    left to right."""
+    assignment: dict = {}
+    for sym, (d, v, k1, k2) in enumerate(pieces):
+        assignment[("t", sym, d)] = 1
+        for i in range(d):
+            bit = (v >> (d - 1 - i)) & 1
+            assignment[("w", sym, i)] = bit
+            assignment[("wb", sym, i)] = 1 - bit
+        assignment[("u", sym, k1, k2)] = 1
+        if k1:
+            assignment[("k", 1, sym, d)] = k1
+        if k2:
+            assignment[("k", 2, sym, d)] = k2
+    assignment[("vL", order[0])] = 1
+    assignment[("vR", order[-1])] = 1
+    for a, b in zip(order, order[1:]):
+        assignment[("v", a, b)] = 1
+    return assignment
+
+
+def solution_assignment(solution: TreeSolution) -> dict:
+    """The model assignment of a solved tree's pieces."""
+    pieces = [(cw.length, cw.value, cid.k1, cid.k2)
+              for cw, cid in zip(solution.codewords, solution.link_ids)]
+    return assignment_from_pieces(pieces, list(solution.order))
+
+
+def tree_from_assignment(model: IlpModel, assignment: dict) -> CodeTree:
+    """The tree read back from a model assignment, with every depth,
+    codeword bit, link and margin variable checked, and links resolved
+    by the canonical index ``k1 * 2^(n-1) + k2``."""
+    allowed_link_vars = frozenset(
+        ("u", sym, c.k1, c.k2) for sym in range(model.m) for c in allowed_links(model.prices))
+    links_of = [[] for _ in range(model.m)]
+    for name, value in assignment.items():
+        if value and name in allowed_link_vars:
+            links_of[name[1]].append(ContinuousModeId(name[2], name[3]))
+    codewords, links = [], []
+    for sym in range(model.m):
+        depths = [d for d in range(model.d_max + 1) if assignment.get(("t", sym, d))]
+        if len(depths) != 1:
+            raise ModelError(f"symbol {sym} has {len(depths)} active depths")
+        d = depths[0]
+        value = 0
+        for i in range(d):
+            w = assignment.get(("w", sym, i), 0)
+            wb = assignment.get(("wb", sym, i), 0)
+            if w + wb != 1:
+                raise ModelError(f"symbol {sym} bit {i} unset inside codeword")
+            value = (value << 1) | w
+        chosen = links_of[sym]
+        if len(chosen) != 1:
+            raise ModelError(f"symbol {sym} has {len(chosen)} active links")
+        cid = chosen[0]
+        for j, kj in ((1, cid.k1), (2, cid.k2)):
+            if assignment.get(("k", j, sym, d), 0) != kj:
+                raise ModelError(f"margin variable k[{j},{sym},{d}] inconsistent")
+        codewords.append(BitString(d, value))
+        links.append(cid.k1 * (1 << (model.n - 1)) + cid.k2)
+    return CodeTree(tuple(codewords), tuple(links), mode_from_id(model.n, model.mode_id))

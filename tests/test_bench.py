@@ -1,5 +1,9 @@
+import importlib
+import importlib.util
 import math
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,3 +168,18 @@ def test_csv_deterministic():
     b = rows_to_csv(run_simulation(cfg))
     assert a == b
     assert a.splitlines()[0].startswith("source,coder,N_or_m")
+
+
+def test_traced_names_resolve_to_callables(monkeypatch):
+    """Every (module, attribute) the benchmark's tracer wraps by name is
+    a callable of the package, so a rename fails here before it fails a
+    traced benchmark run."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look it up
+    spec.loader.exec_module(tracing)
+    assert tracing.TRACED
+    for module_name, attr, *_ in tracing.TRACED:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"

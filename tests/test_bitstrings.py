@@ -5,7 +5,6 @@ import pytest
 from aifv.bitstrings import (
     BitString,
     CapacityError,
-    DyadicInterval,
     EMPTY,
     append,
     common_prefix,
@@ -14,13 +13,11 @@ from aifv.bitstrings import (
     flipped,
     flip_words,
     full_nodes,
-    interval_of,
     is_prefix,
-    is_prefix_free,
-    merge_intervals,
     reduced,
     strip_prefix,
 )
+from oracles import DyadicInterval, interval_of, is_prefix_free, merge_intervals
 
 B = BitString.from_text
 

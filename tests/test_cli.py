@@ -141,6 +141,29 @@ def test_codebook_bad_field_names_file_and_line(tmp_path, demo_forest, capsys,
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("header, link, line, message", [
+    ("N=1 M=1 K=1", "7", 3, "LINK 7 outside forest of 1"),
+    ("N=1 M=1 K=1", "-1", 3, "LINK -1 outside forest of 1"),
+    ("N=1 M=1 K=0", "0", 1, "header K=0 is below 1"),
+    ("N=1 M=0 K=1", "0", 1, "header M=0 is below 1"),
+    ("N=0 M=1 K=1", "0", 1, "header N=0 is below 1"),
+    ("N=-1 M=1 K=1", "0", 1, "header N=-1 is below 1"),
+])
+@pytest.mark.parametrize("command", ["check", "encode"])
+def test_codebook_out_of_range_field_names_file_and_line(tmp_path, capsys, command,
+                                                         header, link, line, message):
+    book = str(tmp_path / "bad.aifv")
+    write(book, f"AIFV1 {header}\nTREE 0 MODE -\nSYM 0 CODE 1 LINK {link}\n")
+    syms = str(tmp_path / "input.sym")
+    write(syms, "0\n")
+    out = str(tmp_path / "payload.bin")
+    args = {"check": ["check", "--codebook", book],
+            "encode": ["encode", "--codebook", book, "--input", syms, "-o", out]}[command]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {book}: line {line}: {message}\n"
+    assert not os.path.exists(out)
+
+
 def test_decode_requires_count(tmp_path, dist_file):
     with pytest.raises(SystemExit):
         main(["decode", "--codebook", "x", "--input", "y", "-o", "z"])

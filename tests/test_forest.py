@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from aifv.bitstrings import BitString, interval_of, merge_intervals
+from aifv.bitstrings import BitString
 from aifv.builder import BuildConfig, construct, huffman
 from aifv.forest import (
     CodeForest,
@@ -25,6 +25,7 @@ from aifv.forest import (
 from aifv.modes import enumerate_basic_modes
 from aifv.sources import sources_polynomial
 from conftest import make_tree
+from oracles import interval_of, merge_intervals
 
 B = BitString.from_text
 

@@ -2,21 +2,18 @@ import random
 
 import pytest
 
-from aifv.bitstrings import BitString, DyadicInterval, EMPTY, expand_to_length
+from aifv.bitstrings import BitString, EMPTY, expand_to_length
 from aifv.modes import (
     ContinuousModeId,
     Mode,
     enumerate_basic_modes,
     enumerate_continuous_ids,
-    flip_id,
     flip_mode,
-    id_interval,
-    id_of_mode,
     is_basic_mode,
     leaf_number,
     mode_from_id,
-    mode_interval,
 )
+from oracles import DyadicInterval, flip_id, id_interval, id_of_mode, mode_interval
 
 B = BitString.from_text
 

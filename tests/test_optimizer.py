@@ -12,9 +12,7 @@ from aifv.bitstrings import (
     EMPTY,
     append_all,
     comparable,
-    interval_of,
     is_prefix,
-    merge_intervals,
     reduced,
 )
 from aifv.modes import (
@@ -22,40 +20,56 @@ from aifv.modes import (
     Mode,
     enumerate_basic_modes,
     enumerate_continuous_ids,
-    flip_id,
-    id_interval,
     mode_from_id,
 )
 import aifv.builder
 from aifv.builder import BuildConfig, construct, default_depth
-from aifv.forest import CodeTree
 from aifv.optimizer import (
     BOUND_SLACK,
     ModelError,
-    ModelStructure,
     ResourceLimitError,
-    Row,
     TreeSolution,
-    _assignment_from_pieces,
     _partition_table,
     aifvm_link_ids,
     brute_force_binary,
     build_ilp,
     check_assignment,
     decode_solution,
-    dump_model,
     initial_costs,
+    link_prices,
     solve_ilp,
 )
 from aifv.sources import sources_polynomial
+from oracles import (
+    allowed_links,
+    assignment_from_pieces,
+    flip_id,
+    id_interval,
+    id_of_mode,
+    interval_of,
+    merge_intervals,
+    model_rows,
+    reference_check,
+    reference_variables,
+    solution_assignment,
+    tree_from_assignment,
+)
 
 B = BitString.from_text
 
 
-def tree_model(n, m, mode_id, probs, costs, d_max, aifvm=False):
-    """One tree's model on a structure of its own."""
-    structure = ModelStructure(n, m, d_max, aifvm)
-    return build_ilp(structure, mode_id, probs, structure.price(costs))
+def family_links(n, aifvm):
+    return aifvm_link_ids(n) if aifvm else enumerate_continuous_ids(n)
+
+
+def tree_model(n, mode_id, probs, costs, d_max, aifvm=False):
+    """One tree's model, priced for it alone."""
+    return build_ilp(n, d_max, mode_id, probs, link_prices(n, family_links(n, aifvm), costs))
+
+
+def canonical_index(n):
+    """Link ids to forest indices in the continuous family's order."""
+    return lambda cid: cid.k1 * (1 << (n - 1)) + cid.k2
 
 
 def test_initial_costs_examples():
@@ -67,42 +81,43 @@ def test_initial_costs_examples():
     assert c2[ContinuousModeId(1, 0)] == pytest.approx(2 - math.log2(3))
 
 
-def _count(model, kind):
-    return sum(1 for name in model.structure.variables if name[0] == kind)
+def _count(variables, kind):
+    return sum(1 for name in variables if name[0] == kind)
 
 
 def test_variable_counts_n2_m2_d4():
-    model = tree_model(2, 2, ContinuousModeId(0, 0), (0.5, 0.5), initial_costs(2), 4)
-    assert _count(model, "t") == 10  # 2 symbols x depths 0..4
-    assert _count(model, "u") == 8  # 2 symbols x 4 link modes
-    assert _count(model, "v") == 2
-    assert _count(model, "vL") == 2
-    assert _count(model, "vR") == 2
-    assert _count(model, "w") == 8 and _count(model, "wb") == 8
+    variables = reference_variables(2, 2, 4)
+    assert _count(variables, "t") == 10  # 2 symbols x depths 0..4
+    assert _count(variables, "u") == 8  # 2 symbols x 4 link modes
+    assert _count(variables, "v") == 2
+    assert _count(variables, "vL") == 2
+    assert _count(variables, "vR") == 2
+    assert _count(variables, "w") == 8 and _count(variables, "wb") == 8
     # margin carriers span the same depth range as the depth selectors
-    assert _count(model, "k") == 2 * 2 * 5
+    assert _count(variables, "k") == 2 * 2 * 5
 
 
 def test_aifvm_flag_adds_m_rows():
-    base = tree_model(3, 4, ContinuousModeId(0, 0), (0.4, 0.3, 0.2, 0.1), initial_costs(3), 6)
-    restr = tree_model(3, 4, ContinuousModeId(0, 0), (0.4, 0.3, 0.2, 0.1), initial_costs(3), 6,
-                      aifvm=True)
-    extra = [r for r in restr.rows if r.tag.startswith("aifvm")]
-    assert len(restr.rows) - len(base.rows) == 4
+    probs = (0.4, 0.3, 0.2, 0.1)
+    base = model_rows(tree_model(3, ContinuousModeId(0, 0), probs, initial_costs(3), 6))
+    restr = model_rows(tree_model(3, ContinuousModeId(0, 0), probs, initial_costs(3), 6,
+                                  aifvm=True))
+    extra = [r for r in restr if r.tag.startswith("allowed")]
+    assert len(restr) - len(base) == 4
     assert len(extra) == 4
     assert aifvm_link_ids(3) == [ContinuousModeId(0, 0), ContinuousModeId(1, 0),
                                  ContinuousModeId(2, 0)]
 
 
 def test_mode_00_boundary_rows():
-    model = tree_model(2, 2, ContinuousModeId(0, 0), (0.5, 0.5), initial_costs(2), 4)
+    model = tree_model(2, ContinuousModeId(0, 0), (0.5, 0.5), initial_costs(2), 4)
     for tag in ("left[0]", "right[0]"):
-        (row,) = [r for r in model.rows if r.tag == tag]
+        (row,) = [r for r in model_rows(model) if r.tag == tag]
         assert row.rhs == row.scale  # unscaled right-hand side is exactly 1
 
 
 def test_solve_n1_full_tree():
-    model = tree_model(1, 2, ContinuousModeId(0, 0), (0.5, 0.5), initial_costs(1), 4)
+    model = tree_model(1, ContinuousModeId(0, 0), (0.5, 0.5), initial_costs(1), 4)
     sol = solve_ilp(model)
     assert {cw.text for cw in sol.codewords} == {"0", "1"}
     assert sol.link_ids == (ContinuousModeId(0, 0), ContinuousModeId(0, 0))
@@ -110,9 +125,10 @@ def test_solve_n1_full_tree():
 
 
 def test_solver_output_satisfies_model_exactly():
-    model = tree_model(3, 3, ContinuousModeId(2, 1), (0.5, 0.3, 0.2), initial_costs(3), 8)
+    model = tree_model(3, ContinuousModeId(2, 1), (0.5, 0.3, 0.2), initial_costs(3), 8)
     sol = solve_ilp(model)
-    assert check_assignment(model, sol.assignment) == []
+    assert check_assignment(model, sol) == []
+    assert reference_check(model, solution_assignment(sol)) == []
 
 
 def _standalone_tree_ok(n, own_mode, codewords, link_ids):
@@ -153,70 +169,73 @@ def test_exhaustive_oracle_n2():
                 value = (probs[0] * (cw0.length + costs[l0])
                          + probs[1] * (cw1.length + costs[l1]))
                 best = min(best, value)
-            sol = solve_ilp(tree_model(n, 2, mode_id, probs, costs, d_small))
+            sol = solve_ilp(tree_model(n, mode_id, probs, costs, d_small))
             assert sol.objective == pytest.approx(best, abs=1e-12), (mode_id, probs)
 
 
 def test_model_feasible_set_is_exactly_the_valid_trees():
-    """Bidirectional model check at delay 2, depth 2, two symbols.
+    """Bidirectional model check at delay 2, depth 2, two symbols, with
+    every link allowed and with the AIFV-m links only.
 
-    Every (codeword, link) pair that forms a valid full tree must admit a
-    feasible assignment under some chain order, and every invalid pair
-    must violate at least one row under every chain order.
+    Every (codeword, link) pair that forms a valid full tree of allowed
+    links must admit a feasible assignment under some chain order, and
+    every other pair must violate at least one row under every order.
+    Under each order, the tiling check passes exactly when every row
+    holds.  Codewords one bit deeper than the bound are tried too.
     """
     n, d_small = 2, 2
     costs = initial_costs(n)
     ids = enumerate_continuous_ids(n)
-    all_cw = [BitString(ln, v) for ln in range(d_small + 1) for v in range(1 << ln)]
+    all_cw = [BitString(ln, v) for ln in range(d_small + 2) for v in range(1 << ln)]
     choices = [(cw, cid) for cw in all_cw for cid in ids]
-    for mode_id in ids:
-        model = tree_model(n, 2, mode_id, (0.6, 0.4), costs, d_small)
-        for (cw0, l0), (cw1, l1) in itertools.product(choices, choices):
-            valid = _standalone_tree_ok(n, mode_id, (cw0, cw1), (l0, l1))
-            feasible = False
-            for order in ((0, 1), (1, 0)):
+    for aifvm in (False, True):
+        allowed = set(family_links(n, aifvm))
+        for mode_id in ids:
+            model = tree_model(n, mode_id, (0.6, 0.4), costs, d_small, aifvm)
+            for (cw0, l0), (cw1, l1) in itertools.product(choices, choices):
+                case = (aifvm, mode_id, cw0.text, l0, cw1.text, l1)
+                valid = (max(cw0.length, cw1.length) <= d_small and {l0, l1} <= allowed
+                         and _standalone_tree_ok(n, mode_id, (cw0, cw1), (l0, l1)))
                 pieces = [(cw0.length, cw0.value, l0.k1, l0.k2),
                           (cw1.length, cw1.value, l1.k1, l1.k2)]
-                assignment = _assignment_from_pieces(model, pieces, list(order))
-                if not check_assignment(model, assignment):
-                    feasible = True
-            assert feasible == valid, (mode_id, cw0.text, l0, cw1.text, l1)
+                feasible = False
+                for order in ((0, 1), (1, 0)):
+                    in_model = not reference_check(model, assignment_from_pieces(pieces, order))
+                    tiles = not check_assignment(
+                        model, TreeSolution((cw0, cw1), (l0, l1), 0.0, order))
+                    assert tiles == in_model, (case, order)
+                    feasible |= in_model
+                assert feasible == valid, case
 
 
-def tree_from_assignment(model, assignment):
-    """Reference reader: the tree read back from a model assignment, with
-    every depth, codeword bit, link and margin variable checked, for
-    comparison with :func:`decode_solution`, which reads the tiling."""
-    s = model.structure
-    allowed_link_vars = frozenset(
-        ("u", sym, c.k1, c.k2) for sym in range(s.m_symbols) for c in s.allowed_links)
-    links_of = [[] for _ in range(s.m_symbols)]
-    for name, value in assignment.items():
-        if value and name in allowed_link_vars:
-            links_of[name[1]].append(ContinuousModeId(name[2], name[3]))
-    codewords, links = [], []
-    for sym in range(s.m_symbols):
-        depths = [d for d in range(s.d_max + 1) if assignment.get(("t", sym, d))]
-        if len(depths) != 1:
-            raise ModelError(f"symbol {sym} has {len(depths)} active depths")
-        d = depths[0]
-        value = 0
-        for i in range(d):
-            w = assignment.get(("w", sym, i), 0)
-            wb = assignment.get(("wb", sym, i), 0)
-            if w + wb != 1:
-                raise ModelError(f"symbol {sym} bit {i} unset inside codeword")
-            value = (value << 1) | w
-        chosen = links_of[sym]
-        if len(chosen) != 1:
-            raise ModelError(f"symbol {sym} has {len(chosen)} active links")
-        cid = chosen[0]
-        for j, kj in ((1, cid.k1), (2, cid.k2)):
-            if assignment.get(("k", j, sym, d), 0) != kj:
-                raise ModelError(f"margin variable k[{j},{sym},{d}] inconsistent")
-        codewords.append(BitString(d, value))
-        links.append(cid.k1 * (1 << (s.n - 1)) + cid.k2)
-    return CodeTree(tuple(codewords), tuple(links), mode_from_id(s.n, model.mode_id))
+def test_check_assignment_names_mode_symbol_and_position():
+    """Each fault of a tiling is named with the tree's mode and the
+    symbol and position of the piece where it shows."""
+    mode_id = ContinuousModeId(1, 0)  # [4, 16) in units of 2^-(d_max + n)
+    aifvm = tree_model(2, mode_id, (0.6, 0.4), initial_costs(2), 2, aifvm=True)
+    every = tree_model(2, mode_id, (0.6, 0.4), initial_costs(2), 2)
+    c00, c01, c10 = ContinuousModeId(0, 0), ContinuousModeId(0, 1), ContinuousModeId(1, 0)
+
+    def faults(model, cw0, l0, cw1, l1, order=(0, 1)):
+        return check_assignment(model, TreeSolution((B(cw0), B(cw1)), (l0, l1), 0.0, order))
+
+    # "01" is [4, 8) and "1" is [8, 16)
+    assert faults(aifvm, "01", c00, "1", c00) == []
+    assert faults(aifvm, "01", c00, "1", c00, order=(0, 0)) == [
+        "mode (1, 0): order (0, 0) is not a permutation of 2 symbols"]
+    assert faults(aifvm, "01", c00, "100", c00) == [
+        "mode (1, 0), symbol 1 at position 1: codeword 100 is no cell of depth at most 2"]
+    assert faults(aifvm, "01", c01, "1", c00) == [
+        "mode (1, 0), symbol 0 at position 0: link (0,1) not allowed",
+        "mode (1, 0), symbol 1 at position 1: piece starts at 8, previous piece ends at 7"]
+    assert faults(aifvm, "01", c00, "1", c10) == [
+        "mode (1, 0), symbol 1 at position 1: piece starts at 10, previous piece ends at 8"]
+    assert faults(every, "01", c00, "1", c01) == [
+        "mode (1, 0): last piece ends at 14, the tree's interval at 16"]
+    assert faults(every, "01", c00, "1", c00, order=(1, 0)) == [
+        "mode (1, 0), symbol 1 at position 0: piece starts at 8, previous piece ends at 4",
+        "mode (1, 0), symbol 0 at position 1: piece starts at 4, previous piece ends at 16",
+        "mode (1, 0): last piece ends at 8, the tree's interval at 16"]
 
 
 def test_decoded_tree_tiles_its_interval():
@@ -229,10 +248,10 @@ def test_decoded_tree_tiles_its_interval():
             m = rng.randrange(2, 5)
             raw = [rng.uniform(0.05, 1.0) for _ in range(m)]
             probs = tuple(x / sum(raw) for x in raw)
-            model = tree_model(n, m, mode_id, probs, costs, 3 + n)
+            model = tree_model(n, mode_id, probs, costs, 3 + n)
             sol = solve_ilp(model)
-            tree = decode_solution(model, sol)
-            assert tree == tree_from_assignment(model, sol.assignment)
+            tree = decode_solution(sol, canonical_index(n), mode_from_id(n, mode_id))
+            assert tree == tree_from_assignment(model, solution_assignment(sol))
             assert _standalone_tree_ok(n, mode_id, tree.codewords, sol.link_ids)
             pieces = []
             for cw, cid in zip(tree.codewords, sol.link_ids):
@@ -242,9 +261,12 @@ def test_decoded_tree_tiles_its_interval():
 
 
 def test_decode_solution_links_canonical():
-    model = tree_model(2, 2, ContinuousModeId(0, 0), (0.9, 0.1), initial_costs(2), 5)
+    mode_id = ContinuousModeId(0, 0)
+    model = tree_model(2, mode_id, (0.9, 0.1), initial_costs(2), 5)
     sol = solve_ilp(model)
-    tree = decode_solution(model, sol)
+    index_of = {cid: i for i, cid in enumerate(enumerate_continuous_ids(2))}
+    tree = decode_solution(sol, index_of.__getitem__, mode_from_id(2, mode_id))
+    assert tree.mode == mode_from_id(2, mode_id)
     for link, cid in zip(tree.links, sol.link_ids):
         assert link == cid.k1 * 2 + cid.k2
 
@@ -256,7 +278,7 @@ def test_binary_expansions_bounded_by_delay():
         for _ in range(8):
             p0 = rng.uniform(0.5, 0.99)
             mode_id = rng.choice(enumerate_continuous_ids(n))
-            model = tree_model(n, 2, mode_id, (p0, 1 - p0), costs, 3 + n)
+            model = tree_model(n, mode_id, (p0, 1 - p0), costs, 3 + n)
             sol = solve_ilp(model)
             for cw, cid in zip(sol.codewords, sol.link_ids):
                 linked = mode_from_id(n, cid)
@@ -293,7 +315,6 @@ def test_brute_force_matches_ilp_on_continuous_links():
     for n in (2, 3):
         cont_costs = initial_costs(n)
         family, index_of = _basic_cost_tables(n)
-        from aifv.modes import id_of_mode
         words_costs = {}
         for m in family:
             cid = id_of_mode(m)
@@ -304,7 +325,7 @@ def test_brute_force_matches_ilp_on_continuous_links():
             for cid in enumerate_continuous_ids(n):
                 mode = mode_from_id(n, cid)
                 _, bf_obj = brute_force_binary(n, mode, probs, words_costs, index_of)
-                sol = solve_ilp(tree_model(n, 2, cid, probs, cont_costs, 3 + n))
+                sol = solve_ilp(tree_model(n, cid, probs, cont_costs, 3 + n))
                 assert bf_obj == pytest.approx(sol.objective, abs=1e-12), (n, cid, p0)
 
 
@@ -328,13 +349,13 @@ def test_symmetric_modes_equal_objectives():
             sym_costs[flip_id(cid)] = sym_costs[cid]
         for cid in enumerate_continuous_ids(n):
             probs = (0.8, 0.2)
-            a = solve_ilp(tree_model(n, 2, cid, probs, sym_costs, 3 + n))
-            b = solve_ilp(tree_model(n, 2, flip_id(cid), probs, sym_costs, 3 + n))
+            a = solve_ilp(tree_model(n, cid, probs, sym_costs, 3 + n))
+            b = solve_ilp(tree_model(n, flip_id(cid), probs, sym_costs, 3 + n))
             assert a.objective == pytest.approx(b.objective, abs=1e-12)
 
 
 def test_objective_recompute_consistency():
-    model = tree_model(3, 4, ContinuousModeId(1, 2), (0.4, 0.3, 0.2, 0.1), initial_costs(3), 9)
+    model = tree_model(3, ContinuousModeId(1, 2), (0.4, 0.3, 0.2, 0.1), initial_costs(3), 9)
     sol = solve_ilp(model)
     recomputed = sum(
         model.probs[s] * (sol.codewords[s].length + model.prices.costs[sol.link_ids[s]])
@@ -344,12 +365,12 @@ def test_objective_recompute_consistency():
 
 
 def test_node_budget_enforced():
-    model = tree_model(3, 5, ContinuousModeId(0, 0), (0.2,) * 5, initial_costs(3), 12)
+    model = tree_model(3, ContinuousModeId(0, 0), (0.2,) * 5, initial_costs(3), 12)
     with pytest.raises(ResourceLimitError, match=r"exhausted in the dive for mode \(0, 0\)"):
         solve_ilp(model, node_budget=3)
     # raise the budget one node at a time: it runs out in the dive, then
     # in the proof, then suffices
-    model = tree_model(2, 3, ContinuousModeId(1, 0), (0.5, 0.3, 0.2), initial_costs(2), 4)
+    model = tree_model(2, ContinuousModeId(1, 0), (0.5, 0.3, 0.2), initial_costs(2), 4)
     phases = []
     for budget in itertools.count(1):
         try:
@@ -365,153 +386,44 @@ def test_node_budget_enforced():
     assert 0 < dives < len(phases)
 
 
-def test_model_dump_mentions_scaling():
-    model = tree_model(2, 2, ContinuousModeId(1, 0), (0.5, 0.5), initial_costs(2), 4)
-    text = dump_model(model)
-    assert "2^(d_max+n) = 64" in text
-    assert "adjacency[0,1]" in text
-
-
-# ---------------------------------------------------------------------------
-# oracles for the shared model structure: the per-mode row construction and
-# the row-by-row evaluator, both written out directly
-
-
-def reference_rows(n, m, mode_id, d_max, aifvm=False):
-    """Every row of one mode's model, built for that mode alone."""
-    r = 1 << (n - 1)
-    scale = 1 << (d_max + n)
-    link_ids = [ContinuousModeId(a, b) for a in range(r) for b in range(r)]
-    rows = []
-
-    def le(tag, coeffs, rhs, scale_=1):
-        rows.append(Row(tag, coeffs, "le", rhs, scale_))
-
-    def eq(tag, coeffs, rhs, scale_=1):
-        rows.append(Row(tag, coeffs, "eq", rhs, scale_))
-
-    for sym in range(m):
-        for i in range(d_max):
-            le(f"cw_consis1[{sym},{i}]", {("w", sym, i): 1, ("wb", sym, i): 1}, 1)
-        for i in range(d_max - 1):
-            le(f"cw_consis2[{sym},{i}]",
-               {("w", sym, i + 1): 1, ("wb", sym, i + 1): 1,
-                ("w", sym, i): -1, ("wb", sym, i): -1}, 0)
-        eq(f"pick_t[{sym}]", {("t", sym, d): 1 for d in range(d_max + 1)}, 1)
-        eq(f"pick_u[{sym}]", {("u", sym, c.k1, c.k2): 1 for c in link_ids}, 1)
-        eq(f"chain_in[{sym}]",
-           {("v", s2, sym): 1 for s2 in range(m) if s2 != sym} | {("vL", sym): 1}, 1)
-        eq(f"chain_out[{sym}]",
-           {("v", sym, s2): 1 for s2 in range(m) if s2 != sym} | {("vR", sym): 1}, 1)
-        depth_coeffs = {("w", sym, i): 1 for i in range(d_max)}
-        depth_coeffs |= {("wb", sym, i): 1 for i in range(d_max)}
-        depth_coeffs |= {("t", sym, d): -d for d in range(d_max + 1) if d}
-        eq(f"depth[{sym}]", depth_coeffs, 0)
-        for j in (1, 2):
-            for d in range(d_max + 1):
-                le(f"k_gate[{j},{sym},{d}]",
-                   {("k", j, sym, d): 1, ("t", sym, d): -(r - 1)}, 0)
-            sel = {("u", sym, c.k1, c.k2): (c.k1 if j == 1 else c.k2)
-                   for c in link_ids if (c.k1 if j == 1 else c.k2)}
-            sel |= {("k", j, sym, d): -1 for d in range(d_max + 1)}
-            eq(f"k_select[{j},{sym}]", sel, 0)
-    eq("pick_vL", {("vL", sym): 1 for sym in range(m)}, 1)
-    eq("pick_vR", {("vR", sym): 1 for sym in range(m)}, 1)
-
-    cw = [1 << (d_max + n - i - 1) for i in range(d_max)]
-    kc = [1 << (d_max - d) for d in range(d_max + 1)]
-    for sym in range(m):
-        for sym2 in range(m):
-            if sym == sym2:
-                continue
-            neg = {("wb", sym, i): -cw[i] for i in range(d_max)}
-            neg |= {("w", sym2, i): -cw[i] for i in range(d_max)}
-            neg |= {("k", 2, sym, d): -kc[d] for d in range(d_max + 1)}
-            neg |= {("k", 1, sym2, d): -kc[d] for d in range(d_max + 1)}
-            le(f"adjacency[{sym},{sym2}]", neg | {("v", sym, sym2): scale}, 0, scale)
-            pos = {name: -c for name, c in neg.items()}
-            le(f"adjacency_full[{sym},{sym2}]",
-               pos | {("v", sym, sym2): scale}, 2 * scale, scale)
-        neg_l = {("w", sym, i): -cw[i] for i in range(d_max)}
-        neg_l |= {("k", 1, sym, d): -kc[d] for d in range(d_max + 1)}
-        le(f"left[{sym}]", neg_l | {("vL", sym): scale},
-           scale - (mode_id.k1 << d_max), scale)
-        le(f"left_full[{sym}]",
-           {name: -c for name, c in neg_l.items()} | {("vL", sym): scale},
-           scale + (mode_id.k1 << d_max), scale)
-        neg_r = {("wb", sym, i): -cw[i] for i in range(d_max)}
-        neg_r |= {("k", 2, sym, d): -kc[d] for d in range(d_max + 1)}
-        le(f"right[{sym}]", neg_r | {("vR", sym): scale},
-           scale - (mode_id.k2 << d_max), scale)
-        le(f"right_full[{sym}]",
-           {name: -c for name, c in neg_r.items()} | {("vR", sym): scale},
-           scale + (mode_id.k2 << d_max), scale)
-
-    if aifvm:
-        allowed = set(aifvm_link_ids(n))
-        for sym in range(m):
-            eq(f"aifvm[{sym}]",
-               {("u", sym, c.k1, c.k2): 1 for c in link_ids if c in allowed}, 1)
-    return rows
-
-
-def reference_check(model, assignment):
-    """Row-by-row evaluation of every bound and row, in Python integers."""
-    variables = model.structure.variables
-    bad = []
-    for name, value in assignment.items():
-        if name not in variables:
-            bad.append(f"unknown variable {name}")
-        elif not 0 <= value <= variables[name]:
-            bad.append(f"variable {name} out of bounds: {value}")
-    for row in model.rows:
-        val = sum(c * assignment.get(name, 0) for name, c in row.coeffs.items())
-        ok = val <= row.rhs if row.sense == "le" else val == row.rhs
-        if not ok:
-            bad.append(f"{row.tag}: value {val} vs rhs {row.rhs}")
-    return bad
-
-
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(n=st.integers(1, 3), m=st.integers(1, 3), d_max=st.integers(1, 6), aifvm=st.booleans())
-def test_shared_structure_rows_match_per_mode_construction(n, m, d_max, aifvm):
-    structure = ModelStructure(n, m, d_max, aifvm)
-    probs = (1 / m,) * m
-    prices = structure.price(initial_costs(n))
-    for cid in enumerate_continuous_ids(n):
-        model = build_ilp(structure, cid, probs, prices)
-        assert model.rows == reference_rows(n, m, cid, d_max, aifvm), cid
-
-
-@settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     n=st.integers(1, 3),
     aifvm=st.booleans(),
     weights=st.lists(st.integers(1, 20), min_size=1, max_size=3),
-    pick=st.integers(0, 10 ** 6),
-    at_upper=st.booleans(),
-    delta=st.integers(-3, 3),
-    unknown=st.booleans(),
+    extra_depth=st.integers(0, 2),
+    bumps=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4),
 )
-def test_compiled_check_matches_row_by_row_oracle(n, aifvm, weights, pick, at_upper, delta,
-                                                  unknown):
-    m = len(weights)
+def test_solver_output_satisfies_reference_model(n, aifvm, weights, extra_depth, bumps):
+    """Every solve of every family mode, its pieces made into a model
+    assignment, satisfies every bound and row of the row-by-row model,
+    and reads back as the tree :func:`decode_solution` returns."""
     probs = tuple(w / sum(weights) for w in weights)
-    structure = ModelStructure(n, m, 2 + n, aifvm)
-    names = list(structure.variables)
-    prices = structure.price(initial_costs(n))
-    for cid in aifvm_link_ids(n) if aifvm else enumerate_continuous_ids(n):
-        model = build_ilp(structure, cid, probs, prices)
+    costs = {cid: c0 + bumps[i % len(bumps)]
+             for i, (cid, c0) in enumerate(initial_costs(n).items())}
+    links = family_links(n, aifvm)
+    prices = link_prices(n, links, costs)
+    d_max = n + 2 + extra_depth
+    for cid in links:
+        model = build_ilp(n, d_max, cid, probs, prices)
         sol = solve_ilp(model)
-        assert check_assignment(model, sol.assignment) == []
-        assert reference_check(model, sol.assignment) == []
-        # one variable moved to a value near or past one of its bounds
-        name = names[pick % len(names)]
-        perturbed = dict(sol.assignment)
-        perturbed[name] = (structure.variables[name] if at_upper else 0) + delta
-        if unknown:
-            perturbed[("z", 0)] = 1
-        assert check_assignment(model, perturbed) == reference_check(model, perturbed), (cid, name)
+        assert check_assignment(model, sol) == []
+        assignment = solution_assignment(sol)
+        assert reference_check(model, assignment) == [], cid
+        tree = decode_solution(sol, canonical_index(n), mode_from_id(n, cid))
+        assert tree == tree_from_assignment(model, assignment), cid
+
+
+def test_build_ilp_guards():
+    prices = link_prices(2, enumerate_continuous_ids(2), initial_costs(2))
+    with pytest.raises(ValueError, match="one probability per symbol"):
+        build_ilp(2, 4, ContinuousModeId(0, 0), (), prices)
+    with pytest.raises(ValueError, match="depth bound"):
+        build_ilp(2, 0, ContinuousModeId(0, 0), (1.0,), prices)
+    with pytest.raises(ValueError, match="built for delay 2, not 3"):
+        build_ilp(3, 4, ContinuousModeId(0, 0), (1.0,), prices)
+    with pytest.raises(ValueError, match="out of range for delay 2"):
+        build_ilp(2, 4, ContinuousModeId(2, 0), (1.0,), prices)
 
 
 # ---------------------------------------------------------------------------
@@ -524,15 +436,14 @@ def solve_ilp_reference(model, node_budget=10_000_000):
     priced for this tree alone, and every piece that ends inside the
     interval is generated for each symbol, then filtered by the room
     left for the other symbols."""
-    s = model.structure
-    n, d_max, m = s.n, s.d_max, s.m_symbols
+    n, d_max, m = model.n, model.d_max, model.m
     probs = model.probs
     scale = 1 << (d_max + n)
     start = model.mode_id.k1 << d_max
     end = ((1 << n) - model.mode_id.k2) << d_max
     r = 1 << (n - 1)
 
-    allowed = s.allowed_links
+    allowed = allowed_links(model.prices)
     by_k1 = {}
     for cid in allowed:
         by_k1.setdefault(cid.k1, []).append((cid.k2, model.prices.costs[cid]))
@@ -672,15 +583,14 @@ def solve_ilp_reference(model, node_budget=10_000_000):
     pieces = [None] * m
     for sym, d, v, k1, k2 in path:
         pieces[sym] = (d, v, k1, k2)
-    assignment = _assignment_from_pieces(model, pieces, order)
-    assert check_assignment(model, assignment) == []
+    assert reference_check(model, assignment_from_pieces(pieces, order)) == []
     codewords = tuple(BitString(d, v) for d, v, _, _ in pieces)
     link_ids = tuple(ContinuousModeId(k1, k2) for _, _, k1, k2 in pieces)
     recomputed = sum(
         probs[s] * (pieces[s][0] + model.prices.costs[link_ids[s]]) for s in range(m)
     )
     assert abs(recomputed - objective) <= 1e-9
-    return TreeSolution(codewords, link_ids, float(recomputed), tuple(order), assignment)
+    return TreeSolution(codewords, link_ids, float(recomputed), tuple(order))
 
 
 def assert_same_tree(model):
@@ -725,15 +635,14 @@ REFERENCE_CASES = dict(
 
 def reference_models(n, aifvm, weights, pool, on_start, seed):
     """Every tree model of one drawn case of ``REFERENCE_CASES``."""
-    m = len(weights)
     probs = tuple(w / sum(weights) for w in weights)
     rng = random.Random(seed)
     costs = {cid: rng.choice(pool) + (c0 if on_start else 0.0)
              for cid, c0 in initial_costs(n).items()}
-    structure = ModelStructure(n, m, n + 2, aifvm)
-    prices = structure.price(costs)
-    for cid in aifvm_link_ids(n) if aifvm else enumerate_continuous_ids(n):
-        yield build_ilp(structure, cid, probs, prices)
+    links = family_links(n, aifvm)
+    prices = link_prices(n, links, costs)
+    for cid in links:
+        yield build_ilp(n, n + 2, cid, probs, prices)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -757,20 +666,20 @@ def test_solver_node_count_matches_reference(n, aifvm, weights, pool, on_start, 
 
 def recorded_build(p, n):
     """Build ``p`` at delay ``n``, recording every price object the build
-    made and the prices of every tree it solved."""
+    made and the model of every tree it solved."""
     made, solved = [], []
-    price, solve = ModelStructure.price, aifv.builder.solve_ilp
+    price, solve = aifv.builder.link_prices, aifv.builder.solve_ilp
 
-    def counting_price(self, costs):
-        made.append(price(self, costs))
+    def counting_price(*args):
+        made.append(price(*args))
         return made[-1]
 
     def recording_solve(model, **kwargs):
-        solved.append(model.prices)
+        solved.append(model)
         return solve(model, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ModelStructure, "price", counting_price)
+        mp.setattr(aifv.builder, "link_prices", counting_price)
         mp.setattr(aifv.builder, "solve_ilp", recording_solve)
         _, report = construct(p, BuildConfig(n=n))
     return made, solved, report
@@ -779,7 +688,7 @@ def recorded_build(p, n):
 @pytest.fixture(scope="module")
 def n4_build():
     """The N=4 p0=0.9 build, with every price object it made and the
-    prices of every tree it solved."""
+    model of every tree it solved."""
     return recorded_build((0.9, 0.1), 4)
 
 
@@ -787,16 +696,17 @@ def test_prices_built_once_per_iteration(n4_build):
     made, solved, report = n4_build
     assert len(made) == report.iterations
     assert len(solved) > 10 * report.iterations
-    assert {id(p) for p in solved} == {id(p) for p in made}
+    assert {id(model.prices) for model in solved} == {id(p) for p in made}
 
 
 def test_solver_matches_reference_on_build_costs(n4_build):
-    made, _, _ = n4_build
+    made, solved, _ = n4_build
     probs = (0.9, 0.1)
-    assert made[0].structure.d_max == default_depth(2, 4)
+    d_max = default_depth(2, 4)
+    assert {model.d_max for model in solved} == {d_max}
     for prices in made:
         for cid in enumerate_continuous_ids(4):
-            assert_same_tree(build_ilp(prices.structure, cid, probs, prices))
+            assert_same_tree(build_ilp(4, d_max, cid, probs, prices))
 
 
 def test_solver_matches_reference_on_quinary_build_costs():
@@ -807,6 +717,6 @@ def test_solver_matches_reference_on_quinary_build_costs():
     assert len(made) == report.iterations > 1
     for prices in made:
         for cid in enumerate_continuous_ids(2):
-            model = build_ilp(prices.structure, cid, source.probs, prices)
+            model = build_ilp(2, default_depth(5, 2), cid, source.probs, prices)
             assert_same_tree(model)
             assert least_budget(solve_ilp, model) == least_budget(solve_ilp_reference, model)
