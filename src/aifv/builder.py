@@ -15,6 +15,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -91,6 +92,8 @@ class BuildConfig:
             raise ValueError("tolerance must be positive")
         if self.init not in ("formula", "huffman-floor"):
             raise ValueError(f"unknown init rule {self.init!r}")
+        if self.max_depth is not None and self.max_depth < 1:
+            raise ValueError("depth bound must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,7 @@ class _Family:
         self.cfg = cfg
         self.probs = probs
         n = cfg.n
-        self.depth = cfg.max_depth or default_depth(len(probs), n)
+        self.depth = default_depth(len(probs), n) if cfg.max_depth is None else cfg.max_depth
         if cfg.family == "full-binary":
             if len(probs) != 2:
                 raise BuildError("the full basic family is solvable for binary alphabets only")
@@ -173,13 +176,19 @@ class _Family:
             return {m.words: costs[i] for i, m in enumerate(self.modes)}
         return link_prices(self.cfg.n, self.ids, dict(zip(self.ids, costs)))
 
-    def solve_tree(self, index: int, prices: dict | LinkPrices) -> tuple[CodeTree, float]:
+    def solve_tree(self, index: int, prices: dict | LinkPrices,
+                   below: float | None = None) -> tuple[CodeTree, float] | None:
+        """The optimal tree of mode ``index`` and its cost.  With ``below``,
+        the tree search returns None when no tree costs less; the full
+        family's brute force ignores it."""
         cfg = self.cfg
         if cfg.family == "full-binary":
             return brute_force_binary(cfg.n, self.modes[index], self.probs,
                                       prices, self.index_of_words)
         model = build_ilp(cfg.n, self.depth, self.ids[index], self.probs, prices)
-        sol = solve_ilp(model, node_budget=cfg.node_budget)
+        sol = solve_ilp(model, node_budget=cfg.node_budget, below=below)
+        if sol is None:
+            return None
         tree = decode_solution(sol, self.index_of_id.__getitem__, self.modes[index])
         return tree, sol.objective
 
@@ -204,6 +213,13 @@ def construct(p, cfg: BuildConfig) -> tuple[CodeForest, OptimalityReport]:
     invariant (within ``cfg.tolerance``) or the iteration limit is hit,
     then emits the best-performing absorption block, reindexed with the
     empty-string mode at tree 0.
+
+    From the second iteration on, each tree solve starts from the cost of
+    the mode's previous tree under the new prices, less ``RETAIN_EPS``,
+    and keeps that tree unless the solve returns a cheaper one.  Each
+    iteration logs one ``AIFV_LOG=DEBUG`` line: trees solved, mirrored,
+    placed (first iteration), kept and replaced, and the seconds spent in
+    tree solves and in the Markov layer.
     """
     probs = as_probs(p)
     fam = _Family(cfg, probs)
@@ -227,29 +243,45 @@ def construct(p, cfg: BuildConfig) -> tuple[CodeForest, OptimalityReport]:
         iterations = iteration
         prices = fam.price(costs)
         trees = [None] * k
+        solved = kept = replaced = 0
+        solve_s = time.perf_counter()
         for i in range(k):
             j = fam.mirror[i] if reuse else i
             if reuse and j < i and trees[j] is not None:
                 trees[i] = flip_tree(trees[j], mirror_links)
                 continue
-            fresh, fresh_obj = fam.solve_tree(i, prices)
-            trees[i] = fresh
-            if prev_trees is not None:
-                prev = prev_trees[i]
-                prev_obj = sum(
-                    probs[s] * (prev.codewords[s].length + costs[prev.links[s]])
-                    for s in range(len(probs))
-                )
-                if prev_obj <= fresh_obj + RETAIN_EPS:
-                    trees[i] = prev
+            solved += 1
+            if prev_trees is None:
+                trees[i] = fam.solve_tree(i, prices)[0]
+                continue
+            prev = prev_trees[i]
+            # a Python float: the search compares the cutoff in its inner loop
+            prev_obj = float(sum(
+                probs[s] * (prev.codewords[s].length + costs[prev.links[s]])
+                for s in range(len(probs))
+            ))
+            found = fam.solve_tree(i, prices, below=prev_obj - RETAIN_EPS)
+            if found is None or prev_obj <= found[1] + RETAIN_EPS:
+                trees[i] = prev
+                kept += 1
+            else:
+                trees[i] = found[0]
+                replaced += 1
+        solve_s = time.perf_counter() - solve_s
+        placed = solved if prev_trees is None else 0
         prev_trees = trees
         forest_all = CodeForest(tuple(trees), cfg.n)
         lengths = [sum(cw.length * probs[s] for s, cw in enumerate(t.codewords))
                    for t in trees]
+        markov_s = time.perf_counter()
         mat = transition_matrix(forest_all, probs)
         blocks = block_decompose(mat)
         pis = stationary(mat, blocks)
         new_costs, lbars, j_star = cost_update_general(lengths, mat, blocks, pis)
+        markov_s = time.perf_counter() - markov_s
+        log.debug("iteration=%d solved=%d mirrored=%d placed=%d kept=%d replaced=%d "
+                  "solve_s=%.6f markov_s=%.6f", iteration, solved, k - solved, placed,
+                  kept, replaced, solve_s, markov_s)
         if reuse:
             if _mirror_pins_consistent(blocks, fam.mirror):
                 # exact mathematics guarantees mirror symmetry here, so

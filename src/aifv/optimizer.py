@@ -13,6 +13,12 @@ pieces on their depth's grid, abutting from the interval's start to its
 end, every link allowed.  The integer model itself lives in the tests
 (``tests/oracles.py``), where it checks this search and that check.
 
+The search proves optimality against a cutoff.  A caller that already
+holds a tree for the mode passes that tree's cost under the current
+prices, and the search returns a cheaper tree or None; only without such
+a cost does a greedy dive find the first cutoff.  The forest
+construction therefore dives in its first iteration only.
+
 The link costs change once per iteration of the forest construction, so
 :func:`link_prices` turns them once into the :class:`LinkPrices` every
 tree of that iteration reads: the allowed links grouped by left margin
@@ -207,15 +213,26 @@ def check_assignment(model: IlpModel, solution: TreeSolution) -> list[str]:
     return bad
 
 
-def solve_ilp(model: IlpModel, node_budget: int = NODE_BUDGET_DEFAULT) -> TreeSolution:
-    """Provably optimal tree for the model.
+def solve_ilp(
+    model: IlpModel,
+    node_budget: int = NODE_BUDGET_DEFAULT,
+    below: float | None = None,
+) -> TreeSolution | None:
+    """Provably optimal tree for the model, or with ``below`` the optimal
+    tree among those that cost less than ``below``, None if there is none.
 
-    A greedy first-feasible dive supplies the incumbent (so a feasible
-    model can never be reported infeasible), then best-first search over
-    (interval position, placed-symbol set) states runs to proof.  States
-    are deduplicated by position and placed set; symbols of equal
-    probability are placed in ascending index order.  Deterministic:
-    ties in the bound fall back to insertion order.
+    Best-first search over (interval position, placed-symbol set) states
+    runs to proof against a cutoff: ``below`` when given, which warm-starts
+    the search from a tree the caller already holds; otherwise the cost of
+    a greedy first-feasible dive's tree.  A dive that finds no tree has
+    tried every tiling, so the depth bound admits none and the solve
+    raises :class:`ValueError`.  States are deduplicated by position and
+    placed set; symbols of equal probability are placed in ascending
+    index order.  Deterministic: ties in the bound fall back to insertion
+    order.  Either cutoff keeps every state whose bound is below the
+    optimum, so both pop the same states up to the optimum; only an
+    optimum tied with the dive's own tree can come back as another tree
+    of equal cost.
 
     Everything that depends only on the link costs comes precomputed in
     ``model.prices``.  Within one solve, the pieces that fit at a
@@ -229,8 +246,8 @@ def solve_ilp(model: IlpModel, node_budget: int = NODE_BUDGET_DEFAULT) -> TreeSo
     same node budget, as one holding every child.  States point to their
     parents, and the path is rebuilt once at the end.
 
-    The result is checked by :func:`check_assignment` as a tiling of the
-    mode's interval, and its objective is recomputed from the pieces;
+    A returned tree is checked by :func:`check_assignment` as a tiling of
+    the mode's interval, and its objective is recomputed from the pieces;
     either failure raises :class:`ModelError`.
     """
     n, d_max, m = model.n, model.d_max, model.m
@@ -356,8 +373,14 @@ def solve_ilp(model: IlpModel, node_budget: int = NODE_BUDGET_DEFAULT) -> TreeSo
                               (node, sym, piece)))
         return None
 
-    best = dive()  # the incumbent, (g, node)
-    cutoff = math.inf if best is None else best[0] - 1e-15
+    if below is None:
+        best = dive()  # the incumbent, (g, node)
+        if best is None:
+            raise ValueError(f"no tree of mode ({mode_id.k1}, {mode_id.k2}) "
+                             f"fits depth bound {d_max}")
+        cutoff = best[0] - 1e-15
+    else:
+        best, cutoff = None, below
 
     heap: list = []
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -421,7 +444,7 @@ def solve_ilp(model: IlpModel, node_budget: int = NODE_BUDGET_DEFAULT) -> TreeSo
             push_child((kids, used, g, node), 0)
 
     if best is None:
-        raise ModelError(f"no feasible tree for mode {model.mode_id} (model bug)")
+        return None  # no tree costs less than ``below``
 
     objective, node = best
     path = []

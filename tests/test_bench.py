@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import math
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -183,3 +184,14 @@ def test_traced_names_resolve_to_callables(monkeypatch):
     for module_name, attr, *_ in tracing.TRACED:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_benchmark_smoke_run_passes():
+    """``bench/run.py --smoke`` runs every workload at tiny sizes, traced
+    and untraced, through the package as the benchmark calls it; a traced
+    function whose signature stops matching its callers fails here."""
+    root = Path(__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, str(root / "bench" / "run.py"), "--smoke"],
+                         cwd=root, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
+    assert run.stdout.splitlines()[-1] == '{"smoke": "ok"}'

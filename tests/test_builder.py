@@ -14,8 +14,9 @@ from aifv.builder import (
     huffman,
     huffman_lengths,
 )
-from aifv.forest import decode, encode, validate_full, validate_rule1
+from aifv.forest import decode, encode, format_codebook, validate_full, validate_rule1
 from aifv.modes import flip_mode
+from aifv.sources import sources_polynomial
 
 
 def entropy(probs):
@@ -139,6 +140,28 @@ def test_symmetry_reuse_matches_independent():
             mp.setattr(aifv.builder._Family, "_mirror_map", lambda self: None)
             _, without = construct(probs, BuildConfig(n=3))
         assert abs(with_reuse.expected_len - without.expected_len) <= 1e-12
+
+
+@pytest.mark.parametrize("build", [
+    *(pytest.param(lambda p0=p0, n=n: construct((p0, 1 - p0), BuildConfig(n=n)),
+                   id=f"p0={p0}-N{n}")
+      for p0 in (0.6, 0.75, 0.9, 0.95) for n in (3, 4)),
+    pytest.param(lambda: construct(sources_polynomial(5)[2], BuildConfig(n=2)), id="P2-M5-N2"),
+    pytest.param(lambda: construct_aifvm((0.9, 0.1), 3), id="aifvm3"),
+])
+def test_warm_start_builds_what_cold_solves_build(build):
+    """Seeding each solve with the previous tree's cost changes no
+    codebook and no report: the same builds with every tree solved cold
+    (dive, then proof) and the previous tree kept by the retention rule
+    alone."""
+    forest, report = build()
+    solve = aifv.builder.solve_ilp
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(aifv.builder, "solve_ilp",
+                   lambda model, node_budget, below=None: solve(model, node_budget=node_budget))
+        cold_forest, cold_report = build()
+    assert format_codebook(forest) == format_codebook(cold_forest)
+    assert repr(report) == repr(cold_report)
 
 
 def test_fixed_point_self_consistency():

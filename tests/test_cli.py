@@ -194,6 +194,23 @@ def test_distribution_errors_name_the_line(tmp_path, capsys, text, message):
     assert not os.path.exists(book)
 
 
+@pytest.mark.parametrize("depth", ["0", "-3"])
+def test_construct_rejects_depth_bound_below_one(tmp_path, dist_file, capsys, depth):
+    book = str(tmp_path / "book")
+    assert main(["construct", "--dist", dist_file, "-N", "2", "--max-depth", depth,
+                 "-o", book]) == 2
+    assert capsys.readouterr().err == "error: depth bound must be at least 1\n"
+    assert not os.path.exists(book)
+
+
+def test_construct_names_a_depth_bound_no_tree_fits(tmp_path, dist_file, capsys):
+    book = str(tmp_path / "book")
+    assert main(["construct", "--dist", dist_file, "-N", "2", "--max-depth", "1",
+                 "-o", book]) == 2
+    assert capsys.readouterr().err == "error: no tree of mode (0, 1) fits depth bound 1\n"
+    assert not os.path.exists(book)
+
+
 def test_decode_rejects_negative_count(tmp_path, dist_file, capsys):
     book = str(tmp_path / "book.aifv")
     assert main(["construct", "--dist", dist_file, "-N", "2", "-o", book]) == 0

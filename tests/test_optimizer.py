@@ -1,5 +1,6 @@
 import heapq
 import itertools
+import logging
 import math
 import random
 import re
@@ -386,6 +387,30 @@ def test_node_budget_enforced():
     assert 0 < dives < len(phases)
 
 
+def test_warm_solve_budget_runs_out_in_the_proof():
+    """A solve given a cutoff never dives: the budget can only run out in
+    the proof."""
+    model = tree_model(2, ContinuousModeId(1, 0), (0.5, 0.3, 0.2), initial_costs(2), 4)
+    below = solve_ilp(model).objective + 1.0
+    for budget in itertools.count(1):
+        try:
+            assert solve_ilp(model, node_budget=budget, below=below) is not None
+            break
+        except ResourceLimitError as e:
+            assert re.fullmatch(rf"node budget {budget} exhausted in the proof "
+                                r"for mode \(1, 0\)", str(e)), str(e)
+    assert budget > 1
+
+
+def test_depth_bound_without_a_tree_is_a_value_error():
+    # mode (0, 1) of delay 2 keeps [0, 3/4), which no two pieces of depth
+    # at most 1 tile
+    model = tree_model(2, ContinuousModeId(0, 1), (0.9, 0.1), initial_costs(2), 1)
+    with pytest.raises(ValueError, match=r"^no tree of mode \(0, 1\) fits depth bound 1$"):
+        solve_ilp(model)
+    assert solve_ilp(model, below=100.0) is None
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     n=st.integers(1, 3),
@@ -664,6 +689,24 @@ def test_solver_node_count_matches_reference(n, aifvm, weights, pool, on_start, 
             model.mode_id
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(**REFERENCE_CASES, offset=st.floats(1e-9, 2.0), above=st.booleans())
+def test_solve_below_a_cutoff_matches_the_cold_solve(n, aifvm, weights, pool, on_start, seed,
+                                                     offset, above):
+    """With a cutoff ``b`` the search returns None exactly when the cold
+    optimum costs at least ``b``, and otherwise a checked tree of the cold
+    optimum's cost."""
+    for model in reference_models(n, aifvm, weights, pool, on_start, seed):
+        cold = solve_ilp(model)
+        b = cold.objective + (offset if above else -offset)
+        warm = solve_ilp(model, below=b)
+        if cold.objective >= b:
+            assert warm is None, model.mode_id
+        else:
+            assert abs(warm.objective - cold.objective) <= 1e-12, model.mode_id
+            assert check_assignment(model, warm) == []
+
+
 def recorded_build(p, n):
     """Build ``p`` at delay ``n``, recording every price object the build
     made and the model of every tree it solved."""
@@ -697,6 +740,26 @@ def test_prices_built_once_per_iteration(n4_build):
     assert len(made) == report.iterations
     assert len(solved) > 10 * report.iterations
     assert {id(model.prices) for model in solved} == {id(p) for p in made}
+
+
+def test_iteration_debug_lines_account_for_every_solve(caplog):
+    """One ``AIFV_LOG=DEBUG`` line per iteration: every solved tree is
+    placed (first iteration), kept or replaced, and every mode is solved
+    or mirrored."""
+    with caplog.at_level(logging.DEBUG, logger="aifv.builder"):
+        _, solved_models, report = recorded_build((0.9, 0.1), 4)
+    lines = [dict(field.split("=") for field in r.getMessage().split())
+             for r in caplog.records if r.getMessage().startswith("iteration=")]
+    assert [int(line["iteration"]) for line in lines] == list(range(1, report.iterations + 1))
+    counts = [{k: int(v) for k, v in line.items() if not k.endswith("_s")} for line in lines]
+    for c, line in zip(counts, lines):
+        assert c["solved"] == c["placed"] + c["kept"] + c["replaced"]
+        assert c["solved"] + c["mirrored"] == len(enumerate_continuous_ids(4))
+        assert float(line["solve_s"]) > 0 and float(line["markov_s"]) > 0
+    assert counts[0]["placed"] == counts[0]["solved"]
+    assert all(c["placed"] == 0 for c in counts[1:])
+    assert sum(c["kept"] for c in counts) > sum(c["replaced"] for c in counts) > 0
+    assert sum(c["solved"] for c in counts) == len(solved_models)
 
 
 def test_solver_matches_reference_on_build_costs(n4_build):
