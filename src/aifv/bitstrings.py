@@ -1,10 +1,12 @@
-"""Exact binary-string algebra: prefix relations, flips and tree reduction.
+"""Exact binary-string algebra: prefix relations, flips and reduction.
 
 Codewords, decoder queries, and mode members are short binary strings that
 must be manipulated without any rounding.  A string is stored as a
 ``(length, value)`` pair with the first bit in the most significant
 position, so appending, prefix tests and common prefixes are plain
-integer arithmetic.
+integer arithmetic.  A word set is reduced by merging sibling pairs
+``w0``, ``w1`` into their parent ``w`` from the deepest length up, which
+leaves the largest subtrees whose leaves the set covers.
 """
 
 from __future__ import annotations
@@ -128,11 +130,6 @@ def common_prefix(words: WordSet) -> BitString:
     return acc
 
 
-def children(w: BitString) -> tuple[BitString, BitString]:
-    return (BitString(w.length + 1, w.value << 1),
-            BitString(w.length + 1, (w.value << 1) | 1))
-
-
 def extensions_to_length(w: BitString, n: int) -> WordSet:
     """All length-``n`` strings having ``w`` as a prefix."""
     if w.length > n:
@@ -148,45 +145,21 @@ def expand_to_length(words: Iterable[BitString], n: int) -> WordSet:
     return frozenset(out)
 
 
-def full_nodes(words: WordSet, depth_bound: int | None = None) -> WordSet:
-    """Prefixes of members whose whole subtree is covered by ``words``.
-
-    A trie node is full when it is a member itself or both its children
-    exist in the trie and are full.  Only prefixes of members are
-    reported; deeper extensions of a member are full by definition but
-    carry no information for reduction.
-    """
+def reduced(words: WordSet) -> WordSet:
+    """The fewest strings covering the same leaves: drop every member with
+    a proper prefix among the members, then, deepest length first,
+    replace each sibling pair ``w0``, ``w1`` with its parent ``w``.
+    Idempotent; the result is prefix-free."""
     if not words:
         raise ValueError("empty word set")
-    if depth_bound is not None:
-        for w in words:
-            if w.length > depth_bound:
-                raise ValueError(f"member '{w}' exceeds depth bound {depth_bound}")
-    nodes: set[BitString] = set()
-    for w in words:
-        for ln in range(w.length + 1):
-            nodes.add(BitString(ln, w.value >> (w.length - ln)))
-    # A node under a member is covered outright, which matters when the
-    # input is not prefix-free.
-    covered: set[BitString] = set()
-    for node in sorted(nodes, key=lambda w: w.length):
-        if node in words:
-            covered.add(node)
-        elif node.length and BitString(node.length - 1, node.value >> 1) in covered:
-            covered.add(node)
-    full: set[BitString] = set()
-    for node in sorted(nodes, key=lambda w: -w.length):
-        if node in covered:
-            full.add(node)
-            continue
-        c0, c1 = children(node)
-        if c0 in full and c1 in full:
-            full.add(node)
-    return frozenset(full)
-
-
-def reduced(words: WordSet) -> WordSet:
-    """Cut every full subtree down to its root; idempotent, prefix-free."""
-    full = full_nodes(words)
-    return frozenset(w for w in full
-                     if not any(is_prefix(p, w) and p != w for p in full))
+    levels: dict[int, set[int]] = {}  # kept values by length
+    for w in sorted(words, key=lambda w: w.length):
+        if not any(w.value >> (w.length - ln) in levels.get(ln, ()) for ln in range(w.length)):
+            levels.setdefault(w.length, set()).add(w.value)
+    for ln in range(max(levels), 0, -1):
+        level = levels.get(ln, set())
+        parents = {v >> 1 for v in level if not v & 1 and v | 1 in level}
+        if parents:
+            level -= {p << 1 for p in parents} | {p << 1 | 1 for p in parents}
+            levels.setdefault(ln - 1, set()).update(parents)
+    return frozenset(BitString(ln, v) for ln, level in levels.items() for v in level)

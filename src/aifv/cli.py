@@ -42,15 +42,21 @@ EXIT_IO = 4
 log = logging.getLogger("aifv.cli")
 
 _SYMBOL_TOKEN = re.compile(r"-?[0-9]+")
+_DIST_SYMBOL = re.compile(r"a(0|[1-9][0-9]*)")
 
 
 def atomic_write(path: str, data: str | bytes) -> None:
+    """Write through a temp file and a rename; the file gets the mode a
+    plain ``open`` would give it under the current umask."""
     mode = "wb" if isinstance(data, bytes) else "w"
     d = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".aifv-")
     try:
         with os.fdopen(fd, mode) as fh:
             fh.write(data)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -59,7 +65,8 @@ def atomic_write(path: str, data: str | bytes) -> None:
 
 
 def read_distribution(path: str) -> SourceDistribution:
-    """Lines of the form 'a<m> <probability>', one per symbol."""
+    """Lines of the form 'a<m> <probability>', one per symbol; ``<m>`` is
+    ASCII decimal without sign or leading zeros."""
     probs: dict[int, float] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -68,12 +75,14 @@ def read_distribution(path: str) -> SourceDistribution:
                 continue
             parts = line.split()
             malformed = ValueError(f"{path}:{lineno}: expected 'a<m> <probability>', got {line!r}")
-            if len(parts) != 2 or not parts[0].startswith("a"):
+            symbol = _DIST_SYMBOL.fullmatch(parts[0]) if len(parts) == 2 else None
+            if symbol is None:
                 raise malformed
             try:
-                sym, prob = int(parts[0][1:]), float(parts[1])
+                prob = float(parts[1])
             except ValueError:
                 raise malformed from None
+            sym = int(symbol[1])
             if sym in probs:
                 raise ValueError(f"{path}:{lineno}: symbol a{sym} given twice")
             probs[sym] = prob

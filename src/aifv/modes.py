@@ -3,10 +3,12 @@
 A mode is the prefix-free string set a decoder queries to resolve one
 symbol.  The basic family for delay ``n`` is obtained by reducing
 ``'0' + Lb  union  '1' + Ub`` over all non-empty ``Lb, Ub`` of length
-``n - 1``.  A mode of the continuous subfamily drops the ``k1``
-outermost length-``n`` leaves on the '0' side and the ``k2`` outermost on
-the '1' side, keeps the rest, and is identified by the pair ``(k1, k2)``;
-its leaves cover ``[k1 / 2**n, 1 - k2 / 2**n)`` of the unit interval.
+``n - 1``.  A mode of the continuous subfamily is identified by the pair
+``(k1, k2)`` and covers ``[k1 / 2**n, 1 - k2 / 2**n)`` of the unit
+interval: it drops the ``k1`` outermost length-``n`` leaves on the '0'
+side and the ``k2`` outermost on the '1' side.  Its words are the
+largest dyadic cells that tile that interval, written out directly from
+its two ends.
 """
 
 from __future__ import annotations
@@ -103,30 +105,25 @@ def enumerate_continuous_ids(n: int) -> list[ContinuousModeId]:
     return [ContinuousModeId(k1, k2) for k1 in range(r) for k2 in range(r)]
 
 
-def leaf_number(w: BitString) -> int:
-    """Position of a length-``n`` leaf on its side of the tree.
-
-    Leaves under '0' count up toward the midpoint, leaves under '1'
-    count down from it, so number ``j`` on either side sits ``j`` cells
-    away from the outer edge and both sides end at ``2**(n-1) - 1``
-    beside the midpoint.
-    """
-    n = w.length
-    if n < 1:
-        raise ValueError("leaf must have length >= 1")
-    tail = w.value & ((1 << (n - 1)) - 1)
-    if w.bit(0) == 0:
-        return tail
-    return ((1 << (n - 1)) - 1) ^ tail
-
-
 def mode_from_id(n: int, cid: ContinuousModeId) -> Mode:
+    """The continuous mode ``(k1, k2)``: the largest aligned cells tiling
+    ``[k1, 2**n - k2)``, in units of ``2**-n``.  From ``lo = k1``, each
+    step takes the largest cell at ``lo`` that ends by ``hi``; a cell of
+    ``2**j`` units is the word of length ``n - j`` with value
+    ``lo >> j``."""
     r = 1 << (n - 1)
     if not (0 <= cid.k1 < r and 0 <= cid.k2 < r):
         raise ValueError(f"id {cid} out of range for delay {n}")
-    keep = [w for w in (BitString(n, v) for v in range(1 << n))
-            if (leaf_number(w) >= cid.k1 if w.bit(0) == 0 else leaf_number(w) >= cid.k2)]
-    return Mode(reduced(frozenset(keep)), n)
+    lo, hi = cid.k1, (1 << n) - cid.k2
+    words = []
+    while lo < hi:
+        size = lo & -lo or 1 << n
+        while lo + size > hi:
+            size >>= 1
+        j = size.bit_length() - 1
+        words.append(BitString(n - j, lo >> j))
+        lo += size
+    return Mode(frozenset(words), n)
 
 
 def flip_mode(mode: Mode) -> Mode:

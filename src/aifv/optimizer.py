@@ -486,13 +486,16 @@ def decode_solution(
 _PARTITION_CACHE: dict[tuple[int, WordSet], list] = {}
 
 
-def _partition_table(n: int, mode: Mode) -> list[tuple[int, WordSet, int, WordSet]]:
+def _partition_table(n: int, mode: Mode) -> list[tuple[BitString, WordSet, BitString, WordSet]]:
     """All ordered two-way partitions of the mode's length-``n`` leaf set,
-    each reduced to (codeword length, linked words) for both symbols."""
+    in mask order, each reduced to (codeword, linked words) for both
+    symbols.  A mode outside the basic family raises and is not cached."""
     key = (n, mode.words)
     cached = _PARTITION_CACHE.get(key)
     if cached is not None:
         return cached
+    if not is_basic_mode(mode.words, n):
+        raise ValueError(f"not a basic mode: {mode}")
     leaves = sorted(expand_to_length(mode.words, n), key=lambda w: w.value)
     table = []
     for mask in range(1, (1 << len(leaves)) - 1):
@@ -501,8 +504,7 @@ def _partition_table(n: int, mode: Mode) -> list[tuple[int, WordSet, int, WordSe
         entry = []
         for part in (w_set, wbar):
             head = common_prefix(part)
-            linked = reduced(strip_prefix_all(head, part))
-            entry.extend((head.length, linked))
+            entry.extend((head, reduced(strip_prefix_all(head, part))))
         table.append(tuple(entry))
     _PARTITION_CACHE[key] = table
     return table
@@ -523,23 +525,14 @@ def brute_force_binary(
         raise ValueError("partition search requires a binary alphabet")
     if not 1 <= n <= 3:
         raise ValueError("partition search supports delays 1..3")
-    if not is_basic_mode(mode.words, n):
-        raise ValueError(f"not a basic mode: {mode}")
     p0, p1 = probs
-    best = None
-    best_mask = -1
-    for mask_index, entry in enumerate(_partition_table(n, mode)):
-        len0, linked0, len1, linked1 = entry
-        value = p0 * (len0 + costs[linked0]) + p1 * (len1 + costs[linked1])
+    best = best_entry = None
+    for entry in _partition_table(n, mode):
+        head0, linked0, head1, linked1 = entry
+        value = p0 * (head0.length + costs[linked0]) + p1 * (head1.length + costs[linked1])
         if best is None or value < best:
-            best = value
-            best_mask = mask_index + 1
-    leaves = sorted(expand_to_length(mode.words, n), key=lambda w: w.value)
-    w_set = frozenset(leaves[i] for i in range(len(leaves)) if best_mask >> i & 1)
-    wbar = frozenset(leaves[i] for i in range(len(leaves)) if not best_mask >> i & 1)
-    head0, head1 = common_prefix(w_set), common_prefix(wbar)
-    linked0 = reduced(strip_prefix_all(head0, w_set))
-    linked1 = reduced(strip_prefix_all(head1, wbar))
+            best, best_entry = value, entry
+    head0, linked0, head1, linked1 = best_entry
     tree = CodeTree(
         codewords=(head0, head1),
         links=(index_of[linked0], index_of[linked1]),

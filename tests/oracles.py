@@ -1,5 +1,9 @@
 """Slow, direct oracles the tests check the running code against.
 
+* The trie reduction: a word set's full trie nodes, the minimal ones
+  kept, and each continuous mode built from its list of length-``n``
+  leaves numbered from the outer edges.  The running code merges sibling
+  pairs and writes a mode's cells straight from its interval.
 * The dyadic-interval layer: exact half-open intervals, the cell a
   string names, their union, and a mode's interval.  Rule 1 and the
   continuous mode ids were first stated in these terms.
@@ -18,17 +22,85 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable
 
-from aifv.bitstrings import LMAX, BitString, CapacityError, expand_to_length, is_prefix
+from aifv.bitstrings import LMAX, BitString, CapacityError, WordSet, expand_to_length, is_prefix
 from aifv.forest import CodeTree
-from aifv.modes import (
-    ContinuousModeId,
-    Mode,
-    enumerate_continuous_ids,
-    is_basic_mode,
-    leaf_number,
-    mode_from_id,
-)
+from aifv.modes import ContinuousModeId, Mode, enumerate_continuous_ids, is_basic_mode, mode_from_id
 from aifv.optimizer import IlpModel, LinkPrices, ModelError, TreeSolution
+
+# ---------------------------------------------------------------------------
+# the trie reduction and leaf-listed continuous modes
+
+
+def full_nodes(words: WordSet, depth_bound: int | None = None) -> WordSet:
+    """Prefixes of members whose whole subtree is covered by ``words``.
+
+    A trie node is full when it is a member itself or both its children
+    exist in the trie and are full.  Only prefixes of members are
+    reported; deeper extensions of a member are full by definition but
+    carry no information for reduction.  A member longer than
+    ``depth_bound`` raises.
+    """
+    if not words:
+        raise ValueError("empty word set")
+    if depth_bound is not None:
+        for w in words:
+            if w.length > depth_bound:
+                raise ValueError(f"member '{w}' exceeds depth bound {depth_bound}")
+    nodes: set[BitString] = set()
+    for w in words:
+        for ln in range(w.length + 1):
+            nodes.add(BitString(ln, w.value >> (w.length - ln)))
+    # A node under a member is covered outright, which matters when the
+    # input is not prefix-free.
+    covered: set[BitString] = set()
+    for node in sorted(nodes, key=lambda w: w.length):
+        if node in words:
+            covered.add(node)
+        elif node.length and BitString(node.length - 1, node.value >> 1) in covered:
+            covered.add(node)
+    full: set[BitString] = set()
+    for node in sorted(nodes, key=lambda w: -w.length):
+        if node in covered:
+            full.add(node)
+            continue
+        c0 = BitString(node.length + 1, node.value << 1)
+        c1 = BitString(node.length + 1, (node.value << 1) | 1)
+        if c0 in full and c1 in full:
+            full.add(node)
+    return frozenset(full)
+
+
+def trie_reduced(words: WordSet) -> WordSet:
+    """The full nodes with no proper prefix among them."""
+    full = full_nodes(words)
+    return frozenset(w for w in full
+                     if not any(is_prefix(p, w) and p != w for p in full))
+
+
+def leaf_number(w: BitString) -> int:
+    """Position of a length-``n`` leaf on its side of the tree.
+
+    Leaves under '0' count up toward the midpoint, leaves under '1'
+    count down from it, so number ``j`` on either side sits ``j`` cells
+    away from the outer edge and both sides end at ``2**(n-1) - 1``
+    beside the midpoint.
+    """
+    n = w.length
+    if n < 1:
+        raise ValueError("leaf must have length >= 1")
+    tail = w.value & ((1 << (n - 1)) - 1)
+    if w.bit(0) == 0:
+        return tail
+    return ((1 << (n - 1)) - 1) ^ tail
+
+
+def mode_from_leaves(n: int, cid: ContinuousModeId) -> Mode:
+    """The continuous mode ``cid``: every length-``n`` leaf whose number
+    on its side reaches that side's margin, trie-reduced."""
+    keep = [w for w in (BitString(n, v) for v in range(1 << n))
+            if leaf_number(w) >= (cid.k1 if w.bit(0) == 0 else cid.k2)]
+    return Mode(trie_reduced(frozenset(keep)), n)
+
 
 # ---------------------------------------------------------------------------
 # dyadic intervals

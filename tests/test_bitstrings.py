@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from aifv.bitstrings import (
     BitString,
@@ -12,12 +13,18 @@ from aifv.bitstrings import (
     expand_to_length,
     flipped,
     flip_words,
-    full_nodes,
     is_prefix,
     reduced,
     strip_prefix,
 )
-from oracles import DyadicInterval, interval_of, is_prefix_free, merge_intervals
+from oracles import (
+    DyadicInterval,
+    full_nodes,
+    interval_of,
+    is_prefix_free,
+    merge_intervals,
+    trie_reduced,
+)
 
 B = BitString.from_text
 
@@ -135,6 +142,26 @@ def test_reduced_idempotent_and_prefix_free():
         r = reduced(ws)
         assert is_prefix_free(r)
         assert reduced(r) == r
+
+
+bit_strings = st.integers(0, 8).flatmap(
+    lambda ln: st.integers(0, (1 << ln) - 1).map(lambda v: BitString(ln, v)))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(ws=st.frozensets(bit_strings, min_size=1, max_size=24))
+@example(ws=words("", "0", "01"))
+@example(ws=words("0", "01", "1"))
+@example(ws=words("00", "001", "01", "1"))
+@example(ws=words("0000", "0001", "001", "01", "11"))
+def test_reduced_matches_trie_oracle(ws):
+    # sets need not be prefix-free and may hold the empty string
+    assert reduced(ws) == trie_reduced(ws)
+
+
+def test_reduced_rejects_empty_set():
+    with pytest.raises(ValueError, match="empty word set"):
+        reduced(frozenset())
 
 
 def test_reduced_unique_on_fixed_length_sets():

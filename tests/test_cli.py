@@ -194,6 +194,45 @@ def test_distribution_errors_name_the_line(tmp_path, capsys, text, message):
     assert not os.path.exists(book)
 
 
+@pytest.mark.parametrize("name", ["a+0", "a01", "a\u06601", "a-0", "a1_0", "a", "A0", "a\uff10"])
+def test_distribution_rejects_non_decimal_symbol_names(tmp_path, capsys, name):
+    path = str(tmp_path / "bad.dist")
+    write(path, f"a1 0.5\n{name} 0.5\n")
+    book = str(tmp_path / "book")
+    assert main(["construct", "--dist", path, "-N", "1", "-o", book]) == 2
+    line = f"{name} 0.5"
+    assert capsys.readouterr().err == (
+        f"error: {path}:2: expected 'a<m> <probability>', got {line!r}\n")
+    assert not os.path.exists(book)
+
+
+def test_distribution_reads_multi_digit_symbols(tmp_path):
+    path = str(tmp_path / "eleven.dist")
+    write(path, "".join(f"a{m} {p}\n" for m, p in enumerate([0.5] + [0.05] * 10)))
+    book = str(tmp_path / "book")
+    assert main(["construct", "--dist", path, "-N", "1", "-o", book]) == 0
+    with open(book) as fh:
+        assert fh.readline().split()[2] == "M=11"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_output_files_follow_the_umask(tmp_path, dist_file, umask):
+    book = str(tmp_path / "book.aifv")
+    syms = str(tmp_path / "input.sym")
+    write(syms, "0 1 0\n")
+    bits = str(tmp_path / "payload.bin")
+    rows = str(tmp_path / "rows.csv")
+    old = os.umask(umask)
+    try:
+        assert main(["construct", "--dist", dist_file, "-N", "2", "-o", book]) == 0
+        assert main(["encode", "--codebook", book, "--input", syms, "-o", bits]) == 0
+        assert main(["eval", "--dist", dist_file, "--aifv", "1", "-o", rows]) == 0
+    finally:
+        os.umask(old)
+    for path in (book, book + ".report.csv", bits, rows):
+        assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask, path
+
+
 @pytest.mark.parametrize("depth", ["0", "-3"])
 def test_construct_rejects_depth_bound_below_one(tmp_path, dist_file, capsys, depth):
     book = str(tmp_path / "book")

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -10,10 +11,17 @@ from aifv.modes import (
     enumerate_continuous_ids,
     flip_mode,
     is_basic_mode,
-    leaf_number,
     mode_from_id,
 )
-from oracles import DyadicInterval, flip_id, id_interval, id_of_mode, mode_interval
+from oracles import (
+    DyadicInterval,
+    flip_id,
+    id_interval,
+    id_of_mode,
+    leaf_number,
+    mode_from_leaves,
+    mode_interval,
+)
 
 B = BitString.from_text
 
@@ -72,6 +80,24 @@ def test_mode_from_id_examples():
     assert mode_from_id(4, ContinuousModeId(0, 0)).words == frozenset({EMPTY})
     assert mode_from_id(2, ContinuousModeId(1, 0)) == mode_of(2, "01", "1")
     assert mode_from_id(3, ContinuousModeId(2, 1)) == mode_of(3, "01", "10", "110")
+
+
+def test_mode_from_id_matches_leaf_oracle():
+    # every id up to n = 6, a seeded sample at n = 7 and 8
+    rng = random.Random(8)
+    for n in range(1, 9):
+        ids = enumerate_continuous_ids(n)
+        if n > 6:
+            ids = rng.sample(ids, 64)
+        for cid in ids:
+            assert mode_from_id(n, cid) == mode_from_leaves(n, cid), (n, cid)
+
+
+def test_mode_from_id_range_check():
+    for n, cid in ((1, ContinuousModeId(1, 0)), (3, ContinuousModeId(0, 4)),
+                   (3, ContinuousModeId(-1, 0))):
+        with pytest.raises(ValueError, match=re.escape(f"id {cid} out of range for delay {n}")):
+            mode_from_id(n, cid)
 
 
 def test_id_of_mode_examples():

@@ -12,9 +12,12 @@ from aifv.bitstrings import (
     BitString,
     EMPTY,
     append_all,
+    common_prefix,
     comparable,
+    expand_to_length,
     is_prefix,
     reduced,
+    strip_prefix_all,
 )
 from aifv.modes import (
     ContinuousModeId,
@@ -26,6 +29,7 @@ from aifv.modes import (
 import aifv.builder
 from aifv.builder import BuildConfig, construct, default_depth
 from aifv.optimizer import (
+    _PARTITION_CACHE,
     BOUND_SLACK,
     ModelError,
     ResourceLimitError,
@@ -54,6 +58,7 @@ from oracles import (
     reference_variables,
     solution_assignment,
     tree_from_assignment,
+    trie_reduced,
 )
 
 B = BitString.from_text
@@ -291,17 +296,17 @@ def test_partition_count_and_worked_example():
     table = _partition_table(3, mode)
     assert len(table) == 126
     # leaves sorted by value: 001,010,011,100,101,110,111; W = {001,010} is mask 3
-    len0, linked0, len1, linked1 = table[3 - 1]
-    assert len0 == 1 and {w.text for w in linked0} == {"01", "10"}
-    assert len1 == 0 and {w.text for w in linked1} == {"011", "1"}
+    head0, linked0, head1, linked1 = table[3 - 1]
+    assert head0.length == 1 and {w.text for w in linked0} == {"01", "10"}
+    assert head1.length == 0 and {w.text for w in linked1} == {"011", "1"}
 
 
 def test_partition_trivial_n1():
     mode = Mode(frozenset({EMPTY}), 1)
     table = _partition_table(1, mode)
     assert len(table) == 2
-    for len0, linked0, len1, linked1 in table:
-        assert len0 == 1 and len1 == 1
+    for head0, linked0, head1, linked1 in table:
+        assert head0.length == 1 and head1.length == 1
         assert linked0 == linked1 == frozenset({EMPTY})
 
 
@@ -336,6 +341,52 @@ def test_brute_force_guards():
         brute_force_binary(1, mode, (0.3, 0.3, 0.4), {}, {})
     with pytest.raises(ValueError):
         brute_force_binary(4, Mode(frozenset({EMPTY}), 4), (0.5, 0.5), {}, {})
+
+
+def _recomputed_partitions(n, mode):
+    """Every (codewords, linked words) split of the mode's leaves in mask
+    order, each part re-derived from its leaves by the trie reduction."""
+    leaves = sorted(expand_to_length(mode.words, n), key=lambda w: w.value)
+    out = []
+    for mask in range(1, (1 << len(leaves)) - 1):
+        parts = (frozenset(w for i, w in enumerate(leaves) if mask >> i & 1),
+                 frozenset(w for i, w in enumerate(leaves) if not mask >> i & 1))
+        heads = tuple(common_prefix(part) for part in parts)
+        out.append((heads, tuple(trie_reduced(strip_prefix_all(h, part))
+                                 for h, part in zip(heads, parts))))
+    return out
+
+
+def test_brute_force_returns_first_minimal_partition():
+    # costs from a few values make ties common, so the mask order shows
+    rng = random.Random(9)
+    for n in (1, 2, 3):
+        family, index_of = _basic_cost_tables(n)
+        partitions = {m.words: _recomputed_partitions(n, m) for m in family}
+        for _ in range(3):
+            costs = {m.words: rng.choice((0.0, 0.5, 1.0, 1.5)) for m in family}
+            p0 = rng.choice((0.5, 0.75, rng.uniform(0.51, 0.99)))
+            for mode in family:
+                best = None
+                for heads, linked in partitions[mode.words]:
+                    value = (p0 * (heads[0].length + costs[linked[0]])
+                             + (1 - p0) * (heads[1].length + costs[linked[1]]))
+                    if best is None or value < best[0]:
+                        best = (value, heads, linked)
+                tree, obj = brute_force_binary(n, mode, (p0, 1 - p0), costs, index_of)
+                assert obj == best[0]
+                assert tree.codewords == best[1]
+                assert tree.links == tuple(index_of[w] for w in best[2])
+                assert tree.mode == mode
+
+
+def test_brute_force_rejects_non_basic_mode_uncached():
+    # one-sided, and not reduced
+    for mode in (Mode(frozenset({B("0")}), 2), Mode(frozenset({B("00"), B("01"), B("1")}), 2)):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not a basic mode"):
+                brute_force_binary(2, mode, (0.5, 0.5), {}, {})
+        assert (2, mode.words) not in _PARTITION_CACHE
 
 
 def test_symmetric_modes_equal_objectives():
