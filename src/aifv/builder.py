@@ -41,6 +41,7 @@ from .modes import (
 from .optimizer import (
     NODE_BUDGET_DEFAULT,
     LinkPrices,
+    SearchTable,
     aifvm_link_ids,
     brute_force_binary,
     build_ilp,
@@ -123,7 +124,9 @@ def _leafset_cost(mode: Mode) -> float:
 
 
 class _Family:
-    """A fixed mode family plus the per-mode tree solver for it."""
+    """A fixed mode family plus the per-mode tree solver for it, with the
+    search table every tree solve of the build shares (None for the full
+    family, which the brute force solves)."""
 
     def __init__(self, cfg: BuildConfig, probs: tuple[float, ...]):
         self.cfg = cfg
@@ -137,6 +140,7 @@ class _Family:
                 raise BuildError("full basic family supported for delays 1..3")
             self.modes = enumerate_basic_modes(n)
             self.ids = None
+            self.table = None
             self.index_of_words = {m.words: i for i, m in enumerate(self.modes)}
         else:
             ids = enumerate_continuous_ids(n) if cfg.family == "continuous" else aifvm_link_ids(n)
@@ -144,6 +148,7 @@ class _Family:
             self.modes = [mode_from_id(n, cid) for cid in ids]
             self.index_of_id = {cid: i for i, cid in enumerate(ids)}
             self.base_costs = initial_costs(n)
+            self.table = SearchTable(n, self.depth, ids, probs)
         # index 0 must be the empty-string mode: it anchors the encoder
         if self.modes[0].words != frozenset({EMPTY}):
             raise AssertionError("canonical ordering must put the empty mode first")
@@ -186,7 +191,7 @@ class _Family:
             return brute_force_binary(cfg.n, self.modes[index], self.probs,
                                       prices, self.index_of_words)
         model = build_ilp(cfg.n, self.depth, self.ids[index], self.probs, prices)
-        sol = solve_ilp(model, node_budget=cfg.node_budget, below=below)
+        sol = solve_ilp(model, node_budget=cfg.node_budget, below=below, table=self.table)
         if sol is None:
             return None
         tree = decode_solution(sol, self.index_of_id.__getitem__, self.modes[index])
@@ -216,10 +221,12 @@ def construct(p, cfg: BuildConfig) -> tuple[CodeForest, OptimalityReport]:
 
     From the second iteration on, each tree solve starts from the cost of
     the mode's previous tree under the new prices, less ``RETAIN_EPS``,
-    and keeps that tree unless the solve returns a cheaper one.  Each
-    iteration logs one ``AIFV_LOG=DEBUG`` line: trees solved, mirrored,
-    placed (first iteration), kept and replaced, and the seconds spent in
-    tree solves and in the Markov layer.
+    and keeps that tree unless the solve returns a cheaper one.  Every
+    solve of the build shares one :class:`SearchTable`.  Each iteration
+    logs one ``AIFV_LOG=DEBUG`` line: trees solved, mirrored, placed
+    (first iteration), kept and replaced, the piece lists in the shared
+    table so far, and the seconds spent in tree solves and in the Markov
+    layer.
     """
     probs = as_probs(p)
     fam = _Family(cfg, probs)
@@ -280,8 +287,9 @@ def construct(p, cfg: BuildConfig) -> tuple[CodeForest, OptimalityReport]:
         new_costs, lbars, j_star = cost_update_general(lengths, mat, blocks, pis)
         markov_s = time.perf_counter() - markov_s
         log.debug("iteration=%d solved=%d mirrored=%d placed=%d kept=%d replaced=%d "
-                  "solve_s=%.6f markov_s=%.6f", iteration, solved, k - solved, placed,
-                  kept, replaced, solve_s, markov_s)
+                  "piece_lists=%d solve_s=%.6f markov_s=%.6f", iteration, solved,
+                  k - solved, placed, kept, replaced,
+                  0 if fam.table is None else len(fam.table.piece_lists), solve_s, markov_s)
         if reuse:
             if _mirror_pins_consistent(blocks, fam.mirror):
                 # exact mathematics guarantees mirror symmetry here, so

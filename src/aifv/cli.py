@@ -43,6 +43,7 @@ log = logging.getLogger("aifv.cli")
 
 _SYMBOL_TOKEN = re.compile(r"-?[0-9]+")
 _DIST_SYMBOL = re.compile(r"a(0|[1-9][0-9]*)")
+_DIST_PROB = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 def atomic_write(path: str, data: str | bytes) -> None:
@@ -66,7 +67,8 @@ def atomic_write(path: str, data: str | bytes) -> None:
 
 def read_distribution(path: str) -> SourceDistribution:
     """Lines of the form 'a<m> <probability>', one per symbol; ``<m>`` is
-    ASCII decimal without sign or leading zeros."""
+    ASCII decimal without sign or leading zeros, ``<probability>`` an
+    unsigned ASCII decimal with an optional exponent."""
     probs: dict[int, float] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -76,19 +78,22 @@ def read_distribution(path: str) -> SourceDistribution:
             parts = line.split()
             malformed = ValueError(f"{path}:{lineno}: expected 'a<m> <probability>', got {line!r}")
             symbol = _DIST_SYMBOL.fullmatch(parts[0]) if len(parts) == 2 else None
-            if symbol is None:
+            if symbol is None or not _DIST_PROB.fullmatch(parts[1]):
                 raise malformed
-            try:
-                prob = float(parts[1])
-            except ValueError:
-                raise malformed from None
+            prob = float(parts[1])
+            if not 0 < prob <= 1:
+                raise ValueError(f"{path}:{lineno}: probability must be in (0, 1], "
+                                 f"got {parts[1]!r}")
             sym = int(symbol[1])
             if sym in probs:
                 raise ValueError(f"{path}:{lineno}: symbol a{sym} given twice")
             probs[sym] = prob
     if sorted(probs) != list(range(len(probs))):
         raise ValueError(f"{path}: symbols must be a0..a{len(probs) - 1} exactly")
-    return SourceDistribution(tuple(probs[i] for i in range(len(probs))))
+    try:
+        return SourceDistribution(tuple(probs[i] for i in range(len(probs))))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def report_sidecar(report: OptimalityReport) -> str:

@@ -21,16 +21,20 @@ construction therefore dives in its first iteration only.
 
 The link costs change once per iteration of the forest construction, so
 :func:`link_prices` turns them once into the :class:`LinkPrices` every
-tree of that iteration reads: the allowed links grouped by left margin
-with their costs, and the width and cost extremes the search bounds use.
+tree of that iteration reads: the allowed links in ascending order with
+their costs in that order, and the cost extremes the search bounds use.
 
-Inside one solve the search memoises the pieces at each (position,
-symbols left) pair, each with the log-room term of its bound, and the
-candidate symbols of each placed set; nothing outlives the solve.  An
-expansion pushes only its best surviving child and a popped child
-pushes its next sibling (partial expansion, Yoshizumi et al., AAAI
-2000), so the heap holds one entry per expansion instead of one per
-child, yet pops the same states in the same order.
+Nothing else a search reads depends on the prices.  One
+:class:`SearchTable` per build holds the pieces that fit at each
+(position, tree interval end, symbols left), each with its depth, end,
+link index and the log-room term of its bound, plus the candidate
+symbols of each placed set and the probability sums of every symbol
+set; every solve of the build reads and fills it, and prices a piece as
+its depth plus the cost at its link index.  An expansion pushes only its
+best surviving child and a popped child pushes its next sibling
+(partial expansion, Yoshizumi et al., AAAI 2000), so the heap holds one
+entry per expansion instead of one per child, yet pops the same states
+in the same order.
 
 For binary alphabets and small delays an independent partition search
 over the mode's full leaf set covers discontinuous link modes as well.
@@ -92,18 +96,17 @@ class LinkPrices:
     """One iteration's link costs, shared by every tree solved against
     them.
 
-    ``costs`` prices exactly the allowed links of delay ``n``; ``by_k1``
-    maps each left margin to its allowed right margins, ascending, and
-    their costs.  ``min_width`` is the narrowest linked piece,
-    ``2^n - k1 - k2`` in units of ``2^-n`` of the codeword's cell;
+    ``links`` are exactly the allowed links of delay ``n``, ascending;
+    ``flat`` holds their costs in that order, so a link's index in
+    ``links`` prices it, and ``costs`` maps each link to the same cost.
     ``alpha_min`` is the least link cost plus the log of the share of the
     cell the link keeps.
     """
 
     n: int
+    links: tuple[ContinuousModeId, ...]
+    flat: tuple[float, ...]
     costs: dict[ContinuousModeId, float]
-    by_k1: dict[int, tuple[list[int], list[float]]]
-    min_width: int
     min_cost: float
     alpha_min: float
 
@@ -115,22 +118,135 @@ def link_prices(
 ) -> LinkPrices:
     """The link costs as every tree solve against them reads them;
     ``costs`` must price every allowed link."""
-    allowed = sorted(allowed_links)
-    table = {c: float(costs[c]) for c in allowed}
+    links = tuple(sorted(allowed_links))
+    flat = tuple(float(costs[c]) for c in links)
     full = 1 << n
-    by_k1: dict[int, tuple[list[int], list[float]]] = {}
-    for c in allowed:  # k2 ascending within each k1
-        k2s, link_costs = by_k1.setdefault(c.k1, ([], []))
-        k2s.append(c.k2)
-        link_costs.append(table[c])
     return LinkPrices(
         n=n,
-        costs=table,
-        by_k1=by_k1,
-        min_width=min(full - c.k1 - c.k2 for c in allowed),
-        min_cost=min(table[c] for c in allowed),
-        alpha_min=min(table[c] + math.log2((full - c.k1 - c.k2) / full) for c in allowed),
+        links=links,
+        flat=flat,
+        costs=dict(zip(links, flat)),
+        min_cost=min(flat),
+        alpha_min=min(cost + math.log2((full - c.k1 - c.k2) / full)
+                      for c, cost in zip(links, flat)),
     )
+
+
+_NO_PIECES: tuple[tuple, tuple, tuple] = ((), (), ())
+
+
+class SearchTable:
+    """What the tree searches of one build read that no link price
+    changes, filled as the searches ask for it.
+
+    The table is fixed by the delay, the depth bound, the allowed links
+    and the symbol probabilities.  It holds the probability sum and
+    entropy term of every symbol set, the candidate symbols of each
+    placed set, and the pieces that fit at each (position, tree interval
+    end, symbols left).  The pieces of one key are three parallel tuples:
+    their depths, their links as indices into ``links``, and the log2 of
+    the room each leaves as a share of the unit interval.  A solve prices
+    a piece as ``depth + flat[index]`` of its :class:`LinkPrices`; a
+    depth-d piece linked by index ``i`` is ``widths[i] << (d_max - d)``
+    wide.  A key without pieces shares one empty entry, and equal
+    log-room values share one float.
+    """
+
+    def __init__(self, n: int, d_max: int, links: Sequence[ContinuousModeId],
+                 probs: Sequence[float]):
+        self.n, self.d_max = n, d_max
+        self.links = tuple(sorted(links))
+        self.probs = probs = tuple(float(x) for x in probs)
+        self.scale = 1 << (d_max + n)
+        self.by_k1: dict[int, tuple[list[int], list[int]]] = {}
+        for idx, c in enumerate(self.links):  # k2 ascending within each k1
+            k2s, idxs = self.by_k1.setdefault(c.k1, ([], []))
+            k2s.append(c.k2)
+            idxs.append(idx)
+        self.widths = tuple((1 << n) - c.k1 - c.k2 for c in self.links)
+        self.min_width = min(self.widths)
+        m = len(probs)
+        self.psum = psum = [0.0] * (1 << m)
+        self.hsum = hsum = [0.0] * (1 << m)
+        for mask in range(1, 1 << m):
+            low = mask & -mask
+            sym = low.bit_length() - 1
+            psum[mask] = psum[mask ^ low] + probs[sym]
+            hsum[mask] = hsum[mask ^ low] - probs[sym] * math.log2(probs[sym])
+        # keyed by ((end * scale + x) * m + symbols left); x < end <= scale
+        self.piece_lists: dict[int, tuple[tuple, tuple, tuple]] = {}
+        self._room_logs: dict[int, float] = {}  # room left -> its log2 share
+        self._cands: dict[int, list[int]] = {}
+
+    def pieces_at(self, x: int, end: int, rem_after: int) -> tuple[tuple, tuple, tuple]:
+        """Every piece that can start at ``x`` in a tree whose interval
+        ends at ``end``, with ``rem_after`` symbols still to place after
+        it, in (depth, k2) order, as the parallel tuples (depths, link
+        indices, log-room terms); the log-room term is 0.0 when no symbol
+        remains.
+
+        A depth-d piece linked to (k1, k2) is ``(2^n - k1 - k2) << (d_max - d)``
+        wide and x fixes its k1.  The room it leaves must be at least
+        ``min_width`` times ``rem_after`` (and none after the last
+        symbol), which bounds k2 from below.  A width bound from above
+        could never exclude a piece: every family allows link (0, 0),
+        whose depth-0 piece spans the whole unit interval, so one
+        remaining symbol's widest piece already covers any room left.
+        """
+        key = (end * self.scale + x) * len(self.probs) + rem_after
+        out = self.piece_lists.get(key)
+        if out is None:
+            pieces = tuple(self._fit(x, end, rem_after))
+            out = self.piece_lists[key] = tuple(zip(*pieces)) if pieces else _NO_PIECES
+        return out
+
+    def _fit(self, x: int, end: int, rem_after: int):
+        n, d_max = self.n, self.d_max
+        full_width = 1 << n
+        room = end - x
+        lo = self.min_width * rem_after
+        for d in range(d_max + 1):
+            unit = d_max - d
+            if x & ((1 << unit) - 1):
+                continue  # x is not on the grid of depth-d pieces
+            shift = n + unit
+            k1 = (x & ((1 << shift) - 1)) >> unit
+            entries = self.by_k1.get(k1)
+            if entries is None:
+                continue
+            k2s, idxs = entries
+            free = full_width - k1
+            if rem_after:
+                i = bisect_left(k2s, free - ((room - lo) >> unit))
+                j = len(k2s)
+            else:
+                if room & ((1 << unit) - 1):
+                    continue
+                i = bisect_left(k2s, free - (room >> unit))
+                j = bisect_right(k2s, free - (room >> unit), i)
+            for t in range(i, j):
+                pe = x + ((free - k2s[t]) << unit)
+                yield d, idxs[t], self._room_log(end - pe) if rem_after else 0.0
+
+    def _room_log(self, left: int) -> float:
+        out = self._room_logs.get(left)
+        if out is None:
+            out = self._room_logs[left] = math.log2(left / self.scale)
+        return out
+
+    def candidates(self, used_mask: int) -> list[int]:
+        """The unplaced symbols, ascending, that come first among the
+        unplaced ones of their probability."""
+        cands = self._cands.get(used_mask)
+        if cands is None:
+            probs = self.probs
+            cands = self._cands[used_mask] = [
+                sym for sym in range(len(probs))
+                if not used_mask >> sym & 1 and not any(
+                    not (used_mask >> s2 & 1) and probs[s2] == probs[sym]
+                    for s2 in range(sym))
+            ]
+        return cands
 
 
 @dataclass(frozen=True)
@@ -217,6 +333,7 @@ def solve_ilp(
     model: IlpModel,
     node_budget: int = NODE_BUDGET_DEFAULT,
     below: float | None = None,
+    table: SearchTable | None = None,
 ) -> TreeSolution | None:
     """Provably optimal tree for the model, or with ``below`` the optimal
     tree among those that cost less than ``below``, None if there is none.
@@ -234,17 +351,19 @@ def solve_ilp(
     optimum tied with the dive's own tree can come back as another tree
     of equal cost.
 
-    Everything that depends only on the link costs comes precomputed in
-    ``model.prices``.  Within one solve, the pieces that fit at a
-    (position, symbols left) pair and the candidate symbols of a placed
-    set are computed once, and each piece carries the log of the room it
-    leaves, so a child's bound costs a few float operations.  Children
-    are merged lazily: an expansion bounds and prunes all of its
-    children, sorts the survivors by (bound, insertion number) and
-    pushes only the first, and popping a child pushes its next sibling.
-    The heap thus pops the same states in the same order, under the
-    same node budget, as one holding every child.  States point to their
-    parents, and the path is rebuilt once at the end.
+    The search reads its pieces, candidate symbols and probability sums
+    from ``table``, which every solve of a build shares and fills (a
+    fresh one when None; one built for another delay, depth bound, link
+    set or distribution raises :class:`ValueError`), and its link costs
+    and bound constants from ``model.prices``.  A piece's cost is its
+    depth plus the price at its link index, and each piece carries the
+    log of the room it leaves, so a child's bound costs a few float
+    operations.  Children are merged lazily: an expansion bounds and
+    prunes all of its children, sorts the survivors by (bound, insertion
+    number) and pushes only the first, and popping a child pushes its
+    next sibling.  The heap thus pops the same states in the same order,
+    under the same node budget, as one holding every child.  States
+    point to their parents, and the path is rebuilt once at the end.
 
     A returned tree is checked by :func:`check_assignment` as a tiling of
     the mode's interval, and its objective is recomputed from the pieces;
@@ -253,92 +372,21 @@ def solve_ilp(
     n, d_max, m = model.n, model.d_max, model.m
     probs = model.probs
     prices = model.prices
-    by_k1 = prices.by_k1
-    min_width = prices.min_width
+    if table is None:
+        table = SearchTable(n, d_max, prices.links, probs)
+    elif (table.n, table.d_max, table.probs, table.links) != (n, d_max, probs, prices.links):
+        raise ValueError("search table was built for another tree problem")
+    flat = prices.flat
     min_cost, alpha_min = prices.min_cost, prices.alpha_min
-    scale = 1 << (d_max + n)
-    full_width = 1 << n
+    scale, widths = table.scale, table.widths
     mode_id = model.mode_id
     start = mode_id.k1 << d_max
-    end = (full_width - mode_id.k2) << d_max
+    end = ((1 << n) - mode_id.k2) << d_max
     log2 = math.log2
+    psum, hsum = table.psum, table.hsum
+    pieces_at, candidates = table.pieces_at, table.candidates
 
     full_mask = (1 << m) - 1
-    psum = [0.0] * (1 << m)
-    hsum = [0.0] * (1 << m)
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        sym = low.bit_length() - 1
-        psum[mask] = psum[mask ^ low] + probs[sym]
-        hsum[mask] = hsum[mask ^ low] - probs[sym] * log2(probs[sym])
-
-    piece_memo: dict[tuple[int, int], list[tuple]] = {}
-
-    def pieces_at(x: int, rem_after: int) -> list[tuple]:
-        """Every piece that can start at ``x`` with ``rem_after`` symbols
-        still to place after it, in (depth, k2) order, as
-        ``(d, v, k1, k2, piece end, depth + link cost, log2 of the room
-        left as a share of the unit interval)``, the last 0.0 when no
-        symbol remains.
-
-        A depth-d piece linked to (k1, k2) is ``(2^n - k1 - k2) << (d_max - d)``
-        wide and x fixes its k1.  The room it leaves must be at least
-        ``min_width`` times ``rem_after`` (and none after the last
-        symbol), which bounds k2 from below.  A width bound from above
-        could never exclude a piece: every family allows link (0, 0),
-        whose depth-0 piece spans the whole unit interval, so one
-        remaining symbol's widest piece already covers any room left.
-        """
-        out = piece_memo.get((x, rem_after))
-        if out is not None:
-            return out
-        room = end - x
-        lo = min_width * rem_after
-        out = []
-        for d in range(d_max + 1):
-            unit = d_max - d
-            if x & ((1 << unit) - 1):
-                continue  # x is not on the grid of depth-d pieces
-            shift = n + unit
-            v = x >> shift
-            k1 = (x & ((1 << shift) - 1)) >> unit
-            entries = by_k1.get(k1)
-            if entries is None:
-                continue
-            k2s, link_costs = entries
-            free = full_width - k1
-            if rem_after:
-                i = bisect_left(k2s, free - ((room - lo) >> unit))
-                j = len(k2s)
-            else:
-                if room & ((1 << unit) - 1):
-                    continue
-                i = bisect_left(k2s, free - (room >> unit))
-                j = bisect_right(k2s, free - (room >> unit), i)
-            for t in range(i, j):
-                k2 = k2s[t]
-                pe = x + ((free - k2) << unit)
-                out.append((d, v, k1, k2, pe, d + link_costs[t],
-                            log2((end - pe) / scale) if rem_after else 0.0))
-        piece_memo[(x, rem_after)] = out
-        return out
-
-    cand_memo: dict[int, list[int]] = {}
-
-    def candidates(used_mask: int) -> list[int]:
-        """The unplaced symbols, ascending, that come first among the
-        unplaced ones of their probability."""
-        cands = cand_memo.get(used_mask)
-        if cands is None:
-            cands = [
-                sym for sym in range(m)
-                if not used_mask >> sym & 1 and not any(
-                    not (used_mask >> s2 & 1) and probs[s2] == probs[sym]
-                    for s2 in range(sym))
-            ]
-            cand_memo[used_mask] = cands
-        return cands
-
     nodes = 0
 
     def spend(phase: str) -> None:
@@ -351,7 +399,7 @@ def solve_ilp(
             )
 
     # A state's node is None at the start, else (parent node, symbol,
-    # piece); g accumulates p * (depth + link cost).
+    # depth, link index); g accumulates p * (depth + link cost).
     def dive() -> tuple[float, tuple] | None:
         # first feasible solution, largest pieces first for big symbols
         stack = [(start, 0, 0.0, None)]
@@ -362,15 +410,17 @@ def solve_ilp(
                 if x == end:
                     return g, node
                 continue
-            pieces = pieces_at(x, (full_mask ^ used).bit_count() - 1)
+            depths, idxs, _ = pieces_at(x, end, (full_mask ^ used).bit_count() - 1)
             children = []
             for sym in sorted(candidates(used), key=lambda s: (-probs[s], s)):
-                for piece in pieces:
-                    children.append(((piece[4] - x, -piece[5]), sym, piece))
+                for d, idx in zip(depths, idxs):
+                    cost = d + flat[idx]
+                    width = widths[idx] << (d_max - d)
+                    children.append(((width, -cost), sym, d, idx, cost))
             children.sort(key=lambda c: c[0])
-            for _, sym, piece in children:
-                stack.append((piece[4], used | (1 << sym), g + probs[sym] * piece[5],
-                              (node, sym, piece)))
+            for (width, _), sym, d, idx, cost in children:
+                stack.append((x + width, used | (1 << sym), g + probs[sym] * cost,
+                              (node, sym, d, idx)))
         return None
 
     if below is None:
@@ -386,10 +436,10 @@ def solve_ilp(
     heappush, heappop = heapq.heappush, heapq.heappop
 
     def push_child(group: tuple, i: int) -> None:
-        kids, used, g, node = group
-        f2, seq2, sym, piece = kids[i]
-        heappush(heap, (f2, seq2, piece[4], used | (1 << sym), g + probs[sym] * piece[5],
-                        (node, sym, piece), group, i))
+        kids, x, used, node = group
+        f2, seq2, g2, sym, d, idx = kids[i]
+        heappush(heap, (f2, seq2, x + (widths[idx] << (d_max - d)), used | (1 << sym), g2,
+                        (node, sym, d, idx), group, i))
 
     # A state's lower bound on the cost still to come: the entropy of the
     # unplaced probabilities over the log share of the interval left to
@@ -418,30 +468,32 @@ def solve_ilp(
                 best = (g, node)
                 cutoff = g - 1e-15
             continue
-        pieces = pieces_at(x, (full_mask ^ used).bit_count() - 1)
+        depths, idxs, room_logs = pieces_at(x, end, (full_mask ^ used).bit_count() - 1)
         kids = []
         for sym in candidates(used):
             p = probs[sym]
             left = full_mask ^ used ^ (1 << sym)
             if not left:
-                for piece in pieces:
-                    f2 = g + p * piece[5]
-                    if f2 < cutoff:
+                for d, idx in zip(depths, idxs):
+                    g2 = g + p * (d + flat[idx])
+                    if g2 < cutoff:
                         seq += 1
-                        kids.append((f2, seq, sym, piece))
+                        kids.append((g2, seq, g2, sym, d, idx))
                 continue
-            # the same bound at the piece's end, the symbol's terms hoisted
+            # the same bound at the piece's end, the symbol's terms hoisted;
+            # the conditional is max(ent, floor) without the call
             p_total, h_total = psum[left], hsum[left]
             log_p, floor = log2(p_total), p_total * min_cost
-            for piece in pieces:
-                ent = h_total + p_total * (log_p - piece[6] + alpha_min)
-                f2 = g + p * piece[5] + (max(ent, floor) - BOUND_SLACK)
+            for d, idx, room_log in zip(depths, idxs, room_logs):
+                ent = h_total + p_total * (log_p - room_log + alpha_min)
+                g2 = g + p * (d + flat[idx])
+                f2 = g2 + ((floor if floor > ent else ent) - BOUND_SLACK)
                 if f2 < cutoff:
                     seq += 1
-                    kids.append((f2, seq, sym, piece))
+                    kids.append((f2, seq, g2, sym, d, idx))
         if kids:
             kids.sort()
-            push_child((kids, used, g, node), 0)
+            push_child((kids, x, used, node), 0)
 
     if best is None:
         return None  # no tree costs less than ``below``
@@ -449,24 +501,27 @@ def solve_ilp(
     objective, node = best
     path = []
     while node is not None:
-        node, sym, piece = node
-        path.append((sym, *piece[:4]))
+        node, sym, d, idx = node
+        path.append((sym, d, idx))
     path.reverse()
-    order = [sym for sym, *_ in path]
-    pieces = [None] * m
-    for sym, d, v, k1, k2 in path:
-        pieces[sym] = (d, v, k1, k2)
-    codewords = tuple(BitString(d, v) for d, v, _, _ in pieces)
-    link_ids = tuple(ContinuousModeId(k1, k2) for _, _, k1, k2 in pieces)
-    bad = check_assignment(model, TreeSolution(codewords, link_ids, objective, tuple(order)))
+    order = tuple(sym for sym, _, _ in path)
+    codewords: list = [None] * m
+    link_ids: list = [None] * m
+    x = start
+    for sym, d, idx in path:
+        codewords[sym] = BitString(d, x >> (n + d_max - d))
+        link_ids[sym] = table.links[idx]
+        x += widths[idx] << (d_max - d)
+    solution = TreeSolution(tuple(codewords), tuple(link_ids), objective, order)
+    bad = check_assignment(model, solution)
     if bad:
         raise ModelError(f"solver output is no tiling: {bad[:3]}")
     recomputed = sum(
-        probs[s] * (pieces[s][0] + prices.costs[link_ids[s]]) for s in range(m)
+        probs[s] * (codewords[s].length + prices.costs[link_ids[s]]) for s in range(m)
     )
     if abs(recomputed - objective) > 1e-9:
         raise ModelError("objective mismatch between search and recomputation")
-    return TreeSolution(codewords, link_ids, float(recomputed), tuple(order))
+    return TreeSolution(solution.codewords, solution.link_ids, float(recomputed), order)
 
 
 def decode_solution(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -158,7 +159,8 @@ def test_warm_start_builds_what_cold_solves_build(build):
     solve = aifv.builder.solve_ilp
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(aifv.builder, "solve_ilp",
-                   lambda model, node_budget, below=None: solve(model, node_budget=node_budget))
+                   lambda model, node_budget, below=None, table=None:
+                   solve(model, node_budget=node_budget, table=table))
         cold_forest, cold_report = build()
     assert format_codebook(forest) == format_codebook(cold_forest)
     assert repr(report) == repr(cold_report)
@@ -253,3 +255,26 @@ def test_rising_worst_block_length_is_a_build_error(monkeypatch, tmp_path, capsy
     assert main(["construct", "--dist", str(dist), "-N", "3", "-o", str(book)]) == 2
     assert "error: iteration 2: worst-block expected length increased" in capsys.readouterr().err
     assert not book.exists()
+
+
+# SHA-256 of format_codebook(forest) + repr(report) for a small build
+# matrix, computed before the tree solver shared its piece lists across a
+# build; any change to a forest, a trace or a float of a report moves one.
+OUTPUT_PINS = [
+    ((0.6, 0.4), 2, "6f381967837ce18b07bd65f3a8784b877f114532175a3d30e5427f153e01162e"),
+    ((0.6, 0.4), 3, "34951fc3db1ff6aa9a140d7f14131c67bfefa548609ae79e1abc47c0976ed4fc"),
+    ((0.6, 0.4), 4, "d508f0938e44e84a38ad8753a315f8aa05e291b805582507595a22809333ca90"),
+    ((0.9, 0.1), 2, "094295a1ac4117f3f07f6b892726bd1f873de5790d079d951bb821b3077fba66"),
+    ((0.9, 0.1), 3, "71137c723746164cedc3c9d633aef8eca1ecf84fa14edcf748810367305f3c8b"),
+    ((0.9, 0.1), 4, "0b288dccc2a5e9619459bd63f92f90dd14d88ad528606f7c91c6b49f5d5a5030"),
+    ((0.4, 0.25, 0.15, 0.12, 0.08), 3,
+     "662e1b4e89ca8fc50b5a2aac95e6794387c9f8b2ea69eaec093460f5917ffacd"),
+]
+
+
+@pytest.mark.parametrize("probs, n, digest", OUTPUT_PINS)
+def test_build_output_is_pinned(probs, n, digest):
+    """Codebook text and report are bit-identical to the pinned builds."""
+    forest, report = construct(probs, BuildConfig(n=n))
+    text = format_codebook(forest) + repr(report)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

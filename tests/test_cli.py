@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from aifv.cli import main
+from aifv.cli import main, read_distribution
 from aifv.forest import format_codebook
 
 
@@ -184,6 +184,11 @@ def test_bad_distribution_is_validation_error(tmp_path):
     ("a0 0.3\na0 0.5\na1 0.5\n", ":2: symbol a0 given twice"),
     ("a0 0.9\nab 0.1\n", ":2: expected 'a<m> <probability>', got 'ab 0.1'"),
     ("# comment\na0 0.9\na1 x\n", ":3: expected 'a<m> <probability>', got 'a1 x'"),
+    ("a0 0\na1 1\n", ":1: probability must be in (0, 1], got '0'"),
+    ("a0 1e-400\na1 1\n", ":1: probability must be in (0, 1], got '1e-400'"),
+    ("a0 0.5\na1 1e400\n", ":2: probability must be in (0, 1], got '1e400'"),
+    ("a0 0.9\na1 0.2\n", ": probabilities must sum to 1"),
+    ("a0 1\n", ": alphabet needs at least two symbols"),
 ])
 def test_distribution_errors_name_the_line(tmp_path, capsys, text, message):
     path = str(tmp_path / "bad.dist")
@@ -204,6 +209,28 @@ def test_distribution_rejects_non_decimal_symbol_names(tmp_path, capsys, name):
     assert capsys.readouterr().err == (
         f"error: {path}:2: expected 'a<m> <probability>', got {line!r}\n")
     assert not os.path.exists(book)
+
+
+@pytest.mark.parametrize("prob", ["9_0e-2", "\u0660.\u0669", "inf", "nan", "-0.9", "+0.9",
+                                  "0x1p-1", "1e", ".", "0.9\uff10"])
+def test_distribution_rejects_non_decimal_probabilities(tmp_path, capsys, prob):
+    path = str(tmp_path / "bad.dist")
+    write(path, f"a0 {prob}\na1 0.1\n")
+    book = str(tmp_path / "book")
+    assert main(["construct", "--dist", path, "-N", "1", "-o", book]) == 2
+    line = f"a0 {prob}"
+    assert capsys.readouterr().err == (
+        f"error: {path}:1: expected 'a<m> <probability>', got {line!r}\n")
+    assert not os.path.exists(book)
+
+
+@pytest.mark.parametrize("p0, p1", [("0.9", "0.1"), ("0.999", "1e-3"), (".5", "5E-1"),
+                                    ("9e-1", "1.e-1")])
+def test_distribution_reads_ascii_decimal_probabilities(tmp_path, p0, p1):
+    path = str(tmp_path / "ok.dist")
+    write(path, f"a0 {p0}\na1 {p1}\n")
+    assert read_distribution(path).probs == (float(p0), float(p1))
+    assert main(["construct", "--dist", path, "-N", "1", "-o", str(tmp_path / "book")]) == 0
 
 
 def test_distribution_reads_multi_digit_symbols(tmp_path):

@@ -33,6 +33,7 @@ from aifv.optimizer import (
     BOUND_SLACK,
     ModelError,
     ResourceLimitError,
+    SearchTable,
     TreeSolution,
     _partition_table,
     aifvm_link_ids,
@@ -709,15 +710,19 @@ REFERENCE_CASES = dict(
 )
 
 
-def reference_models(n, aifvm, weights, pool, on_start, seed):
-    """Every tree model of one drawn case of ``REFERENCE_CASES``."""
-    probs = tuple(w / sum(weights) for w in weights)
+def drawn_prices(n, aifvm, pool, on_start, seed):
+    """The prices of one drawn case of ``REFERENCE_CASES``."""
     rng = random.Random(seed)
     costs = {cid: rng.choice(pool) + (c0 if on_start else 0.0)
              for cid, c0 in initial_costs(n).items()}
-    links = family_links(n, aifvm)
-    prices = link_prices(n, links, costs)
-    for cid in links:
+    return link_prices(n, family_links(n, aifvm), costs)
+
+
+def reference_models(n, aifvm, weights, pool, on_start, seed):
+    """Every tree model of one drawn case of ``REFERENCE_CASES``."""
+    probs = tuple(w / sum(weights) for w in weights)
+    prices = drawn_prices(n, aifvm, pool, on_start, seed)
+    for cid in prices.links:
         yield build_ilp(n, n + 2, cid, probs, prices)
 
 
@@ -758,6 +763,46 @@ def test_solve_below_a_cutoff_matches_the_cold_solve(n, aifvm, weights, pool, on
             assert check_assignment(model, warm) == []
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(**REFERENCE_CASES, other_seed=st.integers(0, 2 ** 16), pick=st.integers(0, 2 ** 16),
+       offset=st.sampled_from([None, 0.5, -1e-9]))
+def test_shared_table_solves_like_a_fresh_one(n, aifvm, weights, pool, on_start, seed,
+                                              other_seed, pick, offset):
+    """A solve through a table that the other modes of the build have
+    filled, under other prices, returns what a solve with a fresh table
+    returns, cold or below a cutoff, and spends the same nodes."""
+    models = list(reference_models(n, aifvm, weights, pool, on_start, seed))
+    model = models[pick % len(models)]
+    table = SearchTable(n, model.d_max, model.prices.links, model.probs)
+    other = drawn_prices(n, aifvm, pool, not on_start, other_seed)
+    for cid in other.links:
+        if cid != model.mode_id:
+            solve_ilp(build_ilp(n, model.d_max, cid, model.probs, other), table=table)
+    filled = len(table.piece_lists)
+    below = None if offset is None else solve_ilp(model).objective + offset
+
+    def shared(mdl, node_budget=10_000_000):
+        return solve_ilp(mdl, node_budget=node_budget, below=below, table=table)
+
+    def fresh(mdl, node_budget=10_000_000):
+        return solve_ilp(mdl, node_budget=node_budget, below=below)
+
+    assert shared(model) == fresh(model)
+    assert least_budget(shared, model) == least_budget(fresh, model)
+    assert len(table.piece_lists) >= filled
+
+
+def test_search_table_must_fit_the_problem():
+    prices = link_prices(2, enumerate_continuous_ids(2), initial_costs(2))
+    model = build_ilp(2, 4, ContinuousModeId(0, 0), (0.9, 0.1), prices)
+    assert solve_ilp(model, table=SearchTable(2, 4, prices.links, (0.9, 0.1))) == solve_ilp(model)
+    for table in (SearchTable(2, 5, prices.links, (0.9, 0.1)),
+                  SearchTable(2, 4, prices.links, (0.8, 0.2)),
+                  SearchTable(2, 4, aifvm_link_ids(2), (0.9, 0.1))):
+        with pytest.raises(ValueError, match="search table was built for another tree problem"):
+            solve_ilp(model, table=table)
+
+
 def recorded_build(p, n):
     """Build ``p`` at delay ``n``, recording every price object the build
     made and the model of every tree it solved."""
@@ -795,8 +840,8 @@ def test_prices_built_once_per_iteration(n4_build):
 
 def test_iteration_debug_lines_account_for_every_solve(caplog):
     """One ``AIFV_LOG=DEBUG`` line per iteration: every solved tree is
-    placed (first iteration), kept or replaced, and every mode is solved
-    or mirrored."""
+    placed (first iteration), kept or replaced, every mode is solved or
+    mirrored, and the build's shared piece lists only grow."""
     with caplog.at_level(logging.DEBUG, logger="aifv.builder"):
         _, solved_models, report = recorded_build((0.9, 0.1), 4)
     lines = [dict(field.split("=") for field in r.getMessage().split())
@@ -811,6 +856,8 @@ def test_iteration_debug_lines_account_for_every_solve(caplog):
     assert all(c["placed"] == 0 for c in counts[1:])
     assert sum(c["kept"] for c in counts) > sum(c["replaced"] for c in counts) > 0
     assert sum(c["solved"] for c in counts) == len(solved_models)
+    piece_lists = [c["piece_lists"] for c in counts]
+    assert piece_lists[0] > 0 and piece_lists == sorted(piece_lists)
 
 
 def test_solver_matches_reference_on_build_costs(n4_build):
