@@ -10,6 +10,7 @@ for the range coder).
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .builder import (
@@ -71,104 +72,69 @@ def scaled_frequencies(p) -> list[int]:
     return freqs
 
 
-class _RangeEncoder:
-    def __init__(self):
-        self.low = 0
-        self.span = RANGE_MASK
-        self.out = bytearray()
-
-    def _normalize(self):
-        while True:
-            if (self.low ^ (self.low + self.span)) < RANGE_TOP:
-                pass
-            elif self.span < RANGE_BOT:
-                self.span = (-self.low) & (RANGE_BOT - 1)
-            else:
-                break
-            self.out.append((self.low >> 24) & 0xFF)
-            self.span = (self.span << 8) & RANGE_MASK
-            self.low = (self.low << 8) & RANGE_MASK
-
-    def encode(self, cum_low: int, freq: int, total: int):
-        r = self.span // total
-        self.low = (self.low + cum_low * r) & RANGE_MASK
-        self.span = freq * r
-        self._normalize()
-
-    def finish(self) -> bytes:
-        for _ in range(4):
-            self.out.append((self.low >> 24) & 0xFF)
-            self.low = (self.low << 8) & RANGE_MASK
-        return bytes(self.out)
-
-
-class _RangeDecoder:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-        self.low = 0
-        self.span = RANGE_MASK
-        self.code = 0
-        for _ in range(4):
-            self.code = ((self.code << 8) | self._byte()) & RANGE_MASK
-
-    def _byte(self) -> int:
-        b = self.data[self.pos] if self.pos < len(self.data) else 0
-        self.pos += 1
-        return b
-
-    def _normalize(self):
-        while True:
-            if (self.low ^ (self.low + self.span)) < RANGE_TOP:
-                pass
-            elif self.span < RANGE_BOT:
-                self.span = (-self.low) & (RANGE_BOT - 1)
-            else:
-                break
-            self.code = ((self.code << 8) | self._byte()) & RANGE_MASK
-            self.span = (self.span << 8) & RANGE_MASK
-            self.low = (self.low << 8) & RANGE_MASK
-
-    def cum_value(self, total: int) -> int:
-        r = self.span // total
-        v = (self.code - self.low) & RANGE_MASK
-        cum = v // r
-        if cum >= total:
-            raise RangeCodingError("corrupt range-coded stream")
-        return cum
-
-    def consume(self, cum_low: int, freq: int, total: int):
-        r = self.span // total
-        self.low = (self.low + cum_low * r) & RANGE_MASK
-        self.span = freq * r
-        self._normalize()
+def _frequency_table(p) -> tuple[list[int], list[int]]:
+    """Each symbol's frequency, and its slot start in the 16-bit table
+    followed by the total."""
+    freqs = scaled_frequencies(p)
+    return freqs, list(itertools.accumulate(freqs, initial=0))
 
 
 def range_encode(p, symbols) -> bytes:
-    """32-bit range coder with a static 16-bit frequency table."""
-    freqs = scaled_frequencies(p)
-    cums = [0]
-    for f in freqs:
-        cums.append(cums[-1] + f)
-    enc = _RangeEncoder()
+    """32-bit carryless range coder with a static 16-bit frequency table.
+
+    After each symbol the top byte of ``low`` is shifted out while the
+    interval ``[low, low + span)`` lies within it.  When it does not but
+    the span has fallen below ``RANGE_BOT``, the span is cut to end at
+    the next multiple of ``RANGE_BOT``, which brings it within.  A span
+    of at least ``RANGE_TOP`` never lies within one top byte, so the
+    loop tests that first.
+    """
+    freqs, cums = _frequency_table(p)
+    m = len(freqs)
+    low, span, out = 0, RANGE_MASK, bytearray()
     for s in symbols:
-        enc.encode(cums[s], freqs[s], FREQ_TOTAL)
-    return enc.finish()
+        if not 0 <= s < m:
+            raise ValueError(f"symbol {s} outside alphabet of {m}")
+        r = span // FREQ_TOTAL
+        low = (low + cums[s] * r) & RANGE_MASK
+        span = freqs[s] * r
+        while span < RANGE_TOP:
+            if (low ^ (low + span)) >= RANGE_TOP:
+                if span >= RANGE_BOT:
+                    break
+                span = -low & (RANGE_BOT - 1)
+            out.append(low >> 24)
+            span <<= 8
+            low = (low << 8) & RANGE_MASK
+    return bytes(out) + low.to_bytes(4, "big")
 
 
 def range_decode(p, data: bytes, count: int) -> list[int]:
-    freqs = scaled_frequencies(p)
-    cums = [0]
-    for f in freqs:
-        cums.append(cums[-1] + f)
-    dec = _RangeDecoder(data)
-    out = []
+    """Decode ``count`` symbols; reads zero bytes past the end of ``data``."""
+    if count < 0:
+        raise ValueError(f"symbol count must not be negative, got {count}")
+    freqs, cums = _frequency_table(p)
+    stream = iter(data)
+    code = 0
+    for _ in range(4):
+        code = code << 8 | next(stream, 0)
+    low, span, out = 0, RANGE_MASK, []
     for _ in range(count):
-        v = dec.cum_value(FREQ_TOTAL)
-        s = 0
-        while cums[s + 1] <= v:
-            s += 1
-        dec.consume(cums[s], freqs[s], FREQ_TOTAL)
+        r = span // FREQ_TOTAL
+        v = ((code - low) & RANGE_MASK) // r
+        if v >= FREQ_TOTAL:
+            raise RangeCodingError("corrupt range-coded stream")
+        s = bisect_right(cums, v) - 1
+        low = (low + cums[s] * r) & RANGE_MASK
+        span = freqs[s] * r
+        while span < RANGE_TOP:
+            if (low ^ (low + span)) >= RANGE_TOP:
+                if span >= RANGE_BOT:
+                    break
+                span = -low & (RANGE_BOT - 1)
+            code = (code << 8 | next(stream, 0)) & RANGE_MASK
+            span <<= 8
+            low = (low << 8) & RANGE_MASK
         out.append(s)
     return out
 
@@ -291,7 +257,7 @@ def run_simulation(cfg: SimulationRun) -> list[ExperimentRow]:
                            lambda seq, d=dist: 8 * len(range_encode(d.probs, seq))))
         for size in cfg.seq_sizes:
             sequences = [
-                [int(s) for s in sample_inversion(dist.probs, size, cfg.seed + t)]
+                sample_inversion(dist.probs, size, cfg.seed + t).tolist()
                 for t in range(cfg.trials)
             ]
             for name, n_or_m, book, count_bits in coders:

@@ -225,8 +225,8 @@ def construct(p, cfg: BuildConfig) -> tuple[CodeForest, OptimalityReport]:
     solve of the build shares one :class:`SearchTable`.  Each iteration
     logs one ``AIFV_LOG=DEBUG`` line: trees solved, mirrored, placed
     (first iteration), kept and replaced, the piece lists in the shared
-    table so far, and the seconds spent in tree solves and in the Markov
-    layer.
+    table so far, the seconds spent in tree solves and in the Markov
+    layer, and the chain's blocks and absorbing blocks.
     """
     probs = as_probs(p)
     fam = _Family(cfg, probs)
@@ -287,9 +287,10 @@ def construct(p, cfg: BuildConfig) -> tuple[CodeForest, OptimalityReport]:
         new_costs, lbars, j_star = cost_update_general(lengths, mat, blocks, pis)
         markov_s = time.perf_counter() - markov_s
         log.debug("iteration=%d solved=%d mirrored=%d placed=%d kept=%d replaced=%d "
-                  "piece_lists=%d solve_s=%.6f markov_s=%.6f", iteration, solved,
-                  k - solved, placed, kept, replaced,
-                  0 if fam.table is None else len(fam.table.piece_lists), solve_s, markov_s)
+                  "piece_lists=%d solve_s=%.6f markov_s=%.6f blocks=%d absorbing=%d",
+                  iteration, solved, k - solved, placed, kept, replaced,
+                  0 if fam.table is None else len(fam.table.piece_lists), solve_s, markov_s,
+                  len(blocks.blocks), blocks.n_absorbing)
         if reuse:
             if _mirror_pins_consistent(blocks, fam.mirror):
                 # exact mathematics guarantees mirror symmetry here, so
@@ -315,9 +316,6 @@ def construct(p, cfg: BuildConfig) -> tuple[CodeForest, OptimalityReport]:
         )
         full_inv = costs_invariant(new_costs, costs, cfg.tolerance)
         costs = new_costs
-        if blocks.n_absorbing > 1 or len(blocks.blocks) > 1:
-            log.debug("iteration %d: %d blocks (%d absorbing)",
-                      iteration, len(blocks.blocks), blocks.n_absorbing)
         if full_inv:
             converged = True
             break

@@ -14,6 +14,9 @@
   ``2**(d_max + n)`` so it holds in exact integers.  A tree is feasible
   exactly when its pieces tile the mode's interval, which
   :func:`aifv.optimizer.check_assignment` checks directly.
+* The range coder as an encoder and a decoder object, each keeping
+  ``low`` and ``span`` as attributes and normalising in a method.  The
+  running coder is one loop per direction on local variables.
 """
 
 from __future__ import annotations
@@ -22,6 +25,14 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable
 
+from aifv.bench import (
+    FREQ_TOTAL,
+    RANGE_BOT,
+    RANGE_MASK,
+    RANGE_TOP,
+    RangeCodingError,
+    scaled_frequencies,
+)
 from aifv.bitstrings import LMAX, BitString, CapacityError, WordSet, expand_to_length, is_prefix
 from aifv.forest import CodeTree
 from aifv.modes import ContinuousModeId, Mode, enumerate_continuous_ids, is_basic_mode, mode_from_id
@@ -422,3 +433,109 @@ def tree_from_assignment(model: IlpModel, assignment: dict) -> CodeTree:
         codewords.append(BitString(d, value))
         links.append(cid.k1 * (1 << (model.n - 1)) + cid.k2)
     return CodeTree(tuple(codewords), tuple(links), mode_from_id(model.n, model.mode_id))
+
+
+# ---------------------------------------------------------------------------
+# the range coder on objects
+
+
+class _RangeEncoder:
+    def __init__(self):
+        self.low = 0
+        self.span = RANGE_MASK
+        self.out = bytearray()
+
+    def _normalize(self):
+        while True:
+            if (self.low ^ (self.low + self.span)) < RANGE_TOP:
+                pass
+            elif self.span < RANGE_BOT:
+                self.span = (-self.low) & (RANGE_BOT - 1)
+            else:
+                break
+            self.out.append((self.low >> 24) & 0xFF)
+            self.span = (self.span << 8) & RANGE_MASK
+            self.low = (self.low << 8) & RANGE_MASK
+
+    def encode(self, cum_low: int, freq: int, total: int):
+        r = self.span // total
+        self.low = (self.low + cum_low * r) & RANGE_MASK
+        self.span = freq * r
+        self._normalize()
+
+    def finish(self) -> bytes:
+        for _ in range(4):
+            self.out.append((self.low >> 24) & 0xFF)
+            self.low = (self.low << 8) & RANGE_MASK
+        return bytes(self.out)
+
+
+class _RangeDecoder:
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+        self.low = 0
+        self.span = RANGE_MASK
+        self.code = 0
+        for _ in range(4):
+            self.code = ((self.code << 8) | self._byte()) & RANGE_MASK
+
+    def _byte(self) -> int:
+        b = self.data[self.pos] if self.pos < len(self.data) else 0
+        self.pos += 1
+        return b
+
+    def _normalize(self):
+        while True:
+            if (self.low ^ (self.low + self.span)) < RANGE_TOP:
+                pass
+            elif self.span < RANGE_BOT:
+                self.span = (-self.low) & (RANGE_BOT - 1)
+            else:
+                break
+            self.code = ((self.code << 8) | self._byte()) & RANGE_MASK
+            self.span = (self.span << 8) & RANGE_MASK
+            self.low = (self.low << 8) & RANGE_MASK
+
+    def cum_value(self, total: int) -> int:
+        r = self.span // total
+        v = (self.code - self.low) & RANGE_MASK
+        cum = v // r
+        if cum >= total:
+            raise RangeCodingError("corrupt range-coded stream")
+        return cum
+
+    def consume(self, cum_low: int, freq: int, total: int):
+        r = self.span // total
+        self.low = (self.low + cum_low * r) & RANGE_MASK
+        self.span = freq * r
+        self._normalize()
+
+
+def range_encode_reference(p, symbols) -> bytes:
+    """32-bit range coder with a static 16-bit frequency table."""
+    freqs = scaled_frequencies(p)
+    cums = [0]
+    for f in freqs:
+        cums.append(cums[-1] + f)
+    enc = _RangeEncoder()
+    for s in symbols:
+        enc.encode(cums[s], freqs[s], FREQ_TOTAL)
+    return enc.finish()
+
+
+def range_decode_reference(p, data: bytes, count: int) -> list[int]:
+    freqs = scaled_frequencies(p)
+    cums = [0]
+    for f in freqs:
+        cums.append(cums[-1] + f)
+    dec = _RangeDecoder(data)
+    out = []
+    for _ in range(count):
+        v = dec.cum_value(FREQ_TOTAL)
+        s = 0
+        while cums[s + 1] <= v:
+            s += 1
+        dec.consume(cums[s], freqs[s], FREQ_TOTAL)
+        out.append(s)
+    return out

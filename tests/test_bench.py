@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import importlib.util
 import math
@@ -8,8 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from aifv.bench import (
+    RangeCodingError,
     SimulationRun,
     TheoreticalRun,
     extended_huffman,
@@ -28,6 +31,7 @@ from aifv.sources import (
     sources_binary_grid,
     sources_polynomial,
 )
+from oracles import range_decode_reference, range_encode_reference
 
 
 def test_binary_grid():
@@ -118,6 +122,77 @@ def test_range_overhead_shrinks_with_length():
             total += 8 * len(range_encode(probs, seq)) / size
         reds.append(total / 40 / h - 1)
     assert reds[0] > reds[-1]
+
+
+def test_range_coder_rejects_symbols_outside_alphabet_and_negative_count():
+    probs = (0.5, 0.5)
+    for bad in (-1, 2):
+        with pytest.raises(ValueError, match=f"symbol {bad} outside alphabet of 2"):
+            range_encode(probs, [0, bad, 1])
+    with pytest.raises(ValueError, match="symbol count must not be negative, got -1"):
+        range_decode(probs, range_encode(probs, [0, 1]), -1)
+
+
+def outcome(fn, *args):
+    """The value of a call, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except RangeCodingError as err:
+        return type(err), str(err)
+
+
+@st.composite
+def coded_inputs(draw):
+    """A distribution ``scaled_frequencies`` accepts, some of its
+    probabilities near the 2**-16 floor, and a message over it."""
+    m = draw(st.integers(2, 64))
+    weights = draw(st.lists(st.one_of(st.floats(1e-6, 3e-5), st.floats(0.01, 1.0)),
+                            min_size=m, max_size=m))
+    probs = [w / sum(weights) for w in weights]
+    try:
+        scaled_frequencies(probs)
+    except RangeCodingError:
+        assume(False)
+    symbols = draw(st.lists(st.integers(0, m - 1), max_size=600))
+    return probs, symbols
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=coded_inputs(), data=st.data())
+def test_range_coder_matches_object_oracle(case, data):
+    """The one-loop coder writes the oracle's bytes, and reads back what
+    the oracle reads, or fails as it fails, on the stream, a truncated
+    stream, a stream with one byte flipped and no stream at all."""
+    probs, symbols = case
+    encoded = range_encode(probs, symbols)
+    assert encoded == range_encode_reference(probs, symbols)
+    cut = data.draw(st.integers(0, len(encoded) - 1), label="cut")
+    at = data.draw(st.integers(0, len(encoded) - 1), label="flip at")
+    mask = data.draw(st.integers(1, 255), label="flip mask")
+    flipped = bytearray(encoded)
+    flipped[at] ^= mask
+    for stream in (encoded, encoded[:cut], bytes(flipped), b""):
+        assert (outcome(range_decode, probs, stream, len(symbols))
+                == outcome(range_decode_reference, probs, stream, len(symbols)))
+
+
+def test_range_encodings_are_pinned():
+    """SHA-256 over a seeded matrix of encodings (M 2 to 9, lengths 0 to
+    300, one symbol at the frequency floor in a third of the cases), as
+    the object coder wrote them."""
+    digest = hashlib.sha256()
+    for m in (2, 3, 5, 9):
+        for seed in (0, 1, 2):
+            rng = random.Random(100 * m + seed)
+            raw = [rng.uniform(0.01, 1.0) for _ in range(m)]
+            if seed == 2:
+                raw[-1] = 1e-5 * sum(raw[:-1])
+            probs = [x / sum(raw) for x in raw]
+            for n in (0, 1, 17, 300):
+                encoded = range_encode(probs, rng.choices(range(m), weights=probs, k=n))
+                digest.update(len(encoded).to_bytes(4, "big") + encoded)
+    assert digest.hexdigest() == (
+        "5eabfdc1c46a04480933daa5a247f18ecd7ac1f02b72d1364e85a620345f4305")
 
 
 def test_sample_inversion_deterministic_and_calibrated():

@@ -839,19 +839,23 @@ def test_prices_built_once_per_iteration(n4_build):
 
 
 def test_iteration_debug_lines_account_for_every_solve(caplog):
-    """One ``AIFV_LOG=DEBUG`` line per iteration: every solved tree is
-    placed (first iteration), kept or replaced, every mode is solved or
-    mirrored, and the build's shared piece lists only grow."""
+    """One ``AIFV_LOG=DEBUG`` line per iteration and no other: every
+    solved tree is placed (first iteration), kept or replaced, every mode
+    is solved or mirrored, the build's shared piece lists only grow, and
+    the chain has at least one absorbing block."""
     with caplog.at_level(logging.DEBUG, logger="aifv.builder"):
         _, solved_models, report = recorded_build((0.9, 0.1), 4)
-    lines = [dict(field.split("=") for field in r.getMessage().split())
-             for r in caplog.records if r.getMessage().startswith("iteration=")]
+    messages = [r.getMessage() for r in caplog.records
+                if r.name == "aifv.builder" and r.levelno == logging.DEBUG]
+    assert all(message.startswith("iteration=") for message in messages)
+    lines = [dict(field.split("=") for field in message.split()) for message in messages]
     assert [int(line["iteration"]) for line in lines] == list(range(1, report.iterations + 1))
     counts = [{k: int(v) for k, v in line.items() if not k.endswith("_s")} for line in lines]
     for c, line in zip(counts, lines):
         assert c["solved"] == c["placed"] + c["kept"] + c["replaced"]
         assert c["solved"] + c["mirrored"] == len(enumerate_continuous_ids(4))
         assert float(line["solve_s"]) > 0 and float(line["markov_s"]) > 0
+        assert c["blocks"] >= c["absorbing"] >= 1
     assert counts[0]["placed"] == counts[0]["solved"]
     assert all(c["placed"] == 0 for c in counts[1:])
     assert sum(c["kept"] for c in counts) > sum(c["replaced"] for c in counts) > 0
