@@ -44,6 +44,7 @@ from .modes import (
 from .optimizer import (
     LinkPrices,
     ResourceLimitError,
+    SearchTable,
     brute_force_binary,
     build_ilp,
     link_prices,

@@ -193,6 +193,12 @@ class SimulationRun:
     tolerance: float = 1e-14
     max_depth: int | None = None
 
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
+        if any(size < 1 for size in self.seq_sizes):
+            raise ValueError(f"sequence sizes must be at least 1, got {self.seq_sizes}")
+
 
 def _forest_for(label_cache, dist, kind, value, tolerance, max_depth):
     key = (dist.probs, kind, value)

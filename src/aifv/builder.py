@@ -39,7 +39,6 @@ from .modes import (
     mode_from_id,
 )
 from .optimizer import (
-    NODE_BUDGET_DEFAULT,
     LinkPrices,
     SearchTable,
     aifvm_link_ids,
@@ -82,15 +81,14 @@ class BuildConfig:
     tolerance: float = 1e-14
     max_iterations: int = 200
     init: str = "formula"  # or "huffman-floor"
-    node_budget: int = NODE_BUDGET_DEFAULT
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("delay must be at least 1")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError("tolerance must be finite and positive")
         if self.init not in ("formula", "huffman-floor"):
             raise ValueError(f"unknown init rule {self.init!r}")
         if self.max_depth is not None and self.max_depth < 1:
@@ -132,23 +130,21 @@ class _Family:
         self.cfg = cfg
         self.probs = probs
         n = cfg.n
-        self.depth = default_depth(len(probs), n) if cfg.max_depth is None else cfg.max_depth
         if cfg.family == "full-binary":
             if len(probs) != 2:
                 raise BuildError("the full basic family is solvable for binary alphabets only")
             if n > 3:
                 raise BuildError("full basic family supported for delays 1..3")
             self.modes = enumerate_basic_modes(n)
-            self.ids = None
             self.table = None
             self.index_of_words = {m.words: i for i, m in enumerate(self.modes)}
         else:
             ids = enumerate_continuous_ids(n) if cfg.family == "continuous" else aifvm_link_ids(n)
-            self.ids = ids
             self.modes = [mode_from_id(n, cid) for cid in ids]
-            self.index_of_id = {cid: i for i, cid in enumerate(ids)}
             self.base_costs = initial_costs(n)
-            self.table = SearchTable(n, self.depth, ids, probs)
+            depth = default_depth(len(probs), n) if cfg.max_depth is None else cfg.max_depth
+            # link i of the table is mode i of the family
+            self.table = SearchTable(n, depth, ids, probs)
         # index 0 must be the empty-string mode: it anchors the encoder
         if self.modes[0].words != frozenset({EMPTY}):
             raise AssertionError("canonical ordering must put the empty mode first")
@@ -171,7 +167,7 @@ class _Family:
                              for m in self.modes])
         if self.cfg.family == "full-binary":
             return np.array([_leafset_cost(m) for m in self.modes])
-        return np.array([self.base_costs[cid] for cid in self.ids])
+        return np.array([self.base_costs[cid] for cid in self.table.links])
 
     def price(self, costs: np.ndarray) -> dict | LinkPrices:
         """The link prices every tree solve of one iteration reads: a
@@ -179,7 +175,7 @@ class _Family:
         solver's prices of the family's links."""
         if self.cfg.family == "full-binary":
             return {m.words: costs[i] for i, m in enumerate(self.modes)}
-        return link_prices(self.cfg.n, self.ids, dict(zip(self.ids, costs)))
+        return link_prices(self.table, costs)
 
     def solve_tree(self, index: int, prices: dict | LinkPrices,
                    below: float | None = None) -> tuple[CodeTree, float] | None:
@@ -190,12 +186,10 @@ class _Family:
         if cfg.family == "full-binary":
             return brute_force_binary(cfg.n, self.modes[index], self.probs,
                                       prices, self.index_of_words)
-        model = build_ilp(cfg.n, self.depth, self.ids[index], self.probs, prices)
-        sol = solve_ilp(model, node_budget=cfg.node_budget, below=below, table=self.table)
+        sol = solve_ilp(build_ilp(self.table.links[index], prices), below=below)
         if sol is None:
             return None
-        tree = decode_solution(sol, self.index_of_id.__getitem__, self.modes[index])
-        return tree, sol.objective
+        return decode_solution(sol, self.modes[index]), sol.objective
 
 
 def _mirror_pins_consistent(blocks, mirror: list[int]) -> bool:

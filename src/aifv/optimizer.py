@@ -10,8 +10,9 @@ a best-first branch-and-bound walks the tiling left to right, bounded
 below by a width-entropy relaxation, and returns a provably optimal tree.
 :func:`check_assignment` then checks every solved tree as a tiling:
 pieces on their depth's grid, abutting from the interval's start to its
-end, every link allowed.  The integer model itself lives in the tests
-(``tests/oracles.py``), where it checks this search and that check.
+end, every link an index of the search table.  The integer model
+itself lives in the tests (``tests/oracles.py``), where it checks this
+search and that check.
 
 The search proves optimality against a cutoff.  A caller that already
 holds a tree for the mode passes that tree's cost under the current
@@ -19,22 +20,21 @@ prices, and the search returns a cheaper tree or None; only without such
 a cost does a greedy dive find the first cutoff.  The forest
 construction therefore dives in its first iteration only.
 
-The link costs change once per iteration of the forest construction, so
-:func:`link_prices` turns them once into the :class:`LinkPrices` every
-tree of that iteration reads: the allowed links in ascending order with
-their costs in that order, and the cost extremes the search bounds use.
-
-Nothing else a search reads depends on the prices.  One
-:class:`SearchTable` per build holds the pieces that fit at each
-(position, tree interval end, symbols left), each with its depth, end,
-link index and the log-room term of its bound, plus the candidate
-symbols of each placed set and the probability sums of every symbol
-set; every solve of the build reads and fills it, and prices a piece as
-its depth plus the cost at its link index.  An expansion pushes only its
-best surviving child and a popped child pushes its next sibling
-(partial expansion, Yoshizumi et al., AAAI 2000), so the heap holds one
-entry per expansion instead of one per child, yet pops the same states
-in the same order.
+Every fact of a tree problem has one owner.  One :class:`SearchTable`
+per build holds what no link price changes: the delay, the depth bound,
+the probabilities and the links, link ``i`` being the family's mode
+``i``.  It fills, as the searches ask, the pieces that fit at each
+(position, tree interval end, symbols left), the candidate symbols of
+each placed set and the probability sums of every symbol set.
+:func:`link_prices` turns each iteration's cost vector, in the table's
+link order, into the :class:`LinkPrices` every tree of that iteration
+reads.  A tree's problem is its mode and those prices.  A piece costs
+its depth plus the price at its link index, and a solved tree's link
+indices are its forest links.  An expansion pushes only its best
+surviving child and a popped child pushes its next sibling (partial
+expansion, Yoshizumi et al., AAAI 2000), so the heap holds one entry per
+expansion instead of one per child, yet pops the same states in the
+same order.
 
 For binary alphabets and small delays an independent partition search
 over the mode's full leaf set covers discontinuous link modes as well.
@@ -46,7 +46,7 @@ import heapq
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .bitstrings import BitString, WordSet, common_prefix, expand_to_length, reduced, strip_prefix_all
 from .forest import CodeTree
@@ -91,47 +91,6 @@ def aifvm_link_ids(n: int) -> list[ContinuousModeId]:
     return ids
 
 
-@dataclass(frozen=True)
-class LinkPrices:
-    """One iteration's link costs, shared by every tree solved against
-    them.
-
-    ``links`` are exactly the allowed links of delay ``n``, ascending;
-    ``flat`` holds their costs in that order, so a link's index in
-    ``links`` prices it, and ``costs`` maps each link to the same cost.
-    ``alpha_min`` is the least link cost plus the log of the share of the
-    cell the link keeps.
-    """
-
-    n: int
-    links: tuple[ContinuousModeId, ...]
-    flat: tuple[float, ...]
-    costs: dict[ContinuousModeId, float]
-    min_cost: float
-    alpha_min: float
-
-
-def link_prices(
-    n: int,
-    allowed_links: Sequence[ContinuousModeId],
-    costs: Mapping[ContinuousModeId, float],
-) -> LinkPrices:
-    """The link costs as every tree solve against them reads them;
-    ``costs`` must price every allowed link."""
-    links = tuple(sorted(allowed_links))
-    flat = tuple(float(costs[c]) for c in links)
-    full = 1 << n
-    return LinkPrices(
-        n=n,
-        links=links,
-        flat=flat,
-        costs=dict(zip(links, flat)),
-        min_cost=min(flat),
-        alpha_min=min(cost + math.log2((full - c.k1 - c.k2) / full)
-                      for c, cost in zip(links, flat)),
-    )
-
-
 _NO_PIECES: tuple[tuple, tuple, tuple] = ((), (), ())
 
 
@@ -139,14 +98,14 @@ class SearchTable:
     """What the tree searches of one build read that no link price
     changes, filled as the searches ask for it.
 
-    The table is fixed by the delay, the depth bound, the allowed links
-    and the symbol probabilities.  It holds the probability sum and
-    entropy term of every symbol set, the candidate symbols of each
-    placed set, and the pieces that fit at each (position, tree interval
-    end, symbols left).  The pieces of one key are three parallel tuples:
-    their depths, their links as indices into ``links``, and the log2 of
-    the room each leaves as a share of the unit interval.  A solve prices
-    a piece as ``depth + flat[index]`` of its :class:`LinkPrices`; a
+    The table is fixed by the delay, the depth bound, the links and the
+    symbol probabilities, and checks their shape once for the build.
+    Link ``i`` is ``links[i]``, in the caller's order: the family's mode
+    ``i``.  The table holds the probability sum and entropy term of
+    every symbol set, the candidate symbols of each placed set, and the
+    pieces that fit at each (position, tree interval end, symbols left)
+    as three parallel tuples: their depths, their link indices, and the
+    log2 of the room each leaves as a share of the unit interval.  A
     depth-d piece linked by index ``i`` is ``widths[i] << (d_max - d)``
     wide.  A key without pieces shares one empty entry, and equal
     log-room values share one float.
@@ -154,15 +113,19 @@ class SearchTable:
 
     def __init__(self, n: int, d_max: int, links: Sequence[ContinuousModeId],
                  probs: Sequence[float]):
+        if not probs:
+            raise ValueError("one probability per symbol required")
+        if d_max < 1:
+            raise ValueError("depth bound must be at least 1")
         self.n, self.d_max = n, d_max
-        self.links = tuple(sorted(links))
+        self.links = tuple(links)
         self.probs = probs = tuple(float(x) for x in probs)
         self.scale = 1 << (d_max + n)
-        self.by_k1: dict[int, tuple[list[int], list[int]]] = {}
-        for idx, c in enumerate(self.links):  # k2 ascending within each k1
-            k2s, idxs = self.by_k1.setdefault(c.k1, ([], []))
-            k2s.append(c.k2)
-            idxs.append(idx)
+        # per k1, its links' (k2, index) pairs, k2 ascending
+        by_k1: dict[int, list[tuple[int, int]]] = {}
+        for idx, c in enumerate(self.links):
+            by_k1.setdefault(c.k1, []).append((c.k2, idx))
+        self.by_k1 = {k1: tuple(zip(*sorted(pairs))) for k1, pairs in by_k1.items()}
         self.widths = tuple((1 << n) - c.k1 - c.k2 for c in self.links)
         self.min_width = min(self.widths)
         m = len(probs)
@@ -250,43 +213,59 @@ class SearchTable:
 
 
 @dataclass(frozen=True)
-class IlpModel:
-    """One tree's problem: its mode, the symbol probabilities, the depth
-    bound and the current link prices."""
+class LinkPrices:
+    """One iteration's link costs, shared by every tree solved against
+    them.
 
-    n: int
-    d_max: int
-    m: int
+    ``flat[i]`` is the cost of link ``i`` of ``table``, the search table
+    the prices were made for.  ``alpha_min`` is the least link cost plus
+    the log of the share of the cell the link keeps.
+    """
+
+    table: SearchTable
+    flat: tuple[float, ...]
+    min_cost: float
+    alpha_min: float
+
+
+def link_prices(table: SearchTable, costs: Sequence[float]) -> LinkPrices:
+    """The link costs as every tree solve against them reads them;
+    ``costs`` holds one cost per link of ``table``, in its order."""
+    if len(costs) != len(table.links):
+        raise ValueError(f"{len(costs)} costs given for {len(table.links)} links")
+    flat = tuple(map(float, costs))
+    full = 1 << table.n
+    return LinkPrices(
+        table=table,
+        flat=flat,
+        min_cost=min(flat),
+        alpha_min=min(cost + math.log2(width / full)
+                      for width, cost in zip(table.widths, flat)),
+    )
+
+
+@dataclass(frozen=True)
+class IlpModel:
+    """One tree's problem: its mode and the current link prices, which
+    name the search table that holds the rest."""
+
     mode_id: ContinuousModeId
-    probs: tuple[float, ...]
     prices: LinkPrices
 
 
-def build_ilp(
-    n: int,
-    d_max: int,
-    mode_id: ContinuousModeId,
-    probs: Sequence[float],
-    prices: LinkPrices,
-) -> IlpModel:
+def build_ilp(mode_id: ContinuousModeId, prices: LinkPrices) -> IlpModel:
     """The problem of one tree of the given mode, checked for shape."""
-    if not probs:
-        raise ValueError("one probability per symbol required")
-    if d_max < 1:
-        raise ValueError("depth bound must be at least 1")
-    if prices.n != n:
-        raise ValueError(f"link prices were built for delay {prices.n}, not {n}")
+    n = prices.table.n
     r = 1 << (n - 1)
     if not (0 <= mode_id.k1 < r and 0 <= mode_id.k2 < r):
         raise ValueError(f"mode id {mode_id} out of range for delay {n}")
-    return IlpModel(n=n, d_max=d_max, m=len(probs), mode_id=mode_id,
-                    probs=tuple(float(x) for x in probs), prices=prices)
+    return IlpModel(mode_id, prices)
 
 
 @dataclass(frozen=True)
 class TreeSolution:
     codewords: tuple[BitString, ...]
-    link_ids: tuple[ContinuousModeId, ...]
+    links: tuple[int, ...]  # link indices of the search table
     objective: float
     order: tuple[int, ...]  # symbols in left-to-right interval order
 
@@ -301,28 +280,31 @@ def check_assignment(model: IlpModel, solution: TreeSolution) -> list[str]:
     first piece must start at ``k1 << d_max`` of the tree's mode, each
     next one where the last ended, and the last end at
     ``(2^n - k2) << d_max``; every depth is at most ``d_max`` and every
-    link is allowed in the prices.
+    link is an index into the table's links.
     """
-    n, d_max, mode_id = model.n, model.d_max, model.mode_id
+    table, mode_id = model.prices.table, model.mode_id
+    n, d_max, links = table.n, table.d_max, table.links
+    m = len(table.probs)
     tree = f"mode ({mode_id.k1}, {mode_id.k2})"
-    if sorted(solution.order) != list(range(model.m)):
-        return [f"{tree}: order {solution.order} is not a permutation of {model.m} symbols"]
-    allowed = model.prices.costs
+    if sorted(solution.order) != list(range(m)):
+        return [f"{tree}: order {solution.order} is not a permutation of {m} symbols"]
     bad = []
     x = mode_id.k1 << d_max
     for pos, sym in enumerate(solution.order):
-        cw, link = solution.codewords[sym], solution.link_ids[sym]
+        cw, idx = solution.codewords[sym], solution.links[sym]
         at = f"{tree}, symbol {sym} at position {pos}"
-        if link not in allowed:
-            bad.append(f"{at}: link {link.render()} not allowed")
+        if not 0 <= idx < len(links):
+            bad.append(f"{at}: link index {idx} out of range for {len(links)} links")
+            return bad  # no margins to continue the tiling with
         if not (cw.length <= d_max and 0 <= cw.value < 1 << cw.length):
             bad.append(f"{at}: codeword {cw.render()} is no cell of depth at most {d_max}")
             return bad  # no position to continue the tiling from
+        link = links[idx]
         unit = d_max - cw.length
         start = (cw.value << (n + unit)) + (link.k1 << unit)
         if start != x:
             bad.append(f"{at}: piece starts at {start}, previous piece ends at {x}")
-        x = start + (((1 << n) - link.k1 - link.k2) << unit)
+        x = start + (table.widths[idx] << unit)
     end = ((1 << n) - mode_id.k2) << d_max
     if x != end:
         bad.append(f"{tree}: last piece ends at {x}, the tree's interval at {end}")
@@ -333,7 +315,6 @@ def solve_ilp(
     model: IlpModel,
     node_budget: int = NODE_BUDGET_DEFAULT,
     below: float | None = None,
-    table: SearchTable | None = None,
 ) -> TreeSolution | None:
     """Provably optimal tree for the model, or with ``below`` the optimal
     tree among those that cost less than ``below``, None if there is none.
@@ -351,31 +332,28 @@ def solve_ilp(
     optimum tied with the dive's own tree can come back as another tree
     of equal cost.
 
-    The search reads its pieces, candidate symbols and probability sums
-    from ``table``, which every solve of a build shares and fills (a
-    fresh one when None; one built for another delay, depth bound, link
-    set or distribution raises :class:`ValueError`), and its link costs
-    and bound constants from ``model.prices``.  A piece's cost is its
-    depth plus the price at its link index, and each piece carries the
-    log of the room it leaves, so a child's bound costs a few float
-    operations.  Children are merged lazily: an expansion bounds and
-    prunes all of its children, sorts the survivors by (bound, insertion
-    number) and pushes only the first, and popping a child pushes its
-    next sibling.  The heap thus pops the same states in the same order,
-    under the same node budget, as one holding every child.  States
-    point to their parents, and the path is rebuilt once at the end.
+    The search reads its link costs and bound constants from
+    ``model.prices``, and its pieces, candidate symbols and probability
+    sums from the search table those prices were made for, which every
+    solve of a build shares and fills.  A piece's cost is its depth plus
+    the price at its link index, and each piece carries the log of the
+    room it leaves, so a child's bound costs a few float operations.
+    Children are merged lazily: an expansion bounds and prunes all of its
+    children, sorts the survivors by (bound, insertion number) and pushes
+    only the first, and popping a child pushes its next sibling.  The
+    heap thus pops the same states in the same order, under the same
+    node budget, as one holding every child.  States point to their
+    parents, and the path is rebuilt once at the end.
 
-    A returned tree is checked by :func:`check_assignment` as a tiling of
-    the mode's interval, and its objective is recomputed from the pieces;
-    either failure raises :class:`ModelError`.
+    A returned tree names its links by index.  It is checked by
+    :func:`check_assignment` as a tiling of the mode's interval, and its
+    objective is recomputed from the pieces; either failure raises
+    :class:`ModelError`.
     """
-    n, d_max, m = model.n, model.d_max, model.m
-    probs = model.probs
     prices = model.prices
-    if table is None:
-        table = SearchTable(n, d_max, prices.links, probs)
-    elif (table.n, table.d_max, table.probs, table.links) != (n, d_max, probs, prices.links):
-        raise ValueError("search table was built for another tree problem")
+    table = prices.table
+    n, d_max, probs = table.n, table.d_max, table.probs
+    m = len(probs)
     flat = prices.flat
     min_cost, alpha_min = prices.min_cost, prices.alpha_min
     scale, widths = table.scale, table.widths
@@ -506,33 +484,28 @@ def solve_ilp(
     path.reverse()
     order = tuple(sym for sym, _, _ in path)
     codewords: list = [None] * m
-    link_ids: list = [None] * m
+    links: list = [0] * m
     x = start
     for sym, d, idx in path:
         codewords[sym] = BitString(d, x >> (n + d_max - d))
-        link_ids[sym] = table.links[idx]
+        links[sym] = idx
         x += widths[idx] << (d_max - d)
-    solution = TreeSolution(tuple(codewords), tuple(link_ids), objective, order)
+    solution = TreeSolution(tuple(codewords), tuple(links), objective, order)
     bad = check_assignment(model, solution)
     if bad:
         raise ModelError(f"solver output is no tiling: {bad[:3]}")
-    recomputed = sum(
-        probs[s] * (codewords[s].length + prices.costs[link_ids[s]]) for s in range(m)
-    )
+    recomputed = sum(probs[s] * (codewords[s].length + flat[links[s]]) for s in range(m))
     if abs(recomputed - objective) > 1e-9:
         raise ModelError("objective mismatch between search and recomputation")
-    return TreeSolution(solution.codewords, solution.link_ids, float(recomputed), order)
+    return TreeSolution(solution.codewords, solution.links, float(recomputed), order)
 
 
-def decode_solution(
-    solution: TreeSolution,
-    index_of: Callable[[ContinuousModeId], int],
-    mode: Mode,
-) -> CodeTree:
+def decode_solution(solution: TreeSolution, mode: Mode) -> CodeTree:
     """The solved tree, whose tiling :func:`solve_ilp` has checked, as a
-    code tree of the given mode, its links resolved to forest indices
-    through ``index_of``."""
-    return CodeTree(solution.codewords, tuple(map(index_of, solution.link_ids)), mode)
+    code tree of the given mode.  Its link indices are the forest's tree
+    indices, since link ``i`` of the search table is the family's mode
+    ``i``."""
+    return CodeTree(solution.codewords, solution.links, mode)
 
 
 # ---------------------------------------------------------------------------

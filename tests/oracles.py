@@ -236,7 +236,7 @@ class Row:
 
 def allowed_links(prices: LinkPrices) -> tuple[ContinuousModeId, ...]:
     """The links the prices allow, ascending."""
-    return tuple(sorted(prices.costs))
+    return tuple(sorted(prices.table.links))
 
 
 @functools.cache
@@ -346,16 +346,18 @@ def reference_rows(n, m, mode_id, d_max, allowed=None) -> tuple[Row, ...]:
 def model_rows(model: IlpModel) -> tuple[Row, ...]:
     """The rows of one tree's model, its links restricted to those its
     prices allow when that is not every link."""
+    table = model.prices.table
     allowed = allowed_links(model.prices)
-    if set(allowed) == set(enumerate_continuous_ids(model.n)):
+    if set(allowed) == set(enumerate_continuous_ids(table.n)):
         allowed = None
-    return reference_rows(model.n, model.m, model.mode_id, model.d_max, allowed)
+    return reference_rows(table.n, len(table.probs), model.mode_id, table.d_max, allowed)
 
 
 def reference_check(model: IlpModel, assignment: dict) -> list[str]:
     """Every bound and row the assignment violates, in Python integers;
     a variable absent from the assignment is 0."""
-    variables = reference_variables(model.n, model.m, model.d_max)
+    table = model.prices.table
+    variables = reference_variables(table.n, len(table.probs), table.d_max)
     bad = []
     for name, value in assignment.items():
         if name not in variables:
@@ -393,26 +395,30 @@ def assignment_from_pieces(pieces: list[tuple], order: list[int]) -> dict:
     return assignment
 
 
-def solution_assignment(solution: TreeSolution) -> dict:
-    """The model assignment of a solved tree's pieces."""
+def solution_assignment(model: IlpModel, solution: TreeSolution) -> dict:
+    """The model assignment of a solved tree's pieces, its link indices
+    read in the model's search table."""
+    links = [model.prices.table.links[idx] for idx in solution.links]
     pieces = [(cw.length, cw.value, cid.k1, cid.k2)
-              for cw, cid in zip(solution.codewords, solution.link_ids)]
+              for cw, cid in zip(solution.codewords, links)]
     return assignment_from_pieces(pieces, list(solution.order))
 
 
 def tree_from_assignment(model: IlpModel, assignment: dict) -> CodeTree:
     """The tree read back from a model assignment, with every depth,
     codeword bit, link and margin variable checked, and links resolved
-    by the canonical index ``k1 * 2^(n-1) + k2``."""
+    to their index in the model's search table."""
+    table = model.prices.table
+    n, m = table.n, len(table.probs)
     allowed_link_vars = frozenset(
-        ("u", sym, c.k1, c.k2) for sym in range(model.m) for c in allowed_links(model.prices))
-    links_of = [[] for _ in range(model.m)]
+        ("u", sym, c.k1, c.k2) for sym in range(m) for c in table.links)
+    links_of = [[] for _ in range(m)]
     for name, value in assignment.items():
         if value and name in allowed_link_vars:
             links_of[name[1]].append(ContinuousModeId(name[2], name[3]))
     codewords, links = [], []
-    for sym in range(model.m):
-        depths = [d for d in range(model.d_max + 1) if assignment.get(("t", sym, d))]
+    for sym in range(m):
+        depths = [d for d in range(table.d_max + 1) if assignment.get(("t", sym, d))]
         if len(depths) != 1:
             raise ModelError(f"symbol {sym} has {len(depths)} active depths")
         d = depths[0]
@@ -431,8 +437,8 @@ def tree_from_assignment(model: IlpModel, assignment: dict) -> CodeTree:
             if assignment.get(("k", j, sym, d), 0) != kj:
                 raise ModelError(f"margin variable k[{j},{sym},{d}] inconsistent")
         codewords.append(BitString(d, value))
-        links.append(cid.k1 * (1 << (model.n - 1)) + cid.k2)
-    return CodeTree(tuple(codewords), tuple(links), mode_from_id(model.n, model.mode_id))
+        links.append(table.links.index(cid))
+    return CodeTree(tuple(codewords), tuple(links), mode_from_id(n, model.mode_id))
 
 
 # ---------------------------------------------------------------------------

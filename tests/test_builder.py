@@ -158,9 +158,7 @@ def test_warm_start_builds_what_cold_solves_build(build):
     forest, report = build()
     solve = aifv.builder.solve_ilp
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(aifv.builder, "solve_ilp",
-                   lambda model, node_budget, below=None, table=None:
-                   solve(model, node_budget=node_budget, table=table))
+        mp.setattr(aifv.builder, "solve_ilp", lambda model, below=None: solve(model))
         cold_forest, cold_report = build()
     assert format_codebook(forest) == format_codebook(cold_forest)
     assert repr(report) == repr(cold_report)
@@ -278,3 +276,28 @@ def test_build_output_is_pinned(probs, n, digest):
     forest, report = construct(probs, BuildConfig(n=n))
     text = format_codebook(forest) + repr(report)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# The same digest for classic m-tree builds, whose sparse link list makes
+# a tree's link index differ from the continuous family's index; computed
+# before links were carried as search-table indices.
+AIFVM_PINS = [
+    ((0.9, 0.1), 2, "5c72b8094872b226d283df35dc6f60cd0096346a0719416e28ca0e70e7b4d9a2"),
+    ((0.9, 0.1), 3, "cd10c63b25a925d55e06aafc609f7de6a8edf49700b65b96c9962f679c4f774b"),
+    ((0.9, 0.1), 4, "06c4dc9d1fc0f977169da7ec36b7ce77767bb913641cf726e7b82479c7ed8f81"),
+    ((0.4, 0.25, 0.15, 0.12, 0.08), 2,
+     "8e28127bd05d3c5b6795c393f5dfd92237b6b9c1b422c7f9a7af3180928ea7df"),
+]
+
+
+@pytest.mark.parametrize("probs, m, digest", AIFVM_PINS)
+def test_aifvm_output_is_pinned(probs, m, digest):
+    forest, report = construct_aifvm(probs, m)
+    text = format_codebook(forest) + repr(report)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-14, math.inf, -math.inf, math.nan])
+def test_build_config_rejects_a_tolerance_not_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="^tolerance must be finite and positive$"):
+        BuildConfig(n=3, tolerance=tol)

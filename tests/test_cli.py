@@ -321,5 +321,25 @@ def test_simulate_deterministic(tmp_path, dist_file):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
+@pytest.mark.parametrize("option, value", [("--trials", "0"), ("--trials", "-3"),
+                                           ("--sizes", "0,32")])
+def test_simulate_rejects_counts_below_one(tmp_path, dist_file, capsys, option, value):
+    out = str(tmp_path / "sim.csv")
+    argv = ["simulate", "--dist", dist_file, "--aifv", "2", "--sizes", "32",
+            "--trials", "5", "-o", out]
+    argv[argv.index(option) + 1] = value
+    assert main(argv) == 2
+    assert "must be at least 1" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+def test_construct_rejects_a_tolerance_not_finite_and_positive(tmp_path, dist_file, capsys, tol):
+    book = str(tmp_path / "book")
+    assert main(["construct", "--dist", dist_file, "-N", "3", "--tol", tol, "-o", book]) == 2
+    assert capsys.readouterr().err == "error: tolerance must be finite and positive\n"
+    assert not os.path.exists(book)
+
+
 def test_eval_requires_sources(tmp_path):
     assert main(["eval", "-o", str(tmp_path / "x.csv")]) == 2

@@ -69,14 +69,19 @@ def family_links(n, aifvm):
     return aifvm_link_ids(n) if aifvm else enumerate_continuous_ids(n)
 
 
+def priced(table, costs):
+    """Prices for ``table`` from a cost per link id."""
+    return link_prices(table, [costs[cid] for cid in table.links])
+
+
 def tree_model(n, mode_id, probs, costs, d_max, aifvm=False):
     """One tree's model, priced for it alone."""
-    return build_ilp(n, d_max, mode_id, probs, link_prices(n, family_links(n, aifvm), costs))
+    return build_ilp(mode_id, priced(SearchTable(n, d_max, family_links(n, aifvm), probs), costs))
 
 
-def canonical_index(n):
-    """Link ids to forest indices in the continuous family's order."""
-    return lambda cid: cid.k1 * (1 << (n - 1)) + cid.k2
+def link_ids(model, solution):
+    """A solved tree's links as mode ids."""
+    return tuple(model.prices.table.links[idx] for idx in solution.links)
 
 
 def test_initial_costs_examples():
@@ -127,7 +132,8 @@ def test_solve_n1_full_tree():
     model = tree_model(1, ContinuousModeId(0, 0), (0.5, 0.5), initial_costs(1), 4)
     sol = solve_ilp(model)
     assert {cw.text for cw in sol.codewords} == {"0", "1"}
-    assert sol.link_ids == (ContinuousModeId(0, 0), ContinuousModeId(0, 0))
+    assert sol.links == (0, 0)
+    assert link_ids(model, sol) == (ContinuousModeId(0, 0), ContinuousModeId(0, 0))
     assert sol.objective == pytest.approx(1.0)
 
 
@@ -135,14 +141,14 @@ def test_solver_output_satisfies_model_exactly():
     model = tree_model(3, ContinuousModeId(2, 1), (0.5, 0.3, 0.2), initial_costs(3), 8)
     sol = solve_ilp(model)
     assert check_assignment(model, sol) == []
-    assert reference_check(model, solution_assignment(sol)) == []
+    assert reference_check(model, solution_assignment(model, sol)) == []
 
 
-def _standalone_tree_ok(n, own_mode, codewords, link_ids):
+def _standalone_tree_ok(n, own_mode, codewords, ids):
     """Rule-1 + fullness check for a single tree, built from string
     primitives only (independent of the tiling search)."""
     occurrences = []
-    for cw, cid in zip(codewords, link_ids):
+    for cw, cid in zip(codewords, ids):
         linked = mode_from_id(n, cid)
         for w in append_all(cw, linked.words):
             occurrences.append(w)
@@ -199,6 +205,9 @@ def test_model_feasible_set_is_exactly_the_valid_trees():
         allowed = set(family_links(n, aifvm))
         for mode_id in ids:
             model = tree_model(n, mode_id, (0.6, 0.4), costs, d_small, aifvm)
+            links = model.prices.table.links
+            # a link outside the family has no index: give it one past the end
+            index = {cid: links.index(cid) if cid in links else len(links) for cid in ids}
             for (cw0, l0), (cw1, l1) in itertools.product(choices, choices):
                 case = (aifvm, mode_id, cw0.text, l0, cw1.text, l1)
                 valid = (max(cw0.length, cw1.length) <= d_small and {l0, l1} <= allowed
@@ -209,7 +218,7 @@ def test_model_feasible_set_is_exactly_the_valid_trees():
                 for order in ((0, 1), (1, 0)):
                     in_model = not reference_check(model, assignment_from_pieces(pieces, order))
                     tiles = not check_assignment(
-                        model, TreeSolution((cw0, cw1), (l0, l1), 0.0, order))
+                        model, TreeSolution((cw0, cw1), (index[l0], index[l1]), 0.0, order))
                     assert tiles == in_model, (case, order)
                     feasible |= in_model
                 assert feasible == valid, case
@@ -224,7 +233,9 @@ def test_check_assignment_names_mode_symbol_and_position():
     c00, c01, c10 = ContinuousModeId(0, 0), ContinuousModeId(0, 1), ContinuousModeId(1, 0)
 
     def faults(model, cw0, l0, cw1, l1, order=(0, 1)):
-        return check_assignment(model, TreeSolution((B(cw0), B(cw1)), (l0, l1), 0.0, order))
+        links = model.prices.table.links
+        index = [links.index(c) if c in links else len(links) for c in (l0, l1)]
+        return check_assignment(model, TreeSolution((B(cw0), B(cw1)), tuple(index), 0.0, order))
 
     # "01" is [4, 8) and "1" is [8, 16)
     assert faults(aifvm, "01", c00, "1", c00) == []
@@ -233,8 +244,9 @@ def test_check_assignment_names_mode_symbol_and_position():
     assert faults(aifvm, "01", c00, "100", c00) == [
         "mode (1, 0), symbol 1 at position 1: codeword 100 is no cell of depth at most 2"]
     assert faults(aifvm, "01", c01, "1", c00) == [
-        "mode (1, 0), symbol 0 at position 0: link (0,1) not allowed",
-        "mode (1, 0), symbol 1 at position 1: piece starts at 8, previous piece ends at 7"]
+        "mode (1, 0), symbol 0 at position 0: link index 2 out of range for 2 links"]
+    assert check_assignment(aifvm, TreeSolution((B("01"), B("1")), (0, -1), 0.0, (0, 1))) == [
+        "mode (1, 0), symbol 1 at position 1: link index -1 out of range for 2 links"]
     assert faults(aifvm, "01", c00, "1", c10) == [
         "mode (1, 0), symbol 1 at position 1: piece starts at 10, previous piece ends at 8"]
     assert faults(every, "01", c00, "1", c01) == [
@@ -257,11 +269,11 @@ def test_decoded_tree_tiles_its_interval():
             probs = tuple(x / sum(raw) for x in raw)
             model = tree_model(n, mode_id, probs, costs, 3 + n)
             sol = solve_ilp(model)
-            tree = decode_solution(sol, canonical_index(n), mode_from_id(n, mode_id))
-            assert tree == tree_from_assignment(model, solution_assignment(sol))
-            assert _standalone_tree_ok(n, mode_id, tree.codewords, sol.link_ids)
+            tree = decode_solution(sol, mode_from_id(n, mode_id))
+            assert tree == tree_from_assignment(model, solution_assignment(model, sol))
+            assert _standalone_tree_ok(n, mode_id, tree.codewords, link_ids(model, sol))
             pieces = []
-            for cw, cid in zip(tree.codewords, sol.link_ids):
+            for cw, cid in zip(tree.codewords, link_ids(model, sol)):
                 linked = mode_from_id(n, cid)
                 pieces.extend(interval_of(w) for w in append_all(cw, linked.words))
             assert merge_intervals(pieces) == (id_interval(n, mode_id),)
@@ -271,10 +283,10 @@ def test_decode_solution_links_canonical():
     mode_id = ContinuousModeId(0, 0)
     model = tree_model(2, mode_id, (0.9, 0.1), initial_costs(2), 5)
     sol = solve_ilp(model)
-    index_of = {cid: i for i, cid in enumerate(enumerate_continuous_ids(2))}
-    tree = decode_solution(sol, index_of.__getitem__, mode_from_id(2, mode_id))
+    tree = decode_solution(sol, mode_from_id(2, mode_id))
     assert tree.mode == mode_from_id(2, mode_id)
-    for link, cid in zip(tree.links, sol.link_ids):
+    assert tree.links == sol.links
+    for link, cid in zip(tree.links, link_ids(model, sol)):
         assert link == cid.k1 * 2 + cid.k2
 
 
@@ -287,7 +299,7 @@ def test_binary_expansions_bounded_by_delay():
             mode_id = rng.choice(enumerate_continuous_ids(n))
             model = tree_model(n, mode_id, (p0, 1 - p0), costs, 3 + n)
             sol = solve_ilp(model)
-            for cw, cid in zip(sol.codewords, sol.link_ids):
+            for cw, cid in zip(sol.codewords, link_ids(model, sol)):
                 linked = mode_from_id(n, cid)
                 assert all(cw.length + w.length <= n for w in linked.words)
 
@@ -410,10 +422,9 @@ def test_symmetric_modes_equal_objectives():
 def test_objective_recompute_consistency():
     model = tree_model(3, ContinuousModeId(1, 2), (0.4, 0.3, 0.2, 0.1), initial_costs(3), 9)
     sol = solve_ilp(model)
-    recomputed = sum(
-        model.probs[s] * (sol.codewords[s].length + model.prices.costs[sol.link_ids[s]])
-        for s in range(4)
-    )
+    probs, costs = model.prices.table.probs, initial_costs(3)
+    recomputed = sum(probs[s] * (sol.codewords[s].length + costs[cid])
+                     for s, cid in enumerate(link_ids(model, sol)))
     assert recomputed == pytest.approx(sol.objective, abs=1e-12)
 
 
@@ -479,28 +490,33 @@ def test_solver_output_satisfies_reference_model(n, aifvm, weights, extra_depth,
     costs = {cid: c0 + bumps[i % len(bumps)]
              for i, (cid, c0) in enumerate(initial_costs(n).items())}
     links = family_links(n, aifvm)
-    prices = link_prices(n, links, costs)
-    d_max = n + 2 + extra_depth
+    prices = priced(SearchTable(n, n + 2 + extra_depth, links, probs), costs)
     for cid in links:
-        model = build_ilp(n, d_max, cid, probs, prices)
+        model = build_ilp(cid, prices)
         sol = solve_ilp(model)
         assert check_assignment(model, sol) == []
-        assignment = solution_assignment(sol)
+        assignment = solution_assignment(model, sol)
         assert reference_check(model, assignment) == [], cid
-        tree = decode_solution(sol, canonical_index(n), mode_from_id(n, cid))
+        tree = decode_solution(sol, mode_from_id(n, cid))
         assert tree == tree_from_assignment(model, assignment), cid
 
 
 def test_build_ilp_guards():
-    prices = link_prices(2, enumerate_continuous_ids(2), initial_costs(2))
+    """The table checks the problem's shape once, the prices their
+    length, and each tree model its mode."""
+    links = enumerate_continuous_ids(2)
     with pytest.raises(ValueError, match="one probability per symbol"):
-        build_ilp(2, 4, ContinuousModeId(0, 0), (), prices)
+        SearchTable(2, 4, links, ())
     with pytest.raises(ValueError, match="depth bound"):
-        build_ilp(2, 0, ContinuousModeId(0, 0), (1.0,), prices)
-    with pytest.raises(ValueError, match="built for delay 2, not 3"):
-        build_ilp(3, 4, ContinuousModeId(0, 0), (1.0,), prices)
+        SearchTable(2, 0, links, (1.0,))
+    table = SearchTable(2, 4, links, (1.0,))
+    for count in (3, 5):
+        with pytest.raises(ValueError, match=f"^{count} costs given for 4 links$"):
+            link_prices(table, [0.0] * count)
+    prices = link_prices(table, [0.0] * 4)
     with pytest.raises(ValueError, match="out of range for delay 2"):
-        build_ilp(2, 4, ContinuousModeId(2, 0), (1.0,), prices)
+        build_ilp(ContinuousModeId(2, 0), prices)
+    assert build_ilp(ContinuousModeId(1, 1), prices).prices is prices
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +529,10 @@ def solve_ilp_reference(model, node_budget=10_000_000):
     priced for this tree alone, and every piece that ends inside the
     interval is generated for each symbol, then filtered by the room
     left for the other symbols."""
-    n, d_max, m = model.n, model.d_max, model.m
-    probs = model.probs
+    table = model.prices.table
+    n, d_max, probs = table.n, table.d_max, table.probs
+    m = len(probs)
+    costs = dict(zip(table.links, model.prices.flat))
     scale = 1 << (d_max + n)
     start = model.mode_id.k1 << d_max
     end = ((1 << n) - model.mode_id.k2) << d_max
@@ -523,15 +541,13 @@ def solve_ilp_reference(model, node_budget=10_000_000):
     allowed = allowed_links(model.prices)
     by_k1 = {}
     for cid in allowed:
-        by_k1.setdefault(cid.k1, []).append((cid.k2, model.prices.costs[cid]))
+        by_k1.setdefault(cid.k1, []).append((cid.k2, costs[cid]))
     for lst in by_k1.values():
         lst.sort()
     min_width = min((1 << n) - c.k1 - c.k2 for c in allowed)
     max_width = max((1 << n) - c.k1 - c.k2 for c in allowed) << d_max
-    min_cost = min(model.prices.costs[c] for c in allowed)
-    alpha_min = min(
-        model.prices.costs[c] + math.log2(((1 << n) - c.k1 - c.k2) / (1 << n)) for c in allowed
-    )
+    min_cost = min(costs[c] for c in allowed)
+    alpha_min = min(costs[c] + math.log2(((1 << n) - c.k1 - c.k2) / (1 << n)) for c in allowed)
 
     full_mask = (1 << m) - 1
     psum = [0.0] * (1 << m)
@@ -662,18 +678,17 @@ def solve_ilp_reference(model, node_budget=10_000_000):
         pieces[sym] = (d, v, k1, k2)
     assert reference_check(model, assignment_from_pieces(pieces, order)) == []
     codewords = tuple(BitString(d, v) for d, v, _, _ in pieces)
-    link_ids = tuple(ContinuousModeId(k1, k2) for _, _, k1, k2 in pieces)
-    recomputed = sum(
-        probs[s] * (pieces[s][0] + model.prices.costs[link_ids[s]]) for s in range(m)
-    )
+    ids = [ContinuousModeId(k1, k2) for _, _, k1, k2 in pieces]
+    recomputed = sum(probs[s] * (pieces[s][0] + costs[ids[s]]) for s in range(m))
     assert abs(recomputed - objective) <= 1e-9
-    return TreeSolution(codewords, link_ids, float(recomputed), tuple(order))
+    links = tuple(table.links.index(cid) for cid in ids)
+    return TreeSolution(codewords, links, float(recomputed), tuple(order))
 
 
 def assert_same_tree(model):
     got, want = solve_ilp(model), solve_ilp_reference(model)
-    assert (got.codewords, got.link_ids, got.order) == (want.codewords, want.link_ids,
-                                                         want.order), model.mode_id
+    assert (got.codewords, got.links, got.order) == (want.codewords, want.links,
+                                                     want.order), model.mode_id
     assert got.objective == want.objective, model.mode_id
 
 
@@ -710,20 +725,27 @@ REFERENCE_CASES = dict(
 )
 
 
-def drawn_prices(n, aifvm, pool, on_start, seed):
-    """The prices of one drawn case of ``REFERENCE_CASES``."""
+def drawn_prices(table, pool, on_start, seed):
+    """The prices for ``table`` of one drawn case of ``REFERENCE_CASES``;
+    a link costs the same whatever its index in the table."""
     rng = random.Random(seed)
     costs = {cid: rng.choice(pool) + (c0 if on_start else 0.0)
-             for cid, c0 in initial_costs(n).items()}
-    return link_prices(n, family_links(n, aifvm), costs)
+             for cid, c0 in initial_costs(table.n).items()}
+    return priced(table, costs)
+
+
+def case_table(n, aifvm, weights, links=None):
+    """A fresh search table of one drawn case of ``REFERENCE_CASES``,
+    its links in the family's order unless ``links`` are given."""
+    probs = tuple(w / sum(weights) for w in weights)
+    return SearchTable(n, n + 2, family_links(n, aifvm) if links is None else links, probs)
 
 
 def reference_models(n, aifvm, weights, pool, on_start, seed):
     """Every tree model of one drawn case of ``REFERENCE_CASES``."""
-    probs = tuple(w / sum(weights) for w in weights)
-    prices = drawn_prices(n, aifvm, pool, on_start, seed)
-    for cid in prices.links:
-        yield build_ilp(n, n + 2, cid, probs, prices)
+    prices = drawn_prices(case_table(n, aifvm, weights), pool, on_start, seed)
+    for cid in prices.table.links:
+        yield build_ilp(cid, prices)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -771,36 +793,50 @@ def test_shared_table_solves_like_a_fresh_one(n, aifvm, weights, pool, on_start,
     """A solve through a table that the other modes of the build have
     filled, under other prices, returns what a solve with a fresh table
     returns, cold or below a cutoff, and spends the same nodes."""
-    models = list(reference_models(n, aifvm, weights, pool, on_start, seed))
-    model = models[pick % len(models)]
-    table = SearchTable(n, model.d_max, model.prices.links, model.probs)
-    other = drawn_prices(n, aifvm, pool, not on_start, other_seed)
-    for cid in other.links:
-        if cid != model.mode_id:
-            solve_ilp(build_ilp(n, model.d_max, cid, model.probs, other), table=table)
+    table = case_table(n, aifvm, weights)
+    mode_id = table.links[pick % len(table.links)]
+    other = drawn_prices(table, pool, not on_start, other_seed)
+    for cid in table.links:
+        if cid != mode_id:
+            solve_ilp(build_ilp(cid, other))
     filled = len(table.piece_lists)
-    below = None if offset is None else solve_ilp(model).objective + offset
+    model = build_ilp(mode_id, drawn_prices(table, pool, on_start, seed))
+
+    def fresh_model():
+        return build_ilp(mode_id, drawn_prices(case_table(n, aifvm, weights), pool, on_start, seed))
+
+    below = None if offset is None else solve_ilp(fresh_model()).objective + offset
 
     def shared(mdl, node_budget=10_000_000):
-        return solve_ilp(mdl, node_budget=node_budget, below=below, table=table)
+        return solve_ilp(mdl, node_budget=node_budget, below=below)
 
     def fresh(mdl, node_budget=10_000_000):
-        return solve_ilp(mdl, node_budget=node_budget, below=below)
+        return solve_ilp(fresh_model(), node_budget=node_budget, below=below)
 
     assert shared(model) == fresh(model)
     assert least_budget(shared, model) == least_budget(fresh, model)
     assert len(table.piece_lists) >= filled
 
 
-def test_search_table_must_fit_the_problem():
-    prices = link_prices(2, enumerate_continuous_ids(2), initial_costs(2))
-    model = build_ilp(2, 4, ContinuousModeId(0, 0), (0.9, 0.1), prices)
-    assert solve_ilp(model, table=SearchTable(2, 4, prices.links, (0.9, 0.1))) == solve_ilp(model)
-    for table in (SearchTable(2, 5, prices.links, (0.9, 0.1)),
-                  SearchTable(2, 4, prices.links, (0.8, 0.2)),
-                  SearchTable(2, 4, aifvm_link_ids(2), (0.9, 0.1))):
-        with pytest.raises(ValueError, match="search table was built for another tree problem"):
-            solve_ilp(model, table=table)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(**REFERENCE_CASES)
+def test_shuffled_links_give_the_same_pieces_and_trees(n, aifvm, weights, pool, on_start, seed):
+    """A table given its links in another order yields the same pieces,
+    read through its links, and solves every mode to the same tree."""
+    ordered = case_table(n, aifvm, weights)
+    links = list(ordered.links)
+    random.Random(seed).shuffle(links)
+    shuffled = case_table(n, aifvm, weights, links)
+    prices = [drawn_prices(t, pool, on_start, seed) for t in (ordered, shuffled)]
+    for cid in ordered.links:
+        a, b = (solve_ilp(build_ilp(cid, p)) for p in prices)
+        assert (a.codewords, a.order, a.objective) == (b.codewords, b.order, b.objective)
+        assert [ordered.links[i] for i in a.links] == [shuffled.links[i] for i in b.links]
+    assert ordered.piece_lists.keys() == shuffled.piece_lists.keys()
+    for key, (depths, idxs, room_logs) in ordered.piece_lists.items():
+        depths2, idxs2, room_logs2 = shuffled.piece_lists[key]
+        assert (depths, room_logs) == (depths2, room_logs2)
+        assert [ordered.links[i] for i in idxs] == [shuffled.links[i] for i in idxs2]
 
 
 def recorded_build(p, n):
@@ -868,10 +904,11 @@ def test_solver_matches_reference_on_build_costs(n4_build):
     made, solved, _ = n4_build
     probs = (0.9, 0.1)
     d_max = default_depth(2, 4)
-    assert {model.d_max for model in solved} == {d_max}
+    assert {model.prices.table.d_max for model in solved} == {d_max}
+    assert {model.prices.table.probs for model in solved} == {probs}
     for prices in made:
         for cid in enumerate_continuous_ids(4):
-            assert_same_tree(build_ilp(4, d_max, cid, probs, prices))
+            assert_same_tree(build_ilp(cid, prices))
 
 
 def test_solver_matches_reference_on_quinary_build_costs():
@@ -882,6 +919,6 @@ def test_solver_matches_reference_on_quinary_build_costs():
     assert len(made) == report.iterations > 1
     for prices in made:
         for cid in enumerate_continuous_ids(2):
-            model = build_ilp(2, default_depth(5, 2), cid, source.probs, prices)
+            model = build_ilp(cid, prices)
             assert_same_tree(model)
             assert least_budget(solve_ilp, model) == least_budget(solve_ilp_reference, model)
