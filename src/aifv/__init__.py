@@ -17,7 +17,6 @@ from .builder import (
     OptimalityReport,
     check_g_optimality_binary,
     construct,
-    construct_aifvm,
     expected_code_length,
     folded_codebook_size,
     huffman,

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .builder import (
     BuildConfig,
+    check_limits,
     construct,
-    construct_aifvm,
     expected_code_length,
     folded_codebook_size,
     huffman,
@@ -179,6 +179,9 @@ class TheoreticalRun:
     tolerance: float = 1e-14
     max_depth: int | None = None
 
+    def __post_init__(self):
+        check_limits(self.tolerance, self.max_depth)
+
 
 @dataclass(frozen=True)
 class SimulationRun:
@@ -194,21 +197,20 @@ class SimulationRun:
     max_depth: int | None = None
 
     def __post_init__(self):
+        check_limits(self.tolerance, self.max_depth)
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
+        if not self.seq_sizes:
+            raise ValueError("no sequence sizes given")
         if any(size < 1 for size in self.seq_sizes):
             raise ValueError(f"sequence sizes must be at least 1, got {self.seq_sizes}")
 
 
-def _forest_for(label_cache, dist, kind, value, tolerance, max_depth):
-    key = (dist.probs, kind, value)
+def _forest_for(label_cache, dist, family, n, tolerance, max_depth):
+    key = (dist.probs, family, n)
     if key not in label_cache:
-        cfg = BuildConfig(n=value, tolerance=tolerance, max_depth=max_depth)
-        if kind == "aifv":
-            forest, _ = construct(dist.probs, cfg)
-        else:
-            forest, _ = construct_aifvm(dist.probs, value, cfg)
-        label_cache[key] = forest
+        cfg = BuildConfig(n=n, family=family, tolerance=tolerance, max_depth=max_depth)
+        label_cache[key] = construct(dist.probs, cfg)[0]
     return label_cache[key]
 
 
@@ -228,9 +230,10 @@ def run_theoretical(cfg: TheoreticalRun) -> list[ExperimentRow]:
                                       dist.m ** order, 0, 0, 0,
                                       ext.per_symbol_expected, h,
                                       relative_redundancy(ext.per_symbol_expected, h)))
-        for kind, values in (("aifv", cfg.aifv_delays), ("aifvm", cfg.aifvm_orders)):
+        for kind, family, values in (("aifv", "continuous", cfg.aifv_delays),
+                                     ("aifvm", "aifvm", cfg.aifvm_orders)):
             for value in values:
-                forest = _forest_for(cache, dist, kind, value, cfg.tolerance, cfg.max_depth)
+                forest = _forest_for(cache, dist, family, value, cfg.tolerance, cfg.max_depth)
                 length = expected_code_length(forest, dist.probs)
                 rows.append(ExperimentRow(label, f"{kind}-{value}", value,
                                           folded_codebook_size(forest), 0, 0, 0,
@@ -253,9 +256,10 @@ def run_simulation(cfg: SimulationRun) -> list[ExperimentRow]:
             hf = huffman(dist.probs)
             coders.append(("huffman", 1, dist.m,
                            lambda seq, f=hf: len(encode(f, seq))))
-        for kind, values in (("aifv", cfg.aifv_delays), ("aifvm", cfg.aifvm_orders)):
+        for kind, family, values in (("aifv", "continuous", cfg.aifv_delays),
+                                     ("aifvm", "aifvm", cfg.aifvm_orders)):
             for value in values:
-                forest = _forest_for(cache, dist, kind, value, cfg.tolerance, cfg.max_depth)
+                forest = _forest_for(cache, dist, family, value, cfg.tolerance, cfg.max_depth)
                 coders.append((f"{kind}-{value}", value, folded_codebook_size(forest),
                                lambda seq, f=forest: len(encode(f, seq))))
         if cfg.include_range:

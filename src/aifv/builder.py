@@ -67,10 +67,19 @@ RETAIN_EPS = 1e-12
 TRACE_SLACK = 1e-11
 
 FAMILIES = ("continuous", "aifvm", "full-binary")
+INIT_RULES = ("formula", "huffman-floor")
 
 
 class BuildError(RuntimeError):
     pass
+
+
+def check_limits(tolerance: float, max_depth: int | None) -> None:
+    """Reject a convergence tolerance or a tree depth bound no build can use."""
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError("tolerance must be finite and positive")
+    if max_depth is not None and max_depth < 1:
+        raise ValueError("depth bound must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -80,19 +89,18 @@ class BuildConfig:
     max_depth: int | None = None
     tolerance: float = 1e-14
     max_iterations: int = 200
-    init: str = "formula"  # or "huffman-floor"
+    init: str = "formula"
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("delay must be at least 1")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError("tolerance must be finite and positive")
-        if self.init not in ("formula", "huffman-floor"):
+        if self.init not in INIT_RULES:
             raise ValueError(f"unknown init rule {self.init!r}")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("depth bound must be at least 1")
+        check_limits(self.tolerance, self.max_depth)
+        if self.family == "full-binary" and self.max_depth is not None:
+            raise ValueError("the full-binary family takes no depth bound")
 
 
 @dataclass(frozen=True)
@@ -221,6 +229,10 @@ def construct(p, cfg: BuildConfig) -> tuple[CodeForest, OptimalityReport]:
     (first iteration), kept and replaced, the piece lists in the shared
     table so far, the seconds spent in tree solves and in the Markov
     layer, and the chain's blocks and absorbing blocks.
+
+    The full basic family's F-optimum is G-optimal, so for
+    ``family="full-binary"`` the report's ``g_checked`` is whether the
+    run converged; the other families leave it None.
     """
     probs = as_probs(p)
     fam = _Family(cfg, probs)
@@ -248,7 +260,7 @@ def construct(p, cfg: BuildConfig) -> tuple[CodeForest, OptimalityReport]:
         solve_s = time.perf_counter()
         for i in range(k):
             j = fam.mirror[i] if reuse else i
-            if reuse and j < i and trees[j] is not None:
+            if reuse and j < i:
                 trees[i] = flip_tree(trees[j], mirror_links)
                 continue
             solved += 1
@@ -347,7 +359,7 @@ def construct(p, cfg: BuildConfig) -> tuple[CodeForest, OptimalityReport]:
         converged=converged,
         e_optimal=converged or stepg,
         f_optimal=converged,
-        g_checked=None,
+        g_checked=converged if cfg.family == "full-binary" else None,
         iterations=iterations,
         tolerance=cfg.tolerance,
         block_lbars=tuple(lbars),
@@ -361,25 +373,10 @@ def construct(p, cfg: BuildConfig) -> tuple[CodeForest, OptimalityReport]:
     return forest, report
 
 
-def construct_aifvm(p, m: int, cfg: BuildConfig | None = None) -> tuple[CodeForest, OptimalityReport]:
-    """Classic m-tree construction: delay m with links restricted to the
-    empty mode and the one-sided powers of two."""
-    if cfg is None:
-        cfg = BuildConfig(n=m, family="aifvm")
-    else:
-        cfg = replace(cfg, n=m, family="aifvm")
-    return construct(p, cfg)
-
-
 def check_g_optimality_binary(p, n: int, cfg: BuildConfig | None = None):
     """Build over the full basic family (binary alphabets, delay <= 3) and
     report whether the run certifies a globally optimal codebook."""
-    if cfg is None:
-        cfg = BuildConfig(n=n, family="full-binary")
-    else:
-        cfg = replace(cfg, n=n, family="full-binary")
-    forest, report = construct(p, cfg)
-    return forest, replace(report, g_checked=report.f_optimal)
+    return construct(p, replace(cfg or BuildConfig(n=n), n=n, family="full-binary"))
 
 
 def expected_code_length(forest: CodeForest, p) -> float:

@@ -10,14 +10,7 @@ import sys
 import tempfile
 
 from .bench import SimulationRun, TheoreticalRun, rows_to_csv, run_simulation, run_theoretical
-from .builder import (
-    BuildConfig,
-    BuildError,
-    OptimalityReport,
-    check_g_optimality_binary,
-    construct,
-    construct_aifvm,
-)
+from .builder import FAMILIES, INIT_RULES, BuildConfig, BuildError, OptimalityReport, construct
 from .forest import (
     CodebookError,
     DecodeError,
@@ -118,18 +111,13 @@ def report_sidecar(report: OptimalityReport) -> str:
 
 def cmd_construct(args) -> int:
     dist = read_distribution(args.dist)
-    cfg = BuildConfig(
+    forest, report = construct(dist.probs, BuildConfig(
         n=args.n,
+        family=args.family,
         max_depth=args.max_depth,
         tolerance=args.tol,
         init=args.init,
-    )
-    if args.aifvm:
-        forest, report = construct_aifvm(dist.probs, args.n, cfg)
-    elif args.backend == "brute":
-        forest, report = check_g_optimality_binary(dist.probs, args.n, cfg)
-    else:
-        forest, report = construct(dist.probs, cfg)
+    ))
     atomic_write(args.output, format_codebook(forest))
     atomic_write(args.output + ".report.csv", report_sidecar(report))
     print(f"wrote {args.output}: {len(forest.trees)} trees, "
@@ -269,12 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build an optimal codebook for a source")
     p.add_argument("--dist", required=True, help="distribution file (a<m> <prob> lines)")
     p.add_argument("-N", dest="n", type=int, required=True, help="decoding delay bound")
-    p.add_argument("--backend", choices=("ilp", "brute"), default="ilp")
-    p.add_argument("--aifvm", action="store_true",
-                   help="restrict links to the classic m-tree family (m = N)")
+    p.add_argument("--family", choices=FAMILIES, default="continuous",
+                   help="mode family: the continuous subfamily, the classic m-tree "
+                        "links (m = N), or the full basic family (binary, N <= 3)")
     p.add_argument("--max-depth", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-14)
-    p.add_argument("--init", choices=("formula", "huffman-floor"), default="formula")
+    p.add_argument("--init", choices=INIT_RULES, default="formula")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_construct)
 

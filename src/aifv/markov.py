@@ -59,10 +59,6 @@ class BlockDecomposition:
     blocks: tuple[tuple[int, ...], ...]
     n_absorbing: int
 
-    @property
-    def order(self) -> tuple[int, ...]:
-        return tuple(i for b in self.blocks for i in b)
-
 
 def block_decompose(mat: np.ndarray) -> BlockDecomposition:
     """Group mutually reachable states; absorption blocks first, then a

@@ -52,9 +52,6 @@ class ContinuousModeId(NamedTuple):
     k1: int
     k2: int
 
-    def render(self) -> str:
-        return f"({self.k1},{self.k2})"
-
 
 def is_basic_mode(words: WordSet, n: int) -> bool:
     """Membership test for the delay-``n`` basic family.

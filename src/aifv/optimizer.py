@@ -87,7 +87,7 @@ def aifvm_link_ids(n: int) -> list[ContinuousModeId]:
     """Link modes available to the classic m-tree construction: the empty
     mode plus the one-sided powers of two."""
     ids = [ContinuousModeId(0, 0)]
-    ids += [ContinuousModeId(1 << j, 0) for j in range(n - 1) if (1 << j) < (1 << (n - 1))]
+    ids += [ContinuousModeId(1 << j, 0) for j in range(n - 1)]
     return ids
 
 

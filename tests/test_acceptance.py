@@ -15,7 +15,6 @@ from aifv.builder import (
     BuildConfig,
     check_g_optimality_binary,
     construct,
-    construct_aifvm,
     expected_code_length,
     huffman,
 )
@@ -56,7 +55,7 @@ def aifvm2_reports(grid):
     t0 = time.time()
     out = {}
     for dist in grid:
-        _, report = construct_aifvm(dist.probs, 2, BuildConfig(n=2, tolerance=TOL_FIX))
+        _, report = construct(dist.probs, BuildConfig(n=2, family="aifvm", tolerance=TOL_FIX))
         out[dist.probs[0]] = report
     print(f"[fixture] grid aifvm m=2: {time.time() - t0:.1f}s")
     return out
@@ -209,7 +208,7 @@ def fuzz_forests():
         ((0.4, 0.3, 0.2, 0.1), 2), ((0.25, 0.25, 0.25, 0.25), 2),
     ]
     forests = [construct(p, BuildConfig(n=n))[0] for p, n in cases]
-    forests.append(construct_aifvm((0.8, 0.2), 3)[0])
+    forests.append(construct((0.8, 0.2), BuildConfig(n=3, family="aifvm"))[0])
     forests.append(huffman((0.5, 0.3, 0.2)))
     return forests
 

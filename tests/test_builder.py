@@ -9,7 +9,6 @@ from aifv.builder import (
     BuildConfig,
     check_g_optimality_binary,
     construct,
-    construct_aifvm,
     expected_code_length,
     folded_codebook_size,
     huffman,
@@ -39,13 +38,13 @@ def test_n1_is_huffman():
 def test_aifv2_equivalence_spot():
     probs = (0.9, 0.1)
     _, r_cont = construct(probs, BuildConfig(n=2))
-    _, r_m = construct_aifvm(probs, 2)
+    _, r_m = construct(probs, BuildConfig(n=2, family="aifvm"))
     assert abs(r_cont.expected_len - r_m.expected_len) <= 1e-12
 
 
 def test_aifvm_m1_is_huffman():
     probs = (0.6, 0.25, 0.15)
-    forest, report = construct_aifvm(probs, 1)
+    forest, report = construct(probs, BuildConfig(n=1, family="aifvm"))
     assert len(forest.trees) == 1
     assert report.expected_len == pytest.approx(
         expected_code_length(huffman(probs), probs))
@@ -54,7 +53,7 @@ def test_aifvm_m1_is_huffman():
 def test_aifvm_restriction_never_beats_unrestricted():
     probs = (0.9, 0.1)
     _, free = construct(probs, BuildConfig(n=3))
-    _, restricted = construct_aifvm(probs, 3)
+    _, restricted = construct(probs, BuildConfig(n=3, family="aifvm"))
     assert restricted.expected_len >= free.expected_len - 1e-12
 
 
@@ -62,8 +61,8 @@ def test_aifvm_gains_only_on_skewed_sources():
     # growing the tree count helps the classic family only when the
     # dominant symbol is very likely
     for p0, expect_gain in ((0.55, False), (0.75, False), (0.95, True)):
-        _, m2 = construct_aifvm((p0, 1 - p0), 2)
-        _, m4 = construct_aifvm((p0, 1 - p0), 4)
+        _, m2 = construct((p0, 1 - p0), BuildConfig(n=2, family="aifvm"))
+        _, m4 = construct((p0, 1 - p0), BuildConfig(n=4, family="aifvm"))
         gain = m2.expected_len - m4.expected_len
         if expect_gain:
             assert gain > 0.1
@@ -148,7 +147,7 @@ def test_symmetry_reuse_matches_independent():
                    id=f"p0={p0}-N{n}")
       for p0 in (0.6, 0.75, 0.9, 0.95) for n in (3, 4)),
     pytest.param(lambda: construct(sources_polynomial(5)[2], BuildConfig(n=2)), id="P2-M5-N2"),
-    pytest.param(lambda: construct_aifvm((0.9, 0.1), 3), id="aifvm3"),
+    pytest.param(lambda: construct((0.9, 0.1), BuildConfig(n=3, family="aifvm")), id="aifvm3"),
 ])
 def test_warm_start_builds_what_cold_solves_build(build):
     """Seeding each solve with the previous tree's cost changes no
@@ -292,9 +291,45 @@ AIFVM_PINS = [
 
 @pytest.mark.parametrize("probs, m, digest", AIFVM_PINS)
 def test_aifvm_output_is_pinned(probs, m, digest):
-    forest, report = construct_aifvm(probs, m)
+    forest, report = construct(probs, BuildConfig(n=m, family="aifvm"))
     text = format_codebook(forest) + repr(report)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# The same digest for the full basic family's G-check, computed before
+# ``construct`` set ``g_checked`` itself.
+GCHECK_PINS = [
+    ((0.9, 0.1), 2, "3b7d182d056af287e4f4dc6129511700767ca8ee1e4f43226e3a4f4963c71dd2"),
+    ((0.9, 0.1), 3, "fbfe2bea03e6afce2e976eaef9c0697956a1ea76b38daf37989707122cfeed84"),
+    ((0.6, 0.4), 3, "074e8a61882a5a95f9c084a8f8f7f5c9631bd69ea6011082eeb252121941b035"),
+]
+
+
+@pytest.mark.parametrize("probs, n, digest", GCHECK_PINS)
+def test_gcheck_output_is_pinned(probs, n, digest):
+    forest, report = check_g_optimality_binary(probs, n)
+    text = format_codebook(forest) + repr(report)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("probs, n", [((0.9, 0.1), 2), ((0.6, 0.4), 3), ((0.5, 0.5), 1)])
+def test_full_binary_construct_is_the_g_check(probs, n):
+    """``construct`` over the full family reports the certification the
+    G-check reports; the other families leave it unset."""
+    forest, report = construct(probs, BuildConfig(n=n, family="full-binary"))
+    g_forest, g_report = check_g_optimality_binary(probs, n)
+    assert format_codebook(forest) == format_codebook(g_forest)
+    assert report == g_report
+    assert report.g_checked is True
+    for family in ("continuous", "aifvm"):
+        assert construct(probs, BuildConfig(n=n, family=family))[1].g_checked is None
+
+
+def test_full_binary_family_takes_no_depth_bound():
+    with pytest.raises(ValueError, match="^the full-binary family takes no depth bound$"):
+        BuildConfig(n=2, family="full-binary", max_depth=4)
+    with pytest.raises(ValueError, match="full-binary"):
+        check_g_optimality_binary((0.9, 0.1), 2, BuildConfig(n=2, max_depth=4))
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-14, math.inf, -math.inf, math.nan])

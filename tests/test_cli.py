@@ -2,7 +2,8 @@ import os
 
 import pytest
 
-from aifv.cli import main, read_distribution
+from aifv.builder import FAMILIES, BuildConfig, construct
+from aifv.cli import main, read_distribution, report_sidecar
 from aifv.forest import format_codebook
 
 
@@ -293,13 +294,33 @@ def test_decode_rejects_negative_count(tmp_path, dist_file, capsys):
 
 def test_construct_aifvm_and_brute(tmp_path, dist_file):
     book_m = str(tmp_path / "m.aifv")
-    assert main(["construct", "--dist", dist_file, "-N", "2", "--aifvm",
+    assert main(["construct", "--dist", dist_file, "-N", "2", "--family", "aifvm",
                  "-o", book_m]) == 0
     book_b = str(tmp_path / "b.aifv")
-    assert main(["construct", "--dist", dist_file, "-N", "2", "--backend", "brute",
+    assert main(["construct", "--dist", dist_file, "-N", "2", "--family", "full-binary",
                  "-o", book_b]) == 0
     with open(book_b + ".report.csv") as fh:
         assert "# g_checked: true" in fh.read()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_construct_family_writes_what_construct_builds(tmp_path, dist_file, family):
+    book = str(tmp_path / "book.aifv")
+    assert main(["construct", "--dist", dist_file, "-N", "2", "--family", family,
+                 "-o", book]) == 0
+    forest, report = construct((0.9, 0.1), BuildConfig(n=2, family=family))
+    with open(book) as fh:
+        assert fh.read() == format_codebook(forest)
+    with open(book + ".report.csv") as fh:
+        assert fh.read() == report_sidecar(report)
+
+
+def test_construct_full_binary_rejects_a_depth_bound(tmp_path, dist_file, capsys):
+    book = str(tmp_path / "book")
+    assert main(["construct", "--dist", dist_file, "-N", "3", "--family", "full-binary",
+                 "--max-depth", "1", "-o", book]) == 2
+    assert capsys.readouterr().err == "error: the full-binary family takes no depth bound\n"
+    assert not os.path.exists(book)
 
 
 def test_eval_csv(tmp_path, dist_file):
@@ -330,6 +351,32 @@ def test_simulate_rejects_counts_below_one(tmp_path, dist_file, capsys, option, 
     argv[argv.index(option) + 1] = value
     assert main(argv) == 2
     assert "must be at least 1" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_simulate_rejects_an_empty_size_list(tmp_path, dist_file, capsys):
+    out = str(tmp_path / "sim.csv")
+    assert main(["simulate", "--dist", dist_file, "--aifv", "2", "--sizes", "",
+                 "-o", out]) == 2
+    assert capsys.readouterr().err == "error: no sequence sizes given\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command, option, value, message", [
+    ("eval", "--tol", "nan", "tolerance must be finite and positive"),
+    ("eval", "--max-depth", "0", "depth bound must be at least 1"),
+    ("simulate", "--tol", "-1", "tolerance must be finite and positive"),
+    ("simulate", "--max-depth", "-2", "depth bound must be at least 1"),
+])
+def test_drivers_check_limits_without_a_build(tmp_path, dist_file, capsys,
+                                              command, option, value, message):
+    """The limits are checked even when only Huffman rows are asked for."""
+    out = str(tmp_path / "rows.csv")
+    argv = [command, "--dist", dist_file, option, value, "-o", out]
+    if command == "simulate":
+        argv += ["--sizes", "8", "--trials", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not os.path.exists(out)
 
 
