@@ -200,6 +200,8 @@ class SimulationRun:
         check_limits(self.tolerance, self.max_depth)
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must not be negative, got {self.seed}")
         if not self.seq_sizes:
             raise ValueError("no sequence sizes given")
         if any(size < 1 for size in self.seq_sizes):

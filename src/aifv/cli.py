@@ -213,16 +213,20 @@ def _sources_from_args(args) -> list[tuple[str, SourceDistribution]]:
     return out
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok)
+def _int_list(option: str, text: str) -> tuple[int, ...]:
+    """Comma-separated integers; the empty string means none."""
+    try:
+        return tuple(int(tok) for tok in text.split(",")) if text else ()
+    except ValueError:
+        raise ValueError(f"{option} takes comma-separated integers, got {text!r}") from None
 
 
 def cmd_eval(args) -> int:
     rows = run_theoretical(TheoreticalRun(
         sources=tuple(_sources_from_args(args)),
-        aifv_delays=_int_list(args.aifv),
-        aifvm_orders=_int_list(args.aifvm),
-        ext_huffman_orders=_int_list(args.ext_huffman),
+        aifv_delays=_int_list("--aifv", args.aifv),
+        aifvm_orders=_int_list("--aifvm", args.aifvm),
+        ext_huffman_orders=_int_list("--ext-huffman", args.ext_huffman),
         include_huffman=not args.no_huffman,
         tolerance=args.tol,
         max_depth=args.max_depth,
@@ -235,11 +239,11 @@ def cmd_eval(args) -> int:
 def cmd_simulate(args) -> int:
     rows = run_simulation(SimulationRun(
         sources=tuple(_sources_from_args(args)),
-        seq_sizes=_int_list(args.sizes),
+        seq_sizes=_int_list("--sizes", args.sizes),
         trials=args.trials,
         seed=args.seed,
-        aifv_delays=_int_list(args.aifv),
-        aifvm_orders=_int_list(args.aifvm),
+        aifv_delays=_int_list("--aifv", args.aifv),
+        aifvm_orders=_int_list("--aifvm", args.aifvm),
         include_huffman=not args.no_huffman,
         include_range=not args.no_range,
         tolerance=args.tol,

@@ -5,11 +5,12 @@ Construction needs the chain's stationary behaviour (expected code
 length) and a virtual per-tree linking cost whose fixed point certifies
 optimality.  Chains met mid-iteration are not always irreducible, so the
 matrix is first block-triangularised by strongly connected components,
-read off the chain's reachability closure; components without outgoing
-edges ("absorption blocks") each carry an independent sub-forest with
-its own stationary distribution.  The transient components follow in
-order of how many states they reach, which makes the permuted matrix
-block lower-triangular, and one linear solve prices all of them.
+found by one linear-time depth-first pass (Tarjan's algorithm) over the
+chain's edges; components without outgoing edges ("absorption blocks")
+each carry an independent sub-forest with its own stationary
+distribution.  The transient components follow in order of how many
+states they reach, which makes the permuted matrix block
+lower-triangular, and one linear solve prices all of them.
 """
 
 from __future__ import annotations
@@ -64,28 +65,67 @@ def block_decompose(mat: np.ndarray) -> BlockDecomposition:
     """Group mutually reachable states; absorption blocks first, then a
     topological order so the permuted matrix is block lower-triangular.
 
-    The reachability closure of ``(mat > 0) | I`` comes from repeated
-    squaring, at most ceil(log2 K) + 1 matrix products; two states share
-    a block iff each reaches the other.
+    One iterative pass of Tarjan's algorithm over the successor lists of
+    ``mat > 0`` finds the blocks in O(K + E), each one after every block
+    it has edges into.  So when a block is found, the states it reaches
+    make one int bitset: its own states and those of the blocks it feeds.
     """
-    reach = (mat > 0.0) | np.eye(mat.shape[0], dtype=bool)
-    while True:
-        r = reach.astype(float)
-        closed = (r @ r) > 0.0
-        if np.array_equal(closed, reach):
-            break
-        reach = closed
-    same = reach & reach.T
-    first = np.argmax(same, axis=1)  # smallest state of each state's block
-    reps = np.flatnonzero(first == np.arange(len(first)))
-    n_reached = reach[reps].sum(axis=1)
-    absorbing = n_reached == same[reps].sum(axis=1)
-    # absorbing blocks sort first because a transient one reaches >= 2 states
-    key = np.where(absorbing, 0, n_reached)
-    ordered = reps[np.lexsort((reps, key))]
+    k_total = mat.shape[0]
+    src, dst = np.nonzero(mat > 0.0)
+    succ = dst.tolist()
+    start = np.searchsorted(src, np.arange(k_total + 1)).tolist()
+    nxt = start[:-1]  # position of each state's next successor to look at
+    visit = [-1] * k_total  # depth-first visit number
+    low = [0] * k_total  # smallest visit number seen from the state's subtree
+    block_of = [-1] * k_total  # -1 until found; visited and -1 means on the stack
+    stack: list[int] = []
+    reach: list[int] = []  # bitset of the states each found block reaches
+    found = []  # (sort key, states) per block
+    counter = 0
+    for root in range(k_total):
+        if visit[root] >= 0:
+            continue
+        work = [root]
+        while work:
+            v = work[-1]
+            if visit[v] < 0:
+                visit[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+            e, end = nxt[v], start[v + 1]
+            while e < end and visit[succ[e]] >= 0:
+                w = succ[e]
+                if block_of[w] < 0 and visit[w] < low[v]:
+                    low[v] = visit[w]
+                e += 1
+            if e < end:
+                nxt[v] = e + 1
+                work.append(succ[e])
+                continue
+            work.pop()
+            if work and low[v] < low[work[-1]]:
+                low[work[-1]] = low[v]
+            if low[v] < visit[v]:
+                continue
+            j = len(reach)
+            states = []
+            while not states or states[-1] != v:
+                states.append(stack.pop())
+                block_of[states[-1]] = j
+            bits = 0
+            for s in states:
+                bits |= 1 << s
+            fed = {block_of[w] for s in states for w in succ[start[s]:start[s + 1]]} - {j}
+            for b in fed:
+                bits |= reach[b]
+            reach.append(bits)
+            states.sort()
+            # absorbing blocks sort first because a transient one reaches >= 2 states
+            found.append(((bits.bit_count() if fed else 0, states[0]), tuple(states)))
+    found.sort()
     return BlockDecomposition(
-        blocks=tuple(tuple(np.flatnonzero(same[r]).tolist()) for r in ordered),
-        n_absorbing=int(absorbing.sum()),
+        blocks=tuple(states for _, states in found),
+        n_absorbing=sum(1 for (n_reached, _), _ in found if n_reached == 0),
     )
 
 

@@ -17,6 +17,9 @@
 * The range coder as an encoder and a decoder object, each keeping
   ``low`` and ``span`` as attributes and normalising in a method.  The
   running coder is one loop per direction on local variables.
+* The chain's blocks read off its dense reachability closure, from
+  repeated boolean squaring of ``(mat > 0) | I``.  The running code
+  finds them by one linear-time Tarjan pass over the edges.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 from aifv.bench import (
     FREQ_TOTAL,
@@ -35,6 +40,7 @@ from aifv.bench import (
 )
 from aifv.bitstrings import LMAX, BitString, CapacityError, WordSet, expand_to_length, is_prefix
 from aifv.forest import CodeTree
+from aifv.markov import BlockDecomposition
 from aifv.modes import ContinuousModeId, Mode, enumerate_continuous_ids, is_basic_mode, mode_from_id
 from aifv.optimizer import IlpModel, LinkPrices, ModelError, TreeSolution
 
@@ -545,3 +551,35 @@ def range_decode_reference(p, data: bytes, count: int) -> list[int]:
         dec.consume(cums[s], freqs[s], FREQ_TOTAL)
         out.append(s)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the chain's blocks from its reachability closure
+
+
+def block_decompose_closure(mat: np.ndarray) -> BlockDecomposition:
+    """The blocks of :func:`aifv.markov.block_decompose`, in its order.
+
+    The reachability closure of ``(mat > 0) | I`` comes from repeated
+    squaring, at most ceil(log2 K) + 1 matrix products; two states share
+    a block iff each reaches the other.
+    """
+    reach = (mat > 0.0) | np.eye(mat.shape[0], dtype=bool)
+    while True:
+        r = reach.astype(float)
+        closed = (r @ r) > 0.0
+        if np.array_equal(closed, reach):
+            break
+        reach = closed
+    same = reach & reach.T
+    first = np.argmax(same, axis=1)  # smallest state of each state's block
+    reps = np.flatnonzero(first == np.arange(len(first)))
+    n_reached = reach[reps].sum(axis=1)
+    absorbing = n_reached == same[reps].sum(axis=1)
+    # absorbing blocks sort first because a transient one reaches >= 2 states
+    key = np.where(absorbing, 0, n_reached)
+    ordered = reps[np.lexsort((reps, key))]
+    return BlockDecomposition(
+        blocks=tuple(tuple(np.flatnonzero(same[r]).tolist()) for r in ordered),
+        n_absorbing=int(absorbing.sum()),
+    )

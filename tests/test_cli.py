@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -352,6 +354,45 @@ def test_simulate_rejects_counts_below_one(tmp_path, dist_file, capsys, option, 
     assert main(argv) == 2
     assert "must be at least 1" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("simulate", "--sizes", "8,,16"), ("simulate", "--sizes", ","),
+    ("simulate", "--aifv", "2,"), ("simulate", "--aifvm", ",2"),
+    ("eval", "--aifv", "1,x"), ("eval", "--ext-huffman", "2,,3"),
+])
+def test_drivers_reject_an_empty_or_bad_list_entry(tmp_path, dist_file, capsys,
+                                                   command, option, value):
+    out = str(tmp_path / "rows.csv")
+    argv = [command, "--dist", dist_file, option, value, "-o", out]
+    if command == "simulate" and option != "--sizes":
+        argv += ["--sizes", "8", "--trials", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {option} takes comma-separated integers, got {value!r}\n")
+    assert not os.path.exists(out)
+
+
+def test_simulate_rejects_a_negative_seed(tmp_path, dist_file, capsys):
+    out = str(tmp_path / "sim.csv")
+    assert main(["simulate", "--dist", dist_file, "--sizes", "8", "--trials", "1",
+                 "--seed", "-5", "-o", out]) == 2
+    assert capsys.readouterr().err == "error: seed must not be negative, got -5\n"
+    assert not os.path.exists(out)
+
+
+def test_cli_and_a_build_import_no_sparse_matrices():
+    """``scipy.sparse`` costs a fresh process time and memory at import;
+    neither the CLI nor a build loads it."""
+    code = ("import sys\n"
+            "import aifv.cli\n"
+            "from aifv.builder import BuildConfig, construct\n"
+            "construct((0.9, 0.1), BuildConfig(n=3))\n"
+            "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse imported'\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
 
 
 def test_simulate_rejects_an_empty_size_list(tmp_path, dist_file, capsys):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from aifv.markov import (
     worst_block_invariant,
 )
 from conftest import make_tree
+from oracles import block_decompose_closure
 
 
 def cost_update_simple(lengths, mat, lbar):
@@ -290,6 +292,42 @@ def test_block_decompose_matches_tarjan_on_sparse_chains(mat):
     assert_matches_tarjan(mat, block_decompose(mat))
 
 
+@st.composite
+def link_graphs(draw):
+    """Up to 300 states, each with 1 to 5 random successors (itself
+    allowed), as a chain's links draw them."""
+    k = draw(st.integers(1, 300))
+    rng = draw(st.randoms(use_true_random=False))
+    mat = np.zeros((k, k))
+    for i in range(k):
+        mat[i, [rng.randrange(k) for _ in range(rng.randint(1, 5))]] = 1.0
+    return mat / mat.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(sparse_chains(), link_graphs()))
+def test_block_decompose_matches_closure_in_order(mat):
+    assert block_decompose(mat) == block_decompose_closure(mat)
+
+
+def test_block_decompose_deep_feeder_path():
+    """A path deeper than the recursion limit: each state feeds the
+    next and the last loops on itself."""
+    k = 5000
+    assert k > sys.getrecursionlimit()
+    mat = np.zeros((k, k), dtype=bool)  # bool keeps the dense test input at 25 MB
+    mat[np.arange(k - 1), np.arange(1, k)] = True
+    mat[k - 1, k - 1] = True
+    blocks = block_decompose(mat)
+    assert blocks.n_absorbing == 1
+    assert blocks.blocks == tuple((s,) for s in reversed(range(k)))
+    block_of = np.empty(k, dtype=int)
+    for j, (s,) in enumerate(blocks.blocks):
+        block_of[s] = j
+    src, dst = np.nonzero(mat)
+    assert np.all(block_of[dst] <= block_of[src]), "edge points to a later block"
+
+
 def test_stationary_symmetric_cycle():
     mat = np.array([[0.0, 1.0], [1.0, 0.0]])
     (pi,) = stationary(mat, block_decompose(mat))
@@ -468,6 +506,7 @@ def test_cost_update_general_matches_blockwise_on_build_chains(monkeypatch):
     assert any(len(blocks.blocks) > 1 for _, _, blocks, _ in chains)
     for lengths, mat, blocks, pis in chains:
         assert_matches_tarjan(mat, blocks)
+        assert blocks == block_decompose_closure(mat)
         costs = cost_update_general(lengths, mat, blocks, pis)[0]
         ref = cost_update_blockwise(lengths, mat, blocks, pis)[0]
         assert np.max(np.abs(costs - ref)) <= 1e-15
