@@ -19,16 +19,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
-
-from .sources import as_probs
-
-# Pivot magnitudes below this are treated as singular in cost solves.
-PIVOT_TOL = 1e-12
 
 
 class SingularChainError(np.linalg.LinAlgError):
-    """A cost-update linear system is numerically singular."""
+    """A cost-update linear system is exactly singular."""
 
 
 def transition_matrix(forest, probs: Sequence[float]) -> np.ndarray:
@@ -36,7 +30,6 @@ def transition_matrix(forest, probs: Sequence[float]) -> np.ndarray:
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or len(p) != forest.symbol_count:
         raise ValueError("one probability per symbol required")
-    as_probs(p)
     k_total = len(forest.trees)
     mat = np.zeros((k_total, k_total))
     for k, tree in enumerate(forest.trees):
@@ -145,7 +138,7 @@ def stationary(mat: np.ndarray, blocks: BlockDecomposition) -> list[np.ndarray]:
         a = np.vstack([sub.T - np.eye(size), np.ones((1, size))])
         b = np.zeros(size + 1)
         b[-1] = 1.0
-        sol, _, rank, _ = scipy.linalg.lstsq(a, b)
+        sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
         if rank < size:
             raise SingularChainError(f"stationary system rank {rank} < {size}")
         pi = np.zeros(k_total)
@@ -161,22 +154,28 @@ def expected_length(lengths: Sequence[float], pi: np.ndarray) -> float:
     return float(pi @ lv)
 
 
-def _lu_solve_checked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a)
-    if np.min(np.abs(np.diag(lu))) < PIVOT_TOL:
-        raise SingularChainError("pivot below tolerance; chain cannot reach the pinned tree")
-    return scipy.linalg.lu_solve((lu, piv), b)
+def _solve(a: np.ndarray, b: np.ndarray, blocks: BlockDecomposition, j: int) -> np.ndarray:
+    """``np.linalg.solve`` of absorbing block ``j``'s pinned system or, from
+    the first transient ``j``, the transient one; SingularChainError names
+    the block at fault if it is exactly singular."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        kind = "pinned system of absorbing"
+    if j >= blocks.n_absorbing:
+        # block lower-triangular: at fault is its diagonal block nearest to singular
+        kind = "transient system at"
+        bounds = np.cumsum([0] + [len(block) for block in blocks.blocks[j:]])
+        dets = [abs(np.linalg.det(a[s:e, s:e])) for s, e in zip(bounds, bounds[1:])]
+        j += int(np.argmin(dets))
+    raise SingularChainError(f"{kind} block {j} (first tree {blocks.blocks[j][0]}) is singular")
 
 
 def cost_update_general(
     lengths: Sequence[float],
     mat: np.ndarray,
     blocks: BlockDecomposition,
-    pis: list[np.ndarray] | None = None,
+    pis: list[np.ndarray],
 ) -> tuple[np.ndarray, list[float], int]:
     """Cost update that works for any chain shape.
 
@@ -188,8 +187,6 @@ def cost_update_general(
     one.
     """
     lv = np.asarray(lengths, dtype=float)
-    if pis is None:
-        pis = stationary(mat, blocks)
     lbars = [expected_length(lv, pi) for pi in pis]
     j_star = int(np.argmax(lbars))
 
@@ -198,13 +195,14 @@ def cost_update_general(
         rest = np.array(blocks.blocks[j][1:], dtype=int)
         if len(rest):
             a = mat[np.ix_(rest, rest)] - np.eye(len(rest))
-            costs[rest] = _lu_solve_checked(a, lbars[j] - lv[rest])
+            costs[rest] = _solve(a, lbars[j] - lv[rest], blocks, j)
     trans = np.array([i for b in blocks.blocks[blocks.n_absorbing:] for i in b], dtype=int)
     if len(trans):
         rows = mat[trans]
         a = rows[:, trans] - np.eye(len(trans))
         # costs[trans] is still zero, so rows @ costs is the absorbing inflow
-        costs[trans] = _lu_solve_checked(a, lbars[j_star] - lv[trans] - rows @ costs)
+        costs[trans] = _solve(a, lbars[j_star] - lv[trans] - rows @ costs,
+                              blocks, blocks.n_absorbing)
     return costs, lbars, j_star
 
 

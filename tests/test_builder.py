@@ -15,6 +15,7 @@ from aifv.builder import (
     huffman_lengths,
 )
 from aifv.forest import decode, encode, format_codebook, validate_full, validate_rule1
+from aifv.markov import SingularChainError
 from aifv.modes import flip_mode
 from aifv.sources import sources_polynomial
 
@@ -202,6 +203,32 @@ def test_huffman_examples():
     f3 = huffman((0.5625, 0.1875, 0.1875, 0.0625))
     assert [cw.length for cw in f3.trees[0].codewords] == [1, 2, 3, 3]
     assert expected_code_length(f3, (0.5625, 0.1875, 0.1875, 0.0625)) == pytest.approx(1.6875)
+
+
+def test_expected_code_length_rejects_bad_distribution(demo_forest):
+    with pytest.raises(ValueError, match="sum to 1"):
+        expected_code_length(demo_forest, [0.5, 0.5, 0.1])
+    with pytest.raises(ValueError, match="strictly positive"):
+        expected_code_length(demo_forest, [1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="strictly positive"):
+        expected_code_length(demo_forest, [float("nan"), 0.5, 0.5])
+
+
+def test_tiny_but_nonzero_pivot_builds():
+    """The chain of the (1 - 1e-13, 1e-13) source at N=3 reaches its pinned
+    tree through a pivot of about 1e-13; only an exactly singular system
+    is refused."""
+    forest, report = construct((1 - 1e-13, 1e-13), BuildConfig(n=3))
+    assert len(forest.trees) == 4
+    assert report.converged
+    assert report.expected_len == 0.2500000000002374
+
+
+def test_exactly_singular_chain_names_its_block():
+    # 1 - 1e-20 rounds to 1, so a tree's self-loop does too
+    with pytest.raises(SingularChainError, match=r"^pinned system of absorbing block 0 "
+                                                 r"\(first tree 0\) is singular$"):
+        construct((1 - 1e-20, 1e-20), BuildConfig(n=3))
 
 
 def test_folded_codebook_size():

@@ -294,6 +294,20 @@ def test_decode_rejects_negative_count(tmp_path, dist_file, capsys):
     assert not os.path.exists(out)
 
 
+def test_construct_accepts_a_tiny_but_nonzero_pivot(tmp_path, capsys):
+    """The (1 - 1e-13, 1e-13) source at N=3 builds: its chain reaches the
+    pinned tree, if only through a pivot of about 1e-13."""
+    dist = tmp_path / "tiny.dist"
+    write(dist, "a0 0.9999999999999\na1 1e-13\n")
+    book = str(tmp_path / "book.aifv")
+    assert main(["construct", "--dist", str(dist), "-N", "3", "-o", book]) == 0
+    assert capsys.readouterr().out.startswith(f"wrote {book}: 4 trees,")
+    with open(book + ".report.csv") as fh:
+        sidecar = fh.read()
+    assert "# converged: true" in sidecar
+    assert "# expected_length: 0.2500000000002374" in sidecar
+
+
 def test_construct_aifvm_and_brute(tmp_path, dist_file):
     book_m = str(tmp_path / "m.aifv")
     assert main(["construct", "--dist", dist_file, "-N", "2", "--family", "aifvm",
@@ -382,13 +396,17 @@ def test_simulate_rejects_a_negative_seed(tmp_path, dist_file, capsys):
 
 
 def test_cli_and_a_build_import_no_sparse_matrices():
-    """``scipy.sparse`` costs a fresh process time and memory at import;
-    neither the CLI nor a build loads it."""
+    """``scipy`` costs a fresh process time and memory at import; neither
+    the CLI nor a build loads it or any of its submodules, such as
+    ``scipy.sparse``."""
     code = ("import sys\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
             "import aifv.cli\n"
+            "assert not loaded(), f'import aifv.cli loaded {loaded()}'\n"
             "from aifv.builder import BuildConfig, construct\n"
             "construct((0.9, 0.1), BuildConfig(n=3))\n"
-            "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse imported'\n")
+            "assert not loaded(), f'a build loaded {loaded()}'\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=300)

@@ -9,7 +9,7 @@ from aifv.forest import CodeForest
 from aifv.markov import (
     BlockDecomposition,
     SingularChainError,
-    _lu_solve_checked,
+    _solve,
     block_decompose,
     cost_update_general,
     costs_invariant,
@@ -35,16 +35,16 @@ def cost_update_simple(lengths, mat, lbar):
         return costs
     sub = mat[1:, 1:] - np.eye(k_total - 1)
     rhs = np.full(k_total - 1, lbar) - lv[1:]
-    costs[1:] = _lu_solve_checked(sub, rhs)
+    # the whole chain is taken as one absorbing block pinned at tree 0
+    whole = BlockDecomposition(blocks=(tuple(range(k_total)),), n_absorbing=1)
+    costs[1:] = _solve(sub, rhs, whole, 0)
     return costs
 
 
-def cost_update_blockwise(lengths, mat, blocks, pis=None):
+def cost_update_blockwise(lengths, mat, blocks, pis):
     """The generalized cost update with each transient block's inflow
     summed one earlier block at a time."""
     lv = np.asarray(lengths, dtype=float)
-    if pis is None:
-        pis = stationary(mat, blocks)
     lbars = [expected_length(lv, pi) for pi in pis]
     j_star = int(np.argmax(lbars))
     lbar_star = lbars[j_star]
@@ -60,7 +60,7 @@ def cost_update_blockwise(lengths, mat, blocks, pis=None):
             if size > 1:
                 a = sub[1:, 1:] - np.eye(size - 1)
                 rhs = np.full(size - 1, lbars[j]) - lv[idx][1:]
-                c[1:] = _lu_solve_checked(a, rhs)
+                c[1:] = _solve(a, rhs, blocks, j)
         else:
             inflow = np.zeros(size)
             for j2 in range(j):
@@ -68,7 +68,7 @@ def cost_update_blockwise(lengths, mat, blocks, pis=None):
                 inflow += mat[np.ix_(idx, idx2)] @ block_cost[j2]
             a = sub - np.eye(size)
             rhs = np.full(size, lbar_star) - lv[idx] - inflow
-            c = _lu_solve_checked(a, rhs)
+            c = _solve(a, rhs, blocks, j)
         block_cost.append(c)
         costs[idx] = c
     return costs, lbars, j_star
@@ -202,15 +202,6 @@ def test_transition_matrix_demo_row0(demo_forest):
     # tree 0 links: symbol a -> 1, b -> 2, c -> 0
     assert np.allclose(mat[0], [pc, pa, pb, 0.0, 0.0])
     assert np.allclose(mat.sum(axis=1), 1.0)
-
-
-def test_transition_matrix_rejects_bad_distribution(demo_forest):
-    with pytest.raises(ValueError):
-        transition_matrix(demo_forest, [0.5, 0.5, 0.1])
-    with pytest.raises(ValueError):
-        transition_matrix(demo_forest, [1.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="strictly positive"):
-        transition_matrix(demo_forest, [float("nan"), 0.5, 0.5])
 
 
 def test_block_decompose_irreducible():
@@ -395,8 +386,36 @@ def test_cost_update_simple_self_consistent():
 def test_cost_update_simple_singular_raises():
     # tree 1 never reaches tree 0
     mat = np.array([[1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(SingularChainError):
+    with pytest.raises(SingularChainError, match=r"^pinned system of absorbing block 0 "
+                                                 r"\(first tree 0\) is singular$"):
         cost_update_simple([1.0, 2.0], mat, 1.0)
+
+
+def test_cost_update_general_names_a_singular_transient_block():
+    # state 2's self-loop rounds to 1, so its own system 0 * c = r is
+    # exactly singular although its edge to state 0 makes it transient
+    mat = np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [1e-20, 0.0, 1.0]])
+    blocks = block_decompose(mat)
+    assert blocks.blocks == ((0,), (2,), (1,))
+    with pytest.raises(SingularChainError, match=r"^transient system at block 1 "
+                                                 r"\(first tree 2\) is singular$"):
+        cost_update_general([1.0, 2.0, 3.0], mat, blocks, stationary(mat, blocks))
+
+
+def test_cost_update_general_blames_the_transient_block_nearest_to_singular(monkeypatch):
+    """LAPACK may find the whole transient system singular by rounding
+    although none of its diagonal blocks is exactly singular."""
+    mat = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.25, 0.25, 0.5]])
+    blocks = block_decompose(mat)
+    assert blocks.blocks == ((0,), (1,), (2,))  # diagonal entries -1 and -0.5
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(SingularChainError, match=r"^transient system at block 2 "
+                                                 r"\(first tree 2\) is singular$"):
+        cost_update_general([1.0, 2.0, 3.0], mat, blocks, stationary(mat, blocks))
 
 
 def test_cost_update_general_matches_simple_on_irreducible():
@@ -409,7 +428,7 @@ def test_cost_update_general_matches_simple_on_irreducible():
         (pi,) = stationary(mat, blocks)
         lbar = expected_length(lengths, pi)
         simple = cost_update_simple(lengths, mat, lbar)
-        general, lbars, j_star = cost_update_general(lengths, mat, blocks)
+        general, lbars, j_star = cost_update_general(lengths, mat, blocks, [pi])
         assert j_star == 0
         assert lbars == pytest.approx([lbar])
         assert np.max(np.abs(general - simple)) <= 1e-12
@@ -417,7 +436,8 @@ def test_cost_update_general_matches_simple_on_irreducible():
 
 def test_cost_update_general_disjoint_singletons():
     mat = np.eye(2)
-    costs, lbars, j_star = cost_update_general([1.0, 2.0], mat, block_decompose(mat))
+    blocks = block_decompose(mat)
+    costs, lbars, j_star = cost_update_general([1.0, 2.0], mat, blocks, stationary(mat, blocks))
     assert np.array_equal(costs, [0.0, 0.0])
     assert lbars == pytest.approx([1.0, 2.0])
     assert j_star == 1
@@ -428,7 +448,8 @@ def test_cost_update_general_feeder_chain():
     # its cost solves (0 - 1) c = lbar_star - L_1 - P_{1,0} * C_0
     mat = np.array([[1.0, 0.0], [1.0, 0.0]])
     lengths = [1.0, 2.5]
-    costs, lbars, j_star = cost_update_general(lengths, mat, block_decompose(mat))
+    blocks = block_decompose(mat)
+    costs, lbars, j_star = cost_update_general(lengths, mat, blocks, stationary(mat, blocks))
     assert lbars == pytest.approx([1.0])
     assert j_star == 0
     assert costs[0] == 0.0
@@ -483,8 +504,9 @@ def test_cost_update_general_matches_blockwise_inflow(chain):
     mat, lengths, n_absorbing = chain
     blocks = block_decompose(mat)
     assert blocks.n_absorbing == n_absorbing
-    costs, lbars, j_star = cost_update_general(lengths, mat, blocks)
-    ref, ref_lbars, ref_j = cost_update_blockwise(lengths, mat, blocks)
+    pis = stationary(mat, blocks)
+    costs, lbars, j_star = cost_update_general(lengths, mat, blocks, pis)
+    ref, ref_lbars, ref_j = cost_update_blockwise(lengths, mat, blocks, pis)
     assert (lbars, j_star) == (ref_lbars, ref_j)
     # only the inflow's summation order differs, so rounding scales with
     # the size of the costs it sums
