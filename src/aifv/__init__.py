@@ -28,6 +28,7 @@ from .forest import (
     decode,
     decoding_delay_bound,
     encode,
+    encoded_lengths,
     format_codebook,
     parse_codebook,
     validate_full,

@@ -2,9 +2,9 @@
 
 Two kinds of runs: theoretical rows evaluate stationary expected lengths
 straight from the codebooks, simulation rows draw seeded random
-sequences, push them through the actual codecs, and average the emitted
-bits per symbol (termination included for the forest codes, flush bytes
-for the range coder).
+sequences, count the bits the actual codecs emit for them, and average
+per symbol (termination included for the forest codes, flush bytes for
+the range coder).
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
+
+import numpy as np
 
 from .builder import (
     BuildConfig,
@@ -22,7 +24,7 @@ from .builder import (
     huffman,
     huffman_lengths,
 )
-from .forest import encode
+from .forest import DecodeError, decode, encode, encoded_lengths
 from .sources import SourceDistribution, entropy, relative_redundancy, sample_inversion
 
 RANGE_TOP = 1 << 24
@@ -181,6 +183,13 @@ class TheoreticalRun:
 
     def __post_init__(self):
         check_limits(self.tolerance, self.max_depth)
+        _check_rows(self.sources, ("aifv delay", self.aifv_delays),
+                    ("aifvm order", self.aifvm_orders),
+                    ("ext-huffman order", self.ext_huffman_orders))
+        if not (self.include_huffman or self.aifv_delays or self.aifvm_orders
+                or self.ext_huffman_orders):
+            raise ValueError("no coder to run: huffman is off and no aifv, aifvm "
+                             "or ext-huffman order is given")
 
 
 @dataclass(frozen=True)
@@ -206,6 +215,25 @@ class SimulationRun:
             raise ValueError("no sequence sizes given")
         if any(size < 1 for size in self.seq_sizes):
             raise ValueError(f"sequence sizes must be at least 1, got {self.seq_sizes}")
+        _check_rows(self.sources, ("aifv delay", self.aifv_delays),
+                    ("aifvm order", self.aifvm_orders), ("sequence size", self.seq_sizes))
+        if not (self.include_huffman or self.include_range or self.aifv_delays
+                or self.aifvm_orders):
+            raise ValueError("no coder to run: huffman and range are off and no aifv "
+                             "or aifvm order is given")
+
+
+def _check_rows(sources, *lists) -> None:
+    """ValueError unless there are sources and no source label, nor any
+    value of the (name, values) ``lists``, would repeat a row."""
+    if not sources:
+        raise ValueError("no sources given")
+    for what, values in (("source", [label for label, _ in sources]), *lists):
+        seen = set()
+        for value in values:
+            if value in seen:
+                raise ValueError(f"{what} {value!r} given twice")
+            seen.add(value)
 
 
 def _forest_for(label_cache, dist, family, n, tolerance, max_depth):
@@ -243,37 +271,56 @@ def run_theoretical(cfg: TheoreticalRun) -> list[ExperimentRow]:
     return rows
 
 
+def _check_first_trial(forest, seq: list[int], count: int, cell: str) -> None:
+    """Encode and decode one trial in full: its text must be ``count``
+    bits long and decode back to ``seq``."""
+    bits = encode(forest, seq)
+    if len(bits) != count:
+        raise RuntimeError(f"{cell}, trial 0: encode wrote {len(bits)} bits, "
+                           f"the length walk counted {count}")
+    try:
+        same = decode(forest, bits, len(seq)) == seq
+    except DecodeError as e:
+        raise RuntimeError(f"{cell}, trial 0: decode failed: {e}") from None
+    if not same:
+        raise RuntimeError(f"{cell}, trial 0: decode did not return the sequence")
+
+
 def run_simulation(cfg: SimulationRun) -> list[ExperimentRow]:
     """Average coded bits per symbol over seeded trials.
 
     Trial ``t`` of every (source, size) cell draws its sequence with seed
     ``cfg.seed + t``, so runs are reproducible and cells are comparable.
+    The forest coders' counts come from :func:`encoded_lengths`; trial 0
+    of each cell is also encoded and decoded in full as a check.
     """
     rows = []
     cache: dict = {}
     for label, dist in cfg.sources:
         h = entropy(dist)
-        coders = []
+        coders = []  # (name, N or m, codebook size, forest; None for the range coder)
         if cfg.include_huffman:
-            hf = huffman(dist.probs)
-            coders.append(("huffman", 1, dist.m,
-                           lambda seq, f=hf: len(encode(f, seq))))
+            coders.append(("huffman", 1, dist.m, huffman(dist.probs)))
         for kind, family, values in (("aifv", "continuous", cfg.aifv_delays),
                                      ("aifvm", "aifvm", cfg.aifvm_orders)):
             for value in values:
                 forest = _forest_for(cache, dist, family, value, cfg.tolerance, cfg.max_depth)
-                coders.append((f"{kind}-{value}", value, folded_codebook_size(forest),
-                               lambda seq, f=forest: len(encode(f, seq))))
+                coders.append((f"{kind}-{value}", value, folded_codebook_size(forest), forest))
         if cfg.include_range:
-            coders.append(("range", 32, dist.m,
-                           lambda seq, d=dist: 8 * len(range_encode(d.probs, seq))))
+            coders.append(("range", 32, dist.m, None))
         for size in cfg.seq_sizes:
-            sequences = [
-                sample_inversion(dist.probs, size, cfg.seed + t).tolist()
-                for t in range(cfg.trials)
-            ]
-            for name, n_or_m, book, count_bits in coders:
-                mean = sum(count_bits(seq) / size for seq in sequences) / cfg.trials
+            sequences = np.empty((cfg.trials, size), dtype=np.min_scalar_type(dist.m - 1))
+            for t in range(cfg.trials):
+                sequences[t] = sample_inversion(dist.probs, size, cfg.seed + t)
+            for name, n_or_m, book, forest in coders:
+                if forest is None:
+                    counts = [8 * len(range_encode(dist.probs, seq.tolist()))
+                              for seq in sequences]
+                else:
+                    counts = encoded_lengths(forest, sequences)
+                    _check_first_trial(forest, sequences[0].tolist(), counts[0],
+                                       f"{label}, {name}, size {size}")
+                mean = sum(c / size for c in counts) / cfg.trials
                 rows.append(ExperimentRow(label, name, n_or_m, book, size,
                                           cfg.trials, cfg.seed, mean, h,
                                           relative_redundancy(mean, h)))

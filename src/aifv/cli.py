@@ -173,7 +173,8 @@ def cmd_decode(args) -> int:
     with open(args.input, "rb") as fh:
         bits = unpack_bits(fh.read())
     symbols = decode(forest, bits, args.count)
-    atomic_write(args.output, " ".join(map(str, symbols)) + "\n")
+    names = [str(s) for s in range(forest.symbol_count)]
+    atomic_write(args.output, " ".join([names[s] for s in symbols]) + "\n")
     print(f"decoded {len(symbols)} symbols")
     return EXIT_OK
 
@@ -208,8 +209,6 @@ def _sources_from_args(args) -> list[tuple[str, SourceDistribution]]:
             out.append((f"{name}(M={args.poly})", d))
     for path in args.dist or ():
         out.append((os.path.basename(path), read_distribution(path)))
-    if not out:
-        raise ValueError("no sources given; use --grid, --poly M, or --dist FILE")
     return out
 
 

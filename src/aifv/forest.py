@@ -8,7 +8,8 @@ of the linked mode, the strings Rule 1 checks), and a final termination
 codeword protects the last symbol from trailing garbage.
 
 The codec works on tables built once per call and dropped with it: the
-encoder reads per-tree (codeword text, link) rows; the decoder keys each
+encoder reads per-tree (codeword text, link) rows, the length walk
+per-tree (codeword length, link) rows; the decoder keys each
 step on the window of the next W_k stream bits, W_k being tree k's
 widest expansion, so a window seen before in the same call is one
 dictionary lookup.
@@ -18,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .bitstrings import (
     BitString,
@@ -207,6 +210,33 @@ def encode(forest: CodeForest, symbols: Iterable[int]) -> str:
         out.append(text)
     out.append(_termination_codeword(forest.trees[k].mode).text)
     return "".join(out)
+
+
+def encoded_lengths(forest: CodeForest, sequences) -> list[int]:
+    """The length of ``encode(forest, row)`` for each row of a 2-D array
+    of symbols, termination codeword included, with no text built.
+
+    Every row walks the forest at once, one column per step, through
+    flat (tree, symbol) tables of codeword length and next tree.
+    """
+    rows = np.asarray(sequences)
+    if rows.ndim != 2:
+        raise ValueError(f"expected a 2-D array of symbols, got {rows.ndim} dimensions")
+    m = forest.symbol_count
+    outside = (rows < 0) | (rows >= m)
+    if outside.any():
+        raise ValueError(f"symbol {rows[outside][0]} outside alphabet of {m}")
+    # row k * m + s: tree k's codeword length for s, and the row start of its link
+    lengths = np.array([cw.length for t in forest.trees for cw in t.codewords], dtype=np.int64)
+    starts = np.array([link * m for t in forest.trees for link in t.links], dtype=np.intp)
+    ends = np.array([_termination_codeword(t.mode).length for t in forest.trees], dtype=np.int64)
+    total = np.zeros(len(rows), dtype=np.int64)
+    start = np.zeros(len(rows), dtype=np.intp)
+    for column in rows.T:
+        step = start + column
+        total += lengths[step]
+        start = starts[step]
+    return (total + ends[start // m]).tolist()
 
 
 Step = tuple[int, int, int]  # (symbol, codeword length, link)

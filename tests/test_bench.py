@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import aifv.bench
 from aifv.bench import (
     RangeCodingError,
     SimulationRun,
@@ -244,6 +245,48 @@ def test_csv_deterministic():
     b = rows_to_csv(run_simulation(cfg))
     assert a == b
     assert a.splitlines()[0].startswith("source,coder,N_or_m")
+
+
+def test_simulation_csv_is_pinned():
+    """SHA-256 of the CSV of every coder kind over a binary and an M=5
+    source at two sizes, as the simulation wrote it when it still
+    encoded every trial to text."""
+    cfg = SimulationRun(
+        sources=(("p0=0.80", SourceDistribution((0.8, 0.2))),
+                 ("P2(M=5)", sources_polynomial(5)[2])),
+        seq_sizes=(16, 96), trials=6, seed=7, aifv_delays=(2, 3), aifvm_orders=(2,))
+    csv = rows_to_csv(run_simulation(cfg))
+    assert len(csv.splitlines()) == 1 + 2 * 2 * 5
+    assert hashlib.sha256(csv.encode()).hexdigest() == (
+        "b5c442c38a6e530dddba3d28ad9012ea99efd52b952ff0842efe5a620d0b3e28")
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("decode", "decode did not return the sequence"),
+    ("count", "encode wrote"),
+])
+def test_simulation_names_the_cell_whose_check_fails(monkeypatch, fault, message):
+    """Trial 0 of each cell is encoded and decoded in full; a wrong count
+    or round trip raises, naming the source, coder, size and trial."""
+    real_decode, real_lengths = aifv.bench.decode, aifv.bench.encoded_lengths
+
+    def bad_decode(forest, bits, count):
+        out = real_decode(forest, bits, count)
+        return out if count != 24 else [1 - out[0]] + out[1:]
+
+    def bad_lengths(forest, sequences):
+        counts = real_lengths(forest, sequences)
+        return counts if sequences.shape[1] != 24 else [counts[0] + 1] + counts[1:]
+
+    if fault == "decode":
+        monkeypatch.setattr(aifv.bench, "decode", bad_decode)
+    else:
+        monkeypatch.setattr(aifv.bench, "encoded_lengths", bad_lengths)
+    cfg = SimulationRun(sources=(("demo", SourceDistribution((0.8, 0.2))),),
+                        seq_sizes=(16, 24), trials=3, seed=5, aifv_delays=(2,),
+                        include_huffman=False, include_range=False)
+    with pytest.raises(RuntimeError, match=f"^demo, aifv-2, size 24, trial 0: {message}"):
+        run_simulation(cfg)
 
 
 def test_traced_names_resolve_to_callables(monkeypatch):

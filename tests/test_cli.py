@@ -421,6 +421,42 @@ def test_simulate_rejects_an_empty_size_list(tmp_path, dist_file, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command, message", [
+    ("eval", "no coder to run: huffman is off and no aifv, aifvm or ext-huffman "
+             "order is given"),
+    ("simulate", "no coder to run: huffman and range are off and no aifv or aifvm "
+                 "order is given"),
+])
+def test_drivers_reject_a_run_without_coders(tmp_path, dist_file, capsys, command, message):
+    out = str(tmp_path / "rows.csv")
+    argv = [command, "--dist", dist_file, "--no-huffman", "-o", out]
+    if command == "simulate":
+        argv += ["--no-range", "--sizes", "8", "--trials", "2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command, option, value, message", [
+    ("eval", "--aifv", "1,2,1", "aifv delay 1 given twice"),
+    ("eval", "--aifvm", "2,2", "aifvm order 2 given twice"),
+    ("eval", "--ext-huffman", "2,3,3", "ext-huffman order 3 given twice"),
+    ("simulate", "--aifv", "2,2", "aifv delay 2 given twice"),
+    ("simulate", "--aifvm", "2,2", "aifvm order 2 given twice"),
+    ("simulate", "--sizes", "8,16,8", "sequence size 8 given twice"),
+    ("simulate", "--dist", None, "source 'binary.dist' given twice"),
+])
+def test_drivers_reject_a_repeated_row(tmp_path, dist_file, capsys,
+                                       command, option, value, message):
+    out = str(tmp_path / "rows.csv")
+    argv = [command, "--dist", dist_file, option, value or dist_file, "-o", out]
+    if command == "simulate" and option != "--sizes":
+        argv += ["--sizes", "8", "--trials", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("command, option, value, message", [
     ("eval", "--tol", "nan", "tolerance must be finite and positive"),
     ("eval", "--max-depth", "0", "depth bound must be at least 1"),

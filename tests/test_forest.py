@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -13,6 +14,7 @@ from aifv.forest import (
     decode,
     decoding_delay_bound,
     encode,
+    encoded_lengths,
     expansions,
     flip_tree,
     format_codebook,
@@ -321,6 +323,58 @@ def test_encoder_matches_reference(codec_forests, data):
         message.insert(data.draw(st.integers(0, len(message))), bad)
     assert encode(forest, []) == encode_reference(forest, [])
     assert outcome(encode, forest, message) == outcome(encode_reference, forest, message)
+
+
+@pytest.fixture(scope="module")
+def walk_forests(demo_forest, binary_forest):
+    """A one-tree Huffman code, continuous and m-tree forests at N <= 3,
+    an M=5 forest, and the worked forest with its empty codeword."""
+    return (
+        huffman(sources_polynomial(4)[1]),
+        binary_forest,
+        construct((0.7, 0.3), BuildConfig(n=2))[0],
+        construct((0.8, 0.2), BuildConfig(n=3, family="aifvm"))[0],
+        construct(sources_polynomial(5)[2], BuildConfig(n=2))[0],
+        demo_forest,
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_encoded_lengths_match_encode(walk_forests, data):
+    """One count per row, each the length of that row's encoded text, for
+    any integer dtype and for arrays of one row or one column."""
+    forest = data.draw(st.sampled_from(walk_forests))
+    n_rows = data.draw(st.integers(1, 6))
+    n_cols = data.draw(st.one_of(st.just(1), st.integers(0, 70)))
+    rows = data.draw(st.lists(st.lists(st.integers(0, forest.symbol_count - 1),
+                                       min_size=n_cols, max_size=n_cols),
+                              min_size=n_rows, max_size=n_rows))
+    dtype = data.draw(st.sampled_from((np.uint8, np.int16, np.int64)))
+    array = np.array(rows, dtype=dtype).reshape(n_rows, n_cols)
+    assert encoded_lengths(forest, array) == [len(encode(forest, row)) for row in rows]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_encoded_lengths_reject_symbols_outside_the_alphabet(walk_forests, data):
+    """The first symbol outside the alphabet, in row order, raises the
+    ValueError that ``encode`` raises on its row."""
+    forest = data.draw(st.sampled_from(walk_forests))
+    n_rows, n_cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 12))
+    rows = [[data.draw(st.integers(0, forest.symbol_count - 1)) for _ in range(n_cols)]
+            for _ in range(n_rows)]
+    for _ in range(data.draw(st.integers(1, 3))):
+        bad = data.draw(st.one_of(st.integers(-300, -1),
+                                  st.integers(forest.symbol_count, 300)))
+        rows[data.draw(st.integers(0, n_rows - 1))][data.draw(st.integers(0, n_cols - 1))] = bad
+    first_bad_row = next(row for row in rows
+                         if any(not 0 <= s < forest.symbol_count for s in row))
+    with pytest.raises(ValueError) as expected:
+        encode(forest, first_bad_row)
+    with pytest.raises(ValueError) as got:
+        encoded_lengths(forest, np.array(rows))
+    assert str(got.value) == str(expected.value)
 
 
 def test_decode_short_count_stops_early(demo_forest):
