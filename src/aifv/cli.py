@@ -46,7 +46,10 @@ def atomic_write(path: str, data: str | bytes) -> None:
     d = os.path.dirname(os.path.abspath(path))
     umask = os.umask(0)
     os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".aifv-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".aifv-")
+    except OSError as e:  # name the output, not the temp file
+        raise OSError(e.errno, e.strerror, path) from None
     try:
         with os.fdopen(fd, mode) as fh:
             fh.write(data)
@@ -58,29 +61,37 @@ def atomic_write(path: str, data: str | bytes) -> None:
         raise
 
 
+def read_text(path: str) -> str:
+    """The file's text; a file that does not decode is named in the error."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
 def read_distribution(path: str) -> SourceDistribution:
     """Lines of the form 'a<m> <probability>', one per symbol; ``<m>`` is
     ASCII decimal without sign or leading zeros, ``<probability>`` an
     unsigned ASCII decimal with an optional exponent."""
     probs: dict[int, float] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            malformed = ValueError(f"{path}:{lineno}: expected 'a<m> <probability>', got {line!r}")
-            symbol = _DIST_SYMBOL.fullmatch(parts[0]) if len(parts) == 2 else None
-            if symbol is None or not _DIST_PROB.fullmatch(parts[1]):
-                raise malformed
-            prob = float(parts[1])
-            if not 0 < prob <= 1:
-                raise ValueError(f"{path}:{lineno}: probability must be in (0, 1], "
-                                 f"got {parts[1]!r}")
-            sym = int(symbol[1])
-            if sym in probs:
-                raise ValueError(f"{path}:{lineno}: symbol a{sym} given twice")
-            probs[sym] = prob
+    for lineno, raw in enumerate(read_text(path).split("\n"), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        malformed = ValueError(f"{path}:{lineno}: expected 'a<m> <probability>', got {line!r}")
+        symbol = _DIST_SYMBOL.fullmatch(parts[0]) if len(parts) == 2 else None
+        if symbol is None or not _DIST_PROB.fullmatch(parts[1]):
+            raise malformed
+        prob = float(parts[1])
+        if not 0 < prob <= 1:
+            raise ValueError(f"{path}:{lineno}: probability must be in (0, 1], "
+                             f"got {parts[1]!r}")
+        sym = int(symbol[1])
+        if sym in probs:
+            raise ValueError(f"{path}:{lineno}: symbol a{sym} given twice")
+        probs[sym] = prob
     if sorted(probs) != list(range(len(probs))):
         raise ValueError(f"{path}: symbols must be a0..a{len(probs) - 1} exactly")
     try:
@@ -128,27 +139,24 @@ def cmd_construct(args) -> int:
 
 def read_codebook(path: str):
     """The codebook file's forest; a parse error is named with the file."""
-    with open(path) as fh:
-        text = fh.read()
+    text = read_text(path)
     try:
         return parse_codebook(text)
     except CodebookError as e:
         raise CodebookError(f"{path}: {e}") from None
 
 
-def read_symbols(path: str) -> list[int]:
+def read_symbols(path: str, m: int) -> list[int]:
     """Whitespace-separated symbols, each ``-?[0-9]+``; a bad token is
-    named with the file."""
-    with open(path) as fh:
-        text = fh.read()
-    tokens = text.split()
-    # int() also reads a '+' sign, '_' separators and non-ASCII digits;
-    # in a text with none of them, every token it reads is -?[0-9]+
-    if text.isascii() and "+" not in text and "_" not in text:
-        try:
-            return [int(tok) for tok in tokens]
-        except ValueError:
-            pass
+    named with the file.  Each token is first looked up among the names
+    ``0..m-1``; any other token (``007``, ``-0``, ``m`` itself) is read
+    by the grammar, and ``encode`` rejects a value outside the alphabet."""
+    tokens = read_text(path).split()
+    names = {str(s): s for s in range(m)}
+    try:
+        return list(map(names.__getitem__, tokens))
+    except KeyError:
+        pass
     for tok in tokens:
         if not _SYMBOL_TOKEN.fullmatch(tok):
             raise ValueError(f"{path}: symbol token {tok!r} is not an integer")
@@ -160,7 +168,7 @@ def cmd_encode(args) -> int:
     rule1 = validate_rule1(forest)
     if not rule1.ok:
         raise CodebookError(f"{args.codebook} is not decodable: {rule1.issues[0]}")
-    symbols = read_symbols(args.input)
+    symbols = read_symbols(args.input, forest.symbol_count)
     bits = encode(forest, symbols)
     atomic_write(args.output, pack_bits(bits))
     print(f"encoded {len(symbols)} symbols into {len(bits)} bits "

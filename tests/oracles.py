@@ -20,11 +20,15 @@
 * The chain's blocks read off its dense reachability closure, from
   repeated boolean squaring of ``(mat > 0) | I``.  The running code
   finds them by one linear-time Tarjan pass over the edges.
+* The symbol file grammar: every token matched against ``-?[0-9]+`` and
+  read by ``int``.  The running reader looks the alphabet's names up in
+  a table first and falls back to the grammar for any other token.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -583,3 +587,17 @@ def block_decompose_closure(mat: np.ndarray) -> BlockDecomposition:
         blocks=tuple(tuple(np.flatnonzero(same[r]).tolist()) for r in ordered),
         n_absorbing=int(absorbing.sum()),
     )
+
+
+# ---------------------------------------------------------------------------
+# the symbol file grammar
+
+
+def parse_symbols(path: str, text: str) -> list[int]:
+    """The symbols :func:`aifv.cli.read_symbols` reads from ``text``, or
+    its error for the first token that is not ``-?[0-9]+``."""
+    tokens = text.split()
+    for tok in tokens:
+        if not re.fullmatch(r"-?[0-9]+", tok):
+            raise ValueError(f"{path}: symbol token {tok!r} is not an integer")
+    return [int(tok) for tok in tokens]

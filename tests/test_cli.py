@@ -3,10 +3,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from aifv.builder import FAMILIES, BuildConfig, construct
-from aifv.cli import main, read_distribution, report_sidecar
-from aifv.forest import format_codebook
+from aifv.cli import main, read_distribution, read_symbols, report_sidecar
+from aifv.forest import encode, format_codebook, pack_bits
+from oracles import parse_symbols
+
+BAD_TOKENS = ["x", "1.5", "0x1", "+1", "1_0", "\u0661"]
+WHITESPACE = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
 
 
 def write(path, text):
@@ -95,7 +100,7 @@ def test_encode_rejects_broken_codebook(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("token", ["x", "1.5", "0x1", "+1", "1_0", "\u0661"])
+@pytest.mark.parametrize("token", BAD_TOKENS)
 def test_encode_names_bad_symbol_token(tmp_path, demo_forest, capsys, token):
     book = str(tmp_path / "demo.aifv")
     write(book, format_codebook(demo_forest))
@@ -119,6 +124,127 @@ def test_encode_symbol_separators_and_negative_symbol(tmp_path, demo_forest, cap
     assert main(["encode", "--codebook", book, "--input", syms, "-o", out]) == 2
     assert "error: symbol -1 outside alphabet of 3\n" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def test_encode_rejects_a_name_outside_the_alphabet(tmp_path, demo_forest, capsys):
+    book = str(tmp_path / "demo.aifv")
+    write(book, format_codebook(demo_forest))
+    syms = str(tmp_path / "input.sym")
+    write(syms, "0 1 2 3 0\n")
+    out = str(tmp_path / "payload.bin")
+    assert main(["encode", "--codebook", book, "--input", syms, "-o", out]) == 2
+    assert capsys.readouterr().err == "error: symbol 3 outside alphabet of 3\n"
+    assert not os.path.exists(out)
+
+
+def test_encode_reads_padded_and_signed_zero_as_their_values(tmp_path):
+    forest, _ = construct((0.3,) + (0.1,) * 7, BuildConfig(n=2))
+    book = str(tmp_path / "eight.aifv")
+    write(book, format_codebook(forest))
+    payloads = []
+    for k, text in enumerate(["007 -0\n", "7 0\n"]):
+        syms, out = str(tmp_path / f"in{k}.sym"), str(tmp_path / f"out{k}.bin")
+        write(syms, text)
+        assert main(["encode", "--codebook", book, "--input", syms, "-o", out]) == 0
+        with open(out, "rb") as fh:
+            payloads.append(fh.read())
+    assert payloads[0] == payloads[1] == pack_bits(encode(forest, [7, 0]))
+
+
+def test_encode_payload_of_mixed_separators(tmp_path, demo_forest):
+    book = str(tmp_path / "demo.aifv")
+    write(book, format_codebook(demo_forest))
+    syms = str(tmp_path / "input.sym")
+    write(syms, " 2\t0\u00a0\u00a01\n\n\u20032 0\u3000\x1c1\r\n2\x0b\x0c0 ")
+    out = str(tmp_path / "payload.bin")
+    assert main(["encode", "--codebook", book, "--input", syms, "-o", out]) == 0
+    with open(out, "rb") as fh:
+        assert fh.read() == pack_bits(encode(demo_forest, [2, 0, 1, 2, 0, 1, 2, 0]))
+
+
+@st.composite
+def symbol_files(draw):
+    """An alphabet size and a text of tokens, each a name of the
+    alphabet, a zero-padded or signed integer, a name past the alphabet
+    or a bad token, separated by arbitrary whitespace."""
+    m = draw(st.integers(1, 12))
+    values = st.integers(0, 2 * m)
+    name = st.integers(0, m - 1).map(str)
+    token = st.one_of(
+        name,
+        st.tuples(st.integers(1, 3), values).map(lambda zv: "0" * zv[0] + str(zv[1])),
+        values.map(lambda v: f"-{v}"),
+        st.integers(m, 3 * m).map(str),
+        st.sampled_from(BAD_TOKENS),
+    )
+    tokens = draw(st.one_of(st.lists(name, max_size=16), st.lists(token, max_size=16)))
+    gap = st.text(WHITESPACE, min_size=1, max_size=3)
+    end = st.text(WHITESPACE, max_size=3)
+    text = draw(end)
+    for k, tok in enumerate(tokens):
+        text += (draw(gap) if k else "") + tok
+    return m, text + draw(end)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=symbol_files())
+def test_read_symbols_matches_the_grammar(tmp_path, case):
+    m, text = case
+    path = str(tmp_path / "input.sym")
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    try:
+        expected = parse_symbols(path, text)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            read_symbols(path, m)
+        assert str(got.value) == str(e)
+    else:
+        assert read_symbols(path, m) == expected
+
+
+@pytest.mark.parametrize("command, name", [
+    ("encode", "input.sym"),
+    ("check", "demo.aifv"),
+    ("construct", "d.dist"),
+])
+def test_an_input_that_is_not_utf8_is_named(tmp_path, demo_forest, capsys, command, name):
+    book = str(tmp_path / "demo.aifv")
+    write(book, format_codebook(demo_forest))
+    syms = str(tmp_path / "input.sym")
+    write(syms, "0 1 2\n")
+    write(tmp_path / "d.dist", "a0 0.9\na1 0.1\n")
+    bad = str(tmp_path / name)
+    with open(bad, "ab") as fh:
+        fh.write(b"\xff\n")
+    out = str(tmp_path / "out")
+    args = {"encode": ["encode", "--codebook", book, "--input", syms, "-o", out],
+            "check": ["check", "--codebook", book],
+            "construct": ["construct", "--dist", bad, "-N", "2", "-o", out]}[command]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position ")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["encode", "decode"])
+def test_output_into_a_missing_directory_names_the_output(tmp_path, demo_forest, capsys,
+                                                          command):
+    book = str(tmp_path / "demo.aifv")
+    write(book, format_codebook(demo_forest))
+    syms = str(tmp_path / "input.sym")
+    write(syms, "0 2 1 0\n")
+    bits = str(tmp_path / "payload.bin")
+    assert main(["encode", "--codebook", book, "--input", syms, "-o", bits]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "nodir" / "x")
+    args = {"encode": ["encode", "--codebook", book, "--input", syms, "-o", out],
+            "decode": ["decode", "--codebook", book, "--input", bits, "-L", "4",
+                       "-o", out]}[command]
+    assert main(args) == 4
+    assert capsys.readouterr().err == f"i/o error: [Errno 2] No such file or directory: {out!r}\n"
+    assert sorted(os.listdir(tmp_path)) == ["demo.aifv", "input.sym", "payload.bin"]
 
 
 @pytest.mark.parametrize("line, field, message", [
