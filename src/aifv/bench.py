@@ -2,9 +2,13 @@
 
 Two kinds of runs: theoretical rows evaluate stationary expected lengths
 straight from the codebooks, simulation rows draw seeded random
-sequences, count the bits the actual codecs emit for them, and average
+sequences, count the bits each coder would emit for them, and average
 per symbol (termination included for the forest codes, flush bytes for
-the range coder).
+the range coder).  The counts come from walks that step every trial of
+a source at once and read off the count at each sequence size, with no
+text built: :func:`encoded_lengths` for the forest codes and
+:func:`range_lengths` for the range coder.  Trial 0 of each cell is also
+encoded and decoded in full as a check.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -24,7 +29,7 @@ from .builder import (
     huffman,
     huffman_lengths,
 )
-from .forest import DecodeError, decode, encode, encoded_lengths
+from .forest import DecodeError, decode, encode, encoded_lengths, symbol_rows
 from .sources import SourceDistribution, entropy, relative_redundancy, sample_inversion
 
 RANGE_TOP = 1 << 24
@@ -109,6 +114,64 @@ def range_encode(p, symbols) -> bytes:
             span <<= 8
             low = (low << 8) & RANGE_MASK
     return bytes(out) + low.to_bytes(4, "big")
+
+
+# bits shifted out by range_encode's loop for a bit length e of low ^ (low + span):
+# one byte per leading zero byte in 32 bits
+_SHARED_BITS = np.array([8 * max(0, (32 - e) // 8) for e in range(34)], dtype=np.int64)
+
+
+def range_lengths(p, sequences, sizes) -> list[list[int]]:
+    """For each ``n`` of ``sizes``, ``len(range_encode(p, row[:n]))`` for
+    each row of a 2-D array of symbols, with no bytes built.
+
+    Every row steps at once, one column per step.  After each symbol
+    the loop of :func:`range_encode` shifts out the leading bytes that
+    ``low`` and ``low + span`` share, and the span cannot reach
+    ``RANGE_TOP`` first, since ``low ^ (low + span)`` is at least half
+    the span; so their count is read off the bit length of that xor.  A
+    row then left with a span below ``RANGE_BOT`` is one that takes the
+    loop's cut branch; those few rows finish the loop on Python ints.
+    """
+    freqs, cums = _frequency_table(p)
+    rows = symbol_rows(sequences, len(freqs), sizes)
+    freq = np.array(freqs, dtype=np.int64)
+    cum = np.array(cums[:-1], dtype=np.int64)
+    low = np.zeros(len(rows), dtype=np.int64)
+    span = np.full(len(rows), RANGE_MASK, dtype=np.int64)
+    shifted = np.zeros(len(rows), dtype=np.int64)  # bits
+    x = np.empty_like(low)
+    wanted, longest, counts = set(sizes), max(sizes, default=0), {}
+    for n in range(longest + 1):
+        if n in wanted:
+            counts[n] = (shifted // 8 + 4).tolist()
+        if n == longest:
+            break
+        column = rows[:, n]
+        r = span >> 16
+        low += cum.take(column) * r  # stays below 2**32: low + span never exceeds it
+        np.multiply(freq.take(column), r, out=span)
+        np.add(low, span, out=x)
+        x ^= low
+        bits = _SHARED_BITS.take(np.frexp(x)[1])
+        low <<= bits
+        low &= RANGE_MASK
+        span <<= bits
+        shifted += bits
+        if not len(rows) or span[span.argmin()] >= RANGE_BOT:
+            continue
+        for i in np.flatnonzero(span < RANGE_BOT):  # the cut branch
+            lo, sp, out = int(low[i]), int(span[i]), 0
+            while sp < RANGE_TOP:
+                if (lo ^ (lo + sp)) >= RANGE_TOP:
+                    if sp >= RANGE_BOT:
+                        break
+                    sp = -lo & (RANGE_BOT - 1)
+                out += 8
+                sp <<= 8
+                lo = (lo << 8) & RANGE_MASK
+            low[i], span[i], shifted[i] = lo, sp, shifted[i] + out
+    return [counts[n] for n in sizes]
 
 
 def range_decode(p, data: bytes, count: int) -> list[int]:
@@ -271,16 +334,17 @@ def run_theoretical(cfg: TheoreticalRun) -> list[ExperimentRow]:
     return rows
 
 
-def _check_first_trial(forest, seq: list[int], count: int, cell: str) -> None:
-    """Encode and decode one trial in full: its text must be ``count``
-    bits long and decode back to ``seq``."""
-    bits = encode(forest, seq)
-    if len(bits) != count:
-        raise RuntimeError(f"{cell}, trial 0: encode wrote {len(bits)} bits, "
-                           f"the length walk counted {count}")
+def _check_first_trial(cell: str, seq: list[int], bits: int, encoder, decoder,
+                       unit: int) -> None:
+    """Encode and decode one trial in full: its text, of ``unit`` bits
+    per item, must be ``bits`` bits long and decode back to ``seq``."""
+    text = encoder(seq)
+    if unit * len(text) != bits:
+        raise RuntimeError(f"{cell}, trial 0: encode wrote {unit * len(text)} bits, "
+                           f"the length walk counted {bits}")
     try:
-        same = decode(forest, bits, len(seq)) == seq
-    except DecodeError as e:
+        same = decoder(text, len(seq)) == seq
+    except (DecodeError, RangeCodingError) as e:
         raise RuntimeError(f"{cell}, trial 0: decode failed: {e}") from None
     if not same:
         raise RuntimeError(f"{cell}, trial 0: decode did not return the sequence")
@@ -289,38 +353,45 @@ def _check_first_trial(forest, seq: list[int], count: int, cell: str) -> None:
 def run_simulation(cfg: SimulationRun) -> list[ExperimentRow]:
     """Average coded bits per symbol over seeded trials.
 
-    Trial ``t`` of every (source, size) cell draws its sequence with seed
-    ``cfg.seed + t``, so runs are reproducible and cells are comparable.
-    The forest coders' counts come from :func:`encoded_lengths`; trial 0
-    of each cell is also encoded and decoded in full as a check.
+    Trial ``t`` of every source draws one sequence with seed
+    ``cfg.seed + t`` at the longest size, and each size takes a prefix
+    of it, which is what ``sample_inversion`` draws at that size with
+    that seed; so runs are reproducible and cells are comparable.  Each
+    coder's counts at every size come from one walk over all trials
+    (:func:`encoded_lengths`, :func:`range_lengths`); trial 0 of each
+    (source, coder, size) cell is also encoded and decoded in full as a
+    check.
     """
     rows = []
     cache: dict = {}
     for label, dist in cfg.sources:
         h = entropy(dist)
-        coders = []  # (name, N or m, codebook size, forest; None for the range coder)
-        if cfg.include_huffman:
-            coders.append(("huffman", 1, dist.m, huffman(dist.probs)))
+        forests = [("huffman", 1, dist.m, huffman(dist.probs))] if cfg.include_huffman else []
         for kind, family, values in (("aifv", "continuous", cfg.aifv_delays),
                                      ("aifvm", "aifvm", cfg.aifvm_orders)):
             for value in values:
                 forest = _forest_for(cache, dist, family, value, cfg.tolerance, cfg.max_depth)
-                coders.append((f"{kind}-{value}", value, folded_codebook_size(forest), forest))
+                forests.append((f"{kind}-{value}", value, folded_codebook_size(forest), forest))
+        # (name, N or m, codebook size, length walk, encoder, decoder, bits per text item)
+        coders = [(name, n_or_m, book, partial(encoded_lengths, forest),
+                   partial(encode, forest), partial(decode, forest), 1)
+                  for name, n_or_m, book, forest in forests]
         if cfg.include_range:
-            coders.append(("range", 32, dist.m, None))
-        for size in cfg.seq_sizes:
-            sequences = np.empty((cfg.trials, size), dtype=np.min_scalar_type(dist.m - 1))
-            for t in range(cfg.trials):
-                sequences[t] = sample_inversion(dist.probs, size, cfg.seed + t)
-            for name, n_or_m, book, forest in coders:
-                if forest is None:
-                    counts = [8 * len(range_encode(dist.probs, seq.tolist()))
-                              for seq in sequences]
-                else:
-                    counts = encoded_lengths(forest, sequences)
-                    _check_first_trial(forest, sequences[0].tolist(), counts[0],
-                                       f"{label}, {name}, size {size}")
-                mean = sum(c / size for c in counts) / cfg.trials
+            coders.append(("range", 32, dist.m, partial(range_lengths, dist.probs),
+                           partial(range_encode, dist.probs),
+                           partial(range_decode, dist.probs), 8))
+        sequences = np.empty((cfg.trials, max(cfg.seq_sizes)),
+                             dtype=np.min_scalar_type(dist.m - 1))
+        for t in range(cfg.trials):
+            sequences[t] = sample_inversion(dist.probs, sequences.shape[1], cfg.seed + t)
+        first = sequences[0].tolist()
+        bits = [[[unit * c for c in counts] for counts in walk(sequences, cfg.seq_sizes)]
+                for _, _, _, walk, _, _, unit in coders]
+        for i, size in enumerate(cfg.seq_sizes):
+            for (name, n_or_m, book, _, encoder, decoder, unit), by_size in zip(coders, bits):
+                _check_first_trial(f"{label}, {name}, size {size}", first[:size],
+                                   by_size[i][0], encoder, decoder, unit)
+                mean = sum(c / size for c in by_size[i]) / cfg.trials
                 rows.append(ExperimentRow(label, name, n_or_m, book, size,
                                           cfg.trials, cfg.seed, mean, h,
                                           relative_redundancy(mean, h)))

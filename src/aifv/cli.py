@@ -54,7 +54,10 @@ def atomic_write(path: str, data: str | bytes) -> None:
         with os.fdopen(fd, mode) as fh:
             fh.write(data)
         os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as e:  # likewise
+            raise OSError(e.errno, e.strerror, path) from None
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

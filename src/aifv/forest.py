@@ -212,31 +212,50 @@ def encode(forest: CodeForest, symbols: Iterable[int]) -> str:
     return "".join(out)
 
 
-def encoded_lengths(forest: CodeForest, sequences) -> list[int]:
-    """The length of ``encode(forest, row)`` for each row of a 2-D array
-    of symbols, termination codeword included, with no text built.
-
-    Every row walks the forest at once, one column per step, through
-    flat (tree, symbol) tables of codeword length and next tree.
-    """
+def symbol_rows(sequences, m: int, sizes) -> np.ndarray:
+    """``sequences`` as a 2-D array, once every symbol lies in the
+    ``m``-ary alphabet and every prefix size is at most the row length;
+    otherwise ValueError, naming the first symbol outside the alphabet
+    in row order as ``encode`` does."""
     rows = np.asarray(sequences)
     if rows.ndim != 2:
         raise ValueError(f"expected a 2-D array of symbols, got {rows.ndim} dimensions")
-    m = forest.symbol_count
     outside = (rows < 0) | (rows >= m)
     if outside.any():
         raise ValueError(f"symbol {rows[outside][0]} outside alphabet of {m}")
+    if any(not 0 <= n <= rows.shape[1] for n in sizes):
+        raise ValueError(f"prefix sizes must lie in 0..{rows.shape[1]}, got {list(sizes)}")
+    return rows
+
+
+def encoded_lengths(forest: CodeForest, sequences, sizes) -> list[list[int]]:
+    """For each ``n`` of ``sizes``, the length of ``encode(forest, row[:n])``
+    for each row of a 2-D array of symbols, termination codeword included,
+    with no text built.
+
+    Every row walks the forest at once, one column per step, through
+    flat (tree, symbol) tables of codeword length and next tree; the
+    count at size n is the running total after n steps plus the
+    termination codeword of the tree reached.
+    """
+    m = forest.symbol_count
+    rows = symbol_rows(sequences, m, sizes)
     # row k * m + s: tree k's codeword length for s, and the row start of its link
     lengths = np.array([cw.length for t in forest.trees for cw in t.codewords], dtype=np.int64)
     starts = np.array([link * m for t in forest.trees for link in t.links], dtype=np.intp)
     ends = np.array([_termination_codeword(t.mode).length for t in forest.trees], dtype=np.int64)
     total = np.zeros(len(rows), dtype=np.int64)
     start = np.zeros(len(rows), dtype=np.intp)
-    for column in rows.T:
-        step = start + column
+    wanted, longest, counts = set(sizes), max(sizes, default=0), {}
+    for n in range(longest + 1):
+        if n in wanted:
+            counts[n] = (total + ends[start // m]).tolist()
+        if n == longest:
+            break
+        step = start + rows[:, n]
         total += lengths[step]
         start = starts[step]
-    return (total + ends[start // m]).tolist()
+    return [counts[n] for n in sizes]
 
 
 Step = tuple[int, int, int]  # (symbol, codeword length, link)

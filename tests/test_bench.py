@@ -19,6 +19,7 @@ from aifv.bench import (
     extended_huffman,
     range_decode,
     range_encode,
+    range_lengths,
     rows_to_csv,
     run_simulation,
     run_theoretical,
@@ -196,6 +197,59 @@ def test_range_encodings_are_pinned():
         "5eabfdc1c46a04480933daa5a247f18ecd7ac1f02b72d1364e85a620345f4305")
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=coded_inputs(), data=st.data())
+def test_range_lengths_match_range_encode(case, data):
+    """For every prefix size asked for, in any order, the walk counts
+    the bytes ``range_encode`` writes for each row of an equal-length
+    batch, near-floor probabilities included."""
+    probs, first = case
+    m = len(probs)
+    others = data.draw(st.lists(st.lists(st.integers(0, m - 1), min_size=len(first),
+                                         max_size=len(first)), max_size=4), label="rows")
+    rows = [first] + others
+    sizes = data.draw(st.lists(st.integers(0, len(first)), min_size=1, max_size=5,
+                               unique=True), label="sizes")
+    dtype = data.draw(st.sampled_from((np.uint8, np.int16, np.int64)), label="dtype")
+    batch = np.array(rows, dtype=dtype).reshape(len(rows), len(first))
+    assert range_lengths(probs, batch, sizes) == [
+        [len(range_encode(probs, row[:n])) for row in rows] for n in sizes]
+
+
+def test_range_lengths_through_the_cut_branch():
+    """Two symbols at the 2**-16 frequency floor, drawn a quarter of the
+    time each, send ``range_encode``'s loop through its cut branch
+    thousands of times in 50 messages of 500 symbols."""
+    probs = (1 - 2 / 65536, 1 / 65536, 1 / 65536)
+    rows = np.array([sample_inversion((0.5, 0.25, 0.25), 500, seed) for seed in range(50)],
+                    dtype=np.uint8)
+    sizes = (500, 0, 1, 2, 7, 100, 333, 499)
+    assert range_lengths(probs, rows, sizes) == [
+        [len(range_encode(probs, row[:n].tolist())) for row in rows] for n in sizes]
+
+
+def test_range_lengths_reject_what_range_encode_rejects():
+    probs = (0.5, 0.5)
+    for bad in (-1, 2):
+        with pytest.raises(ValueError, match=f"^symbol {bad} outside alphabet of 2$"):
+            range_lengths(probs, np.array([[0, 1, 1], [0, bad, 1]]), (3,))
+    with pytest.raises(ValueError, match=r"^prefix sizes must lie in 0\.\.3, got \[2, 4\]$"):
+        range_lengths(probs, np.zeros((2, 3), dtype=np.uint8), (2, 4))
+    with pytest.raises(ValueError, match="^expected a 2-D array of symbols, got 1 dimensions$"):
+        range_lengths(probs, np.zeros(3, dtype=np.uint8), (2,))
+
+
+def test_sample_inversion_draws_prefixes_of_longer_draws():
+    """A draw is the prefix of any longer draw with the same seed, which
+    lets the simulation draw each trial once, at its longest size."""
+    rng = random.Random(3)
+    for probs in ((0.3, 0.7), sources_polynomial(5)[2].probs):
+        for seed in (0, 1, 7, 12345, 2 ** 40):
+            longest = sample_inversion(probs, 2048, seed)
+            for n in (0, 1, 31, 32, 33, 128, 1000, 2047, rng.randrange(2048)):
+                assert np.array_equal(sample_inversion(probs, n, seed), longest[:n])
+
+
 def test_sample_inversion_deterministic_and_calibrated():
     a = sample_inversion((0.3, 0.7), 1000, 42)
     b = sample_inversion((0.3, 0.7), 1000, 42)
@@ -261,31 +315,60 @@ def test_simulation_csv_is_pinned():
         "b5c442c38a6e530dddba3d28ad9012ea99efd52b952ff0842efe5a620d0b3e28")
 
 
+def test_simulation_draws_once_per_trial_and_range_codes_once_per_cell(monkeypatch):
+    """Each trial of a source is drawn once, at the longest size, and only
+    trial 0 of each (source, size) cell goes through ``range_encode``."""
+    calls = {"range_encode": 0, "sample_inversion": 0}
+    for name in calls:
+        real = getattr(aifv.bench, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(aifv.bench, name, counted)
+    sources = (("a", SourceDistribution((0.8, 0.2))), ("b", sources_polynomial(3)[2]))
+    sizes = (40, 8, 130)
+    cfg = SimulationRun(sources=sources, seq_sizes=sizes, trials=7, seed=2, aifv_delays=(2,))
+    assert len(run_simulation(cfg)) == len(sources) * len(sizes) * 3
+    assert calls == {"range_encode": len(sources) * len(sizes),
+                     "sample_inversion": len(sources) * 7}
+
+
 @pytest.mark.parametrize("fault, message", [
     ("decode", "decode did not return the sequence"),
     ("count", "encode wrote"),
+    ("range decode", "decode did not return the sequence"),
+    ("range count", "encode wrote"),
 ])
 def test_simulation_names_the_cell_whose_check_fails(monkeypatch, fault, message):
     """Trial 0 of each cell is encoded and decoded in full; a wrong count
     or round trip raises, naming the source, coder, size and trial."""
-    real_decode, real_lengths = aifv.bench.decode, aifv.bench.encoded_lengths
+    coder, _, what = fault.rpartition(" ")
+    walk, decoder = {"": ("encoded_lengths", "decode"),
+                     "range": ("range_lengths", "range_decode")}[coder]
+    real_walk, real_decode = getattr(aifv.bench, walk), getattr(aifv.bench, decoder)
 
-    def bad_decode(forest, bits, count):
-        out = real_decode(forest, bits, count)
+    def bad_decode(code, data, count):
+        out = real_decode(code, data, count)
         return out if count != 24 else [1 - out[0]] + out[1:]
 
-    def bad_lengths(forest, sequences):
-        counts = real_lengths(forest, sequences)
-        return counts if sequences.shape[1] != 24 else [counts[0] + 1] + counts[1:]
+    def bad_walk(code, sequences, sizes):
+        counts = real_walk(code, sequences, sizes)
+        at = list(sizes).index(24)
+        counts[at] = [counts[at][0] + 1] + counts[at][1:]
+        return counts
 
-    if fault == "decode":
-        monkeypatch.setattr(aifv.bench, "decode", bad_decode)
+    if what == "decode":
+        monkeypatch.setattr(aifv.bench, decoder, bad_decode)
     else:
-        monkeypatch.setattr(aifv.bench, "encoded_lengths", bad_lengths)
+        monkeypatch.setattr(aifv.bench, walk, bad_walk)
     cfg = SimulationRun(sources=(("demo", SourceDistribution((0.8, 0.2))),),
-                        seq_sizes=(16, 24), trials=3, seed=5, aifv_delays=(2,),
-                        include_huffman=False, include_range=False)
-    with pytest.raises(RuntimeError, match=f"^demo, aifv-2, size 24, trial 0: {message}"):
+                        seq_sizes=(16, 24), trials=3, seed=5,
+                        aifv_delays=() if coder else (2,),
+                        include_huffman=False, include_range=bool(coder))
+    cell = f"demo, {coder or 'aifv-2'}, size 24, trial 0"
+    with pytest.raises(RuntimeError, match=f"^{cell}: {message}"):
         run_simulation(cfg)
 
 

@@ -247,6 +247,28 @@ def test_output_into_a_missing_directory_names_the_output(tmp_path, demo_forest,
     assert sorted(os.listdir(tmp_path)) == ["demo.aifv", "input.sym", "payload.bin"]
 
 
+@pytest.mark.parametrize("command", ["encode", "decode"])
+def test_output_onto_a_directory_names_the_output(tmp_path, demo_forest, capsys, command):
+    """The final rename fails; the error names the output, not the temp
+    file, and no temp file is left."""
+    book = str(tmp_path / "demo.aifv")
+    write(book, format_codebook(demo_forest))
+    syms = str(tmp_path / "input.sym")
+    write(syms, "0 2 1 0\n")
+    bits = str(tmp_path / "payload.bin")
+    assert main(["encode", "--codebook", book, "--input", syms, "-o", bits]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "taken")
+    os.mkdir(out)
+    args = {"encode": ["encode", "--codebook", book, "--input", syms, "-o", out],
+            "decode": ["decode", "--codebook", book, "--input", bits, "-L", "4",
+                       "-o", out]}[command]
+    assert main(args) == 4
+    assert capsys.readouterr().err == f"i/o error: [Errno 21] Is a directory: {out!r}\n"
+    assert sorted(os.listdir(tmp_path)) == ["demo.aifv", "input.sym", "payload.bin", "taken"]
+    assert os.listdir(out) == []
+
+
 @pytest.mark.parametrize("line, field, message", [
     (3, 1, "TREE index 'x' is not an integer"),
     (5, 1, "SYM index 'x' is not an integer"),

@@ -342,8 +342,9 @@ def walk_forests(demo_forest, binary_forest):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.data())
 def test_encoded_lengths_match_encode(walk_forests, data):
-    """One count per row, each the length of that row's encoded text, for
-    any integer dtype and for arrays of one row or one column."""
+    """For each prefix size asked for, in any order, one count per row,
+    each the length of the encoded text of that row's prefix, for any
+    integer dtype and for arrays of one row or one column."""
     forest = data.draw(st.sampled_from(walk_forests))
     n_rows = data.draw(st.integers(1, 6))
     n_cols = data.draw(st.one_of(st.just(1), st.integers(0, 70)))
@@ -352,7 +353,9 @@ def test_encoded_lengths_match_encode(walk_forests, data):
                               min_size=n_rows, max_size=n_rows))
     dtype = data.draw(st.sampled_from((np.uint8, np.int16, np.int64)))
     array = np.array(rows, dtype=dtype).reshape(n_rows, n_cols)
-    assert encoded_lengths(forest, array) == [len(encode(forest, row)) for row in rows]
+    sizes = data.draw(st.lists(st.integers(0, n_cols), min_size=1, max_size=4, unique=True))
+    assert encoded_lengths(forest, array, sizes) == [
+        [len(encode(forest, row[:n])) for row in rows] for n in sizes]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -373,7 +376,7 @@ def test_encoded_lengths_reject_symbols_outside_the_alphabet(walk_forests, data)
     with pytest.raises(ValueError) as expected:
         encode(forest, first_bad_row)
     with pytest.raises(ValueError) as got:
-        encoded_lengths(forest, np.array(rows))
+        encoded_lengths(forest, np.array(rows), [n_cols])
     assert str(got.value) == str(expected.value)
 
 
