@@ -1,5 +1,7 @@
 import itertools
+import logging
 import random
+import re
 
 import numpy as np
 import pytest
@@ -264,39 +266,57 @@ def encode_reference(forest, symbols):
 @pytest.fixture(scope="module")
 def codec_forests(demo_forest, binary_forest):
     """Forests of every shape the decoder meets: multi-tree binary and
-    ternary, a one-tree Huffman code, and two that break Rule 1a, the
-    second with three symbols matching at once."""
+    ternary, a one-tree Huffman code, the delay-4 binary forest with six
+    empty codewords, so runs of steps that consume no bits, and two that
+    break Rule 1a, the second with three symbols matching at once; and a
+    one-symbol code whose only codeword is empty, so every run of empty
+    codewords cycles."""
     p2 = sources_polynomial(3)[2]
     return (
         demo_forest,
         binary_forest,
         construct(p2, BuildConfig(n=2))[0],
         huffman(sources_polynomial(4)[1]),
+        construct((0.9, 0.1), BuildConfig(n=4))[0],
         CodeForest((make_tree(2, [""], [("", 0), ("", 0)]),), 2),
         CodeForest((make_tree(2, [""], [("1", 0), ("", 0), ("", 0), ("0", 0)]),), 2),
+        CodeForest((make_tree(2, [""], [("", 0)]),), 2),
     )
 
 
 def messages(forest):
-    """Short messages, and long ones whose windows repeat."""
+    """Short messages, long ones whose windows repeat, and streams long
+    enough for the decoder to widen its windows on every forest whose
+    codewords are not all empty (the delay-4 forest needs about 4000
+    symbols)."""
     symbol = st.integers(0, forest.symbol_count - 1)
     return st.one_of(st.lists(symbol, max_size=20),
-                     st.lists(symbol, min_size=200, max_size=260))
+                     st.lists(symbol, min_size=200, max_size=260),
+                     st.builds(lambda rng, n: [rng.randrange(forest.symbol_count)
+                                               for _ in range(n)],
+                               st.randoms(use_true_random=False), st.integers(4000, 4400)))
 
 
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(st.data())
 def test_decoder_matches_reference(codec_forests, data):
     """Equal symbols, or the same error with the same message, on intact,
-    truncated, bit-flipped and suffixed streams and on streams shorter
-    than tree 0's widest expansion, one symbol short, exact and one
-    symbol over."""
+    truncated (also within the widened window of the end), bit-flipped
+    and suffixed streams and on streams shorter than tree 0's widest
+    expansion, one symbol short, exact and one symbol over."""
     forest = data.draw(st.sampled_from(codec_forests))
     message = data.draw(messages(forest))
     bits = encode(forest, message)
     damage = data.draw(st.sampled_from(("intact", "truncated", "flipped", "suffixed", "short")))
     if damage == "truncated":
-        bits = bits[:data.draw(st.integers(0, max(0, len(bits) - 1)))]
+        # anywhere, or inside the last W_max + e bits, where windows are
+        # cut short (e is below the bit length of the stream's size)
+        widest = max((w.length for k in range(len(forest.trees))
+                      for w in expansions(forest, k)[1]), default=0)
+        last = max(0, len(bits) - 1)
+        bits = bits[:data.draw(st.one_of(
+            st.integers(0, last),
+            st.integers(max(0, len(bits) - widest - len(bits).bit_length()), last)))]
     elif damage == "short":
         widest = max(w.length for w in expansions(forest, 0)[1])
         bits = bits[:data.draw(st.integers(0, max(0, widest - 1)))]
@@ -308,6 +328,32 @@ def test_decoder_matches_reference(codec_forests, data):
     count = len(message) + data.draw(st.integers(-1, 1))
     assert (outcome(decode, forest, bits, count)
             == outcome(decode_reference, forest, bits, count))
+
+
+def test_decode_logs_one_line_per_call(codec_forests, demo_forest, caplog):
+    """One DEBUG line per call, read off the memos: symbols, stream bits,
+    the widening e, runs built and single-step windows matched.  A
+    4000-symbol stream widens on every forest that emits bits, and its
+    runs stay within the bound the widening keeps, 1/32 of the bits; the
+    worked example is too short to widen."""
+    pattern = re.compile(r"decode symbols=(\d+) bits=(\d+) widening=(\d+) runs=(\d+) steps=(\d+)")
+    rng = random.Random(5)
+    caplog.set_level(logging.DEBUG, logger="aifv.forest")
+    for forest in codec_forests:
+        if not validate_rule1(forest).ok or not any(
+                cw.length for t in forest.trees for cw in t.codewords):
+            continue
+        message = [rng.randrange(forest.symbol_count) for _ in range(4000)]
+        bits = encode(forest, message)
+        caplog.clear()
+        assert decode(forest, bits, len(message)) == message
+        (record,) = caplog.records
+        symbols, n_bits, e, runs, steps = map(int, pattern.fullmatch(record.getMessage()).groups())
+        assert (symbols, n_bits) == (len(message), len(bits))
+        assert e >= 1 and 1 <= runs <= n_bits // 32 and steps >= 1
+    caplog.clear()
+    decode(demo_forest, "1010110", 4)
+    assert caplog.records[0].getMessage() == "decode symbols=4 bits=7 widening=0 runs=4 steps=4"
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
