@@ -287,10 +287,10 @@ def construct(p, cfg: BuildConfig) -> tuple[CodeForest, OptimalityReport]:
         lengths = [sum(cw.length * probs[s] for s, cw in enumerate(t.codewords))
                    for t in trees]
         markov_s = time.perf_counter()
-        mat = transition_matrix(forest_all, probs)
-        blocks = block_decompose(mat)
-        pis = stationary(mat, blocks)
-        new_costs, lbars, j_star = cost_update_general(lengths, mat, blocks, pis)
+        chain = transition_matrix(forest_all, probs)
+        blocks = block_decompose(chain)
+        pis = stationary(chain, blocks)
+        new_costs, lbars, j_star = cost_update_general(lengths, chain, blocks, pis)
         markov_s = time.perf_counter() - markov_s
         log.debug("iteration=%d solved=%d mirrored=%d placed=%d kept=%d replaced=%d "
                   "piece_lists=%d solve_s=%.6f markov_s=%.6f blocks=%d absorbing=%d",
@@ -382,11 +382,11 @@ def check_g_optimality_binary(p, n: int, cfg: BuildConfig | None = None):
 def expected_code_length(forest: CodeForest, p) -> float:
     """Stationary expected bits per symbol of a closed forest."""
     probs = as_probs(p)
-    mat = transition_matrix(forest, probs)
-    blocks = block_decompose(mat)
+    chain = transition_matrix(forest, probs)
+    blocks = block_decompose(chain)
     if blocks.n_absorbing != 1:
         raise ValueError("expected length needs a single closed forest")
-    (pi,) = stationary(mat, blocks)
+    (pi,) = stationary(chain, blocks)
     lengths = [sum(cw.length * probs[s] for s, cw in enumerate(t.codewords))
                for t in forest.trees]
     return expected_length(lengths, pi)

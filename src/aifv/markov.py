@@ -3,14 +3,17 @@
 The trees of a forest form a finite Markov chain through their links.
 Construction needs the chain's stationary behaviour (expected code
 length) and a virtual per-tree linking cost whose fixed point certifies
-optimality.  Chains met mid-iteration are not always irreducible, so the
-matrix is first block-triangularised by strongly connected components,
-found by one linear-time depth-first pass (Tarjan's algorithm) over the
-chain's edges; components without outgoing edges ("absorption blocks")
-each carry an independent sub-forest with its own stationary
-distribution.  The transient components follow in order of how many
-states they reach, which makes the permuted matrix block
-lower-triangular, and one linear solve prices all of them.
+optimality.  A tree has one link per symbol, so the chain is kept as
+successor lists, never as a K x K matrix.  Chains met mid-iteration are
+not always irreducible, so the states are first split into strongly
+connected components by one linear-time depth-first pass (Tarjan's
+algorithm) over the successor lists; components without outgoing edges
+("absorption blocks") each carry an independent sub-forest with its own
+stationary distribution, solved densely on the block alone.  The
+transient components follow in order of how many states they reach,
+which makes every edge leaving a component point to an earlier one, so
+their costs follow by forward substitution in that order: one division
+for a single state, a small dense solve for a larger component.
 """
 
 from __future__ import annotations
@@ -25,17 +28,25 @@ class SingularChainError(np.linalg.LinAlgError):
     """A cost-update linear system is exactly singular."""
 
 
-def transition_matrix(forest, probs: Sequence[float]) -> np.ndarray:
-    """Tree-to-tree transition probabilities induced by the links."""
+# per state, the probability of moving to each successor state
+Chain = list[dict[int, float]]
+
+
+def transition_matrix(forest, probs: Sequence[float]) -> Chain:
+    """Tree-to-tree transition probabilities induced by the links, as one
+    successor dict per tree; a successor's entry sums the probabilities
+    of the symbols linking to it, in symbol order."""
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or len(p) != forest.symbol_count:
         raise ValueError("one probability per symbol required")
-    k_total = len(forest.trees)
-    mat = np.zeros((k_total, k_total))
-    for k, tree in enumerate(forest.trees):
-        for s, link in enumerate(tree.links):
-            mat[k, link] += p[s]
-    return mat
+    ps = p.tolist()
+    chain = []
+    for tree in forest.trees:
+        row: dict[int, float] = {}
+        for q, link in zip(ps, tree.links):
+            row[link] = row.get(link, 0.0) + q
+        chain.append(row)
+    return chain
 
 
 @dataclass(frozen=True)
@@ -54,20 +65,18 @@ class BlockDecomposition:
     n_absorbing: int
 
 
-def block_decompose(mat: np.ndarray) -> BlockDecomposition:
+def block_decompose(chain: Chain) -> BlockDecomposition:
     """Group mutually reachable states; absorption blocks first, then a
-    topological order so the permuted matrix is block lower-triangular.
+    topological order so the permuted chain is block lower-triangular.
 
-    One iterative pass of Tarjan's algorithm over the successor lists of
-    ``mat > 0`` finds the blocks in O(K + E), each one after every block
-    it has edges into.  So when a block is found, the states it reaches
-    make one int bitset: its own states and those of the blocks it feeds.
+    One iterative pass of Tarjan's algorithm over the successor lists
+    finds the blocks in O(K + E), each one after every block it has
+    edges into.  So when a block is found, the states it reaches make
+    one int bitset: its own states and those of the blocks it feeds.
     """
-    k_total = mat.shape[0]
-    src, dst = np.nonzero(mat > 0.0)
-    succ = dst.tolist()
-    start = np.searchsorted(src, np.arange(k_total + 1)).tolist()
-    nxt = start[:-1]  # position of each state's next successor to look at
+    k_total = len(chain)
+    succ = [list(row) for row in chain]
+    nxt = [0] * k_total  # position of each state's next successor to look at
     visit = [-1] * k_total  # depth-first visit number
     low = [0] * k_total  # smallest visit number seen from the state's subtree
     block_of = [-1] * k_total  # -1 until found; visited and -1 means on the stack
@@ -85,15 +94,16 @@ def block_decompose(mat: np.ndarray) -> BlockDecomposition:
                 visit[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
-            e, end = nxt[v], start[v + 1]
-            while e < end and visit[succ[e]] >= 0:
-                w = succ[e]
+            out = succ[v]
+            e, end = nxt[v], len(out)
+            while e < end and visit[out[e]] >= 0:
+                w = out[e]
                 if block_of[w] < 0 and visit[w] < low[v]:
                     low[v] = visit[w]
                 e += 1
             if e < end:
                 nxt[v] = e + 1
-                work.append(succ[e])
+                work.append(out[e])
                 continue
             work.pop()
             if work and low[v] < low[work[-1]]:
@@ -108,7 +118,7 @@ def block_decompose(mat: np.ndarray) -> BlockDecomposition:
             bits = 0
             for s in states:
                 bits |= 1 << s
-            fed = {block_of[w] for s in states for w in succ[start[s]:start[s + 1]]} - {j}
+            fed = {block_of[w] for s in states for w in succ[s]} - {j}
             for b in fed:
                 bits |= reach[b]
             reach.append(bits)
@@ -122,18 +132,29 @@ def block_decompose(mat: np.ndarray) -> BlockDecomposition:
     )
 
 
-def stationary(mat: np.ndarray, blocks: BlockDecomposition) -> list[np.ndarray]:
+def _dense_block(chain: Chain, idx: Sequence[int]) -> np.ndarray:
+    """The chain's transitions among the states ``idx``, in that order."""
+    pos = {s: i for i, s in enumerate(idx)}
+    sub = np.zeros((len(idx), len(idx)))
+    for i, s in enumerate(idx):
+        for w, q in chain[s].items():
+            if w in pos:
+                sub[i, pos[w]] = q
+    return sub
+
+
+def stationary(chain: Chain, blocks: BlockDecomposition) -> list[np.ndarray]:
     """One stationary distribution per absorption block.
 
     Each is the unique positive solution of the transposed balance
     equations on the block, solved with a normalisation row appended,
     and embedded as a length-K vector with zeros elsewhere.
     """
-    k_total = mat.shape[0]
+    k_total = len(chain)
     out = []
     for j in range(blocks.n_absorbing):
-        idx = np.array(blocks.blocks[j])
-        sub = mat[np.ix_(idx, idx)]
+        idx = blocks.blocks[j]
+        sub = _dense_block(chain, idx)
         size = len(idx)
         a = np.vstack([sub.T - np.eye(size), np.ones((1, size))])
         b = np.zeros(size + 1)
@@ -142,7 +163,7 @@ def stationary(mat: np.ndarray, blocks: BlockDecomposition) -> list[np.ndarray]:
         if rank < size:
             raise SingularChainError(f"stationary system rank {rank} < {size}")
         pi = np.zeros(k_total)
-        pi[idx] = sol
+        pi[list(idx)] = sol
         out.append(pi)
     return out
 
@@ -154,56 +175,61 @@ def expected_length(lengths: Sequence[float], pi: np.ndarray) -> float:
     return float(pi @ lv)
 
 
+def _singular(blocks: BlockDecomposition, j: int) -> SingularChainError:
+    kind = "pinned system of absorbing" if j < blocks.n_absorbing else "transient system at"
+    return SingularChainError(f"{kind} block {j} (first tree {blocks.blocks[j][0]}) is singular")
+
+
 def _solve(a: np.ndarray, b: np.ndarray, blocks: BlockDecomposition, j: int) -> np.ndarray:
-    """``np.linalg.solve`` of absorbing block ``j``'s pinned system or, from
-    the first transient ``j``, the transient one; SingularChainError names
-    the block at fault if it is exactly singular."""
+    """``np.linalg.solve`` of block ``j``'s system: the pinned one of an
+    absorbing block, the own one of a transient block.  An exactly
+    singular system raises SingularChainError naming the block."""
     try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
-        kind = "pinned system of absorbing"
-    if j >= blocks.n_absorbing:
-        # block lower-triangular: at fault is its diagonal block nearest to singular
-        kind = "transient system at"
-        bounds = np.cumsum([0] + [len(block) for block in blocks.blocks[j:]])
-        dets = [abs(np.linalg.det(a[s:e, s:e])) for s, e in zip(bounds, bounds[1:])]
-        j += int(np.argmin(dets))
-    raise SingularChainError(f"{kind} block {j} (first tree {blocks.blocks[j][0]}) is singular")
+        raise _singular(blocks, j) from None
 
 
 def cost_update_general(
     lengths: Sequence[float],
-    mat: np.ndarray,
+    chain: Chain,
     blocks: BlockDecomposition,
     pis: list[np.ndarray],
 ) -> tuple[np.ndarray, list[float], int]:
     """Cost update that works for any chain shape.
 
     Absorption blocks are solved against their own expected length with
-    their first state pinned at zero; all transient states are then
-    solved at once against the worst absorption-block length plus the
-    inflow of the priced absorption blocks.  Returns the cost vector,
-    the absorption blocks' expected lengths, and the index of the worst
-    one.
+    their first state pinned at zero.  The transient blocks are then
+    priced in block order against the worst absorption-block length plus
+    the inflow of the blocks already priced, which are all the blocks
+    their edges leave to.  A single state takes one division, a larger
+    system a dense solve.  Returns the cost vector, the absorption
+    blocks' expected lengths, and the index of the worst one.
     """
     lv = np.asarray(lengths, dtype=float)
     lbars = [expected_length(lv, pi) for pi in pis]
     j_star = int(np.argmax(lbars))
 
-    costs = np.zeros(mat.shape[0])
-    for j in range(blocks.n_absorbing):
-        rest = np.array(blocks.blocks[j][1:], dtype=int)
-        if len(rest):
-            a = mat[np.ix_(rest, rest)] - np.eye(len(rest))
-            costs[rest] = _solve(a, lbars[j] - lv[rest], blocks, j)
-    trans = np.array([i for b in blocks.blocks[blocks.n_absorbing:] for i in b], dtype=int)
-    if len(trans):
-        rows = mat[trans]
-        a = rows[:, trans] - np.eye(len(trans))
-        # costs[trans] is still zero, so rows @ costs is the absorbing inflow
-        costs[trans] = _solve(a, lbars[j_star] - lv[trans] - rows @ costs,
-                              blocks, blocks.n_absorbing)
-    return costs, lbars, j_star
+    ls = lv.tolist()
+    costs = [0.0] * len(chain)
+    for j, block in enumerate(blocks.blocks):
+        idx, lbar = (block[1:], lbars[j]) if j < blocks.n_absorbing else (block, lbars[j_star])
+        inside = set(idx)
+        # (P - I) c = lbar - L on idx, with every edge leaving idx at a
+        # state already priced (the pinned state costs zero)
+        rhs = [lbar - ls[s] - sum(q * costs[w] for w, q in chain[s].items() if w not in inside)
+               for s in idx]
+        if len(idx) == 1:
+            (s,) = idx
+            diag = chain[s].get(s, 0.0) - 1.0
+            if diag == 0.0:
+                raise _singular(blocks, j)
+            costs[s] = rhs[0] / diag
+        elif idx:
+            sol = _solve(_dense_block(chain, idx) - np.eye(len(idx)), np.array(rhs), blocks, j)
+            for s, c in zip(idx, sol.tolist()):
+                costs[s] = c
+    return np.array(costs), lbars, j_star
 
 
 def costs_invariant(c_new: Sequence[float], c_old: Sequence[float], tol: float = 1e-14) -> bool:

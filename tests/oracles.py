@@ -17,9 +17,11 @@
 * The range coder as an encoder and a decoder object, each keeping
   ``low`` and ``span`` as attributes and normalising in a method.  The
   running coder is one loop per direction on local variables.
-* The chain's blocks read off its dense reachability closure, from
-  repeated boolean squaring of ``(mat > 0) | I``.  The running code
-  finds them by one linear-time Tarjan pass over the edges.
+* The tree chain as a dense K x K transition matrix, its blocks read
+  off the dense reachability closure, from repeated boolean squaring of
+  ``(mat > 0) | I``, and its stationary distributions sliced from the
+  matrix.  The running code keeps one successor dict per tree and finds
+  the blocks by one linear-time Tarjan pass over the edges.
 * The symbol file grammar: every token matched against ``-?[0-9]+`` and
   read by ``int``.  The running reader looks the alphabet's names up in
   a table first and falls back to the grammar for any other token.
@@ -44,7 +46,7 @@ from aifv.bench import (
 )
 from aifv.bitstrings import LMAX, BitString, CapacityError, WordSet, expand_to_length, is_prefix
 from aifv.forest import CodeTree
-from aifv.markov import BlockDecomposition
+from aifv.markov import BlockDecomposition, Chain, SingularChainError
 from aifv.modes import ContinuousModeId, Mode, enumerate_continuous_ids, is_basic_mode, mode_from_id
 from aifv.optimizer import IlpModel, LinkPrices, ModelError, TreeSolution
 
@@ -558,7 +560,47 @@ def range_decode_reference(p, data: bytes, count: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# the chain's blocks from its reachability closure
+# the dense chain and its blocks from its reachability closure
+
+
+def dense_transition_matrix(forest, probs) -> np.ndarray:
+    """Tree-to-tree transition probabilities induced by the links."""
+    p = np.asarray(probs, dtype=float)
+    if p.ndim != 1 or len(p) != forest.symbol_count:
+        raise ValueError("one probability per symbol required")
+    k_total = len(forest.trees)
+    mat = np.zeros((k_total, k_total))
+    for k, tree in enumerate(forest.trees):
+        for s, link in enumerate(tree.links):
+            mat[k, link] += p[s]
+    return mat
+
+
+def chain_from_matrix(mat: np.ndarray) -> Chain:
+    """The successor dicts of :mod:`aifv.markov` for a dense matrix: one
+    entry per positive element, in column order."""
+    return [{int(j): float(row[j]) for j in np.flatnonzero(row > 0.0)} for row in mat]
+
+
+def dense_stationary(mat: np.ndarray, blocks: BlockDecomposition) -> list[np.ndarray]:
+    """The stationary distributions of :func:`aifv.markov.stationary`,
+    each solved on its block sliced out of the dense matrix."""
+    k_total = mat.shape[0]
+    out = []
+    for j in range(blocks.n_absorbing):
+        idx = np.array(blocks.blocks[j])
+        sub = mat[np.ix_(idx, idx)]
+        size = len(idx)
+        a = np.vstack([sub.T - np.eye(size), np.ones((1, size))])
+        b = np.zeros(size + 1)
+        b[-1] = 1.0
+        sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+        if rank < size:
+            raise SingularChainError(f"stationary system rank {rank} < {size}")
+        pi = np.zeros(k_total)
+        pi[idx] = sol
+        out.append(pi)
+    return out
 
 
 def block_decompose_closure(mat: np.ndarray) -> BlockDecomposition:

@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,12 @@ from aifv.markov import (
     worst_block_invariant,
 )
 from conftest import make_tree
-from oracles import block_decompose_closure
+from oracles import (
+    block_decompose_closure,
+    chain_from_matrix,
+    dense_stationary,
+    dense_transition_matrix,
+)
 
 
 def cost_update_simple(lengths, mat, lbar):
@@ -186,38 +192,39 @@ def random_stochastic(rng, k):
 def test_transition_matrix_single_tree():
     t = make_tree(1, [""], [("0", 0), ("1", 0)])
     f = CodeForest((t,), 1)
-    assert np.array_equal(transition_matrix(f, [0.5, 0.5]), [[1.0]])
+    assert transition_matrix(f, [0.5, 0.5]) == [{0: 1.0}]
 
 
 def test_transition_matrix_two_cycle():
     t0 = make_tree(2, [""], [("0", 1), ("1", 1)])
     t1 = make_tree(2, [""], [("0", 0), ("1", 0)])
     f = CodeForest((t0, t1), 2)
-    assert np.array_equal(transition_matrix(f, [0.3, 0.7]), [[0, 1], [1, 0]])
+    assert transition_matrix(f, [0.3, 0.7]) == [{1: 1.0}, {0: 1.0}]
 
 
 def test_transition_matrix_demo_row0(demo_forest):
     pa, pb, pc = 0.5, 0.3, 0.2
-    mat = transition_matrix(demo_forest, [pa, pb, pc])
+    chain = transition_matrix(demo_forest, [pa, pb, pc])
     # tree 0 links: symbol a -> 1, b -> 2, c -> 0
-    assert np.allclose(mat[0], [pc, pa, pb, 0.0, 0.0])
-    assert np.allclose(mat.sum(axis=1), 1.0)
+    assert chain[0] == {1: pa, 2: pb, 0: pc}
+    assert all(sum(row.values()) == pytest.approx(1.0) for row in chain)
+    assert chain == chain_from_matrix(dense_transition_matrix(demo_forest, [pa, pb, pc]))
 
 
 def test_block_decompose_irreducible():
-    blocks = block_decompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    blocks = block_decompose([{1: 1.0}, {0: 1.0}])
     assert blocks.blocks == ((0, 1),)
     assert blocks.n_absorbing == 1
 
 
 def test_block_decompose_feeder():
-    blocks = block_decompose(np.array([[1.0, 0.0], [1.0, 0.0]]))
+    blocks = block_decompose([{0: 1.0}, {0: 1.0}])
     assert blocks.blocks == ((0,), (1,))
     assert blocks.n_absorbing == 1
 
 
 def test_block_decompose_two_disjoint_cycles():
-    blocks = block_decompose(np.eye(2))
+    blocks = block_decompose([{0: 1.0}, {1: 1.0}])
     assert blocks.blocks == ((0,), (1,))
     assert blocks.n_absorbing == 2
 
@@ -232,7 +239,7 @@ def test_block_decompose_partition_and_triangularity():
             for t in targets:
                 mat[i, t] = 1.0
             mat[i] /= mat[i].sum()
-        blocks = block_decompose(mat)
+        blocks = block_decompose(chain_from_matrix(mat))
         assert sorted(state_order(blocks)) == list(range(k))
         start = {}
         pos = 0
@@ -280,7 +287,7 @@ def sparse_chains(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(sparse_chains())
 def test_block_decompose_matches_tarjan_on_sparse_chains(mat):
-    assert_matches_tarjan(mat, block_decompose(mat))
+    assert_matches_tarjan(mat, block_decompose(chain_from_matrix(mat)))
 
 
 @st.composite
@@ -298,7 +305,7 @@ def link_graphs(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.one_of(sparse_chains(), link_graphs()))
 def test_block_decompose_matches_closure_in_order(mat):
-    assert block_decompose(mat) == block_decompose_closure(mat)
+    assert block_decompose(chain_from_matrix(mat)) == block_decompose_closure(mat)
 
 
 def test_block_decompose_deep_feeder_path():
@@ -306,35 +313,28 @@ def test_block_decompose_deep_feeder_path():
     next and the last loops on itself."""
     k = 5000
     assert k > sys.getrecursionlimit()
-    mat = np.zeros((k, k), dtype=bool)  # bool keeps the dense test input at 25 MB
-    mat[np.arange(k - 1), np.arange(1, k)] = True
-    mat[k - 1, k - 1] = True
-    blocks = block_decompose(mat)
+    chain = [{s + 1: 1.0} for s in range(k - 1)] + [{k - 1: 1.0}]
+    blocks = block_decompose(chain)
     assert blocks.n_absorbing == 1
     assert blocks.blocks == tuple((s,) for s in reversed(range(k)))
-    block_of = np.empty(k, dtype=int)
-    for j, (s,) in enumerate(blocks.blocks):
-        block_of[s] = j
-    src, dst = np.nonzero(mat)
-    assert np.all(block_of[dst] <= block_of[src]), "edge points to a later block"
 
 
 def test_stationary_symmetric_cycle():
-    mat = np.array([[0.0, 1.0], [1.0, 0.0]])
-    (pi,) = stationary(mat, block_decompose(mat))
+    chain = [{1: 1.0}, {0: 1.0}]
+    (pi,) = stationary(chain, block_decompose(chain))
     assert np.allclose(pi, [0.5, 0.5])
 
 
 def test_stationary_hand_solved():
     # balance equations of [[.5,.5],[1,0]] give (2/3, 1/3)
-    mat = np.array([[0.5, 0.5], [1.0, 0.0]])
-    (pi,) = stationary(mat, block_decompose(mat))
+    chain = [{0: 0.5, 1: 0.5}, {0: 1.0}]
+    (pi,) = stationary(chain, block_decompose(chain))
     assert np.allclose(pi, [2 / 3, 1 / 3], atol=1e-12)
 
 
 def test_stationary_singleton():
-    mat = np.array([[1.0]])
-    (pi,) = stationary(mat, block_decompose(mat))
+    chain = [{0: 1.0}]
+    (pi,) = stationary(chain, block_decompose(chain))
     assert pi == pytest.approx([1.0])
 
 
@@ -343,9 +343,10 @@ def test_stationary_balance_random_chains():
     for _ in range(25):
         k = rng.randrange(2, 51)
         mat = random_stochastic(rng, k)
-        blocks = block_decompose(mat)
+        chain = chain_from_matrix(mat)
+        blocks = block_decompose(chain)
         assert blocks.n_absorbing == 1  # dense positive matrix is irreducible
-        (pi,) = stationary(mat, blocks)
+        (pi,) = stationary(chain, blocks)
         assert np.all(pi >= -1e-12)
         assert abs(pi.sum() - 1.0) <= 1e-10
         assert np.max(np.abs(pi @ mat - pi)) <= 1e-10
@@ -372,8 +373,8 @@ def test_cost_update_simple_self_consistent():
         k = rng.randrange(2, 8)
         mat = random_stochastic(rng, k)
         lengths = [1 + rng.random() for _ in range(k)]
-        blocks = block_decompose(mat)
-        (pi,) = stationary(mat, blocks)
+        chain = chain_from_matrix(mat)
+        (pi,) = stationary(chain, block_decompose(chain))
         lbar = expected_length(lengths, pi)
         costs = cost_update_simple(lengths, mat, lbar)
         again = cost_update_simple(lengths, mat, lbar)
@@ -394,28 +395,25 @@ def test_cost_update_simple_singular_raises():
 def test_cost_update_general_names_a_singular_transient_block():
     # state 2's self-loop rounds to 1, so its own system 0 * c = r is
     # exactly singular although its edge to state 0 makes it transient
-    mat = np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [1e-20, 0.0, 1.0]])
-    blocks = block_decompose(mat)
+    chain = [{0: 1.0}, {0: 0.5, 2: 0.5}, {0: 1e-20, 2: 1.0}]
+    blocks = block_decompose(chain)
     assert blocks.blocks == ((0,), (2,), (1,))
     with pytest.raises(SingularChainError, match=r"^transient system at block 1 "
                                                  r"\(first tree 2\) is singular$"):
-        cost_update_general([1.0, 2.0, 3.0], mat, blocks, stationary(mat, blocks))
+        cost_update_general([1.0, 2.0, 3.0], chain, blocks, stationary(chain, blocks))
 
 
-def test_cost_update_general_blames_the_transient_block_nearest_to_singular(monkeypatch):
-    """LAPACK may find the whole transient system singular by rounding
-    although none of its diagonal blocks is exactly singular."""
-    mat = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.25, 0.25, 0.5]])
-    blocks = block_decompose(mat)
-    assert blocks.blocks == ((0,), (1,), (2,))  # diagonal entries -1 and -0.5
-
-    def singular(a, b):
-        raise np.linalg.LinAlgError("Singular matrix")
-
-    monkeypatch.setattr(np.linalg, "solve", singular)
-    with pytest.raises(SingularChainError, match=r"^transient system at block 2 "
-                                                 r"\(first tree 2\) is singular$"):
-        cost_update_general([1.0, 2.0, 3.0], mat, blocks, stationary(mat, blocks))
+def test_cost_update_general_names_a_singular_two_state_transient_block():
+    """States 1 and 2 link to each other with a probability that rounds
+    to 1, so their block's own system [[-1, 1], [1, -1]] is exactly
+    singular although 1e-20 edges to state 0 make it transient; the
+    singleton block of state 3, priced after it, is not at fault."""
+    chain = [{0: 1.0}, {0: 1e-20, 2: 1.0}, {0: 1e-20, 1: 1.0}, {3: 0.5, 1: 0.5}]
+    blocks = block_decompose(chain)
+    assert blocks.blocks == ((0,), (1, 2), (3,))
+    with pytest.raises(SingularChainError, match=r"^transient system at block 1 "
+                                                 r"\(first tree 1\) is singular$"):
+        cost_update_general([1.0, 2.0, 3.0, 4.0], chain, blocks, stationary(chain, blocks))
 
 
 def test_cost_update_general_matches_simple_on_irreducible():
@@ -424,20 +422,22 @@ def test_cost_update_general_matches_simple_on_irreducible():
         k = rng.randrange(2, 10)
         mat = random_stochastic(rng, k)
         lengths = [1 + rng.random() for _ in range(k)]
-        blocks = block_decompose(mat)
-        (pi,) = stationary(mat, blocks)
+        chain = chain_from_matrix(mat)
+        blocks = block_decompose(chain)
+        (pi,) = stationary(chain, blocks)
         lbar = expected_length(lengths, pi)
         simple = cost_update_simple(lengths, mat, lbar)
-        general, lbars, j_star = cost_update_general(lengths, mat, blocks, [pi])
+        general, lbars, j_star = cost_update_general(lengths, chain, blocks, [pi])
         assert j_star == 0
         assert lbars == pytest.approx([lbar])
         assert np.max(np.abs(general - simple)) <= 1e-12
 
 
 def test_cost_update_general_disjoint_singletons():
-    mat = np.eye(2)
-    blocks = block_decompose(mat)
-    costs, lbars, j_star = cost_update_general([1.0, 2.0], mat, blocks, stationary(mat, blocks))
+    chain = [{0: 1.0}, {1: 1.0}]
+    blocks = block_decompose(chain)
+    costs, lbars, j_star = cost_update_general([1.0, 2.0], chain, blocks,
+                                               stationary(chain, blocks))
     assert np.array_equal(costs, [0.0, 0.0])
     assert lbars == pytest.approx([1.0, 2.0])
     assert j_star == 1
@@ -446,10 +446,10 @@ def test_cost_update_general_disjoint_singletons():
 def test_cost_update_general_feeder_chain():
     # state 1 feeds the absorbing state 0 and never self-loops:
     # its cost solves (0 - 1) c = lbar_star - L_1 - P_{1,0} * C_0
-    mat = np.array([[1.0, 0.0], [1.0, 0.0]])
+    chain = [{0: 1.0}, {0: 1.0}]
     lengths = [1.0, 2.5]
-    blocks = block_decompose(mat)
-    costs, lbars, j_star = cost_update_general(lengths, mat, blocks, stationary(mat, blocks))
+    blocks = block_decompose(chain)
+    costs, lbars, j_star = cost_update_general(lengths, chain, blocks, stationary(chain, blocks))
     assert lbars == pytest.approx([1.0])
     assert j_star == 0
     assert costs[0] == 0.0
@@ -502,10 +502,12 @@ def block_triangular_chains(draw):
 @given(block_triangular_chains())
 def test_cost_update_general_matches_blockwise_inflow(chain):
     mat, lengths, n_absorbing = chain
-    blocks = block_decompose(mat)
+    links = chain_from_matrix(mat)
+    blocks = block_decompose(links)
     assert blocks.n_absorbing == n_absorbing
-    pis = stationary(mat, blocks)
-    costs, lbars, j_star = cost_update_general(lengths, mat, blocks, pis)
+    pis = stationary(links, blocks)
+    assert all(np.array_equal(a, b) for a, b in zip(pis, dense_stationary(mat, blocks)))
+    costs, lbars, j_star = cost_update_general(lengths, links, blocks, pis)
     ref, ref_lbars, ref_j = cost_update_blockwise(lengths, mat, blocks, pis)
     assert (lbars, j_star) == (ref_lbars, ref_j)
     # only the inflow's summation order differs, so rounding scales with
@@ -513,22 +515,105 @@ def test_cost_update_general_matches_blockwise_inflow(chain):
     assert np.max(np.abs(costs - ref)) <= 1e-15 * max(1.0, np.max(np.abs(ref)))
 
 
-def test_cost_update_general_matches_blockwise_on_build_chains(monkeypatch):
+def build_chains(monkeypatch, probs, cfg):
+    """(forest, probs, lengths, chain, blocks, pis) of every cost update
+    of one build: the forest and probabilities its chain was built from,
+    and the arguments of the update."""
     import aifv.builder as builder
 
-    chains = []
+    made, chains = [], []
 
-    def capture(lengths, mat, blocks, pis):
-        chains.append((lengths, mat, blocks, pis))
-        return cost_update_general(lengths, mat, blocks, pis)
+    def capture_chain(forest, p):
+        made.append((forest, p))
+        return transition_matrix(forest, p)
 
-    monkeypatch.setattr(builder, "cost_update_general", capture)
-    builder.construct((0.9, 0.1), builder.BuildConfig(n=4))
+    def capture_update(lengths, chain, blocks, pis):
+        chains.append(made[-1] + (lengths, chain, blocks, pis))
+        return cost_update_general(lengths, chain, blocks, pis)
+
+    monkeypatch.setattr(builder, "transition_matrix", capture_chain)
+    monkeypatch.setattr(builder, "cost_update_general", capture_update)
+    builder.construct(probs, cfg)
+    return chains
+
+
+def test_cost_update_general_matches_blockwise_on_build_chains(monkeypatch):
+    from aifv.builder import BuildConfig
+
+    chains = build_chains(monkeypatch, (0.9, 0.1), BuildConfig(n=4))
     assert len(chains) > 1
-    assert any(len(blocks.blocks) > 1 for _, _, blocks, _ in chains)
-    for lengths, mat, blocks, pis in chains:
+    assert any(len(blocks.blocks) > 1 for *_, blocks, _ in chains)
+    for forest, probs, lengths, chain, blocks, pis in chains:
+        mat = dense_transition_matrix(forest, probs)
+        assert chain == chain_from_matrix(mat)
         assert_matches_tarjan(mat, blocks)
         assert blocks == block_decompose_closure(mat)
-        costs = cost_update_general(lengths, mat, blocks, pis)[0]
+        costs = cost_update_general(lengths, chain, blocks, pis)[0]
         ref = cost_update_blockwise(lengths, mat, blocks, pis)[0]
         assert np.max(np.abs(costs - ref)) <= 1e-15
+
+
+@st.composite
+def link_forests(draw):
+    """Up to 40 trees over 2 to 5 symbols, each tree linking to trees at
+    most ``spread`` indices away (0 gives all self-loops), with symbol
+    probabilities from integer weights and a length per tree."""
+    m = draw(st.integers(2, 5))
+    k = draw(st.integers(1, 40))
+    spread = draw(st.integers(0, k))
+    trees = []
+    for i in range(k):
+        links = draw(st.lists(st.integers(max(0, i - spread), min(k - 1, i + spread)),
+                              min_size=m, max_size=m))
+        trees.append(make_tree(1, [""], [("", link) for link in links]))
+    weights = draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
+    probs = [w / sum(weights) for w in weights]
+    lengths = draw(st.lists(st.floats(0.0, 3.0), min_size=k, max_size=k))
+    return CodeForest(tuple(trees), 1), probs, lengths
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(link_forests())
+def test_link_chain_matches_the_dense_chain(case):
+    """The chain built from the links gives the dense oracle's blocks,
+    bit-identical stationary distributions, and costs equal to the
+    dense blockwise update up to the inflow's summation order."""
+    forest, probs, lengths = case
+    mat = dense_transition_matrix(forest, probs)
+    chain = transition_matrix(forest, probs)
+    assert chain == chain_from_matrix(mat)
+    blocks = block_decompose(chain)
+    assert blocks == block_decompose_closure(mat)
+    pis = stationary(chain, blocks)
+    ref_pis = dense_stationary(mat, blocks)
+    assert len(pis) == len(ref_pis) == blocks.n_absorbing
+    assert all(np.array_equal(a, b) for a, b in zip(pis, ref_pis))
+    costs, lbars, j_star = cost_update_general(lengths, chain, blocks, pis)
+    ref, ref_lbars, ref_j = cost_update_blockwise(lengths, mat, blocks, pis)
+    assert (lbars, j_star) == (ref_lbars, ref_j)
+    assert np.all(np.abs(costs - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_markov_layer_allocates_no_dense_chain(monkeypatch):
+    """The four Markov calls on the first chain of the p0=0.9, N=5 build
+    (K=256) allocate less than a quarter of one dense K x K matrix."""
+    from aifv.builder import BuildConfig
+
+    forest, probs, lengths, *_ = build_chains(monkeypatch, (0.9, 0.1),
+                                              BuildConfig(n=5, max_iterations=1))[0]
+    k = len(forest.trees)
+    assert k == 256
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        chain = transition_matrix(forest, probs)
+        blocks = block_decompose(chain)
+        cost_update_general(lengths, chain, blocks, stationary(chain, blocks))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < k * k * 8 // 4
