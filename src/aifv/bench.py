@@ -42,17 +42,9 @@ class RangeCodingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ExtendedHuffman:
-    """Huffman code over n-symbol blocks of the base alphabet."""
-
-    base_m: int
-    order: int
-    lengths: tuple[int, ...]  # per block, blocks in lexicographic order
-    per_symbol_expected: float
-
-
-def extended_huffman(p, order: int) -> ExtendedHuffman:
+def extended_huffman(p, order: int) -> float:
+    """Expected bits per symbol of the Huffman code over ``order``-symbol
+    blocks of the base alphabet."""
     probs = tuple(p)
     m = len(probs)
     if order < 1:
@@ -65,8 +57,7 @@ def extended_huffman(p, order: int) -> ExtendedHuffman:
         for s in block:
             block_probs[i] *= probs[s]
     lengths = huffman_lengths(tuple(block_probs))
-    expected = sum(q * ln for q, ln in zip(block_probs, lengths)) / order
-    return ExtendedHuffman(m, order, tuple(lengths), expected)
+    return sum(q * ln for q, ln in zip(block_probs, lengths)) / order
 
 
 def scaled_frequencies(p) -> list[int]:
@@ -318,11 +309,10 @@ def run_theoretical(cfg: TheoreticalRun) -> list[ExperimentRow]:
             rows.append(ExperimentRow(label, "huffman", 1, dist.m, 0, 0, 0,
                                       length, h, relative_redundancy(length, h)))
         for order in cfg.ext_huffman_orders:
-            ext = extended_huffman(dist.probs, order)
+            length = extended_huffman(dist.probs, order)
             rows.append(ExperimentRow(label, f"ext-huffman-{order}", order,
                                       dist.m ** order, 0, 0, 0,
-                                      ext.per_symbol_expected, h,
-                                      relative_redundancy(ext.per_symbol_expected, h)))
+                                      length, h, relative_redundancy(length, h)))
         for kind, family, values in (("aifv", "continuous", cfg.aifv_delays),
                                      ("aifvm", "aifvm", cfg.aifvm_orders)):
             for value in values:

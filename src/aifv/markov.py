@@ -10,10 +10,11 @@ connected components by one linear-time depth-first pass (Tarjan's
 algorithm) over the successor lists; components without outgoing edges
 ("absorption blocks") each carry an independent sub-forest with its own
 stationary distribution, solved densely on the block alone.  The
-transient components follow in order of how many states they reach,
-which makes every edge leaving a component point to an earlier one, so
-their costs follow by forward substitution in that order: one division
-for a single state, a small dense solve for a larger component.
+transient components follow in the order the pass finds them, each
+after every component it feeds, so every edge leaving a component points
+to an earlier one and their costs follow by forward substitution in that
+order: one division for a single state, a small dense solve for a larger
+component.
 """
 
 from __future__ import annotations
@@ -54,9 +55,8 @@ class BlockDecomposition:
     """Strongly connected components in block-lower-triangular order.
 
     Blocks ``0 .. n_absorbing-1`` have no outgoing edges and come first,
-    ordered by smallest contained state.  The transient blocks follow,
-    ordered by how many states they reach, then by smallest contained
-    state; a block reaches strictly more states than any block it feeds,
+    ordered by smallest contained state.  The transient blocks follow in
+    the order Tarjan's pass finds them, each after every block it feeds,
     so every edge leaving a block points to an earlier one.  States
     inside a block are listed in ascending original index.
     """
@@ -71,8 +71,8 @@ def block_decompose(chain: Chain) -> BlockDecomposition:
 
     One iterative pass of Tarjan's algorithm over the successor lists
     finds the blocks in O(K + E), each one after every block it has
-    edges into.  So when a block is found, the states it reaches make
-    one int bitset: its own states and those of the blocks it feeds.
+    edges into, so a block is absorbing when every edge of its states
+    stays inside it.
     """
     k_total = len(chain)
     succ = [list(row) for row in chain]
@@ -81,8 +81,8 @@ def block_decompose(chain: Chain) -> BlockDecomposition:
     low = [0] * k_total  # smallest visit number seen from the state's subtree
     block_of = [-1] * k_total  # -1 until found; visited and -1 means on the stack
     stack: list[int] = []
-    reach: list[int] = []  # bitset of the states each found block reaches
-    found = []  # (sort key, states) per block
+    absorbing: list[tuple[int, ...]] = []
+    transient: list[tuple[int, ...]] = []
     counter = 0
     for root in range(k_total):
         if visit[root] >= 0:
@@ -110,26 +110,15 @@ def block_decompose(chain: Chain) -> BlockDecomposition:
                 low[work[-1]] = low[v]
             if low[v] < visit[v]:
                 continue
-            j = len(reach)
+            j = len(absorbing) + len(transient)
             states = []
             while not states or states[-1] != v:
                 states.append(stack.pop())
                 block_of[states[-1]] = j
-            bits = 0
-            for s in states:
-                bits |= 1 << s
-            fed = {block_of[w] for s in states for w in succ[s]} - {j}
-            for b in fed:
-                bits |= reach[b]
-            reach.append(bits)
-            states.sort()
-            # absorbing blocks sort first because a transient one reaches >= 2 states
-            found.append(((bits.bit_count() if fed else 0, states[0]), tuple(states)))
-    found.sort()
-    return BlockDecomposition(
-        blocks=tuple(states for _, states in found),
-        n_absorbing=sum(1 for (n_reached, _), _ in found if n_reached == 0),
-    )
+            leaves = any(block_of[w] != j for s in states for w in succ[s])
+            (transient if leaves else absorbing).append(tuple(sorted(states)))
+    absorbing.sort()  # blocks are disjoint, so by smallest state
+    return BlockDecomposition(blocks=tuple(absorbing + transient), n_absorbing=len(absorbing))
 
 
 def _dense_block(chain: Chain, idx: Sequence[int]) -> np.ndarray:

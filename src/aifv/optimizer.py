@@ -14,11 +14,11 @@ end, every link an index of the search table.  The integer model
 itself lives in the tests (``tests/oracles.py``), where it checks this
 search and that check.
 
-The search proves optimality against a cutoff.  A caller that already
-holds a tree for the mode passes that tree's cost under the current
-prices, and the search returns a cheaper tree or None; only without such
-a cost does a greedy dive find the first cutoff.  The forest
-construction therefore dives in its first iteration only.
+A caller that already holds a tree for the mode passes that tree's cost
+under the current prices as a cutoff, and the search returns a cheaper
+tree or None; without a cutoff the first tree the search completes is
+optimal.  Every iteration of the forest construction thus runs the same
+search.
 
 Every fact of a tree problem has one owner.  One :class:`SearchTable`
 per build holds what no link price changes: the delay, the depth bound,
@@ -319,18 +319,17 @@ def solve_ilp(
     """Provably optimal tree for the model, or with ``below`` the optimal
     tree among those that cost less than ``below``, None if there is none.
 
-    Best-first search over (interval position, placed-symbol set) states
-    runs to proof against a cutoff: ``below`` when given, which warm-starts
-    the search from a tree the caller already holds; otherwise the cost of
-    a greedy first-feasible dive's tree.  A dive that finds no tree has
-    tried every tiling, so the depth bound admits none and the solve
-    raises :class:`ValueError`.  States are deduplicated by position and
-    placed set; symbols of equal probability are placed in ascending
-    index order.  Deterministic: ties in the bound fall back to insertion
-    order.  Either cutoff keeps every state whose bound is below the
-    optimum, so both pop the same states up to the optimum; only an
-    optimum tied with the dive's own tree can come back as another tree
-    of equal cost.
+    Best-first search over (interval position, placed-symbol set) states,
+    each bounded below by its cost so far plus a relaxation of the rest.
+    The cutoff starts at ``below``, which warm-starts the search from a
+    tree the caller already holds, or else at infinity, and the first
+    complete tiling popped sets it to its own cost: no state left can
+    lead to a cheaper tree.  A search without ``below`` that empties its
+    heap has tried every tiling, so the depth bound admits none and the
+    solve raises :class:`ValueError`.  States are deduplicated by
+    position and placed set; symbols of equal probability are placed in
+    ascending index order.  Deterministic: ties in the bound fall back to
+    insertion order, which also decides among trees of equal cost.
 
     The search reads its link costs and bound constants from
     ``model.prices``, and its pieces, candidate symbols and probability
@@ -366,49 +365,10 @@ def solve_ilp(
 
     full_mask = (1 << m) - 1
     nodes = 0
-
-    def spend(phase: str) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise ResourceLimitError(
-                f"node budget {node_budget} exhausted in the {phase} "
-                f"for mode ({mode_id.k1}, {mode_id.k2})"
-            )
-
     # A state's node is None at the start, else (parent node, symbol,
     # depth, link index); g accumulates p * (depth + link cost).
-    def dive() -> tuple[float, tuple] | None:
-        # first feasible solution, largest pieces first for big symbols
-        stack = [(start, 0, 0.0, None)]
-        while stack:
-            x, used, g, node = stack.pop()
-            spend("dive")
-            if used == full_mask:
-                if x == end:
-                    return g, node
-                continue
-            depths, idxs, _ = pieces_at(x, end, (full_mask ^ used).bit_count() - 1)
-            children = []
-            for sym in sorted(candidates(used), key=lambda s: (-probs[s], s)):
-                for d, idx in zip(depths, idxs):
-                    cost = d + flat[idx]
-                    width = widths[idx] << (d_max - d)
-                    children.append(((width, -cost), sym, d, idx, cost))
-            children.sort(key=lambda c: c[0])
-            for (width, _), sym, d, idx, cost in children:
-                stack.append((x + width, used | (1 << sym), g + probs[sym] * cost,
-                              (node, sym, d, idx)))
-        return None
-
-    if below is None:
-        best = dive()  # the incumbent, (g, node)
-        if best is None:
-            raise ValueError(f"no tree of mode ({mode_id.k1}, {mode_id.k2}) "
-                             f"fits depth bound {d_max}")
-        cutoff = best[0] - 1e-15
-    else:
-        best, cutoff = None, below
+    best = None  # the cheapest tree so far, (g, node)
+    cutoff = math.inf if below is None else below
 
     heap: list = []
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -431,7 +391,10 @@ def solve_ilp(
     closed: dict[tuple[int, int], float] = {}
     while heap:
         f, _, x, used, g, node, group, i = heappop(heap)
-        spend("proof")
+        nodes += 1
+        if nodes > node_budget:
+            raise ResourceLimitError(f"node budget {node_budget} exhausted "
+                                     f"for mode ({mode_id.k1}, {mode_id.k2})")
         if f >= cutoff:
             break
         if group is not None and i + 1 < len(group[0]):
@@ -442,9 +405,8 @@ def solve_ilp(
             continue
         closed[state] = g
         if used == full_mask:
-            if x == end and (best is None or g < best[0]):
-                best = (g, node)
-                cutoff = g - 1e-15
+            # the last piece ends at ``end`` and the tree costs f = g < cutoff
+            best, cutoff = (g, node), g - 1e-15
             continue
         depths, idxs, room_logs = pieces_at(x, end, (full_mask ^ used).bit_count() - 1)
         kids = []
@@ -474,6 +436,9 @@ def solve_ilp(
             push_child((kids, x, used, node), 0)
 
     if best is None:
+        if below is None:
+            raise ValueError(f"no tree of mode ({mode_id.k1}, {mode_id.k2}) "
+                             f"fits depth bound {d_max}")
         return None  # no tree costs less than ``below``
 
     objective, node = best
@@ -490,14 +455,14 @@ def solve_ilp(
         codewords[sym] = BitString(d, x >> (n + d_max - d))
         links[sym] = idx
         x += widths[idx] << (d_max - d)
-    solution = TreeSolution(tuple(codewords), tuple(links), objective, order)
+    recomputed = sum(probs[s] * (codewords[s].length + flat[links[s]]) for s in range(m))
+    solution = TreeSolution(tuple(codewords), tuple(links), float(recomputed), order)
     bad = check_assignment(model, solution)
     if bad:
         raise ModelError(f"solver output is no tiling: {bad[:3]}")
-    recomputed = sum(probs[s] * (codewords[s].length + flat[links[s]]) for s in range(m))
     if abs(recomputed - objective) > 1e-9:
         raise ModelError("objective mismatch between search and recomputation")
-    return TreeSolution(solution.codewords, solution.links, float(recomputed), order)
+    return solution
 
 
 def decode_solution(solution: TreeSolution, mode: Mode) -> CodeTree:

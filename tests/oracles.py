@@ -604,7 +604,9 @@ def dense_stationary(mat: np.ndarray, blocks: BlockDecomposition) -> list[np.nda
 
 
 def block_decompose_closure(mat: np.ndarray) -> BlockDecomposition:
-    """The blocks of :func:`aifv.markov.block_decompose`, in its order.
+    """The blocks of :func:`aifv.markov.block_decompose`: the absorption
+    blocks first in its order, then the transient blocks by how many
+    states they reach, a topological order of their own.
 
     The reachability closure of ``(mat > 0) | I`` comes from repeated
     squaring, at most ceil(log2 K) + 1 matrix products; two states share

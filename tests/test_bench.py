@@ -64,12 +64,9 @@ def test_entropy_and_redundancy():
 
 
 def test_extended_huffman_examples():
-    ext = extended_huffman((0.75, 0.25), 2)
-    assert ext.per_symbol_expected == pytest.approx(0.84375)
-    one = extended_huffman((0.6, 0.4), 1)
-    assert one.per_symbol_expected == pytest.approx(1.0)
-    uniform = extended_huffman((0.5, 0.5), 3)
-    assert uniform.per_symbol_expected == pytest.approx(1.0)
+    assert extended_huffman((0.75, 0.25), 2) == pytest.approx(0.84375)
+    assert extended_huffman((0.6, 0.4), 1) == pytest.approx(1.0)
+    assert extended_huffman((0.5, 0.5), 3) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         extended_huffman((0.5, 0.5), 25)
 
@@ -80,10 +77,10 @@ def test_extended_huffman_improves_along_divisibility_chain():
     # orders, e.g. 5 vs 8, genuinely cross for some sources.)
     for p0 in (0.51, 0.64, 0.75, 0.9, 0.99):
         probs = (p0, 1 - p0)
-        chain = [extended_huffman(probs, n).per_symbol_expected for n in (1, 2, 4, 8)]
+        chain = [extended_huffman(probs, n) for n in (1, 2, 4, 8)]
         for a, b in zip(chain, chain[1:]):
             assert b <= a + 1e-12
-        assert extended_huffman(probs, 5).per_symbol_expected <= chain[0] + 1e-12
+        assert extended_huffman(probs, 5) <= chain[0] + 1e-12
 
 
 def test_scaled_frequencies_total():

@@ -154,7 +154,7 @@ def test_symmetry_reuse_matches_independent():
 def test_warm_start_builds_what_cold_solves_build(build):
     """Seeding each solve with the previous tree's cost changes no
     codebook and no report: the same builds with every tree solved cold
-    (dive, then proof) and the previous tree kept by the retention rule
+    (with no cutoff) and the previous tree kept by the retention rule
     alone."""
     forest, report = build()
     solve = aifv.builder.solve_ilp
@@ -382,6 +382,39 @@ def test_build_output_but_the_cost_trace_is_pinned(family, probs, n, digest):
     forest, report = construct(probs, BuildConfig(n=n, family=family))
     text = format_codebook(forest) + repr(replace(report, max_dcost_trace=()))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# Builds with several optimal trees of equal cost, where the tree search
+# keeps the one whose pieces come first: the SHA-256 of repr(report),
+# computed while a greedy dive still set each first solve's cutoff and
+# sometimes kept another of the tied trees, and of the codebook the
+# search without it emits.  N=1 binary gives huffman((0.9, 0.1))'s code.
+TIED_PINS = [
+    ("continuous", (0.9, 0.1), 1,
+     "1ae5c0f7d7bb2e6ed5a4f620f9e45c5e2d8452c291f34f53d1b7c4b0666c0610",
+     "276cfd5316015b6bef5659124f697449e0e55d3b5bf5e5fd9bf00c6223db9fff"),
+    ("aifvm", (0.51, 0.49), 2,
+     "2c6e0e2a405615bc5523d852116f0ac95ea7ebd81c3ba8e071053d4a53cce4e4",
+     "f0ca2055e65977d404f2433f8ea7b08c733bcbad2f41ae4d66c69e090211e201"),
+    ("continuous", (0.55, 0.45), 4,
+     "a8f2cf2f61c70fa107ad75d79261e9a72694ecd521b2ba6d18730cddd982b9fa",
+     "52bc78a4a7819557c99a4d462becf4cb16c9374f5b8c0cefc825e69db148a44e"),
+    ("continuous", sources_polynomial(3)[0].probs, 1,
+     "6a3ab3f8d60fdb42777e5ac5cb170139b9aae2991037d1c5899543f79a829a84",
+     "b5a6ec4ffdd8034cf2fc8280ffdffe4dcc6617a4405c2a500914efb4a62d2510"),
+]
+
+
+@pytest.mark.parametrize("family, probs, n, report_digest, codebook_digest", TIED_PINS)
+def test_tied_build_is_pinned(family, probs, n, report_digest, codebook_digest):
+    forest, report = construct(probs, BuildConfig(n=n, family=family))
+    assert hashlib.sha256(repr(report).encode()).hexdigest() == report_digest
+    assert hashlib.sha256(format_codebook(forest).encode()).hexdigest() == codebook_digest
+
+
+def test_n1_binary_is_the_huffman_code():
+    forest, _ = construct((0.9, 0.1), BuildConfig(n=1))
+    assert format_codebook(forest) == format_codebook(huffman((0.9, 0.1)))
 
 
 @pytest.mark.parametrize("probs, n", [((0.9, 0.1), 2), ((0.6, 0.4), 3), ((0.5, 0.5), 1)])

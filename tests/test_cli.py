@@ -428,6 +428,19 @@ def test_construct_names_a_depth_bound_no_tree_fits(tmp_path, dist_file, capsys)
     assert not os.path.exists(book)
 
 
+def test_construct_exits_3_when_a_tree_solve_spends_its_node_budget(tmp_path, dist_file,
+                                                                    capsys, monkeypatch):
+    import aifv.builder
+
+    solve = aifv.builder.solve_ilp
+    monkeypatch.setattr(aifv.builder, "solve_ilp",
+                        lambda model, below=None: solve(model, node_budget=1, below=below))
+    book = str(tmp_path / "book")
+    assert main(["construct", "--dist", dist_file, "-N", "2", "-o", book]) == 3
+    assert capsys.readouterr().err == "resource limit: node budget 1 exhausted for mode (0, 0)\n"
+    assert not os.path.exists(book)
+
+
 def test_decode_rejects_negative_count(tmp_path, dist_file, capsys):
     book = str(tmp_path / "book.aifv")
     assert main(["construct", "--dist", dist_file, "-N", "2", "-o", book]) == 0
