@@ -427,22 +427,34 @@ def test_objective_recompute_consistency():
     assert recomputed == pytest.approx(sol.objective, abs=1e-12)
 
 
+def _sweep_node_budget(model, below):
+    """Raise the budget one node at a time until the solve succeeds; each
+    shortfall must name its budget and mode.  Returns the budget that
+    sufficed."""
+    for budget in itertools.count(1):
+        try:
+            assert solve_ilp(model, node_budget=budget, below=below) is not None
+            return budget
+        except ResourceLimitError as e:
+            assert str(e) == f"node budget {budget} exhausted for mode (1, 0)"
+
+
 def test_node_budget_enforced():
     """Raising the budget one node at a time, a solve runs out, naming
-    its budget and mode, until the budget covers the search; the same
-    holds for a solve given a cutoff."""
+    its budget and mode, until the budget covers the search."""
     model = tree_model(3, ContinuousModeId(0, 0), (0.2,) * 5, initial_costs(3), 12)
     with pytest.raises(ResourceLimitError, match=r"^node budget 3 exhausted for mode \(0, 0\)$"):
         solve_ilp(model, node_budget=3)
     model = tree_model(2, ContinuousModeId(1, 0), (0.5, 0.3, 0.2), initial_costs(2), 4)
-    for below in (None, solve_ilp(model).objective + 1.0):
-        for budget in itertools.count(1):
-            try:
-                assert solve_ilp(model, node_budget=budget, below=below) is not None
-                break
-            except ResourceLimitError as e:
-                assert str(e) == f"node budget {budget} exhausted for mode (1, 0)"
-        assert budget > 1
+    assert _sweep_node_budget(model, below=None) > 1
+
+
+def test_warm_solve_budget_runs_out_in_the_proof():
+    """A solve given a cutoff spends its budget in the same single
+    best-first search as a cold one, and runs out the same way."""
+    model = tree_model(2, ContinuousModeId(1, 0), (0.5, 0.3, 0.2), initial_costs(2), 4)
+    below = solve_ilp(model).objective + 1.0
+    assert _sweep_node_budget(model, below=below) > 1
 
 
 def test_depth_bound_without_a_tree_is_a_value_error():
