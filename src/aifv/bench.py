@@ -77,16 +77,30 @@ def _frequency_table(p) -> tuple[list[int], list[int]]:
     return freqs, list(itertools.accumulate(freqs, initial=0))
 
 
-def range_encode(p, symbols) -> bytes:
-    """32-bit carryless range coder with a static 16-bit frequency table.
-
-    After each symbol the top byte of ``low`` is shifted out while the
-    interval ``[low, low + span)`` lies within it.  When it does not but
-    the span has fallen below ``RANGE_BOT``, the span is cut to end at
-    the next multiple of ``RANGE_BOT``, which brings it within.  A span
-    of at least ``RANGE_TOP`` never lies within one top byte, so the
-    loop tests that first.
+def _shift_out(low: int, span: int) -> tuple[int, int, int]:
+    """The range coder's step after each symbol: ``low`` and ``span``
+    once the top byte of ``low`` is shifted out while the interval
+    ``[low, low + span)`` lies within it, and how many bytes went.  When
+    it does not but the span has fallen below ``RANGE_BOT``, the span is
+    cut to end at the next multiple of ``RANGE_BOT``, which brings it
+    within.  A span of at least ``RANGE_TOP`` never lies within one top
+    byte, so the loop tests that first.
     """
+    shifts = 0
+    while span < RANGE_TOP:
+        if (low ^ (low + span)) >= RANGE_TOP:
+            if span >= RANGE_BOT:
+                break
+            span = -low & (RANGE_BOT - 1)
+        shifts += 1
+        span <<= 8
+        low = (low << 8) & RANGE_MASK
+    return low, span, shifts
+
+
+def range_encode(p, symbols) -> bytes:
+    """32-bit carryless range coder with a static 16-bit frequency table;
+    each byte shifted out of ``low`` is written."""
     freqs, cums = _frequency_table(p)
     m = len(freqs)
     low, span, out = 0, RANGE_MASK, bytearray()
@@ -94,20 +108,13 @@ def range_encode(p, symbols) -> bytes:
         if not 0 <= s < m:
             raise ValueError(f"symbol {s} outside alphabet of {m}")
         r = span // FREQ_TOTAL
-        low = (low + cums[s] * r) & RANGE_MASK
-        span = freqs[s] * r
-        while span < RANGE_TOP:
-            if (low ^ (low + span)) >= RANGE_TOP:
-                if span >= RANGE_BOT:
-                    break
-                span = -low & (RANGE_BOT - 1)
-            out.append(low >> 24)
-            span <<= 8
-            low = (low << 8) & RANGE_MASK
+        top = (low + cums[s] * r) & RANGE_MASK
+        low, span, shifts = _shift_out(top, freqs[s] * r)
+        out += top.to_bytes(4, "big")[:shifts]
     return bytes(out) + low.to_bytes(4, "big")
 
 
-# bits shifted out by range_encode's loop for a bit length e of low ^ (low + span):
+# bits shifted out by _shift_out for a bit length e of low ^ (low + span):
 # one byte per leading zero byte in 32 bits
 _SHARED_BITS = np.array([8 * max(0, (32 - e) // 8) for e in range(34)], dtype=np.int64)
 
@@ -117,12 +124,12 @@ def range_lengths(p, sequences, sizes) -> list[list[int]]:
     each row of a 2-D array of symbols, with no bytes built.
 
     Every row steps at once, one column per step.  After each symbol
-    the loop of :func:`range_encode` shifts out the leading bytes that
-    ``low`` and ``low + span`` share, and the span cannot reach
-    ``RANGE_TOP`` first, since ``low ^ (low + span)`` is at least half
-    the span; so their count is read off the bit length of that xor.  A
-    row then left with a span below ``RANGE_BOT`` is one that takes the
-    loop's cut branch; those few rows finish the loop on Python ints.
+    :func:`_shift_out` shifts out the leading bytes that ``low`` and
+    ``low + span`` share, and the span cannot reach ``RANGE_TOP`` first,
+    since ``low ^ (low + span)`` is at least half the span; so their
+    count is read off the bit length of that xor.  A row then left with
+    a span below ``RANGE_BOT`` is one that takes the cut branch; those
+    few rows finish the step in :func:`_shift_out` on Python ints.
     """
     freqs, cums = _frequency_table(p)
     rows = symbol_rows(sequences, len(freqs), sizes)
@@ -152,16 +159,8 @@ def range_lengths(p, sequences, sizes) -> list[list[int]]:
         if not len(rows) or span[span.argmin()] >= RANGE_BOT:
             continue
         for i in np.flatnonzero(span < RANGE_BOT):  # the cut branch
-            lo, sp, out = int(low[i]), int(span[i]), 0
-            while sp < RANGE_TOP:
-                if (lo ^ (lo + sp)) >= RANGE_TOP:
-                    if sp >= RANGE_BOT:
-                        break
-                    sp = -lo & (RANGE_BOT - 1)
-                out += 8
-                sp <<= 8
-                lo = (lo << 8) & RANGE_MASK
-            low[i], span[i], shifted[i] = lo, sp, shifted[i] + out
+            lo, sp, shifts = _shift_out(int(low[i]), int(span[i]))
+            low[i], span[i], shifted[i] = lo, sp, shifted[i] + 8 * shifts
     return [counts[n] for n in sizes]
 
 
@@ -181,16 +180,9 @@ def range_decode(p, data: bytes, count: int) -> list[int]:
         if v >= FREQ_TOTAL:
             raise RangeCodingError("corrupt range-coded stream")
         s = bisect_right(cums, v) - 1
-        low = (low + cums[s] * r) & RANGE_MASK
-        span = freqs[s] * r
-        while span < RANGE_TOP:
-            if (low ^ (low + span)) >= RANGE_TOP:
-                if span >= RANGE_BOT:
-                    break
-                span = -low & (RANGE_BOT - 1)
+        low, span, shifts = _shift_out((low + cums[s] * r) & RANGE_MASK, freqs[s] * r)
+        for _ in range(shifts):
             code = (code << 8 | next(stream, 0)) & RANGE_MASK
-            span <<= 8
-            low = (low << 8) & RANGE_MASK
         out.append(s)
     return out
 

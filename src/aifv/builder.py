@@ -25,7 +25,6 @@ from .forest import CodeForest, CodeTree, flip_tree, validate_full, validate_rul
 from .markov import (
     block_decompose,
     cost_update_general,
-    costs_invariant,
     expected_length,
     stationary,
     transition_matrix,
@@ -99,25 +98,41 @@ class BuildConfig:
         if self.init not in INIT_RULES:
             raise ValueError(f"unknown init rule {self.init!r}")
         check_limits(self.tolerance, self.max_depth)
+        if self.max_iterations < 1:
+            raise ValueError("iteration limit must be at least 1")
         if self.family == "full-binary" and self.max_depth is not None:
             raise ValueError("the full-binary family takes no depth bound")
 
 
 @dataclass(frozen=True)
 class OptimalityReport:
+    """What a build measured: per iteration, each absorbing block's
+    expected length and the largest cost change; how it stopped; and the
+    block it emitted.  The optimality flags and the iteration count are
+    read off these."""
+
     converged: bool
-    e_optimal: bool
-    f_optimal: bool
     g_checked: bool | None
-    iterations: int
     tolerance: float
-    block_lbars: tuple[float, ...]
     selected_block: int
     expected_len: float
-    max_lbar_trace: tuple[float, ...]
     iteration_lbars: tuple[tuple[float, ...], ...]
     max_dcost_trace: tuple[float, ...]
     stepg_converged: bool
+
+    @property
+    def f_optimal(self) -> bool:
+        """The whole cost vector is invariant."""
+        return self.converged
+
+    @property
+    def e_optimal(self) -> bool:
+        """The whole cost vector, or the worst block's, is invariant."""
+        return self.converged or self.stepg_converged
+
+    @property
+    def iterations(self) -> int:
+        return len(self.iteration_lbars)
 
 
 def default_depth(m: int, n: int) -> int:
@@ -240,20 +255,13 @@ def construct(p, cfg: BuildConfig) -> tuple[CodeForest, OptimalityReport]:
     costs = fam.initial_cost_vector()
     reuse = fam.mirror is not None
 
-    max_lbar_trace: list[float] = []
     iteration_lbars: list[tuple[float, ...]] = []
     dcost_trace: list[float] = []
     converged = False
-    stepg = False
-    trees: list[CodeTree] = []
-    blocks = None
-    lbars: list[float] = []
-    iterations = 0
 
     mirror_links = dict(enumerate(fam.mirror)) if reuse else None
     prev_trees: list[CodeTree] | None = None
     for iteration in range(1, cfg.max_iterations + 1):
-        iterations = iteration
         prices = fam.price(costs)
         trees = [None] * k
         solved = kept = replaced = 0
@@ -306,13 +314,11 @@ def construct(p, cfg: BuildConfig) -> tuple[CodeForest, OptimalityReport]:
                 log.info("mirror pinning broke; solving all modes independently from now on")
                 reuse = False
 
-        max_lbar = max(lbars)
-        if max_lbar_trace and max_lbar > max_lbar_trace[-1] + TRACE_SLACK:
+        if iteration_lbars and lbars[j_star] > max(iteration_lbars[-1]) + TRACE_SLACK:
             raise BuildError(
                 f"iteration {iteration}: worst-block expected length increased "
-                f"from {max_lbar_trace[-1]!r} to {max_lbar!r}"
+                f"from {max(iteration_lbars[-1])!r} to {lbars[j_star]!r}"
             )
-        max_lbar_trace.append(max_lbar)
         iteration_lbars.append(tuple(lbars))
         dcost_trace.append(float(np.max(np.abs(new_costs - costs), initial=0.0)))
 
@@ -320,9 +326,8 @@ def construct(p, cfg: BuildConfig) -> tuple[CodeForest, OptimalityReport]:
             new_costs[np.array(blocks.blocks[j_star])], costs,
             blocks.blocks[j_star], cfg.tolerance,
         )
-        full_inv = costs_invariant(new_costs, costs, cfg.tolerance)
         costs = new_costs
-        if full_inv:
+        if dcost_trace[-1] <= cfg.tolerance:
             converged = True
             break
 
@@ -357,15 +362,10 @@ def construct(p, cfg: BuildConfig) -> tuple[CodeForest, OptimalityReport]:
 
     report = OptimalityReport(
         converged=converged,
-        e_optimal=converged or stepg,
-        f_optimal=converged,
         g_checked=converged if cfg.family == "full-binary" else None,
-        iterations=iterations,
         tolerance=cfg.tolerance,
-        block_lbars=tuple(lbars),
         selected_block=j_best,
         expected_len=expected,
-        max_lbar_trace=tuple(max_lbar_trace),
         iteration_lbars=tuple(iteration_lbars),
         max_dcost_trace=tuple(dcost_trace),
         stepg_converged=stepg,

@@ -32,8 +32,6 @@ EXIT_VALIDATION = 2
 EXIT_RESOURCE = 3
 EXIT_IO = 4
 
-log = logging.getLogger("aifv.cli")
-
 _SYMBOL_TOKEN = re.compile(r"-?[0-9]+")
 _DIST_SYMBOL = re.compile(r"a(0|[1-9][0-9]*)")
 _DIST_PROB = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")

@@ -221,14 +221,6 @@ def cost_update_general(
     return np.array(costs), lbars, j_star
 
 
-def costs_invariant(c_new: Sequence[float], c_old: Sequence[float], tol: float = 1e-14) -> bool:
-    """Fixed-point test: no cost moved by more than ``tol``."""
-    a, b = np.asarray(c_new, dtype=float), np.asarray(c_old, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("cost vectors differ in length")
-    return bool(np.max(np.abs(a - b), initial=0.0) <= tol)
-
-
 def worst_block_invariant(
     c_new_block: np.ndarray,
     c_old: np.ndarray,

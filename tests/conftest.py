@@ -31,3 +31,30 @@ def demo_forest():
         make_tree(3, ["01", "1"], [("1", 4), ("01", 0), ("100", 0)]),
     )
     return CodeForest(trees, 3)
+
+
+def worst_trace(report):
+    """The worst absorbing block's expected length at each iteration."""
+    return tuple(max(lbars) for lbars in report.iteration_lbars)
+
+
+def report_record(report):
+    """The report as ``repr`` printed it while it stored all thirteen of
+    its values as fields, in their order: the text the pinned digests
+    hash, so no value can move unseen."""
+    values = {
+        "converged": report.converged,
+        "e_optimal": report.e_optimal,
+        "f_optimal": report.f_optimal,
+        "g_checked": report.g_checked,
+        "iterations": report.iterations,
+        "tolerance": report.tolerance,
+        "block_lbars": report.iteration_lbars[-1],
+        "selected_block": report.selected_block,
+        "expected_len": report.expected_len,
+        "max_lbar_trace": worst_trace(report),
+        "iteration_lbars": report.iteration_lbars,
+        "max_dcost_trace": report.max_dcost_trace,
+        "stepg_converged": report.stepg_converged,
+    }
+    return f"OptimalityReport({', '.join(f'{k}={v!r}' for k, v in values.items())})"

@@ -16,7 +16,8 @@
   :func:`aifv.optimizer.check_assignment` checks directly.
 * The range coder as an encoder and a decoder object, each keeping
   ``low`` and ``span`` as attributes and normalising in a method.  The
-  running coder is one loop per direction on local variables.
+  running coder is one loop per direction on local variables, and both
+  directions normalise through one function.
 * The tree chain as a dense K x K transition matrix, its blocks read
   off the dense reachability closure, from repeated boolean squaring of
   ``(mat > 0) | I``, and its stationary distributions sliced from the

@@ -23,6 +23,7 @@ from aifv.forest import decode, decoding_delay_bound, encode
 from aifv.modes import enumerate_basic_modes, enumerate_continuous_ids
 from aifv.optimizer import ResourceLimitError
 from aifv.sources import entropy, sample_inversion, sources_binary_grid, sources_polynomial
+from conftest import worst_trace
 
 TOL_EQ = 1e-12  # equality of expected lengths across routes
 TOL_FIX = 1e-14  # cost fixed-point tolerance
@@ -130,9 +131,9 @@ def test_criterion_04_huffman_floor(grid, grid_reports, poly_reports):
 
 def test_criterion_05_monotone_iteration(grid_reports, poly_reports, gcheck_reports):
     rng = random.Random(2024)
-    traces = [r.max_lbar_trace for r in grid_reports.values()]
-    traces += [r.max_lbar_trace for r in poly_reports.values()]
-    traces += [r.max_lbar_trace for r in gcheck_reports.values()]
+    traces = [worst_trace(r) for r in grid_reports.values()]
+    traces += [worst_trace(r) for r in poly_reports.values()]
+    traces += [worst_trace(r) for r in gcheck_reports.values()]
     for _ in range(110):
         m = rng.randrange(2, 5)
         raw = [rng.uniform(0.02, 1.0) for _ in range(m)]
@@ -140,7 +141,7 @@ def test_criterion_05_monotone_iteration(grid_reports, poly_reports, gcheck_repo
         n = rng.choice((1, 2, 3))
         init = rng.choice(("formula", "huffman-floor"))
         _, report = construct(probs, BuildConfig(n=n, init=init))
-        traces.append(report.max_lbar_trace)
+        traces.append(worst_trace(report))
     for trace in traces:
         assert all(b <= a + 1e-11 for a, b in zip(trace, trace[1:]))
     note(5, f"{len(traces)} build traces non-increasing "

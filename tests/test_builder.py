@@ -19,6 +19,7 @@ from aifv.forest import decode, encode, format_codebook, validate_full, validate
 from aifv.markov import SingularChainError
 from aifv.modes import flip_mode
 from aifv.sources import sources_polynomial
+from conftest import report_record, worst_trace
 
 
 def entropy(probs):
@@ -104,7 +105,7 @@ def test_huffman_floor_init_starts_at_huffman():
     probs = (0.8, 0.15, 0.05)
     h_len = expected_code_length(huffman(probs), probs)
     _, report = construct(probs, BuildConfig(n=2, init="huffman-floor"))
-    assert report.max_lbar_trace[0] == pytest.approx(h_len, abs=1e-12)
+    assert worst_trace(report)[0] == pytest.approx(h_len, abs=1e-12)
     _, formula = construct(probs, BuildConfig(n=2))
     assert report.expected_len == pytest.approx(formula.expected_len, abs=1e-12)
 
@@ -118,7 +119,7 @@ def test_monotone_traces_randomized():
         n = rng.choice((1, 2, 3))
         init = rng.choice(("formula", "huffman-floor"))
         _, report = construct(probs, BuildConfig(n=n, init=init))
-        trace = report.max_lbar_trace
+        trace = worst_trace(report)
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
         assert report.converged
 
@@ -282,9 +283,11 @@ def test_rising_worst_block_length_is_a_build_error(monkeypatch, tmp_path, capsy
     assert not book.exists()
 
 
-# SHA-256 of format_codebook(forest) + repr(report) for a small build
-# matrix, computed before the tree solver shared its piece lists across a
-# build; any change to a forest, a trace or a float of a report moves one.
+# SHA-256 of format_codebook(forest) + report_record(report) for a small
+# build matrix, computed before the tree solver shared its piece lists
+# across a build, when the text was repr(report) (report_record renders
+# it unchanged); any change to a forest, a trace or a float of a report
+# moves one.
 # Five were re-pinned when the cost update moved onto successor lists,
 # whose inflow sums round differently in max_dcost_trace alone.
 OUTPUT_PINS = [
@@ -303,7 +306,7 @@ OUTPUT_PINS = [
 def test_build_output_is_pinned(probs, n, digest):
     """Codebook text and report are bit-identical to the pinned builds."""
     forest, report = construct(probs, BuildConfig(n=n))
-    text = format_codebook(forest) + repr(report)
+    text = format_codebook(forest) + report_record(report)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -322,7 +325,7 @@ AIFVM_PINS = [
 @pytest.mark.parametrize("probs, m, digest", AIFVM_PINS)
 def test_aifvm_output_is_pinned(probs, m, digest):
     forest, report = construct(probs, BuildConfig(n=m, family="aifvm"))
-    text = format_codebook(forest) + repr(report)
+    text = format_codebook(forest) + report_record(report)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -338,7 +341,7 @@ GCHECK_PINS = [
 @pytest.mark.parametrize("probs, n, digest", GCHECK_PINS)
 def test_gcheck_output_is_pinned(probs, n, digest):
     forest, report = check_g_optimality_binary(probs, n)
-    text = format_codebook(forest) + repr(report)
+    text = format_codebook(forest) + report_record(report)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -380,12 +383,12 @@ REDUCED_PINS = [
 @pytest.mark.parametrize("family, probs, n, digest", REDUCED_PINS)
 def test_build_output_but_the_cost_trace_is_pinned(family, probs, n, digest):
     forest, report = construct(probs, BuildConfig(n=n, family=family))
-    text = format_codebook(forest) + repr(replace(report, max_dcost_trace=()))
+    text = format_codebook(forest) + report_record(replace(report, max_dcost_trace=()))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # Builds with several optimal trees of equal cost, where the tree search
-# keeps the one whose pieces come first: the SHA-256 of repr(report),
+# keeps the one whose pieces come first: the SHA-256 of report_record(report),
 # computed while a greedy dive still set each first solve's cutoff and
 # sometimes kept another of the tied trees, and of the codebook the
 # search without it emits.  N=1 binary gives huffman((0.9, 0.1))'s code.
@@ -408,7 +411,7 @@ TIED_PINS = [
 @pytest.mark.parametrize("family, probs, n, report_digest, codebook_digest", TIED_PINS)
 def test_tied_build_is_pinned(family, probs, n, report_digest, codebook_digest):
     forest, report = construct(probs, BuildConfig(n=n, family=family))
-    assert hashlib.sha256(repr(report).encode()).hexdigest() == report_digest
+    assert hashlib.sha256(report_record(report).encode()).hexdigest() == report_digest
     assert hashlib.sha256(format_codebook(forest).encode()).hexdigest() == codebook_digest
 
 
@@ -441,3 +444,23 @@ def test_full_binary_family_takes_no_depth_bound():
 def test_build_config_rejects_a_tolerance_not_finite_and_positive(tol):
     with pytest.raises(ValueError, match="^tolerance must be finite and positive$"):
         BuildConfig(n=3, tolerance=tol)
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_build_config_rejects_an_iteration_limit_below_one(limit):
+    with pytest.raises(ValueError, match="^iteration limit must be at least 1$"):
+        BuildConfig(n=2, max_iterations=limit)
+
+
+def test_build_stops_at_the_first_cost_change_within_tolerance():
+    """Rebuilt with each cost change of its own trace as the tolerance, a
+    build converges at the first iteration whose change is at most that
+    value: a change equal to the tolerance stops it."""
+    _, report = construct((0.9, 0.1), BuildConfig(n=4))
+    trace = report.max_dcost_trace
+    for tol in sorted({d for d in trace if d > 0}):
+        _, cut = construct((0.9, 0.1), BuildConfig(n=4, tolerance=tol))
+        first = next(i for i, d in enumerate(trace, 1) if d <= tol)
+        assert cut.converged
+        assert cut.iterations == first
+        assert cut.max_dcost_trace == trace[:first]

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -490,6 +491,24 @@ def test_construct_family_writes_what_construct_builds(tmp_path, dist_file, fami
         assert fh.read() == format_codebook(forest)
     with open(book + ".report.csv") as fh:
         assert fh.read() == report_sidecar(report)
+
+
+# SHA-256 of the whole sidecar of three delay-3 builds, computed while the
+# report still stored its optimality flags and iteration count as fields.
+SIDECAR_PINS = [
+    ((0.9, 0.1), "continuous",
+     "e7ba363ff822d96d035a9a5c4b951919b13427eaae1b9a6e4db3fd1b083f9915"),
+    ((0.9, 0.1), "full-binary",
+     "206c629a74fb9808f209bf31aa2bdc971a8122cbd226feca1f260a613acf4aed"),
+    ((0.4, 0.25, 0.15, 0.12, 0.08), "aifvm",
+     "c0a8420eb8d30e59e3e8532ae214e75f6d4bede5739879b3c6a6ac63b975d8dd"),
+]
+
+
+@pytest.mark.parametrize("probs, family, digest", SIDECAR_PINS)
+def test_report_sidecar_is_pinned(probs, family, digest):
+    _, report = construct(probs, BuildConfig(n=3, family=family))
+    assert hashlib.sha256(report_sidecar(report).encode()).hexdigest() == digest
 
 
 def test_construct_full_binary_rejects_a_depth_bound(tmp_path, dist_file, capsys):

@@ -13,7 +13,6 @@ from aifv.markov import (
     _solve,
     block_decompose,
     cost_update_general,
-    costs_invariant,
     expected_length,
     stationary,
     transition_matrix,
@@ -455,12 +454,6 @@ def test_cost_update_general_feeder_chain():
     assert j_star == 0
     assert costs[0] == 0.0
     assert costs[1] == pytest.approx(2.5 - 1.0)
-
-
-def test_costs_invariant_tolerances():
-    assert costs_invariant([1.0, 2.0], [1.0, 2.0])
-    assert not costs_invariant([1.0, 2.0 + 1e-13], [1.0, 2.0], tol=1e-14)
-    assert costs_invariant([1.0, 2.0 + 0.5e-14], [1.0, 2.0], tol=1e-14)
 
 
 def test_worst_block_invariant_rebases():

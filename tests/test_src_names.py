@@ -1,5 +1,6 @@
-"""Every module-level function and class in ``src/aifv`` has a caller
-outside the tests: helpers only the tests use belong in the tests."""
+"""Every module-level function, class and assigned name (a constant, an
+alias, a logger) in ``src/aifv`` has a reader outside the tests: what
+only the tests use belongs in the tests."""
 
 import ast
 import pathlib
@@ -39,6 +40,10 @@ def test_no_src_name_is_used_only_by_tests():
                 defined.append((module, top.name))
                 for node in ast.walk(top):
                     inside[id(node)] = top.name
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                defined.extend((module, node.id) for target in targets
+                               for node in ast.walk(target) if isinstance(node, ast.Name))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 if inside.get(id(node)) != node.id:
