@@ -84,7 +84,7 @@ def _shift_out(low: int, span: int) -> tuple[int, int, int]:
     it does not but the span has fallen below ``RANGE_BOT``, the span is
     cut to end at the next multiple of ``RANGE_BOT``, which brings it
     within.  A span of at least ``RANGE_TOP`` never lies within one top
-    byte, so the loop tests that first.
+    byte and shifts nothing out, so the coders call this only below it.
     """
     shifts = 0
     while span < RANGE_TOP:
@@ -108,9 +108,11 @@ def range_encode(p, symbols) -> bytes:
         if not 0 <= s < m:
             raise ValueError(f"symbol {s} outside alphabet of {m}")
         r = span // FREQ_TOTAL
-        top = (low + cums[s] * r) & RANGE_MASK
-        low, span, shifts = _shift_out(top, freqs[s] * r)
-        out += top.to_bytes(4, "big")[:shifts]
+        low, span = (low + cums[s] * r) & RANGE_MASK, freqs[s] * r
+        if span < RANGE_TOP:
+            top = low
+            low, span, shifts = _shift_out(top, span)
+            out += top.to_bytes(4, "big")[:shifts]
     return bytes(out) + low.to_bytes(4, "big")
 
 
@@ -180,9 +182,11 @@ def range_decode(p, data: bytes, count: int) -> list[int]:
         if v >= FREQ_TOTAL:
             raise RangeCodingError("corrupt range-coded stream")
         s = bisect_right(cums, v) - 1
-        low, span, shifts = _shift_out((low + cums[s] * r) & RANGE_MASK, freqs[s] * r)
-        for _ in range(shifts):
-            code = (code << 8 | next(stream, 0)) & RANGE_MASK
+        low, span = (low + cums[s] * r) & RANGE_MASK, freqs[s] * r
+        if span < RANGE_TOP:
+            low, span, shifts = _shift_out(low, span)
+            for _ in range(shifts):
+                code = (code << 8 | next(stream, 0)) & RANGE_MASK
         out.append(s)
     return out
 

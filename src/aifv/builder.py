@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bitstrings import BitString, EMPTY, expand_to_length
+from .bitstrings import BitString, EMPTY
 from .forest import CodeForest, CodeTree, flip_tree, validate_full, validate_rule1
 from .markov import (
     block_decompose,
@@ -30,13 +30,7 @@ from .markov import (
     transition_matrix,
     worst_block_invariant,
 )
-from .modes import (
-    Mode,
-    enumerate_basic_modes,
-    enumerate_continuous_ids,
-    flip_mode,
-    mode_from_id,
-)
+from .modes import Mode, basic_family, enumerate_continuous_ids, flip_mode, mode_from_id
 from .optimizer import (
     LinkPrices,
     SearchTable,
@@ -140,8 +134,8 @@ def default_depth(m: int, n: int) -> int:
 
 
 def _leafset_cost(mode: Mode) -> float:
-    leaves = expand_to_length(mode.words, mode.n)
-    return mode.n - math.log2(len(leaves))
+    leaves = sum(1 << (mode.n - w.length) for w in mode.words)
+    return mode.n - math.log2(leaves)
 
 
 class _Family:
@@ -158,9 +152,8 @@ class _Family:
                 raise BuildError("the full basic family is solvable for binary alphabets only")
             if n > 3:
                 raise BuildError("full basic family supported for delays 1..3")
-            self.modes = enumerate_basic_modes(n)
+            self.modes = basic_family(n)[0]
             self.table = None
-            self.index_of_words = {m.words: i for i, m in enumerate(self.modes)}
         else:
             ids = enumerate_continuous_ids(n) if cfg.family == "continuous" else aifvm_link_ids(n)
             self.modes = [mode_from_id(n, cid) for cid in ids]
@@ -192,23 +185,22 @@ class _Family:
             return np.array([_leafset_cost(m) for m in self.modes])
         return np.array([self.base_costs[cid] for cid in self.table.links])
 
-    def price(self, costs: np.ndarray) -> dict | LinkPrices:
-        """The link prices every tree solve of one iteration reads: a
-        table keyed by word set for the full family, otherwise the tree
-        solver's prices of the family's links."""
+    def price(self, costs: np.ndarray) -> list[float] | LinkPrices:
+        """The link prices every tree solve of one iteration reads: the
+        plain costs for the full family, otherwise the tree solver's
+        prices of the family's links."""
         if self.cfg.family == "full-binary":
-            return {m.words: costs[i] for i, m in enumerate(self.modes)}
+            return costs.tolist()
         return link_prices(self.table, costs)
 
-    def solve_tree(self, index: int, prices: dict | LinkPrices,
+    def solve_tree(self, index: int, prices: list[float] | LinkPrices,
                    below: float | None = None) -> tuple[CodeTree, float] | None:
         """The optimal tree of mode ``index`` and its cost.  With ``below``,
         the tree search returns None when no tree costs less; the full
         family's brute force ignores it."""
         cfg = self.cfg
         if cfg.family == "full-binary":
-            return brute_force_binary(cfg.n, self.modes[index], self.probs,
-                                      prices, self.index_of_words)
+            return brute_force_binary(cfg.n, index, self.probs, prices)
         sol = solve_ilp(build_ilp(self.table.links[index], prices), below=below)
         if sol is None:
             return None
@@ -351,9 +343,9 @@ def construct(p, cfg: BuildConfig) -> tuple[CodeForest, OptimalityReport]:
         emitted.append(CodeTree(t.codewords, tuple(new_index[l] for l in t.links), t.mode))
     forest = CodeForest(tuple(emitted), cfg.n)
 
-    rule1 = validate_rule1(forest)
-    if not rule1.ok:
-        raise BuildError(f"constructed forest violates its rules: {rule1.issues[:3]}")
+    issues = validate_rule1(forest)
+    if issues:
+        raise BuildError(f"constructed forest violates its rules: {issues[:3]}")
     if not validate_full(forest).ok:
         raise BuildError("constructed forest is not full")
     expected = expected_code_length(forest, probs)

@@ -166,9 +166,9 @@ def read_symbols(path: str, m: int) -> list[int]:
 
 def cmd_encode(args) -> int:
     forest = read_codebook(args.codebook)
-    rule1 = validate_rule1(forest)
-    if not rule1.ok:
-        raise CodebookError(f"{args.codebook} is not decodable: {rule1.issues[0]}")
+    issues = validate_rule1(forest)
+    if issues:
+        raise CodebookError(f"{args.codebook} is not decodable: {issues[0]}")
     symbols = read_symbols(args.input, forest.symbol_count)
     bits = encode(forest, symbols)
     atomic_write(args.output, pack_bits(bits))
@@ -190,20 +190,20 @@ def cmd_decode(args) -> int:
 
 def cmd_check(args) -> int:
     forest = read_codebook(args.codebook)
-    rule1 = validate_rule1(forest)
+    issues = validate_rule1(forest)
     full = validate_full(forest)
     print(f"codebook: {len(forest.trees)} trees, {forest.symbol_count} symbols, "
           f"delay bound {forest.n}")
     for k, tree in enumerate(forest.trees):
         print(f"  tree {k}: mode {tree.mode.render()}")
-    for msg in rule1.issues:
+    for msg in issues:
         print(f"FAIL {msg}")
     if not full.root_mode_ok:
         print("FAIL initial tree's mode is not the empty string")
     for k, ok in enumerate(full.per_tree):
         if not ok:
             print(f"note: tree {k} is not full (unused codeword space)")
-    if rule1.ok:
+    if not issues:
         print(f"decodability: PASS; decoding delay <= {decoding_delay_bound(forest)} bits")
         return EXIT_OK
     return EXIT_VALIDATION

@@ -19,7 +19,7 @@ one dictionary lookup.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -92,42 +92,17 @@ def expansions(forest: CodeForest, k: int) -> tuple[tuple[WordSet, ...], WordSet
     return per, frozenset(union)
 
 
-@dataclass
-class TreeCheck:
-    prefix_free: bool = True
-    covered_by_mode: bool = True
-    basic_mode: bool = True
-    issues: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.prefix_free and self.covered_by_mode and self.basic_mode
-
-
-@dataclass
-class Rule1Report:
-    per_tree: list[TreeCheck]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.per_tree)
-
-    @property
-    def issues(self) -> list[str]:
-        return [msg for c in self.per_tree for msg in c.issues]
-
-
-def validate_rule1(forest: CodeForest) -> Rule1Report:
-    """Check each tree's decodability conditions.
+def validate_rule1(forest: CodeForest) -> list[str]:
+    """Every way the forest breaks a decodability condition, tree by
+    tree; an empty list means it is decodable.
 
     For every tree: (a) expanded codewords, counted per symbol occurrence,
     are mutually incomparable; (b) each expanded codeword extends some
     query of the tree's own mode; (c) the mode belongs to the basic
     family for the forest's delay bound.
     """
-    report = Rule1Report([])
+    issues = []
     for k in range(len(forest.trees)):
-        check = TreeCheck()
         tree = forest.trees[k]
         per, _ = expansions(forest, k)
         occurrences = [(m, w) for m, ws in enumerate(per) for w in sorted(ws, key=lambda x: x.text)]
@@ -137,26 +112,22 @@ def validate_rule1(forest: CodeForest) -> Rule1Report:
                 if (m1, w1) == (m2, w2):
                     continue
                 if comparable(w1, w2):
-                    check.prefix_free = False
-                    check.issues.append(
+                    issues.append(
                         f"tree {k}: Rule 1a: expansions not prefix-free: "
                         f"'{w1}' and '{w2}' (symbols {m1}, {m2})"
                     )
         for m, w in occurrences:
             if not any(is_prefix(q, w) for q in tree.mode.words):
-                check.covered_by_mode = False
-                check.issues.append(
+                issues.append(
                     f"tree {k}: Rule 1b: expansion '{w}' of symbol {m} "
                     f"has no prefix in mode {tree.mode.render()}"
                 )
         if not is_basic_mode(tree.mode.words, forest.n):
-            check.basic_mode = False
-            check.issues.append(
+            issues.append(
                 f"tree {k}: Rule 1c: mode {tree.mode.render()} is not a "
                 f"basic mode for delay {forest.n}"
             )
-        report.per_tree.append(check)
-    return report
+    return issues
 
 
 @dataclass

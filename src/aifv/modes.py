@@ -14,6 +14,7 @@ its two ends.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 from .bitstrings import (
@@ -93,6 +94,14 @@ def enumerate_basic_modes(n: int) -> list[Mode]:
         raise AssertionError(f"basic-mode count {len(out)} != {expected}")
     out.sort(key=Mode.sort_key)
     return out
+
+
+@cache
+def basic_family(n: int) -> tuple[tuple[Mode, ...], dict[WordSet, int]]:
+    """The basic modes for delay ``n`` in :func:`enumerate_basic_modes`
+    order, and each one's index by its words; built once per process."""
+    modes = tuple(enumerate_basic_modes(n))
+    return modes, {m.words: i for i, m in enumerate(modes)}
 
 
 def enumerate_continuous_ids(n: int) -> list[ContinuousModeId]:

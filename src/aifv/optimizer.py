@@ -38,6 +38,10 @@ same order.
 
 For binary alphabets and small delays an independent partition search
 over the mode's full leaf set covers discontinuous link modes as well.
+It works over basic-mode indices: link ``i`` is the basic family's mode
+``i`` and its prices are a cost vector.  Each mode's partition table,
+which holds every split of its leaves as (codeword, linked mode index)
+for both symbols, is built once per process.
 """
 
 from __future__ import annotations
@@ -46,11 +50,12 @@ import heapq
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import cache
+from typing import Sequence
 
-from .bitstrings import BitString, WordSet, common_prefix, expand_to_length, reduced, strip_prefix_all
+from .bitstrings import BitString, common_prefix, expand_to_length, reduced, strip_prefix_all
 from .forest import CodeTree
-from .modes import ContinuousModeId, Mode, is_basic_mode
+from .modes import ContinuousModeId, Mode, basic_family
 
 NODE_BUDGET_DEFAULT = 10_000_000
 
@@ -476,20 +481,13 @@ def decode_solution(solution: TreeSolution, mode: Mode) -> CodeTree:
 # ---------------------------------------------------------------------------
 # binary brute force over full leaf-set partitions
 
-_PARTITION_CACHE: dict[tuple[int, WordSet], list] = {}
-
-
-def _partition_table(n: int, mode: Mode) -> list[tuple[BitString, WordSet, BitString, WordSet]]:
-    """All ordered two-way partitions of the mode's length-``n`` leaf set,
-    in mask order, each reduced to (codeword, linked words) for both
-    symbols.  A mode outside the basic family raises and is not cached."""
-    key = (n, mode.words)
-    cached = _PARTITION_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if not is_basic_mode(mode.words, n):
-        raise ValueError(f"not a basic mode: {mode}")
-    leaves = sorted(expand_to_length(mode.words, n), key=lambda w: w.value)
+@cache
+def _partition_table(n: int, index: int) -> tuple[tuple[BitString, int, BitString, int], ...]:
+    """All ordered two-way partitions of the length-``n`` leaf set of
+    basic mode ``index``, in mask order, each reduced to (codeword,
+    linked mode index) for both symbols."""
+    modes, index_of = basic_family(n)
+    leaves = sorted(expand_to_length(modes[index].words, n), key=lambda w: w.value)
     table = []
     for mask in range(1, (1 << len(leaves)) - 1):
         w_set = frozenset(leaves[i] for i in range(len(leaves)) if mask >> i & 1)
@@ -497,38 +495,35 @@ def _partition_table(n: int, mode: Mode) -> list[tuple[BitString, WordSet, BitSt
         entry = []
         for part in (w_set, wbar):
             head = common_prefix(part)
-            entry.extend((head, reduced(strip_prefix_all(head, part))))
+            entry.extend((head, index_of[reduced(strip_prefix_all(head, part))]))
         table.append(tuple(entry))
-    _PARTITION_CACHE[key] = table
-    return table
+    return tuple(table)
 
 
 def brute_force_binary(
     n: int,
-    mode: Mode,
+    index: int,
     probs: Sequence[float],
-    costs: Mapping[WordSet, float],
-    index_of: Mapping[WordSet, int],
+    costs: Sequence[float],
 ) -> tuple[CodeTree, float]:
-    """Optimal binary-alphabet tree for one mode by trying every split of
-    its leaf set; links may be any basic mode present in ``costs``.
-    Ties keep the first partition in mask order.
+    """Optimal binary-alphabet tree for basic mode ``index`` of delay
+    ``n`` by trying every split of its leaf set; ``costs[i]`` prices a
+    link to basic mode ``i``.  Ties keep the first partition in mask
+    order.
     """
     if len(probs) != 2:
         raise ValueError("partition search requires a binary alphabet")
     if not 1 <= n <= 3:
         raise ValueError("partition search supports delays 1..3")
+    modes = basic_family(n)[0]
+    if not 0 <= index < len(modes):
+        raise ValueError(f"no basic mode {index} for delay {n}: the family has {len(modes)}")
     p0, p1 = probs
     best = best_entry = None
-    for entry in _partition_table(n, mode):
-        head0, linked0, head1, linked1 = entry
-        value = p0 * (head0.length + costs[linked0]) + p1 * (head1.length + costs[linked1])
+    for entry in _partition_table(n, index):
+        head0, link0, head1, link1 = entry
+        value = p0 * (head0.length + costs[link0]) + p1 * (head1.length + costs[link1])
         if best is None or value < best:
             best, best_entry = value, entry
-    head0, linked0, head1, linked1 = best_entry
-    tree = CodeTree(
-        codewords=(head0, head1),
-        links=(index_of[linked0], index_of[linked1]),
-        mode=mode,
-    )
-    return tree, float(best)
+    head0, link0, head1, link1 = best_entry
+    return CodeTree((head0, head1), (link0, link1), modes[index]), float(best)

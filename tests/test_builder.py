@@ -79,7 +79,7 @@ def test_emitted_forest_is_valid_and_coded(demo_forest):
     rng = random.Random(3)
     probs = (0.7, 0.2, 0.1)
     forest, report = construct(probs, BuildConfig(n=2))
-    assert validate_rule1(forest).ok
+    assert validate_rule1(forest) == []
     assert validate_full(forest).ok
     assert decoding_delay_bound(forest) <= 2
     for _ in range(50):
@@ -330,11 +330,17 @@ def test_aifvm_output_is_pinned(probs, m, digest):
 
 
 # The same digest for the full basic family's G-check, computed before
-# ``construct`` set ``g_checked`` itself.
+# ``construct`` set ``g_checked`` itself.  The last four were computed
+# while the brute force still priced links by word set: tie-prone sources,
+# where its first-partition-in-mask-order rule decides the trees, and N=1.
 GCHECK_PINS = [
     ((0.9, 0.1), 2, "3b7d182d056af287e4f4dc6129511700767ca8ee1e4f43226e3a4f4963c71dd2"),
     ((0.9, 0.1), 3, "fbfe2bea03e6afce2e976eaef9c0697956a1ea76b38daf37989707122cfeed84"),
     ((0.6, 0.4), 3, "074e8a61882a5a95f9c084a8f8f7f5c9631bd69ea6011082eeb252121941b035"),
+    ((0.5, 0.5), 2, "b0c1ed5d1ad567bb8cc58bbc04220b404d2bdacc03601fed5275efdcf8427d56"),
+    ((0.5, 0.5), 3, "2a141f449d3e3a053944b9a057912a996e5d566a95b67262bcd6bbda4f8fe914"),
+    ((0.75, 0.25), 3, "f89873ffcbe312fceaee33fc385813f7591c9a322d008db24124bd64f9eb1ce9"),
+    ((0.9, 0.1), 1, "2a5cd79bd3d1ddf4bafc065a84b6293d8fc9ae7ba4ec3c1c1c1e254c413a25cf"),
 ]
 
 
@@ -343,6 +349,16 @@ def test_gcheck_output_is_pinned(probs, n, digest):
     forest, report = check_g_optimality_binary(probs, n)
     text = format_codebook(forest) + report_record(report)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_huffman_floor_gcheck_output_is_pinned():
+    """The same digest for a G-check started from the Huffman-floor costs,
+    computed while the brute force still priced links by word set."""
+    forest, report = check_g_optimality_binary((0.9, 0.1), 3,
+                                               BuildConfig(n=3, init="huffman-floor"))
+    text = format_codebook(forest) + report_record(report)
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "85bcd880ee70c4444325d5f10cb1b56f624153a44ebfaa5697e84708229b296a")
 
 
 # The same digest with ``max_dcost_trace`` emptied, for every build of the

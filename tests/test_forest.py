@@ -54,9 +54,14 @@ def rule1_by_intervals(forest):
 
 
 def assert_rule1_forms_agree(forest):
-    report = validate_rule1(forest)
-    assert rule1_by_intervals(forest) == [(c.prefix_free, c.covered_by_mode)
-                                          for c in report.per_tree]
+    """Each tree's Rule 1a and 1b hold in interval form exactly when the
+    string check names no break of that rule for the tree."""
+    issues = validate_rule1(forest)
+    assert rule1_by_intervals(forest) == [
+        tuple(not any(msg.startswith(f"tree {k}: Rule {rule}:") for msg in issues)
+              for rule in ("1a", "1b"))
+        for k in range(len(forest.trees))
+    ]
 
 
 def test_expansions_worked_example(demo_forest):
@@ -69,10 +74,8 @@ def test_expansions_worked_example(demo_forest):
 
 
 def test_validate_rule1_passes_demo(demo_forest):
-    report = validate_rule1(demo_forest)
-    assert report.ok
+    assert validate_rule1(demo_forest) == []
     assert_rule1_forms_agree(demo_forest)
-    assert report.issues == []
 
 
 def test_validate_full_demo(demo_forest):
@@ -84,9 +87,7 @@ def test_rule1a_collision_detected():
     # two symbols sharing the empty codeword and the empty-mode link
     t = make_tree(2, [""], [("", 0), ("", 0)])
     bad = CodeForest((t,), 2)
-    report = validate_rule1(bad)
-    assert not report.ok
-    assert any("Rule 1a" in msg for msg in report.issues)
+    assert any("Rule 1a" in msg for msg in validate_rule1(bad))
     assert_rule1_forms_agree(bad)
 
 
@@ -124,15 +125,14 @@ def test_rule1c_overlong_mode_detected():
     t0 = make_tree(2, [""], [("0", 0), ("1", 1)])
     t1 = make_tree(2, ["011", "10"], [("10", 0), ("011", 0)])
     bad = CodeForest((t0, t1), 2)
-    report = validate_rule1(bad)
-    assert not report.per_tree[1].basic_mode
-    assert any("Rule 1c" in msg for msg in report.issues)
+    issues = validate_rule1(bad)
+    assert any(msg.startswith("tree 1: Rule 1c:") for msg in issues)
 
 
 def test_huffman_style_forest_is_full():
     t = make_tree(1, [""], [("0", 0), ("10", 0), ("11", 0)])
     forest = CodeForest((t,), 1)
-    assert validate_rule1(forest).ok
+    assert validate_rule1(forest) == []
     assert validate_full(forest).ok
     assert decoding_delay_bound(forest) == 0
 
@@ -140,7 +140,7 @@ def test_huffman_style_forest_is_full():
 def test_missing_leaf_not_full():
     t = make_tree(1, [""], [("0", 0), ("10", 0)])
     forest = CodeForest((t,), 1)
-    assert validate_rule1(forest).ok
+    assert validate_rule1(forest) == []
     report = validate_full(forest)
     assert not report.per_tree[0]
 
@@ -340,7 +340,7 @@ def test_decode_logs_one_line_per_call(codec_forests, demo_forest, caplog):
     rng = random.Random(5)
     caplog.set_level(logging.DEBUG, logger="aifv.forest")
     for forest in codec_forests:
-        if not validate_rule1(forest).ok or not any(
+        if validate_rule1(forest) or not any(
                 cw.length for t in forest.trees for cw in t.codewords):
             continue
         message = [rng.randrange(forest.symbol_count) for _ in range(4000)]
@@ -443,8 +443,7 @@ def test_delay_bound_examples(demo_forest):
 
 
 def test_delay_bound_within_n(demo_forest):
-    report = validate_rule1(demo_forest)
-    assert report.ok
+    assert validate_rule1(demo_forest) == []
     assert decoding_delay_bound(demo_forest) <= demo_forest.n
 
 
@@ -453,7 +452,7 @@ def test_flip_forest_preserves_rules(demo_forest):
     remap = {0: 0, 1: 5, 2: 6, 3: 7, 4: 8}
     flipped_trees = tuple(flip_tree(demo_forest.trees[k], remap) for k in (1, 2, 3, 4))
     augmented = CodeForest(demo_forest.trees + flipped_trees, 3)
-    assert validate_rule1(augmented).ok
+    assert validate_rule1(augmented) == []
     inverse = {v: k for k, v in remap.items()}
     for k in (1, 2, 3, 4):
         again = flip_tree(flip_tree(demo_forest.trees[k], remap), inverse)

@@ -20,15 +20,13 @@ from aifv.bitstrings import (
 )
 from aifv.modes import (
     ContinuousModeId,
-    Mode,
-    enumerate_basic_modes,
+    basic_family,
     enumerate_continuous_ids,
     mode_from_id,
 )
 import aifv.builder
 from aifv.builder import BuildConfig, construct, default_depth
 from aifv.optimizer import (
-    _PARTITION_CACHE,
     BOUND_SLACK,
     ModelError,
     ResourceLimitError,
@@ -304,55 +302,55 @@ def test_binary_expansions_bounded_by_delay():
 
 
 def test_partition_count_and_worked_example():
-    mode = Mode(frozenset({B("001"), B("01"), B("1")}), 3)
-    table = _partition_table(3, mode)
+    modes, index_of = basic_family(3)
+    table = _partition_table(3, index_of[frozenset({B("001"), B("01"), B("1")})])
     assert len(table) == 126
     # leaves sorted by value: 001,010,011,100,101,110,111; W = {001,010} is mask 3
-    head0, linked0, head1, linked1 = table[3 - 1]
-    assert head0.length == 1 and {w.text for w in linked0} == {"01", "10"}
-    assert head1.length == 0 and {w.text for w in linked1} == {"011", "1"}
+    head0, link0, head1, link1 = table[3 - 1]
+    assert head0.length == 1 and {w.text for w in modes[link0].words} == {"01", "10"}
+    assert head1.length == 0 and {w.text for w in modes[link1].words} == {"011", "1"}
 
 
 def test_partition_trivial_n1():
-    mode = Mode(frozenset({EMPTY}), 1)
-    table = _partition_table(1, mode)
+    (only,), _ = basic_family(1)
+    assert only.words == frozenset({EMPTY})
+    table = _partition_table(1, 0)
     assert len(table) == 2
-    for head0, linked0, head1, linked1 in table:
+    for head0, link0, head1, link1 in table:
         assert head0.length == 1 and head1.length == 1
-        assert linked0 == linked1 == frozenset({EMPTY})
-
-
-def _basic_cost_tables(n):
-    family = enumerate_basic_modes(n)
-    index_of = {m.words: i for i, m in enumerate(family)}
-    return family, index_of
+        assert link0 == link1 == 0
 
 
 def test_brute_force_matches_ilp_on_continuous_links():
     rng = random.Random(42)
     for n in (2, 3):
         cont_costs = initial_costs(n)
-        family, index_of = _basic_cost_tables(n)
-        words_costs = {}
-        for m in family:
-            cid = id_of_mode(m)
-            words_costs[m.words] = cont_costs[cid] if cid is not None else math.inf
+        family, index_of = basic_family(n)
+        costs = [math.inf if id_of_mode(m) is None else cont_costs[id_of_mode(m)]
+                 for m in family]
         for _ in range(20):
             p0 = rng.uniform(0.51, 0.99)
             probs = (p0, 1 - p0)
             for cid in enumerate_continuous_ids(n):
-                mode = mode_from_id(n, cid)
-                _, bf_obj = brute_force_binary(n, mode, probs, words_costs, index_of)
+                index = index_of[mode_from_id(n, cid).words]
+                _, bf_obj = brute_force_binary(n, index, probs, costs)
                 sol = solve_ilp(tree_model(n, cid, probs, cont_costs, 3 + n))
                 assert bf_obj == pytest.approx(sol.objective, abs=1e-12), (n, cid, p0)
 
 
 def test_brute_force_guards():
-    mode = Mode(frozenset({EMPTY}), 1)
     with pytest.raises(ValueError):
-        brute_force_binary(1, mode, (0.3, 0.3, 0.4), {}, {})
+        brute_force_binary(1, 0, (0.3, 0.3, 0.4), [0.0])
     with pytest.raises(ValueError):
-        brute_force_binary(4, Mode(frozenset({EMPTY}), 4), (0.5, 0.5), {}, {})
+        brute_force_binary(4, 0, (0.5, 0.5), [0.0])
+
+
+@pytest.mark.parametrize("n, index", [(1, 1), (2, 9), (3, 225), (2, -1)])
+def test_brute_force_rejects_an_index_outside_the_family(n, index):
+    size = len(basic_family(n)[0])
+    with pytest.raises(ValueError, match=f"^no basic mode {index} for delay {n}: "
+                                         f"the family has {size}$"):
+        brute_force_binary(n, index, (0.5, 0.5), [0.0] * size)
 
 
 def _recomputed_partitions(n, mode):
@@ -373,32 +371,34 @@ def test_brute_force_returns_first_minimal_partition():
     # costs from a few values make ties common, so the mask order shows
     rng = random.Random(9)
     for n in (1, 2, 3):
-        family, index_of = _basic_cost_tables(n)
-        partitions = {m.words: _recomputed_partitions(n, m) for m in family}
+        family, index_of = basic_family(n)
+        partitions = [_recomputed_partitions(n, m) for m in family]
         for _ in range(3):
-            costs = {m.words: rng.choice((0.0, 0.5, 1.0, 1.5)) for m in family}
+            costs = [rng.choice((0.0, 0.5, 1.0, 1.5)) for _ in family]
             p0 = rng.choice((0.5, 0.75, rng.uniform(0.51, 0.99)))
-            for mode in family:
+            for index, mode in enumerate(family):
                 best = None
-                for heads, linked in partitions[mode.words]:
-                    value = (p0 * (heads[0].length + costs[linked[0]])
-                             + (1 - p0) * (heads[1].length + costs[linked[1]]))
+                for heads, linked in partitions[index]:
+                    links = tuple(index_of[w] for w in linked)
+                    value = (p0 * (heads[0].length + costs[links[0]])
+                             + (1 - p0) * (heads[1].length + costs[links[1]]))
                     if best is None or value < best[0]:
-                        best = (value, heads, linked)
-                tree, obj = brute_force_binary(n, mode, (p0, 1 - p0), costs, index_of)
+                        best = (value, heads, links)
+                tree, obj = brute_force_binary(n, index, (p0, 1 - p0), costs)
                 assert obj == best[0]
                 assert tree.codewords == best[1]
-                assert tree.links == tuple(index_of[w] for w in best[2])
+                assert tree.links == best[2]
                 assert tree.mode == mode
 
 
-def test_brute_force_rejects_non_basic_mode_uncached():
-    # one-sided, and not reduced
-    for mode in (Mode(frozenset({B("0")}), 2), Mode(frozenset({B("00"), B("01"), B("1")}), 2)):
-        for _ in range(2):
-            with pytest.raises(ValueError, match="not a basic mode"):
-                brute_force_binary(2, mode, (0.5, 0.5), {}, {})
-        assert (2, mode.words) not in _PARTITION_CACHE
+def test_a_second_full_binary_build_builds_no_partition_table():
+    """The full family's partition tables are built once per process and
+    delay: a build after the first at the same delay finds each one."""
+    aifv.builder.check_g_optimality_binary((0.75, 0.25), 3)
+    misses = _partition_table.cache_info().misses
+    aifv.builder.check_g_optimality_binary((0.9, 0.1), 3)
+    assert _partition_table.cache_info().misses == misses
+    assert _partition_table(3, 5) is _partition_table(3, 5)
 
 
 def test_symmetric_modes_equal_objectives():
