@@ -1,9 +1,12 @@
 """Forest construction: iterate per-tree optimisation against virtual
 linking costs until the costs stop moving.
 
-Each iteration solves every mode's tree independently (mirror-symmetric
-mode pairs are solved once and bit-flipped), derives the tree chain's
-block structure and per-block expected lengths, and re-prices the links.
+The links start at the costs :func:`initial_costs` reads off the
+family's modes.  Each iteration solves every mode's tree independently
+(of a mirror-symmetric mode pair, one tree is solved and the other is
+its bit-flip, whose links and mode the family's mirror map gives),
+derives the tree chain's block structure and per-block expected
+lengths, and re-prices the links.
 An invariant cost vector certifies that the best-performing block is the
 optimal forest for the fixed mode family; the worst block's expected
 length is non-increasing throughout, so intermediate results only ever
@@ -133,11 +136,6 @@ def default_depth(m: int, n: int) -> int:
     return 3 * max(1, math.ceil(math.log2(m))) + n
 
 
-def _leafset_cost(mode: Mode) -> float:
-    leaves = sum(1 << (mode.n - w.length) for w in mode.words)
-    return mode.n - math.log2(leaves)
-
-
 class _Family:
     """A fixed mode family plus the per-mode tree solver for it, with the
     search table every tree solve of the build shares (None for the full
@@ -157,14 +155,12 @@ class _Family:
         else:
             ids = enumerate_continuous_ids(n) if cfg.family == "continuous" else aifvm_link_ids(n)
             self.modes = [mode_from_id(n, cid) for cid in ids]
-            self.base_costs = initial_costs(n)
             depth = default_depth(len(probs), n) if cfg.max_depth is None else cfg.max_depth
             # link i of the table is mode i of the family
             self.table = SearchTable(n, depth, ids, probs)
         # index 0 must be the empty-string mode: it anchors the encoder
         if self.modes[0].words != frozenset({EMPTY}):
             raise AssertionError("canonical ordering must put the empty mode first")
-        self.k = len(self.modes)
         self.mirror = self._mirror_map()
 
     def _mirror_map(self) -> list[int] | None:
@@ -181,9 +177,7 @@ class _Family:
         if self.cfg.init == "huffman-floor":
             return np.array([0.0 if m.words == frozenset({EMPTY}) else HUFFMAN_FLOOR_COST
                              for m in self.modes])
-        if self.cfg.family == "full-binary":
-            return np.array([_leafset_cost(m) for m in self.modes])
-        return np.array([self.base_costs[cid] for cid in self.table.links])
+        return np.array(initial_costs(self.modes))
 
     def price(self, costs: np.ndarray) -> list[float] | LinkPrices:
         """The link prices every tree solve of one iteration reads: the
@@ -243,7 +237,7 @@ def construct(p, cfg: BuildConfig) -> tuple[CodeForest, OptimalityReport]:
     """
     probs = as_probs(p)
     fam = _Family(cfg, probs)
-    k = fam.k
+    k = len(fam.modes)
     costs = fam.initial_cost_vector()
     reuse = fam.mirror is not None
 
@@ -251,7 +245,6 @@ def construct(p, cfg: BuildConfig) -> tuple[CodeForest, OptimalityReport]:
     dcost_trace: list[float] = []
     converged = False
 
-    mirror_links = dict(enumerate(fam.mirror)) if reuse else None
     prev_trees: list[CodeTree] | None = None
     for iteration in range(1, cfg.max_iterations + 1):
         prices = fam.price(costs)
@@ -261,7 +254,7 @@ def construct(p, cfg: BuildConfig) -> tuple[CodeForest, OptimalityReport]:
         for i in range(k):
             j = fam.mirror[i] if reuse else i
             if reuse and j < i:
-                trees[i] = flip_tree(trees[j], mirror_links)
+                trees[i] = flip_tree(trees[j], fam.mirror, fam.modes[i])
                 continue
             solved += 1
             if prev_trees is None:
@@ -314,10 +307,7 @@ def construct(p, cfg: BuildConfig) -> tuple[CodeForest, OptimalityReport]:
         iteration_lbars.append(tuple(lbars))
         dcost_trace.append(float(np.max(np.abs(new_costs - costs), initial=0.0)))
 
-        stepg = worst_block_invariant(
-            new_costs[np.array(blocks.blocks[j_star])], costs,
-            blocks.blocks[j_star], cfg.tolerance,
-        )
+        stepg = worst_block_invariant(new_costs, costs, blocks.blocks[j_star], cfg.tolerance)
         costs = new_costs
         if dcost_trace[-1] <= cfg.tolerance:
             converged = True
@@ -388,26 +378,18 @@ def huffman_lengths(p) -> list[int]:
     """Optimal code lengths; likelier symbols never get longer codes
     (ties resolved by symbol index), so the assignment is deterministic."""
     probs = as_probs(p)
-    heap = [(w, i, i) for i, w in enumerate(probs)]
+    # (weight, id, symbols below): merged nodes take ids len(probs) upward
+    heap = [(w, i, (i,)) for i, w in enumerate(probs)]
     heapq.heapify(heap)
-    merges: list[tuple[int, int]] = []
-    next_id = len(probs)
-    nodes = len(probs)
-    while nodes > 1:
+    depth = [0] * len(probs)
+    for next_id in range(len(probs), 2 * len(probs) - 1):
         w1, _, a = heapq.heappop(heap)
         w2, _, b = heapq.heappop(heap)
-        merges.append((a, b))
-        heapq.heappush(heap, (w1 + w2, next_id, next_id))
-        next_id += 1
-        nodes -= 1
-    depth = {next_id - 1: 0}
-    for idx in range(len(merges) - 1, -1, -1):
-        a, b = merges[idx]
-        d = depth[len(probs) + idx]
-        depth[a] = depth[b] = d + 1
-    multiset = sorted(depth[i] for i in range(len(probs)))
+        for s in a + b:
+            depth[s] += 1
+        heapq.heappush(heap, (w1 + w2, next_id, a + b))
     out = [0] * len(probs)
-    for ln, sym in zip(multiset, sorted(range(len(probs)), key=lambda s: (-probs[s], s))):
+    for ln, sym in zip(sorted(depth), sorted(range(len(probs)), key=lambda s: (-probs[s], s))):
         out[sym] = ln
     return out
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .bitstrings import (
     is_prefix,
     reduced,
 )
-from .modes import Mode, flip_mode, is_basic_mode
+from .modes import Mode, is_basic_mode
 
 log = logging.getLogger("aifv.forest")
 
@@ -109,8 +109,6 @@ def validate_rule1(forest: CodeForest) -> list[str]:
 
         for i, (m1, w1) in enumerate(occurrences):
             for m2, w2 in occurrences[i + 1:]:
-                if (m1, w1) == (m2, w2):
-                    continue
                 if comparable(w1, w2):
                     issues.append(
                         f"tree {k}: Rule 1a: expansions not prefix-free: "
@@ -151,17 +149,14 @@ def validate_full(forest: CodeForest) -> FullnessReport:
     return FullnessReport(per, root_ok)
 
 
-def flip_tree(tree: CodeTree, link_remap: Mapping[int, int]) -> CodeTree:
-    """Bit-flip a tree: codewords and mode flipped, links remapped to the
-    trees holding the flipped modes."""
-    try:
-        links = tuple(link_remap[l] for l in tree.links)
-    except KeyError as e:
-        raise ValueError(f"link remap misses tree {e.args[0]}") from None
+def flip_tree(tree: CodeTree, mirror: Sequence[int], mode: Mode) -> CodeTree:
+    """Bit-flip a tree: codewords flipped, link ``l`` sent to ``mirror[l]``,
+    the tree holding the flipped mode, and ``mode`` (the flip of the
+    tree's mode) as its mode."""
     return CodeTree(
         codewords=tuple(flipped(cw) for cw in tree.codewords),
-        links=links,
-        mode=flip_mode(tree.mode),
+        links=tuple(mirror[l] for l in tree.links),
+        mode=mode,
     )
 
 

@@ -221,14 +221,11 @@ def cost_update_general(
     return np.array(costs), lbars, j_star
 
 
-def worst_block_invariant(
-    c_new_block: np.ndarray,
-    c_old: np.ndarray,
-    block_states: Sequence[int],
-    tol: float,
-) -> bool:
-    """Termination test of the generalized update: the worst block's new
-    costs equal its old ones rebased so the block's first state is zero."""
-    old = np.asarray([c_old[i] for i in block_states], dtype=float)
-    rebased = old - old[0]
-    return bool(np.max(np.abs(c_new_block - rebased), initial=0.0) <= tol)
+def worst_block_invariant(c_new: np.ndarray, c_old: np.ndarray, block: Sequence[int],
+                          tol: float) -> bool:
+    """Termination test of the generalized update: the new costs of the
+    worst block's states equal their old ones rebased so the block's
+    first state is zero."""
+    idx = list(block)
+    rebased = c_old[idx] - c_old[idx[0]]
+    return bool(np.max(np.abs(c_new[idx] - rebased), initial=0.0) <= tol)

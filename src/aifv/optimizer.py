@@ -72,20 +72,16 @@ class ModelError(AssertionError):
     """An assignment or model is internally inconsistent (a bug)."""
 
 
-def initial_costs(n: int) -> dict[ContinuousModeId, float]:
-    """Starting link costs: the log-measure a mode's margins take away.
+def initial_costs(modes: Sequence[Mode]) -> list[float]:
+    """Starting link costs, in the order of ``modes``: the log-measure a
+    mode's words leave uncovered.
 
-    A tree whose interval keeps the fraction ``(2^n - k1 - k2) / 2^n``
-    of the unit interval produces codewords about that many bits longer,
-    which prices the link before any iteration has run.
+    A tree whose mode covers ``leaves`` of the ``2^n`` length-``n``
+    strings produces codewords about ``n - log2(leaves)`` bits longer,
+    which prices the link before any iteration has run.  The continuous
+    mode ``(k1, k2)`` covers ``2^n - k1 - k2`` of them.
     """
-    if n < 1:
-        raise ValueError("delay must be at least 1")
-    out = {}
-    for k1 in range(1 << (n - 1)):
-        for k2 in range(1 << (n - 1)):
-            out[ContinuousModeId(k1, k2)] = n - math.log2((1 << n) - k1 - k2)
-    return out
+    return [m.n - math.log2(sum(1 << (m.n - w.length) for w in m.words)) for m in modes]
 
 
 def aifvm_link_ids(n: int) -> list[ContinuousModeId]:

@@ -49,7 +49,7 @@ from aifv.bitstrings import LMAX, BitString, CapacityError, WordSet, expand_to_l
 from aifv.forest import CodeTree
 from aifv.markov import BlockDecomposition, Chain, SingularChainError
 from aifv.modes import ContinuousModeId, Mode, enumerate_continuous_ids, is_basic_mode, mode_from_id
-from aifv.optimizer import IlpModel, LinkPrices, ModelError, TreeSolution
+from aifv.optimizer import IlpModel, LinkPrices, ModelError, TreeSolution, initial_costs
 
 # ---------------------------------------------------------------------------
 # the trie reduction and leaf-listed continuous modes
@@ -232,6 +232,13 @@ def id_interval(n: int, cid: ContinuousModeId) -> DyadicInterval:
 
 def flip_id(cid: ContinuousModeId) -> ContinuousModeId:
     return ContinuousModeId(cid.k2, cid.k1)
+
+
+def id_costs(n: int) -> dict[ContinuousModeId, float]:
+    """The starting cost of every continuous mode for delay ``n``, keyed
+    by its id in :func:`enumerate_continuous_ids` order."""
+    ids = enumerate_continuous_ids(n)
+    return dict(zip(ids, initial_costs([mode_from_id(n, cid) for cid in ids])))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 import aifv.builder
+import aifv.modes
 from aifv.builder import (
     BuildConfig,
     check_g_optimality_binary,
@@ -143,6 +144,22 @@ def test_symmetry_reuse_matches_independent():
             mp.setattr(aifv.builder._Family, "_mirror_map", lambda self: None)
             _, without = construct(probs, BuildConfig(n=3))
         assert abs(with_reuse.expected_len - without.expected_len) <= 1e-12
+
+
+@pytest.mark.parametrize("cfg, flips", [
+    (BuildConfig(n=3, family="full-binary"), 225),
+    (BuildConfig(n=4), 64),
+])
+def test_a_build_flips_each_family_mode_once(monkeypatch, cfg, flips):
+    """Mirrored trees take their mode from the family, so a build flips
+    each mode's words once, to pair the modes, however many iterations
+    it runs."""
+    calls = []
+    flip_words = aifv.modes.flip_words
+    monkeypatch.setattr(aifv.modes, "flip_words", lambda ws: calls.append(ws) or flip_words(ws))
+    _, report = construct((0.9, 0.1), cfg)
+    assert report.iterations > 1
+    assert len(calls) == flips
 
 
 @pytest.mark.parametrize("build", [

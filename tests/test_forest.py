@@ -26,7 +26,7 @@ from aifv.forest import (
     validate_full,
     validate_rule1,
 )
-from aifv.modes import enumerate_basic_modes
+from aifv.modes import enumerate_basic_modes, flip_mode
 from aifv.sources import sources_polynomial
 from conftest import make_tree
 from oracles import interval_of, merge_intervals
@@ -449,22 +449,19 @@ def test_delay_bound_within_n(demo_forest):
 
 def test_flip_forest_preserves_rules(demo_forest):
     # append bit-flipped copies of trees 1..4, links remapped into the copies
-    remap = {0: 0, 1: 5, 2: 6, 3: 7, 4: 8}
-    flipped_trees = tuple(flip_tree(demo_forest.trees[k], remap) for k in (1, 2, 3, 4))
-    augmented = CodeForest(demo_forest.trees + flipped_trees, 3)
+    remap = [0, 5, 6, 7, 8]
+    trees = demo_forest.trees
+    flipped_trees = tuple(flip_tree(trees[k], remap, flip_mode(trees[k].mode))
+                          for k in (1, 2, 3, 4))
+    augmented = CodeForest(trees + flipped_trees, 3)
     assert validate_rule1(augmented) == []
-    inverse = {v: k for k, v in remap.items()}
-    for k in (1, 2, 3, 4):
-        again = flip_tree(flip_tree(demo_forest.trees[k], remap), inverse)
-        assert again == demo_forest.trees[k]
-    for orig, fl in zip((1, 2, 3, 4), flipped_trees):
-        for cw, fcw in zip(demo_forest.trees[orig].codewords, fl.codewords):
+    inverse = [0] * len(augmented.trees)
+    for k, v in enumerate(remap):
+        inverse[v] = k
+    for k, fl in zip((1, 2, 3, 4), flipped_trees):
+        assert flip_tree(fl, inverse, trees[k].mode) == trees[k]
+        for cw, fcw in zip(trees[k].codewords, fl.codewords):
             assert cw.length == fcw.length
-
-
-def test_flip_tree_missing_remap(demo_forest):
-    with pytest.raises(ValueError, match="remap"):
-        flip_tree(demo_forest.trees[1], {0: 0})
 
 
 def test_round_trip_exhaustive_short_sequences(demo_forest):

@@ -458,9 +458,9 @@ def test_cost_update_general_feeder_chain():
 
 def test_worst_block_invariant_rebases():
     c_old = np.array([5.0, 7.0, 9.0])
-    block = np.array([0.0, 2.0])
-    assert worst_block_invariant(block, c_old, [1, 2], tol=1e-14)
-    assert not worst_block_invariant(np.array([0.0, 2.1]), c_old, [1, 2], tol=1e-14)
+    # only the block's states are compared: state 0 moves freely
+    assert worst_block_invariant(np.array([3.0, 0.0, 2.0]), c_old, [1, 2], tol=1e-14)
+    assert not worst_block_invariant(np.array([5.0, 0.0, 2.1]), c_old, [1, 2], tol=1e-14)
 
 
 @st.composite

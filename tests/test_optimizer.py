@@ -47,6 +47,7 @@ from oracles import (
     allowed_links,
     assignment_from_pieces,
     flip_id,
+    id_costs,
     id_interval,
     id_of_mode,
     interval_of,
@@ -81,13 +82,27 @@ def link_ids(model, solution):
     return tuple(model.prices.table.links[idx] for idx in solution.links)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_initial_costs_of_continuous_modes(n):
+    """Mode ``(k1, k2)`` covers ``2^n - k1 - k2`` of the length-n strings,
+    so its starting cost is ``n - log2`` of that count, bit for bit."""
+    ids = enumerate_continuous_ids(n)
+    costs = initial_costs([mode_from_id(n, cid) for cid in ids])
+    assert costs == [n - math.log2((1 << n) - k1 - k2) for k1, k2 in ids]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_initial_costs_of_basic_modes(n):
+    """A basic mode's starting cost is ``n - log2`` of its leaf count."""
+    modes = basic_family(n)[0]
+    assert initial_costs(modes) == [n - math.log2(len(expand_to_length(m.words, n)))
+                                    for m in modes]
+
+
 def test_initial_costs_examples():
-    c1 = initial_costs(1)
-    assert c1[ContinuousModeId(0, 0)] == pytest.approx(0.0)
-    c2 = initial_costs(2)
-    assert c2[ContinuousModeId(0, 0)] == pytest.approx(0.0)
-    assert c2[ContinuousModeId(1, 1)] == pytest.approx(1.0)
-    assert c2[ContinuousModeId(1, 0)] == pytest.approx(2 - math.log2(3))
+    assert initial_costs([mode_from_id(1, ContinuousModeId(0, 0))]) == pytest.approx([0.0])
+    modes = [mode_from_id(2, ContinuousModeId(k1, k2)) for k1, k2 in ((0, 0), (1, 1), (1, 0))]
+    assert initial_costs(modes) == pytest.approx([0.0, 1.0, 2 - math.log2(3)])
 
 
 def _count(variables, kind):
@@ -108,8 +123,8 @@ def test_variable_counts_n2_m2_d4():
 
 def test_aifvm_flag_adds_m_rows():
     probs = (0.4, 0.3, 0.2, 0.1)
-    base = model_rows(tree_model(3, ContinuousModeId(0, 0), probs, initial_costs(3), 6))
-    restr = model_rows(tree_model(3, ContinuousModeId(0, 0), probs, initial_costs(3), 6,
+    base = model_rows(tree_model(3, ContinuousModeId(0, 0), probs, id_costs(3), 6))
+    restr = model_rows(tree_model(3, ContinuousModeId(0, 0), probs, id_costs(3), 6,
                                   aifvm=True))
     extra = [r for r in restr if r.tag.startswith("allowed")]
     assert len(restr) - len(base) == 4
@@ -119,14 +134,14 @@ def test_aifvm_flag_adds_m_rows():
 
 
 def test_mode_00_boundary_rows():
-    model = tree_model(2, ContinuousModeId(0, 0), (0.5, 0.5), initial_costs(2), 4)
+    model = tree_model(2, ContinuousModeId(0, 0), (0.5, 0.5), id_costs(2), 4)
     for tag in ("left[0]", "right[0]"):
         (row,) = [r for r in model_rows(model) if r.tag == tag]
         assert row.rhs == row.scale  # unscaled right-hand side is exactly 1
 
 
 def test_solve_n1_full_tree():
-    model = tree_model(1, ContinuousModeId(0, 0), (0.5, 0.5), initial_costs(1), 4)
+    model = tree_model(1, ContinuousModeId(0, 0), (0.5, 0.5), id_costs(1), 4)
     sol = solve_ilp(model)
     assert {cw.text for cw in sol.codewords} == {"0", "1"}
     assert sol.links == (0, 0)
@@ -135,7 +150,7 @@ def test_solve_n1_full_tree():
 
 
 def test_solver_output_satisfies_model_exactly():
-    model = tree_model(3, ContinuousModeId(2, 1), (0.5, 0.3, 0.2), initial_costs(3), 8)
+    model = tree_model(3, ContinuousModeId(2, 1), (0.5, 0.3, 0.2), id_costs(3), 8)
     sol = solve_ilp(model)
     assert check_assignment(model, sol) == []
     assert reference_check(model, solution_assignment(model, sol)) == []
@@ -163,7 +178,7 @@ def _standalone_tree_ok(n, own_mode, codewords, ids):
 def test_exhaustive_oracle_n2():
     """Enumerate every full decodable tree directly and compare optima."""
     n, d_small = 2, 3
-    costs = initial_costs(n)
+    costs = id_costs(n)
     ids = enumerate_continuous_ids(n)
     all_cw = [BitString(ln, v) for ln in range(d_small + 1) for v in range(1 << ln)]
     choices = [(cw, cid) for cw in all_cw for cid in ids]
@@ -194,7 +209,7 @@ def test_model_feasible_set_is_exactly_the_valid_trees():
     holds.  Codewords one bit deeper than the bound are tried too.
     """
     n, d_small = 2, 2
-    costs = initial_costs(n)
+    costs = id_costs(n)
     ids = enumerate_continuous_ids(n)
     all_cw = [BitString(ln, v) for ln in range(d_small + 2) for v in range(1 << ln)]
     choices = [(cw, cid) for cw in all_cw for cid in ids]
@@ -225,8 +240,8 @@ def test_check_assignment_names_mode_symbol_and_position():
     """Each fault of a tiling is named with the tree's mode and the
     symbol and position of the piece where it shows."""
     mode_id = ContinuousModeId(1, 0)  # [4, 16) in units of 2^-(d_max + n)
-    aifvm = tree_model(2, mode_id, (0.6, 0.4), initial_costs(2), 2, aifvm=True)
-    every = tree_model(2, mode_id, (0.6, 0.4), initial_costs(2), 2)
+    aifvm = tree_model(2, mode_id, (0.6, 0.4), id_costs(2), 2, aifvm=True)
+    every = tree_model(2, mode_id, (0.6, 0.4), id_costs(2), 2)
     c00, c01, c10 = ContinuousModeId(0, 0), ContinuousModeId(0, 1), ContinuousModeId(1, 0)
 
     def faults(model, cw0, l0, cw1, l1, order=(0, 1)):
@@ -257,7 +272,7 @@ def test_check_assignment_names_mode_symbol_and_position():
 def test_decoded_tree_tiles_its_interval():
     rng = random.Random(8)
     for n in (2, 3):
-        costs = initial_costs(n)
+        costs = id_costs(n)
         for _ in range(6):
             ids = enumerate_continuous_ids(n)
             mode_id = rng.choice(ids)
@@ -278,7 +293,7 @@ def test_decoded_tree_tiles_its_interval():
 
 def test_decode_solution_links_canonical():
     mode_id = ContinuousModeId(0, 0)
-    model = tree_model(2, mode_id, (0.9, 0.1), initial_costs(2), 5)
+    model = tree_model(2, mode_id, (0.9, 0.1), id_costs(2), 5)
     sol = solve_ilp(model)
     tree = decode_solution(sol, mode_from_id(2, mode_id))
     assert tree.mode == mode_from_id(2, mode_id)
@@ -290,7 +305,7 @@ def test_decode_solution_links_canonical():
 def test_binary_expansions_bounded_by_delay():
     rng = random.Random(12)
     for n in (2, 3):
-        costs = initial_costs(n)
+        costs = id_costs(n)
         for _ in range(8):
             p0 = rng.uniform(0.5, 0.99)
             mode_id = rng.choice(enumerate_continuous_ids(n))
@@ -324,7 +339,7 @@ def test_partition_trivial_n1():
 def test_brute_force_matches_ilp_on_continuous_links():
     rng = random.Random(42)
     for n in (2, 3):
-        cont_costs = initial_costs(n)
+        cont_costs = id_costs(n)
         family, index_of = basic_family(n)
         costs = [math.inf if id_of_mode(m) is None else cont_costs[id_of_mode(m)]
                  for m in family]
@@ -404,7 +419,7 @@ def test_a_second_full_binary_build_builds_no_partition_table():
 def test_symmetric_modes_equal_objectives():
     rng = random.Random(77)
     for n in (2, 3):
-        base = initial_costs(n)
+        base = id_costs(n)
         # perturb costs but keep the mirror symmetry C[(a,b)] == C[(b,a)]
         sym_costs = dict(base)
         for cid in list(sym_costs):
@@ -419,9 +434,9 @@ def test_symmetric_modes_equal_objectives():
 
 
 def test_objective_recompute_consistency():
-    model = tree_model(3, ContinuousModeId(1, 2), (0.4, 0.3, 0.2, 0.1), initial_costs(3), 9)
+    model = tree_model(3, ContinuousModeId(1, 2), (0.4, 0.3, 0.2, 0.1), id_costs(3), 9)
     sol = solve_ilp(model)
-    probs, costs = model.prices.table.probs, initial_costs(3)
+    probs, costs = model.prices.table.probs, id_costs(3)
     recomputed = sum(probs[s] * (sol.codewords[s].length + costs[cid])
                      for s, cid in enumerate(link_ids(model, sol)))
     assert recomputed == pytest.approx(sol.objective, abs=1e-12)
@@ -442,17 +457,17 @@ def _sweep_node_budget(model, below):
 def test_node_budget_enforced():
     """Raising the budget one node at a time, a solve runs out, naming
     its budget and mode, until the budget covers the search."""
-    model = tree_model(3, ContinuousModeId(0, 0), (0.2,) * 5, initial_costs(3), 12)
+    model = tree_model(3, ContinuousModeId(0, 0), (0.2,) * 5, id_costs(3), 12)
     with pytest.raises(ResourceLimitError, match=r"^node budget 3 exhausted for mode \(0, 0\)$"):
         solve_ilp(model, node_budget=3)
-    model = tree_model(2, ContinuousModeId(1, 0), (0.5, 0.3, 0.2), initial_costs(2), 4)
+    model = tree_model(2, ContinuousModeId(1, 0), (0.5, 0.3, 0.2), id_costs(2), 4)
     assert _sweep_node_budget(model, below=None) > 1
 
 
 def test_warm_solve_budget_runs_out_in_the_proof():
     """A solve given a cutoff spends its budget in the same single
     best-first search as a cold one, and runs out the same way."""
-    model = tree_model(2, ContinuousModeId(1, 0), (0.5, 0.3, 0.2), initial_costs(2), 4)
+    model = tree_model(2, ContinuousModeId(1, 0), (0.5, 0.3, 0.2), id_costs(2), 4)
     below = solve_ilp(model).objective + 1.0
     assert _sweep_node_budget(model, below=below) > 1
 
@@ -460,7 +475,7 @@ def test_warm_solve_budget_runs_out_in_the_proof():
 def test_depth_bound_without_a_tree_is_a_value_error():
     # mode (0, 1) of delay 2 keeps [0, 3/4), which no two pieces of depth
     # at most 1 tile
-    model = tree_model(2, ContinuousModeId(0, 1), (0.9, 0.1), initial_costs(2), 1)
+    model = tree_model(2, ContinuousModeId(0, 1), (0.9, 0.1), id_costs(2), 1)
     with pytest.raises(ValueError, match=r"^no tree of mode \(0, 1\) fits depth bound 1$"):
         solve_ilp(model)
     assert solve_ilp(model, below=100.0) is None
@@ -480,7 +495,7 @@ def test_solver_output_satisfies_reference_model(n, aifvm, weights, extra_depth,
     and reads back as the tree :func:`decode_solution` returns."""
     probs = tuple(w / sum(weights) for w in weights)
     costs = {cid: c0 + bumps[i % len(bumps)]
-             for i, (cid, c0) in enumerate(initial_costs(n).items())}
+             for i, (cid, c0) in enumerate(id_costs(n).items())}
     links = family_links(n, aifvm)
     prices = priced(SearchTable(n, n + 2 + extra_depth, links, probs), costs)
     for cid in links:
@@ -695,7 +710,7 @@ def drawn_prices(table, pool, on_start, seed):
     a link costs the same whatever its index in the table."""
     rng = random.Random(seed)
     costs = {cid: rng.choice(pool) + (c0 if on_start else 0.0)
-             for cid, c0 in initial_costs(table.n).items()}
+             for cid, c0 in id_costs(table.n).items()}
     return priced(table, costs)
 
 

@@ -53,3 +53,24 @@ def test_no_src_name_is_used_only_by_tests():
     unused = [f"{module}.{name}" for module, name in defined
               if (module, name) not in used and name not in bench]
     assert unused == [], f"used only by tests: {unused}"
+
+
+def test_every_src_import_is_read():
+    """Every name a ``src/aifv`` module imports is read in that module
+    (``__init__.py`` re-exports, and ``__future__`` imports are flags)."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unread.extend(f"{path.stem}: {name}" for name in bound if name not in read)
+    assert unread == [], f"imported but never read: {unread}"
