@@ -5,7 +5,6 @@ from .bitstrings import (
     CapacityError,
     EMPTY,
     append,
-    common_prefix,
     comparable,
     flipped,
     is_prefix,
@@ -45,7 +44,6 @@ from .optimizer import (
     LinkPrices,
     ResourceLimitError,
     SearchTable,
-    brute_force_binary,
     build_ilp,
     link_prices,
     solve_ilp,
@@ -58,5 +56,6 @@ from .sources import (
     sources_binary_grid,
     sources_polynomial,
 )
+from .splits import brute_force_binary
 
 __version__ = "0.1.0"

@@ -3,10 +3,10 @@
 Codewords, decoder queries, and mode members are short binary strings that
 must be manipulated without any rounding.  A string is stored as a
 ``(length, value)`` pair with the first bit in the most significant
-position, so appending, prefix tests and common prefixes are plain
-integer arithmetic.  A word set is reduced by merging sibling pairs
-``w0``, ``w1`` into their parent ``w`` from the deepest length up, which
-leaves the largest subtrees whose leaves the set covers.
+position, so appending and prefix tests are plain integer arithmetic.
+A word set is reduced by merging sibling pairs ``w0``, ``w1`` into
+their parent ``w`` from the deepest length up, which leaves the largest
+subtrees whose leaves the set covers.
 """
 
 from __future__ import annotations
@@ -88,14 +88,6 @@ def comparable(w: BitString, w2: BitString) -> bool:
     return is_prefix(w, w2) or is_prefix(w2, w)
 
 
-def strip_prefix(prefix: BitString, w: BitString) -> BitString:
-    """Remove ``prefix`` from the front of ``w``."""
-    if not is_prefix(prefix, w):
-        raise ValueError(f"'{prefix}' is not a prefix of '{w}'")
-    rest = w.length - prefix.length
-    return BitString(rest, w.value & ((1 << rest) - 1))
-
-
 def flipped(w: BitString) -> BitString:
     """Swap every 0 and 1; involutive."""
     return BitString(w.length, w.value ^ ((1 << w.length) - 1))
@@ -105,44 +97,8 @@ def flip_words(words: Iterable[BitString]) -> WordSet:
     return frozenset(flipped(w) for w in words)
 
 
-def strip_prefix_all(prefix: BitString, words: Iterable[BitString]) -> WordSet:
-    return frozenset(strip_prefix(prefix, w) for w in words)
-
-
 def append_all(w: BitString, words: Iterable[BitString]) -> WordSet:
     return frozenset(append(w, w2) for w2 in words)
-
-
-def common_prefix(words: WordSet) -> BitString:
-    """Longest string that prefixes every member of a non-empty set."""
-    if not words:
-        raise ValueError("common prefix of an empty set is undefined")
-    it = iter(words)
-    acc = next(it)
-    for w in it:
-        n = min(acc.length, w.length)
-        a, b = acc.value >> (acc.length - n), w.value >> (w.length - n)
-        x = a ^ b
-        keep = n if x == 0 else n - x.bit_length()
-        acc = BitString(keep, a >> (n - keep))
-        if acc.length == 0:
-            return EMPTY
-    return acc
-
-
-def extensions_to_length(w: BitString, n: int) -> WordSet:
-    """All length-``n`` strings having ``w`` as a prefix."""
-    if w.length > n:
-        raise ValueError(f"'{w}' is longer than {n}")
-    pad = n - w.length
-    return frozenset(BitString(n, (w.value << pad) | tail) for tail in range(1 << pad))
-
-
-def expand_to_length(words: Iterable[BitString], n: int) -> WordSet:
-    out: set[BitString] = set()
-    for w in words:
-        out |= extensions_to_length(w, n)
-    return frozenset(out)
 
 
 def reduced(words: WordSet) -> WordSet:

@@ -35,10 +35,8 @@ from .markov import (
 )
 from .modes import Mode, basic_family, enumerate_continuous_ids, flip_mode, mode_from_id
 from .optimizer import (
-    LinkPrices,
     SearchTable,
     aifvm_link_ids,
-    brute_force_binary,
     build_ilp,
     decode_solution,
     initial_costs,
@@ -46,6 +44,7 @@ from .optimizer import (
     solve_ilp,
 )
 from .sources import as_probs
+from .splits import brute_force_binary, full_split_table, interval_split_table
 
 log = logging.getLogger("aifv.builder")
 
@@ -137,27 +136,31 @@ def default_depth(m: int, n: int) -> int:
 
 
 class _Family:
-    """A fixed mode family plus the per-mode tree solver for it, with the
-    search table every tree solve of the build shares (None for the full
-    family, which the brute force solves)."""
+    """A fixed mode family plus its tree solver: for a binary alphabet
+    the split table of every mode (``splits``), otherwise the search
+    table every tree solve of the build shares (``table``)."""
 
     def __init__(self, cfg: BuildConfig, probs: tuple[float, ...]):
         self.cfg = cfg
         self.probs = probs
         n = cfg.n
+        self.table = self.splits = None
         if cfg.family == "full-binary":
             if len(probs) != 2:
                 raise BuildError("the full basic family is solvable for binary alphabets only")
             if n > 3:
                 raise BuildError("full basic family supported for delays 1..3")
             self.modes = basic_family(n)[0]
-            self.table = None
+            self.splits = full_split_table(n)
         else:
             ids = enumerate_continuous_ids(n) if cfg.family == "continuous" else aifvm_link_ids(n)
             self.modes = [mode_from_id(n, cid) for cid in ids]
             depth = default_depth(len(probs), n) if cfg.max_depth is None else cfg.max_depth
             # link i of the table is mode i of the family
-            self.table = SearchTable(n, depth, ids, probs)
+            if len(probs) == 2:
+                self.splits = interval_split_table(n, depth, tuple(ids))
+            else:
+                self.table = SearchTable(n, depth, ids, probs)
         # index 0 must be the empty-string mode: it anchors the encoder
         if self.modes[0].words != frozenset({EMPTY}):
             raise AssertionError("canonical ordering must put the empty mode first")
@@ -179,26 +182,29 @@ class _Family:
                              for m in self.modes])
         return np.array(initial_costs(self.modes))
 
-    def price(self, costs: np.ndarray) -> list[float] | LinkPrices:
-        """The link prices every tree solve of one iteration reads: the
-        plain costs for the full family, otherwise the tree solver's
-        prices of the family's links."""
-        if self.cfg.family == "full-binary":
-            return costs.tolist()
-        return link_prices(self.table, costs)
-
-    def solve_tree(self, index: int, prices: list[float] | LinkPrices,
-                   below: float | None = None) -> tuple[CodeTree, float] | None:
-        """The optimal tree of mode ``index`` and its cost.  With ``below``,
-        the tree search returns None when no tree costs less; the full
-        family's brute force ignores it."""
-        cfg = self.cfg
-        if cfg.family == "full-binary":
-            return brute_force_binary(cfg.n, index, self.probs, prices)
-        sol = solve_ilp(build_ilp(self.table.links[index], prices), below=below)
-        if sol is None:
-            return None
-        return decode_solution(sol, self.modes[index]), sol.objective
+    def solve_trees(self, todo: list[int], costs: np.ndarray,
+                    below: list[float] | None) -> list[tuple[CodeTree, float] | None]:
+        """The optimal tree and its cost of each mode in ``todo``.  With
+        ``below``, a mode's entry is None when no tree costs less than its
+        cutoff; the full family takes no cutoff.  A binary family's trees
+        come from one minimum over its split table, the others' from one
+        tree search each, all against one iteration's prices."""
+        if self.splits is None:
+            prices = link_prices(self.table, costs)
+            out = []
+            for i, cutoff in zip(todo, below or [None] * len(todo)):
+                sol = solve_ilp(build_ilp(self.table.links[i], prices), below=cutoff)
+                out.append(None if sol is None else
+                           (decode_solution(sol, self.modes[i]), sol.objective))
+            return out
+        cutoffs = None
+        if below is not None and self.cfg.family != "full-binary":
+            cutoffs = np.full(len(self.modes), math.inf)
+            cutoffs[todo] = below
+        choice, objective = brute_force_binary(self.splits, self.probs, costs, cutoffs)
+        return [None if choice[i] < 0 else
+                (self.splits.tree(int(choice[i]), self.modes[i]), float(objective[i]))
+                for i in todo]
 
 
 def _mirror_pins_consistent(blocks, mirror: list[int]) -> bool:
@@ -224,12 +230,15 @@ def construct(p, cfg: BuildConfig) -> tuple[CodeForest, OptimalityReport]:
 
     From the second iteration on, each tree solve starts from the cost of
     the mode's previous tree under the new prices, less ``RETAIN_EPS``,
-    and keeps that tree unless the solve returns a cheaper one.  Every
-    solve of the build shares one :class:`SearchTable`.  Each iteration
-    logs one ``AIFV_LOG=DEBUG`` line: trees solved, mirrored, placed
-    (first iteration), kept and replaced, the piece lists in the shared
-    table so far, the seconds spent in tree solves and in the Markov
-    layer, and the chain's blocks and absorbing blocks.
+    and keeps that tree unless the solve returns a cheaper one.  A binary
+    build solves all of an iteration's trees by one minimum over its
+    family's split table; any other build runs one tree search per mode,
+    all sharing one :class:`SearchTable`.  Each iteration logs one
+    ``AIFV_LOG=DEBUG`` line: trees solved, mirrored, placed (first
+    iteration), kept and replaced, the piece lists in the shared search
+    table so far, the splits in the split table, the seconds spent in
+    tree solves and in the Markov layer, and the chain's blocks and
+    absorbing blocks.
 
     The full basic family's F-optimum is G-optimal, so for
     ``family="full-binary"`` the report's ``g_checked`` is whether the
@@ -247,33 +256,33 @@ def construct(p, cfg: BuildConfig) -> tuple[CodeForest, OptimalityReport]:
 
     prev_trees: list[CodeTree] | None = None
     for iteration in range(1, cfg.max_iterations + 1):
-        prices = fam.price(costs)
         trees = [None] * k
-        solved = kept = replaced = 0
         solve_s = time.perf_counter()
-        for i in range(k):
-            j = fam.mirror[i] if reuse else i
-            if reuse and j < i:
-                trees[i] = flip_tree(trees[j], fam.mirror, fam.modes[i])
-                continue
-            solved += 1
-            if prev_trees is None:
-                trees[i] = fam.solve_tree(i, prices)[0]
-                continue
-            prev = prev_trees[i]
-            # a Python float: the search compares the cutoff in its inner loop
-            prev_obj = float(sum(
-                probs[s] * (prev.codewords[s].length + costs[prev.links[s]])
+        todo = [i for i in range(k) if not reuse or fam.mirror[i] >= i]
+        if prev_trees is None:
+            prev_objs = below = None
+        else:
+            # Python floats: the search compares the cutoff in its inner loop
+            prev_objs = [float(sum(
+                probs[s] * (prev_trees[i].codewords[s].length + costs[prev_trees[i].links[s]])
                 for s in range(len(probs))
-            ))
-            found = fam.solve_tree(i, prices, below=prev_obj - RETAIN_EPS)
-            if found is None or prev_obj <= found[1] + RETAIN_EPS:
-                trees[i] = prev
+            )) for i in todo]
+            below = [obj - RETAIN_EPS for obj in prev_objs]
+        kept = replaced = 0
+        for pos, (i, found) in enumerate(zip(todo, fam.solve_trees(todo, costs, below))):
+            if prev_objs is None:
+                trees[i] = found[0]
+            elif found is None or prev_objs[pos] <= found[1] + RETAIN_EPS:
+                trees[i] = prev_trees[i]
                 kept += 1
             else:
                 trees[i] = found[0]
                 replaced += 1
+        for i in range(k):
+            if trees[i] is None:
+                trees[i] = flip_tree(trees[fam.mirror[i]], fam.mirror, fam.modes[i])
         solve_s = time.perf_counter() - solve_s
+        solved = len(todo)
         placed = solved if prev_trees is None else 0
         prev_trees = trees
         forest_all = CodeForest(tuple(trees), cfg.n)
@@ -286,9 +295,10 @@ def construct(p, cfg: BuildConfig) -> tuple[CodeForest, OptimalityReport]:
         new_costs, lbars, j_star = cost_update_general(lengths, chain, blocks, pis)
         markov_s = time.perf_counter() - markov_s
         log.debug("iteration=%d solved=%d mirrored=%d placed=%d kept=%d replaced=%d "
-                  "piece_lists=%d solve_s=%.6f markov_s=%.6f blocks=%d absorbing=%d",
+                  "piece_lists=%d splits=%d solve_s=%.6f markov_s=%.6f blocks=%d absorbing=%d",
                   iteration, solved, k - solved, placed, kept, replaced,
-                  0 if fam.table is None else len(fam.table.piece_lists), solve_s, markov_s,
+                  0 if fam.table is None else len(fam.table.piece_lists),
+                  0 if fam.splits is None else len(fam.splits), solve_s, markov_s,
                   len(blocks.blocks), blocks.n_absorbing)
         if reuse:
             if _mirror_pins_consistent(blocks, fam.mirror):

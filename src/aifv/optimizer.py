@@ -36,12 +36,9 @@ expansion, Yoshizumi et al., AAAI 2000), so the heap holds one entry per
 expansion instead of one per child, yet pops the same states in the
 same order.
 
-For binary alphabets and small delays an independent partition search
-over the mode's full leaf set covers discontinuous link modes as well.
-It works over basic-mode indices: link ``i`` is the basic family's mode
-``i`` and its prices are a cost vector.  Each mode's partition table,
-which holds every split of its leaves as (codeword, linked mode index)
-for both symbols, is built once per process.
+A binary alphabet needs no search: :mod:`aifv.splits` solves every
+tree of an iteration at once, choosing among trees of equal cost the
+one this search returns.
 """
 
 from __future__ import annotations
@@ -50,12 +47,11 @@ import heapq
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cache
 from typing import Sequence
 
-from .bitstrings import BitString, common_prefix, expand_to_length, reduced, strip_prefix_all
+from .bitstrings import BitString
 from .forest import CodeTree
-from .modes import ContinuousModeId, Mode, basic_family
+from .modes import ContinuousModeId, Mode
 
 NODE_BUDGET_DEFAULT = 10_000_000
 
@@ -472,54 +468,3 @@ def decode_solution(solution: TreeSolution, mode: Mode) -> CodeTree:
     indices, since link ``i`` of the search table is the family's mode
     ``i``."""
     return CodeTree(solution.codewords, solution.links, mode)
-
-
-# ---------------------------------------------------------------------------
-# binary brute force over full leaf-set partitions
-
-@cache
-def _partition_table(n: int, index: int) -> tuple[tuple[BitString, int, BitString, int], ...]:
-    """All ordered two-way partitions of the length-``n`` leaf set of
-    basic mode ``index``, in mask order, each reduced to (codeword,
-    linked mode index) for both symbols."""
-    modes, index_of = basic_family(n)
-    leaves = sorted(expand_to_length(modes[index].words, n), key=lambda w: w.value)
-    table = []
-    for mask in range(1, (1 << len(leaves)) - 1):
-        w_set = frozenset(leaves[i] for i in range(len(leaves)) if mask >> i & 1)
-        wbar = frozenset(leaves[i] for i in range(len(leaves)) if not mask >> i & 1)
-        entry = []
-        for part in (w_set, wbar):
-            head = common_prefix(part)
-            entry.extend((head, index_of[reduced(strip_prefix_all(head, part))]))
-        table.append(tuple(entry))
-    return tuple(table)
-
-
-def brute_force_binary(
-    n: int,
-    index: int,
-    probs: Sequence[float],
-    costs: Sequence[float],
-) -> tuple[CodeTree, float]:
-    """Optimal binary-alphabet tree for basic mode ``index`` of delay
-    ``n`` by trying every split of its leaf set; ``costs[i]`` prices a
-    link to basic mode ``i``.  Ties keep the first partition in mask
-    order.
-    """
-    if len(probs) != 2:
-        raise ValueError("partition search requires a binary alphabet")
-    if not 1 <= n <= 3:
-        raise ValueError("partition search supports delays 1..3")
-    modes = basic_family(n)[0]
-    if not 0 <= index < len(modes):
-        raise ValueError(f"no basic mode {index} for delay {n}: the family has {len(modes)}")
-    p0, p1 = probs
-    best = best_entry = None
-    for entry in _partition_table(n, index):
-        head0, link0, head1, link1 = entry
-        value = p0 * (head0.length + costs[link0]) + p1 * (head1.length + costs[link1])
-        if best is None or value < best:
-            best, best_entry = value, entry
-    head0, link0, head1, link1 = best_entry
-    return CodeTree((head0, head1), (link0, link1), modes[index]), float(best)

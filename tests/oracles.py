@@ -1,5 +1,9 @@
 """Slow, direct oracles the tests check the running code against.
 
+* Word-set algebra on leaves and prefixes: a word set expanded to its
+  length-``n`` leaves, the common prefix of a set and the set with a
+  prefix stripped.  The running code reads leaf sets as integer bit
+  masks.
 * The trie reduction: a word set's full trie nodes, the minimal ones
   kept, and each continuous mode built from its list of length-``n``
   leaves numbered from the outer edges.  The running code merges sibling
@@ -14,6 +18,12 @@
   ``2**(d_max + n)`` so it holds in exact integers.  A tree is feasible
   exactly when its pieces tile the mode's interval, which
   :func:`aifv.optimizer.check_assignment` checks directly.
+* The full basic family's brute force, one mode at a time: each
+  mode's leaf-set partitions listed as word sets, each part reduced to
+  its common prefix and the linked mode by the word-set algebra, and a
+  loop keeping the first cheapest.  The running code reads the
+  partitions off leaf bit masks into one split table and takes every
+  mode's minimum over it at once.
 * The range coder as an encoder and a decoder object, each keeping
   ``low`` and ``span`` as attributes and normalising in a method.  The
   running coder is one loop per direction on local variables, and both
@@ -45,11 +55,66 @@ from aifv.bench import (
     RangeCodingError,
     scaled_frequencies,
 )
-from aifv.bitstrings import LMAX, BitString, CapacityError, WordSet, expand_to_length, is_prefix
+from aifv.bitstrings import EMPTY, LMAX, BitString, CapacityError, WordSet, is_prefix, reduced
 from aifv.forest import CodeTree
 from aifv.markov import BlockDecomposition, Chain, SingularChainError
-from aifv.modes import ContinuousModeId, Mode, enumerate_continuous_ids, is_basic_mode, mode_from_id
+from aifv.modes import (
+    ContinuousModeId,
+    Mode,
+    basic_family,
+    enumerate_continuous_ids,
+    is_basic_mode,
+    mode_from_id,
+)
 from aifv.optimizer import IlpModel, LinkPrices, ModelError, TreeSolution, initial_costs
+
+# ---------------------------------------------------------------------------
+# word-set algebra on leaves and prefixes
+
+
+def strip_prefix(prefix: BitString, w: BitString) -> BitString:
+    """Remove ``prefix`` from the front of ``w``."""
+    if not is_prefix(prefix, w):
+        raise ValueError(f"'{prefix}' is not a prefix of '{w}'")
+    rest = w.length - prefix.length
+    return BitString(rest, w.value & ((1 << rest) - 1))
+
+
+def strip_prefix_all(prefix: BitString, words: Iterable[BitString]) -> WordSet:
+    return frozenset(strip_prefix(prefix, w) for w in words)
+
+
+def common_prefix(words: WordSet) -> BitString:
+    """Longest string that prefixes every member of a non-empty set."""
+    if not words:
+        raise ValueError("common prefix of an empty set is undefined")
+    it = iter(words)
+    acc = next(it)
+    for w in it:
+        n = min(acc.length, w.length)
+        a, b = acc.value >> (acc.length - n), w.value >> (w.length - n)
+        x = a ^ b
+        keep = n if x == 0 else n - x.bit_length()
+        acc = BitString(keep, a >> (n - keep))
+        if acc.length == 0:
+            return EMPTY
+    return acc
+
+
+def extensions_to_length(w: BitString, n: int) -> WordSet:
+    """All length-``n`` strings having ``w`` as a prefix."""
+    if w.length > n:
+        raise ValueError(f"'{w}' is longer than {n}")
+    pad = n - w.length
+    return frozenset(BitString(n, (w.value << pad) | tail) for tail in range(1 << pad))
+
+
+def expand_to_length(words: Iterable[BitString], n: int) -> WordSet:
+    out: set[BitString] = set()
+    for w in words:
+        out |= extensions_to_length(w, n)
+    return frozenset(out)
+
 
 # ---------------------------------------------------------------------------
 # the trie reduction and leaf-listed continuous modes
@@ -459,6 +524,51 @@ def tree_from_assignment(model: IlpModel, assignment: dict) -> CodeTree:
         codewords.append(BitString(d, value))
         links.append(table.links.index(cid))
     return CodeTree(tuple(codewords), tuple(links), mode_from_id(n, model.mode_id))
+
+
+# ---------------------------------------------------------------------------
+# the full basic family's brute force, one mode at a time
+
+
+def partition_table(n: int, index: int) -> tuple[tuple[BitString, int, BitString, int], ...]:
+    """All ordered two-way partitions of the length-``n`` leaf set of
+    basic mode ``index``, in mask order, each reduced to (codeword,
+    linked mode index) for both symbols."""
+    modes, index_of = basic_family(n)
+    leaves = sorted(expand_to_length(modes[index].words, n), key=lambda w: w.value)
+    table = []
+    for mask in range(1, (1 << len(leaves)) - 1):
+        w_set = frozenset(leaves[i] for i in range(len(leaves)) if mask >> i & 1)
+        wbar = frozenset(leaves[i] for i in range(len(leaves)) if not mask >> i & 1)
+        entry = []
+        for part in (w_set, wbar):
+            head = common_prefix(part)
+            entry.extend((head, index_of[reduced(strip_prefix_all(head, part))]))
+        table.append(tuple(entry))
+    return tuple(table)
+
+
+def brute_force_partition(n: int, index: int, probs, costs) -> tuple[CodeTree, float]:
+    """Optimal binary-alphabet tree for basic mode ``index`` of delay
+    ``n`` by trying every split of its leaf set; ``costs[i]`` prices a
+    link to basic mode ``i``.  Ties keep the first partition in mask
+    order."""
+    if len(probs) != 2:
+        raise ValueError("partition search requires a binary alphabet")
+    if not 1 <= n <= 3:
+        raise ValueError("partition search supports delays 1..3")
+    modes = basic_family(n)[0]
+    if not 0 <= index < len(modes):
+        raise ValueError(f"no basic mode {index} for delay {n}: the family has {len(modes)}")
+    p0, p1 = probs
+    best = best_entry = None
+    for entry in partition_table(n, index):
+        head0, link0, head1, link1 = entry
+        value = p0 * (head0.length + costs[link0]) + p1 * (head1.length + costs[link1])
+        if best is None or value < best:
+            best, best_entry = value, entry
+    head0, link0, head1, link1 = best_entry
+    return CodeTree((head0, head1), (link0, link1), modes[index]), float(best)
 
 
 # ---------------------------------------------------------------------------

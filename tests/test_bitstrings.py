@@ -8,21 +8,21 @@ from aifv.bitstrings import (
     CapacityError,
     EMPTY,
     append,
-    common_prefix,
     comparable,
-    expand_to_length,
     flipped,
     flip_words,
     is_prefix,
     reduced,
-    strip_prefix,
 )
 from oracles import (
     DyadicInterval,
+    common_prefix,
+    expand_to_length,
     full_nodes,
     interval_of,
     is_prefix_free,
     merge_intervals,
+    strip_prefix,
     trie_reduced,
 )
 

@@ -172,13 +172,27 @@ def test_a_build_flips_each_family_mode_once(monkeypatch, cfg, flips):
 def test_warm_start_builds_what_cold_solves_build(build):
     """Seeding each solve with the previous tree's cost changes no
     codebook and no report: the same builds with every tree solved cold
-    (with no cutoff) and the previous tree kept by the retention rule
+    (with no cutoff: a tree search without ``below``, a split minimum
+    below infinity) and the previous tree kept by the retention rule
     alone."""
     forest, report = build()
-    solve = aifv.builder.solve_ilp
+    solve, split = aifv.builder.solve_ilp, aifv.builder.brute_force_binary
+    cold_calls = []
+
+    def cold_solve(model, below=None):
+        cold_calls.append(below)
+        return solve(model)
+
+    def cold_split(table, probs, costs, below=None):
+        cold_calls.append(below)
+        return split(table, probs, costs, None if below is None else [math.inf] * len(below))
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(aifv.builder, "solve_ilp", lambda model, below=None: solve(model))
+        mp.setattr(aifv.builder, "solve_ilp", cold_solve)
+        mp.setattr(aifv.builder, "brute_force_binary", cold_split)
         cold_forest, cold_report = build()
+    # every iteration after the first passed a cutoff that was dropped
+    assert sum(below is not None for below in cold_calls) >= report.iterations - 1 > 0
     assert format_codebook(forest) == format_codebook(cold_forest)
     assert repr(report) == repr(cold_report)
 

@@ -429,15 +429,18 @@ def test_construct_names_a_depth_bound_no_tree_fits(tmp_path, dist_file, capsys)
     assert not os.path.exists(book)
 
 
-def test_construct_exits_3_when_a_tree_solve_spends_its_node_budget(tmp_path, dist_file,
-                                                                    capsys, monkeypatch):
+def test_construct_exits_3_when_a_tree_solve_spends_its_node_budget(tmp_path, capsys,
+                                                                    monkeypatch):
     import aifv.builder
 
+    # a binary alphabet takes no tree search, so three symbols
+    dist = tmp_path / "ternary.dist"
+    write(dist, "a0 0.6\na1 0.3\na2 0.1\n")
     solve = aifv.builder.solve_ilp
     monkeypatch.setattr(aifv.builder, "solve_ilp",
                         lambda model, below=None: solve(model, node_budget=1, below=below))
     book = str(tmp_path / "book")
-    assert main(["construct", "--dist", dist_file, "-N", "2", "-o", book]) == 3
+    assert main(["construct", "--dist", str(dist), "-N", "2", "-o", book]) == 3
     assert capsys.readouterr().err == "resource limit: node budget 1 exhausted for mode (0, 0)\n"
     assert not os.path.exists(book)
 

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from aifv.bitstrings import BitString, EMPTY, expand_to_length
+from aifv.bitstrings import BitString, EMPTY
 from aifv.modes import (
     ContinuousModeId,
     Mode,
@@ -15,6 +15,7 @@ from aifv.modes import (
 )
 from oracles import (
     DyadicInterval,
+    expand_to_length,
     flip_id,
     id_interval,
     id_of_mode,

@@ -3,6 +3,8 @@ import itertools
 import logging
 import math
 import random
+import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,12 +13,9 @@ from aifv.bitstrings import (
     BitString,
     EMPTY,
     append_all,
-    common_prefix,
     comparable,
-    expand_to_length,
     is_prefix,
     reduced,
-    strip_prefix_all,
 )
 from aifv.modes import (
     ContinuousModeId,
@@ -32,9 +31,7 @@ from aifv.optimizer import (
     ResourceLimitError,
     SearchTable,
     TreeSolution,
-    _partition_table,
     aifvm_link_ids,
-    brute_force_binary,
     build_ilp,
     check_assignment,
     decode_solution,
@@ -42,10 +39,14 @@ from aifv.optimizer import (
     link_prices,
     solve_ilp,
 )
+from aifv.splits import brute_force_binary, full_split_table, interval_split_table
 from aifv.sources import sources_polynomial
 from oracles import (
     allowed_links,
     assignment_from_pieces,
+    brute_force_partition,
+    common_prefix,
+    expand_to_length,
     flip_id,
     id_costs,
     id_interval,
@@ -53,9 +54,11 @@ from oracles import (
     interval_of,
     merge_intervals,
     model_rows,
+    partition_table,
     reference_check,
     reference_variables,
     solution_assignment,
+    strip_prefix_all,
     tree_from_assignment,
     trie_reduced,
 )
@@ -316,9 +319,18 @@ def test_binary_expansions_bounded_by_delay():
                 assert all(cw.length + w.length <= n for w in linked.words)
 
 
+def full_rows(n, index):
+    """Basic mode ``index``'s rows of the full split table, each as
+    (codeword, link) for symbol 0 and then symbol 1."""
+    table = full_split_table(n)
+    return [(BitString(int(table.depth_a[s]), int(table.value_a[s])), int(table.link_a[s]),
+             BitString(int(table.depth_b[s]), int(table.value_b[s])), int(table.link_b[s]))
+            for s in range(table.starts[index], table.starts[index + 1])]
+
+
 def test_partition_count_and_worked_example():
     modes, index_of = basic_family(3)
-    table = _partition_table(3, index_of[frozenset({B("001"), B("01"), B("1")})])
+    table = full_rows(3, index_of[frozenset({B("001"), B("01"), B("1")})])
     assert len(table) == 126
     # leaves sorted by value: 001,010,011,100,101,110,111; W = {001,010} is mask 3
     head0, link0, head1, link1 = table[3 - 1]
@@ -329,11 +341,19 @@ def test_partition_count_and_worked_example():
 def test_partition_trivial_n1():
     (only,), _ = basic_family(1)
     assert only.words == frozenset({EMPTY})
-    table = _partition_table(1, 0)
+    table = full_rows(1, 0)
     assert len(table) == 2
     for head0, link0, head1, link1 in table:
         assert head0.length == 1 and head1.length == 1
         assert link0 == link1 == 0
+
+
+def test_full_split_table_lists_the_partitions_of_every_mode():
+    """Read off leaf bit masks, each mode's rows are its leaf-set
+    partitions as the word-set algebra lists them, in mask order."""
+    for n in (1, 2, 3):
+        for index in range(len(basic_family(n)[0])):
+            assert full_rows(n, index) == list(partition_table(n, index)), (n, index)
 
 
 def test_brute_force_matches_ilp_on_continuous_links():
@@ -346,26 +366,28 @@ def test_brute_force_matches_ilp_on_continuous_links():
         for _ in range(20):
             p0 = rng.uniform(0.51, 0.99)
             probs = (p0, 1 - p0)
+            _, bf_obj = brute_force_binary(full_split_table(n), probs, costs)
             for cid in enumerate_continuous_ids(n):
                 index = index_of[mode_from_id(n, cid).words]
-                _, bf_obj = brute_force_binary(n, index, probs, costs)
                 sol = solve_ilp(tree_model(n, cid, probs, cont_costs, 3 + n))
-                assert bf_obj == pytest.approx(sol.objective, abs=1e-12), (n, cid, p0)
+                assert bf_obj[index] == pytest.approx(sol.objective, abs=1e-12), (n, cid, p0)
 
 
 def test_brute_force_guards():
-    with pytest.raises(ValueError):
-        brute_force_binary(1, 0, (0.3, 0.3, 0.4), [0.0])
-    with pytest.raises(ValueError):
-        brute_force_binary(4, 0, (0.5, 0.5), [0.0])
+    with pytest.raises(ValueError, match="binary alphabet"):
+        brute_force_binary(full_split_table(1), (0.3, 0.3, 0.4), [0.0])
+    with pytest.raises(ValueError, match="delays 1..3"):
+        full_split_table(4)
 
 
 @pytest.mark.parametrize("n, index", [(1, 1), (2, 9), (3, 225), (2, -1)])
 def test_brute_force_rejects_an_index_outside_the_family(n, index):
+    """The per-mode partition loop, kept as the full family's oracle,
+    names a mode index outside the family."""
     size = len(basic_family(n)[0])
     with pytest.raises(ValueError, match=f"^no basic mode {index} for delay {n}: "
                                          f"the family has {size}$"):
-        brute_force_binary(n, index, (0.5, 0.5), [0.0] * size)
+        brute_force_partition(n, index, (0.5, 0.5), [0.0] * size)
 
 
 def _recomputed_partitions(n, mode):
@@ -391,6 +413,8 @@ def test_brute_force_returns_first_minimal_partition():
         for _ in range(3):
             costs = [rng.choice((0.0, 0.5, 1.0, 1.5)) for _ in family]
             p0 = rng.choice((0.5, 0.75, rng.uniform(0.51, 0.99)))
+            table = full_split_table(n)
+            choice, objective = brute_force_binary(table, (p0, 1 - p0), costs)
             for index, mode in enumerate(family):
                 best = None
                 for heads, linked in partitions[index]:
@@ -399,21 +423,124 @@ def test_brute_force_returns_first_minimal_partition():
                              + (1 - p0) * (heads[1].length + costs[links[1]]))
                     if best is None or value < best[0]:
                         best = (value, heads, links)
-                tree, obj = brute_force_binary(n, index, (p0, 1 - p0), costs)
-                assert obj == best[0]
+                tree = table.tree(int(choice[index]), mode)
+                assert objective[index] == best[0]
                 assert tree.codewords == best[1]
                 assert tree.links == best[2]
                 assert tree.mode == mode
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 3), p0=st.sampled_from([0.5, 0.75, 0.9]) | st.floats(0.5, 0.99),
+       pool=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5]) | st.floats(0.0, 3.0),
+                     min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 16))
+def test_full_family_split_minimum_matches_the_partition_loop(n, p0, pool, seed):
+    """Every mode's tree and cost from the full family's split table, all
+    modes at once, are the per-mode partition loop's, bit for bit."""
+    family = basic_family(n)[0]
+    rng = random.Random(seed)
+    costs = [rng.choice(pool) for _ in family]
+    probs = (p0, 1 - p0)
+    table = full_split_table(n)
+    choice, objective = brute_force_binary(table, probs, costs)
+    for index, mode in enumerate(family):
+        tree, obj = brute_force_partition(n, index, probs, costs)
+        assert table.tree(int(choice[index]), mode) == tree
+        assert objective[index] == obj
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 5), aifvm=st.booleans(),
+       p0=st.sampled_from([0.5, 0.75, 0.9]) | st.floats(0.5, 0.99),
+       pool=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5]), min_size=1, max_size=4),
+       on_start=st.booleans(), extra_depth=st.sampled_from([None, -1, 0, 1, 40]),
+       cutoffs=st.none() | st.lists(st.sampled_from([math.inf, 0.5, 1.0, 2.0])
+                                    | st.floats(0.0, 4.0), min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 16))
+def test_split_minimum_is_the_tree_search(n, aifvm, p0, pool, on_start, extra_depth, cutoffs,
+                                          seed):
+    """Over an interval family's split table, every mode's tree, links and
+    symbol-order cost are the tree search's bit for bit, cold or below a
+    cutoff: costs drawn from a few values make ties common, and the
+    choice among tied trees follows the search's.  A mode has no tree
+    below its cutoff exactly when the search returns None, and a depth
+    bound some mode cannot meet raises the search's error.  A depth
+    bound far above ``2n`` gives the same trees as the search's."""
+    if aifvm and n == 1:
+        n = 2
+    probs = (p0, 1 - p0)
+    links = family_links(n, aifvm)
+    d_max = default_depth(2, n) if extra_depth is None else max(1, n + extra_depth)
+    rng = random.Random(seed)
+    id_cost = id_costs(n)
+    costs = [rng.choice(pool) + (id_cost[cid] if on_start else 0.0) for cid in links]
+    below = None if cutoffs is None else [rng.choice(cutoffs) for _ in links]
+    table = interval_split_table(n, d_max, tuple(links))
+    prices = link_prices(SearchTable(n, d_max, links, probs), costs)
+    try:
+        choice, objective = brute_force_binary(table, probs, costs, below)
+    except ValueError as e:
+        assert below is None
+        with pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
+            for cid in links:
+                solve_ilp(build_ilp(cid, prices))
+        return
+    for i, cid in enumerate(links):
+        sol = solve_ilp(build_ilp(cid, prices), below=None if below is None else below[i])
+        if sol is None:
+            assert choice[i] == -1, cid
+            continue
+        tree = table.tree(int(choice[i]), mode_from_id(n, cid))
+        assert (tree.codewords, tree.links) == (sol.codewords, sol.links), cid
+        assert objective[i] == sol.objective, cid
+
+
 def test_a_second_full_binary_build_builds_no_partition_table():
-    """The full family's partition tables are built once per process and
-    delay: a build after the first at the same delay finds each one."""
+    """The full family's partitions are listed once per process and
+    delay, into its split table: a build after the first at the same
+    delay finds the table."""
     aifv.builder.check_g_optimality_binary((0.75, 0.25), 3)
-    misses = _partition_table.cache_info().misses
+    info = full_split_table.cache_info()
     aifv.builder.check_g_optimality_binary((0.9, 0.1), 3)
-    assert _partition_table.cache_info().misses == misses
-    assert _partition_table(3, 5) is _partition_table(3, 5)
+    assert full_split_table.cache_info().misses == info.misses
+    assert full_split_table.cache_info().hits == info.hits + 1
+    assert full_split_table(3) is full_split_table(3)
+
+
+def test_a_second_binary_build_builds_no_split_table():
+    """An interval family's split table is built once per process and
+    (delay, depth bound, links): later builds at the same delay and
+    depth, from other sources, find it."""
+    construct((0.75, 0.25), BuildConfig(n=4))
+    info = interval_split_table.cache_info()
+    construct((0.9, 0.1), BuildConfig(n=4))
+    construct((0.6, 0.4), BuildConfig(n=4, max_depth=default_depth(2, 4)))
+    assert interval_split_table.cache_info().misses == info.misses
+    assert interval_split_table.cache_info().hits == info.hits + 2
+
+
+def test_split_table_memory_at_delay_6():
+    """The N=6 continuous split table keeps under 0.5 MB and its build
+    peaks under 1.5 MB.  From N=6 to N=8 the table grows 64-fold (8x
+    the splits per bit) and the build's per-margin temporaries 16-fold,
+    so these bounds hold the N=8 build under 64 * 0.5 + 16 * 1 = 48 MB
+    (measured at N=8: 21 MB kept, 38 MB peak)."""
+    ids = tuple(enumerate_continuous_ids(6))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        table = interval_split_table.__wrapped__(6, default_depth(2, 6), ids)
+        kept, peak = (size - base for size in tracemalloc.get_traced_memory())
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(table) == 32768
+    assert kept < 500_000
+    assert peak < 1_500_000
 
 
 def test_symmetric_modes_equal_objectives():
@@ -821,9 +948,11 @@ def test_shuffled_links_give_the_same_pieces_and_trees(n, aifvm, weights, pool, 
 
 def recorded_build(p, n):
     """Build ``p`` at delay ``n``, recording every price object the build
-    made and the model of every tree it solved."""
-    made, solved = [], []
-    price, solve = aifv.builder.link_prices, aifv.builder.solve_ilp
+    made, the model of every tree it searched for, and the cost vector
+    and split table of every split minimum it took."""
+    made, solved, minima = [], [], []
+    price, solve, split = (aifv.builder.link_prices, aifv.builder.solve_ilp,
+                           aifv.builder.brute_force_binary)
 
     def counting_price(*args):
         made.append(price(*args))
@@ -833,69 +962,108 @@ def recorded_build(p, n):
         solved.append(model)
         return solve(model, **kwargs)
 
+    def recording_split(table, probs, costs, below=None):
+        minima.append((table, costs.copy()))
+        return split(table, probs, costs, below)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(aifv.builder, "link_prices", counting_price)
         mp.setattr(aifv.builder, "solve_ilp", recording_solve)
+        mp.setattr(aifv.builder, "brute_force_binary", recording_split)
         _, report = construct(p, BuildConfig(n=n))
-    return made, solved, report
+    return made, solved, minima, report
 
 
 @pytest.fixture(scope="module")
 def n4_build():
-    """The N=4 p0=0.9 build, with every price object it made and the
-    model of every tree it solved."""
+    """The N=4 p0=0.9 build, with what :func:`recorded_build` records."""
     return recorded_build((0.9, 0.1), 4)
 
 
-def test_prices_built_once_per_iteration(n4_build):
-    made, solved, report = n4_build
+@pytest.fixture(scope="module")
+def quinary_build():
+    """The simulation's alphabet: the P2 (M=5), N=2 build, with what
+    :func:`recorded_build` records."""
+    return recorded_build(sources_polynomial(5)[2], 2)
+
+
+def test_prices_built_once_per_iteration(n4_build, quinary_build):
+    """A binary build takes one split minimum per iteration over one
+    table and runs no tree search; a build over more symbols makes one
+    price object per iteration, which all its tree searches read."""
+    made, solved, minima, report = n4_build
+    assert made == [] and solved == []
+    assert len(minima) == report.iterations
+    assert len({id(table) for table, _ in minima}) == 1
+    made, solved, minima, report = quinary_build
+    assert minima == []
     assert len(made) == report.iterations
-    assert len(solved) > 10 * report.iterations
+    # four modes, one of them the mirror of another
+    assert len(solved) == 3 * report.iterations
     assert {id(model.prices) for model in solved} == {id(p) for p in made}
 
 
 def test_iteration_debug_lines_account_for_every_solve(caplog):
     """One ``AIFV_LOG=DEBUG`` line per iteration and no other: every
     solved tree is placed (first iteration), kept or replaced, every mode
-    is solved or mirrored, the build's shared piece lists only grow, and
-    the chain has at least one absorbing block."""
-    with caplog.at_level(logging.DEBUG, logger="aifv.builder"):
-        _, solved_models, report = recorded_build((0.9, 0.1), 4)
-    messages = [r.getMessage() for r in caplog.records
-                if r.name == "aifv.builder" and r.levelno == logging.DEBUG]
-    assert all(message.startswith("iteration=") for message in messages)
-    lines = [dict(field.split("=") for field in message.split()) for message in messages]
-    assert [int(line["iteration"]) for line in lines] == list(range(1, report.iterations + 1))
-    counts = [{k: int(v) for k, v in line.items() if not k.endswith("_s")} for line in lines]
-    for c, line in zip(counts, lines):
-        assert c["solved"] == c["placed"] + c["kept"] + c["replaced"]
-        assert c["solved"] + c["mirrored"] == len(enumerate_continuous_ids(4))
-        assert float(line["solve_s"]) > 0 and float(line["markov_s"]) > 0
-        assert c["blocks"] >= c["absorbing"] >= 1
-    assert counts[0]["placed"] == counts[0]["solved"]
-    assert all(c["placed"] == 0 for c in counts[1:])
-    assert sum(c["kept"] for c in counts) > sum(c["replaced"] for c in counts) > 0
-    assert sum(c["solved"] for c in counts) == len(solved_models)
-    piece_lists = [c["piece_lists"] for c in counts]
-    assert piece_lists[0] > 0 and piece_lists == sorted(piece_lists)
+    is solved or mirrored, and the chain has at least one absorbing
+    block.  A binary build reads one split table, whose size each line
+    gives; a build over more symbols searches one tree per solved mode,
+    and its shared piece lists only grow."""
+    for p, n, binary in (((0.9, 0.1), 4, True), (sources_polynomial(5)[2], 2, False)):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="aifv.builder"):
+            _, solved_models, minima, report = recorded_build(p, n)
+        messages = [r.getMessage() for r in caplog.records
+                    if r.name == "aifv.builder" and r.levelno == logging.DEBUG]
+        assert all(message.startswith("iteration=") for message in messages)
+        lines = [dict(field.split("=") for field in message.split()) for message in messages]
+        assert [int(line["iteration"]) for line in lines] == list(range(1, report.iterations + 1))
+        counts = [{k: int(v) for k, v in line.items() if not k.endswith("_s")}
+                  for line in lines]
+        for c, line in zip(counts, lines):
+            assert c["solved"] == c["placed"] + c["kept"] + c["replaced"]
+            assert c["solved"] + c["mirrored"] == len(enumerate_continuous_ids(n))
+            assert float(line["solve_s"]) > 0 and float(line["markov_s"]) > 0
+            assert c["blocks"] >= c["absorbing"] >= 1
+        assert counts[0]["placed"] == counts[0]["solved"]
+        assert all(c["placed"] == 0 for c in counts[1:])
+        piece_lists = [c["piece_lists"] for c in counts]
+        splits = [c["splits"] for c in counts]
+        if binary:
+            assert sum(c["kept"] for c in counts) > sum(c["replaced"] for c in counts) > 0
+            assert piece_lists == [0] * len(lines) and solved_models == []
+            assert splits == [len(table) for table, _ in minima] and splits[0] > 0
+        else:
+            assert sum(c["solved"] for c in counts) == len(solved_models)
+            assert piece_lists[0] > 0 and piece_lists == sorted(piece_lists)
+            assert splits == [0] * len(lines) and minima == []
 
 
 def test_solver_matches_reference_on_build_costs(n4_build):
-    made, solved, _ = n4_build
+    """At every iteration's costs of the N=4 build, the tree search
+    matches the reference search, and the split minimum the build took
+    picks the search's tree."""
+    _, _, minima, _ = n4_build
     probs = (0.9, 0.1)
     d_max = default_depth(2, 4)
-    assert {model.prices.table.d_max for model in solved} == {d_max}
-    assert {model.prices.table.probs for model in solved} == {probs}
-    for prices in made:
-        for cid in enumerate_continuous_ids(4):
-            assert_same_tree(build_ilp(cid, prices))
+    links = enumerate_continuous_ids(4)
+    for table, costs in minima:
+        prices = link_prices(SearchTable(4, d_max, links, probs), costs)
+        choice, objective = brute_force_binary(table, probs, costs)
+        for i, cid in enumerate(links):
+            model = build_ilp(cid, prices)
+            assert_same_tree(model)
+            sol = solve_ilp(model)
+            tree = table.tree(int(choice[i]), mode_from_id(4, cid))
+            assert (tree.codewords, tree.links, objective[i]) == (sol.codewords, sol.links,
+                                                                  sol.objective)
 
 
-def test_solver_matches_reference_on_quinary_build_costs():
+def test_solver_matches_reference_on_quinary_build_costs(quinary_build):
     """The simulation's alphabet: every iteration's prices of the
     P2 (M=5), N=2 build, trees and node counts."""
-    source = sources_polynomial(5)[2]
-    made, _, report = recorded_build(source, 2)
+    made, _, _, report = quinary_build
     assert len(made) == report.iterations > 1
     for prices in made:
         for cid in enumerate_continuous_ids(2):
