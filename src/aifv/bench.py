@@ -2,9 +2,9 @@
 
 Two kinds of runs: theoretical rows evaluate stationary expected lengths
 straight from the codebooks, simulation rows draw seeded random
-sequences, count the bits each coder would emit for them, and average
-per symbol (termination included for the forest codes, flush bytes for
-the range coder).  The counts come from walks that step every trial of
+sequences (:func:`sample_inversion`), count the bits each coder would
+emit for them, and average per symbol (termination included for the
+forest codes, flush bytes for the range coder).  The counts come from walks that step every trial of
 a source at once and read off the count at each sequence size, with no
 text built: :func:`encoded_lengths` for the forest codes and
 :func:`range_lengths` for the range coder.  Trial 0 of each cell is also
@@ -29,8 +29,8 @@ from .builder import (
     huffman,
     huffman_lengths,
 )
-from .forest import DecodeError, decode, encode, encoded_lengths, symbol_rows
-from .sources import SourceDistribution, entropy, relative_redundancy, sample_inversion
+from .forest import CodeForest, DecodeError, decode, encode, termination_codeword
+from .sources import SourceDistribution, entropy, relative_redundancy
 
 RANGE_TOP = 1 << 24
 RANGE_BOT = 1 << 16
@@ -116,6 +116,52 @@ def range_encode(p, symbols) -> bytes:
     return bytes(out) + low.to_bytes(4, "big")
 
 
+def symbol_rows(sequences, m: int, sizes) -> np.ndarray:
+    """``sequences`` as a 2-D array, once every symbol lies in the
+    ``m``-ary alphabet and every prefix size is at most the row length;
+    otherwise ValueError, naming the first symbol outside the alphabet
+    in row order as ``encode`` does."""
+    rows = np.asarray(sequences)
+    if rows.ndim != 2:
+        raise ValueError(f"expected a 2-D array of symbols, got {rows.ndim} dimensions")
+    outside = (rows < 0) | (rows >= m)
+    if outside.any():
+        raise ValueError(f"symbol {rows[outside][0]} outside alphabet of {m}")
+    if any(not 0 <= n <= rows.shape[1] for n in sizes):
+        raise ValueError(f"prefix sizes must lie in 0..{rows.shape[1]}, got {list(sizes)}")
+    return rows
+
+
+def encoded_lengths(forest: CodeForest, sequences, sizes) -> list[list[int]]:
+    """For each ``n`` of ``sizes``, the length of ``encode(forest, row[:n])``
+    for each row of a 2-D array of symbols, termination codeword included,
+    with no text built.
+
+    Every row walks the forest at once, one column per step, through
+    flat (tree, symbol) tables of codeword length and next tree; the
+    count at size n is the running total after n steps plus the
+    termination codeword of the tree reached.
+    """
+    m = forest.symbol_count
+    rows = symbol_rows(sequences, m, sizes)
+    # row k * m + s: tree k's codeword length for s, and the row start of its link
+    lengths = np.array([cw.length for t in forest.trees for cw in t.codewords], dtype=np.int64)
+    starts = np.array([link * m for t in forest.trees for link in t.links], dtype=np.intp)
+    ends = np.array([termination_codeword(t.mode).length for t in forest.trees], dtype=np.int64)
+    total = np.zeros(len(rows), dtype=np.int64)
+    start = np.zeros(len(rows), dtype=np.intp)
+    wanted, longest, counts = set(sizes), max(sizes, default=0), {}
+    for n in range(longest + 1):
+        if n in wanted:
+            counts[n] = (total + ends[start // m]).tolist()
+        if n == longest:
+            break
+        step = start + rows[:, n]
+        total += lengths[step]
+        start = starts[step]
+    return [counts[n] for n in sizes]
+
+
 # bits shifted out by _shift_out for a bit length e of low ^ (low + span):
 # one byte per leading zero byte in 32 bits
 _SHARED_BITS = np.array([8 * max(0, (32 - e) // 8) for e in range(34)], dtype=np.int64)
@@ -189,6 +235,16 @@ def range_decode(p, data: bytes, count: int) -> list[int]:
                 code = (code << 8 | next(stream, 0)) & RANGE_MASK
         out.append(s)
     return out
+
+
+def sample_inversion(p, length: int, seed: int) -> np.ndarray:
+    """i.i.d. symbols by inverting the CDF of PCG64 uniform variates."""
+    probs = np.asarray(tuple(p), dtype=float)
+    cum = np.cumsum(probs)
+    rng = np.random.default_rng(seed)
+    u = rng.random(length)
+    idx = np.searchsorted(cum, u, side="right")
+    return np.minimum(idx, len(probs) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ import logging
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -35,6 +37,9 @@ from .markov import (
 )
 from .modes import Mode, basic_family, enumerate_continuous_ids, flip_mode, mode_from_id
 from .optimizer import (
+    FAMILIES,
+    INIT_RULES,
+    BuildError,
     SearchTable,
     aifvm_link_ids,
     build_ilp,
@@ -60,14 +65,6 @@ RETAIN_EPS = 1e-12
 # arithmetic; tree retention and float noise can wiggle it by at most
 # the retention margin.
 TRACE_SLACK = 1e-11
-
-FAMILIES = ("continuous", "aifvm", "full-binary")
-INIT_RULES = ("formula", "huffman-floor")
-
-
-class BuildError(RuntimeError):
-    pass
-
 
 def check_limits(tolerance: float, max_depth: int | None) -> None:
     """Reject a convergence tolerance or a tree depth bound no build can use."""
@@ -182,20 +179,23 @@ class _Family:
                              for m in self.modes])
         return np.array(initial_costs(self.modes))
 
-    def solve_trees(self, todo: list[int], costs: np.ndarray,
-                    below: list[float] | None) -> list[tuple[CodeTree, float] | None]:
-        """The optimal tree and its cost of each mode in ``todo``.  With
-        ``below``, a mode's entry is None when no tree costs less than its
-        cutoff; the full family takes no cutoff.  A binary family's trees
-        come from one minimum over its split table, the others' from one
-        tree search each, all against one iteration's prices."""
+    def solve_trees(
+        self, todo: list[int], costs: np.ndarray, below: list[float] | None
+    ) -> list[tuple[float, Callable[[], CodeTree]] | None]:
+        """The optimal cost of each mode in ``todo`` and a call that makes
+        its tree, so that a caller keeping its previous tree makes none.
+        With ``below``, a mode's entry is None when no tree costs less
+        than its cutoff; the full family takes no cutoff.  A binary
+        family's trees come from one minimum over its split table, the
+        others' from one tree search each, all against one iteration's
+        prices."""
         if self.splits is None:
             prices = link_prices(self.table, costs)
             out = []
             for i, cutoff in zip(todo, below or [None] * len(todo)):
                 sol = solve_ilp(build_ilp(self.table.links[i], prices), below=cutoff)
                 out.append(None if sol is None else
-                           (decode_solution(sol, self.modes[i]), sol.objective))
+                           (sol.objective, partial(decode_solution, sol, self.modes[i])))
             return out
         cutoffs = None
         if below is not None and self.cfg.family != "full-binary":
@@ -203,7 +203,7 @@ class _Family:
             cutoffs[todo] = below
         choice, objective = brute_force_binary(self.splits, self.probs, costs, cutoffs)
         return [None if choice[i] < 0 else
-                (self.splits.tree(int(choice[i]), self.modes[i]), float(objective[i]))
+                (float(objective[i]), partial(self.splits.tree, int(choice[i]), self.modes[i]))
                 for i in todo]
 
 
@@ -271,16 +271,20 @@ def construct(p, cfg: BuildConfig) -> tuple[CodeForest, OptimalityReport]:
         kept = replaced = 0
         for pos, (i, found) in enumerate(zip(todo, fam.solve_trees(todo, costs, below))):
             if prev_objs is None:
-                trees[i] = found[0]
-            elif found is None or prev_objs[pos] <= found[1] + RETAIN_EPS:
+                trees[i] = found[1]()
+            elif found is None or prev_objs[pos] <= found[0] + RETAIN_EPS:
                 trees[i] = prev_trees[i]
                 kept += 1
             else:
-                trees[i] = found[0]
+                trees[i] = found[1]()
                 replaced += 1
         for i in range(k):
             if trees[i] is None:
-                trees[i] = flip_tree(trees[fam.mirror[i]], fam.mirror, fam.modes[i])
+                j = fam.mirror[i]
+                # mirror reuse has been on since the first iteration, so the
+                # previous tree of a kept tree's mirror is already its flip
+                trees[i] = (prev_trees[i] if prev_trees is not None and trees[j] is prev_trees[j]
+                            else flip_tree(trees[j], fam.mirror, fam.modes[i]))
         solve_s = time.perf_counter() - solve_s
         solved = len(todo)
         placed = solved if prev_trees is None else 0

@@ -1,4 +1,9 @@
-"""Command-line front end: construct, code, validate, and benchmark."""
+"""Command-line front end: construct, code, validate, and benchmark.
+
+The codec commands (``encode``, ``decode``, ``check``) load no numpy:
+the builder and the benchmark drivers are imported only by the commands
+that run them.
+"""
 
 from __future__ import annotations
 
@@ -9,8 +14,6 @@ import re
 import sys
 import tempfile
 
-from .bench import SimulationRun, TheoreticalRun, rows_to_csv, run_simulation, run_theoretical
-from .builder import FAMILIES, INIT_RULES, BuildConfig, BuildError, OptimalityReport, construct
 from .forest import (
     CodebookError,
     DecodeError,
@@ -24,7 +27,7 @@ from .forest import (
     validate_full,
     validate_rule1,
 )
-from .optimizer import ResourceLimitError
+from .optimizer import FAMILIES, INIT_RULES, BuildError, ResourceLimitError
 from .sources import SourceDistribution, sources_binary_grid, sources_polynomial
 
 EXIT_OK = 0
@@ -101,7 +104,9 @@ def read_distribution(path: str) -> SourceDistribution:
         raise ValueError(f"{path}: {e}") from None
 
 
-def report_sidecar(report: OptimalityReport) -> str:
+def report_sidecar(report) -> str:
+    """The CSV sidecar of a build's ``OptimalityReport``: its flags as
+    comments, then each iteration's block lengths and cost change."""
     g = "n/a" if report.g_checked is None else str(report.g_checked).lower()
     lines = [
         "# aifv build report",
@@ -121,8 +126,22 @@ def report_sidecar(report: OptimalityReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def __getattr__(name):
+    # ``aifv.cli.construct`` is the builder's, loaded on first use;
+    # bench/tracing.py wraps it here by name
+    if name != "construct":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .builder import construct
+
+    return construct
+
+
 def cmd_construct(args) -> int:
+    from .builder import BuildConfig
+
     dist = read_distribution(args.dist)
+    # the module attribute as it is now, so that a wrapper set on it sees the build
+    construct = globals().get("construct") or __getattr__("construct")
     forest, report = construct(dist.probs, BuildConfig(
         n=args.n,
         family=args.family,
@@ -230,6 +249,8 @@ def _int_list(option: str, text: str) -> tuple[int, ...]:
 
 
 def cmd_eval(args) -> int:
+    from .bench import TheoreticalRun, rows_to_csv, run_theoretical
+
     rows = run_theoretical(TheoreticalRun(
         sources=tuple(_sources_from_args(args)),
         aifv_delays=_int_list("--aifv", args.aifv),
@@ -245,6 +266,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .bench import SimulationRun, rows_to_csv, run_simulation
+
     rows = run_simulation(SimulationRun(
         sources=tuple(_sources_from_args(args)),
         seq_sizes=_int_list("--sizes", args.sizes),

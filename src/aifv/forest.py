@@ -8,12 +8,13 @@ of the linked mode, the strings Rule 1 checks), and a final termination
 codeword protects the last symbol from trailing garbage.
 
 The codec works on tables built once per call and dropped with it: the
-encoder reads per-tree (codeword text, link) rows, the length walk
-per-tree (codeword length, link) rows; the decoder keys each lookup on
-the window of the next W_k + e stream bits, W_k being tree k's widest
-expansion and e a widening chosen from the stream's length, so a window
-seen before in the same call gives the whole run of steps it decides in
-one dictionary lookup.
+encoder reads per-tree (codeword text, link) rows; the decoder keys
+each lookup on the window of the next W_k + e stream bits, W_k being
+tree k's widest expansion and e a widening chosen from the stream's
+length, so a window seen before in the same call gives the whole run of
+steps it decides in one dictionary lookup.  The length walk that counts
+encoded bits for many sequences at once lives with the benchmarks, in
+:mod:`aifv.bench`.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .bitstrings import (
     BitString,
@@ -160,8 +159,9 @@ def flip_tree(tree: CodeTree, mirror: Sequence[int], mode: Mode) -> CodeTree:
     )
 
 
-def _termination_codeword(mode: Mode) -> BitString:
-    # shortest query; ties broken lexicographically
+def termination_codeword(mode: Mode) -> BitString:
+    """The codeword that ends a message in a tree of this mode: its
+    shortest query, ties broken lexicographically."""
     return min(mode.words, key=lambda w: (w.length, w.text))
 
 
@@ -178,54 +178,8 @@ def encode(forest: CodeForest, symbols: Iterable[int]) -> str:
             raise ValueError(f"symbol {s} outside alphabet of {m}")
         text, k = rows[k][s]
         out.append(text)
-    out.append(_termination_codeword(forest.trees[k].mode).text)
+    out.append(termination_codeword(forest.trees[k].mode).text)
     return "".join(out)
-
-
-def symbol_rows(sequences, m: int, sizes) -> np.ndarray:
-    """``sequences`` as a 2-D array, once every symbol lies in the
-    ``m``-ary alphabet and every prefix size is at most the row length;
-    otherwise ValueError, naming the first symbol outside the alphabet
-    in row order as ``encode`` does."""
-    rows = np.asarray(sequences)
-    if rows.ndim != 2:
-        raise ValueError(f"expected a 2-D array of symbols, got {rows.ndim} dimensions")
-    outside = (rows < 0) | (rows >= m)
-    if outside.any():
-        raise ValueError(f"symbol {rows[outside][0]} outside alphabet of {m}")
-    if any(not 0 <= n <= rows.shape[1] for n in sizes):
-        raise ValueError(f"prefix sizes must lie in 0..{rows.shape[1]}, got {list(sizes)}")
-    return rows
-
-
-def encoded_lengths(forest: CodeForest, sequences, sizes) -> list[list[int]]:
-    """For each ``n`` of ``sizes``, the length of ``encode(forest, row[:n])``
-    for each row of a 2-D array of symbols, termination codeword included,
-    with no text built.
-
-    Every row walks the forest at once, one column per step, through
-    flat (tree, symbol) tables of codeword length and next tree; the
-    count at size n is the running total after n steps plus the
-    termination codeword of the tree reached.
-    """
-    m = forest.symbol_count
-    rows = symbol_rows(sequences, m, sizes)
-    # row k * m + s: tree k's codeword length for s, and the row start of its link
-    lengths = np.array([cw.length for t in forest.trees for cw in t.codewords], dtype=np.int64)
-    starts = np.array([link * m for t in forest.trees for link in t.links], dtype=np.intp)
-    ends = np.array([_termination_codeword(t.mode).length for t in forest.trees], dtype=np.int64)
-    total = np.zeros(len(rows), dtype=np.int64)
-    start = np.zeros(len(rows), dtype=np.intp)
-    wanted, longest, counts = set(sizes), max(sizes, default=0), {}
-    for n in range(longest + 1):
-        if n in wanted:
-            counts[n] = (total + ends[start // m]).tolist()
-        if n == longest:
-            break
-        step = start + rows[:, n]
-        total += lengths[step]
-        start = starts[step]
-    return [counts[n] for n in sizes]
 
 
 Step = tuple[int, int, int]  # (symbol, codeword length, link)

@@ -60,6 +60,17 @@ NODE_BUDGET_DEFAULT = 10_000_000
 BOUND_SLACK = 1e-9
 
 
+# The mode families and starting-cost rules a build takes, and the error
+# it raises, defined apart from the builder so the command line reads
+# them without loading its numpy layers.
+FAMILIES = ("continuous", "aifvm", "full-binary")
+INIT_RULES = ("formula", "huffman-floor")
+
+
+class BuildError(RuntimeError):
+    pass
+
+
 class ResourceLimitError(RuntimeError):
     """The branch-and-bound node budget was exhausted."""
 

@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class SourceDistribution:
@@ -66,13 +64,3 @@ def relative_redundancy(length: float, h: float) -> float:
     if h <= 0:
         raise ValueError("entropy must be positive")
     return length / h - 1.0
-
-
-def sample_inversion(p, length: int, seed: int) -> np.ndarray:
-    """i.i.d. symbols by inverting the CDF of PCG64 uniform variates."""
-    probs = np.asarray(tuple(p), dtype=float)
-    cum = np.cumsum(probs)
-    rng = np.random.default_rng(seed)
-    u = rng.random(length)
-    idx = np.searchsorted(cum, u, side="right")
-    return np.minimum(idx, len(probs) - 1)

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from aifv.bench import range_decode, range_encode
+from aifv.bench import range_decode, range_encode, sample_inversion
 from aifv.builder import (
     BuildConfig,
     check_g_optimality_binary,
@@ -22,7 +22,7 @@ from aifv.cli import main
 from aifv.forest import decode, decoding_delay_bound, encode
 from aifv.modes import enumerate_basic_modes, enumerate_continuous_ids
 from aifv.optimizer import ResourceLimitError
-from aifv.sources import entropy, sample_inversion, sources_binary_grid, sources_polynomial
+from aifv.sources import entropy, sources_binary_grid, sources_polynomial
 from conftest import worst_trace
 
 TOL_EQ = 1e-12  # equality of expected lengths across routes

@@ -23,13 +23,13 @@ from aifv.bench import (
     rows_to_csv,
     run_simulation,
     run_theoretical,
+    sample_inversion,
     scaled_frequencies,
 )
 from aifv.sources import (
     SourceDistribution,
     entropy,
     relative_redundancy,
-    sample_inversion,
     sources_binary_grid,
     sources_polynomial,
 )

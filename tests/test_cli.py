@@ -596,6 +596,68 @@ def test_cli_and_a_build_import_no_sparse_matrices():
     assert run.returncode == 0, run.stderr[-2000:]
 
 
+def run_python(*args, cwd=None):
+    """Runs ``python -X importtime *args`` in a fresh process; returns the
+    names of the modules it imported."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    run = subprocess.run([sys.executable, "-X", "importtime", *args], env=env, cwd=cwd,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
+    return {line.rpartition("|")[2].strip() for line in run.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_codec_commands_load_no_numpy(tmp_path, demo_forest):
+    """``import aifv.cli`` and the commands ``encode``, ``decode`` and
+    ``check`` load no numpy."""
+    write(tmp_path / "demo.aifv", format_codebook(demo_forest))
+    write(tmp_path / "in.sym", "0 2 1 0 0 1\n")
+    runs = {"import aifv.cli": ("-c", "import aifv.cli"),
+            "encode": ("encode", "--codebook", "demo.aifv", "--input", "in.sym", "-o", "b"),
+            "decode": ("decode", "--codebook", "demo.aifv", "--input", "b", "-L", "6",
+                       "-o", "out.sym"),
+            "check": ("check", "--codebook", "demo.aifv")}
+    for what, args in runs.items():
+        if args[0] != "-c":
+            args = ("-m", "aifv.cli", *args)
+        modules = run_python(*args, cwd=tmp_path)
+        assert "aifv.forest" in modules
+        assert not {m for m in modules if m.partition(".")[0] == "numpy"}, what
+    with open(tmp_path / "out.sym") as fh:
+        assert fh.read() == "0 2 1 0 0 1\n"
+
+
+def test_construct_in_a_fresh_process_writes_the_pinned_codebook(tmp_path, dist_file):
+    """``python -m aifv.cli construct``, whose builder loads on demand,
+    writes the codebook the p0=0.9, N=3 build wrote when the CLI imported
+    the builder up front."""
+    book = tmp_path / "book.aifv"
+    assert "aifv.builder" in run_python("-m", "aifv.cli", "construct", "--dist", dist_file,
+                                        "-N", "3", "-o", str(book))
+    assert hashlib.sha256(book.read_bytes()).hexdigest() == (
+        "b005e1bfe3535ab0d3032c75d6c0ac14ec8b352278eba66960ed87141a8cfa67")
+
+
+def test_construct_calls_the_cli_module_construct(tmp_path, dist_file, monkeypatch):
+    """``aifv.cli.construct`` resolves to the builder's, and the command
+    calls whatever that attribute is at the time, so a wrapper set on it
+    sees the build."""
+    import aifv.cli
+
+    assert aifv.cli.construct is construct
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return construct(*args, **kwargs)
+
+    monkeypatch.setattr(aifv.cli, "construct", wrapped, raising=False)
+    assert main(["construct", "--dist", dist_file, "-N", "2", "-o", str(tmp_path / "b")]) == 0
+    assert [args[0] for args in calls] == [(0.9, 0.1)]
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        aifv.cli.no_such_name
+
+
 def test_simulate_rejects_an_empty_size_list(tmp_path, dist_file, capsys):
     out = str(tmp_path / "sim.csv")
     assert main(["simulate", "--dist", dist_file, "--aifv", "2", "--sizes", "",

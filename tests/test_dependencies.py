@@ -43,3 +43,38 @@ def declared_dependencies():
 
 def test_dependencies_are_the_third_party_imports():
     assert third_party_imports() == declared_dependencies()
+
+
+# the modules ``import aifv.cli`` and the codec commands load
+CODEC_PATH = ("__init__", "bitstrings", "modes", "forest", "optimizer", "sources", "cli")
+
+
+def import_time_imports(tree):
+    """(line, module) of each import that runs when the module is loaded:
+    everything outside function bodies; a relative import is named
+    ``aifv.<module>``."""
+    found = []
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append((node.lineno, f"aifv.{node.module}" if node.level else node.module))
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_codec_path_loads_no_numpy():
+    """No module on the codec path imports numpy, or a module off the
+    path, when it is loaded; such imports belong inside the functions of
+    the build and bench commands."""
+    offending = []
+    for stem in CODEC_PATH:
+        for line, name in import_time_imports(ast.parse((SRC / f"{stem}.py").read_text())):
+            top, _, sub = name.partition(".")
+            if top == "numpy" or (top == "aifv" and sub.split(".")[0] not in CODEC_PATH):
+                offending.append(f"{stem}.py:{line} imports {name}")
+    assert offending == [], f"codec path imports at load time: {offending}"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from aifv.bench import encoded_lengths
 from aifv.bitstrings import BitString
 from aifv.builder import BuildConfig, construct, huffman
 from aifv.forest import (
@@ -16,7 +17,6 @@ from aifv.forest import (
     decode,
     decoding_delay_bound,
     encode,
-    encoded_lengths,
     expansions,
     flip_tree,
     format_codebook,
