@@ -46,6 +46,7 @@ from .optimizer import (
     decode_solution,
     initial_costs,
     link_prices,
+    piece_table,
     solve_ilp,
 )
 from .sources import as_probs
@@ -142,6 +143,7 @@ class _Family:
         self.probs = probs
         n = cfg.n
         self.table = self.splits = None
+        self.bounded = 0  # children the last iteration's tree searches bounded
         if cfg.family == "full-binary":
             if len(probs) != 2:
                 raise BuildError("the full basic family is solvable for binary alphabets only")
@@ -157,7 +159,7 @@ class _Family:
             if len(probs) == 2:
                 self.splits = interval_split_table(n, depth, tuple(ids))
             else:
-                self.table = SearchTable(n, depth, ids, probs)
+                self.table = SearchTable(piece_table(n, depth, tuple(ids)), probs)
         # index 0 must be the empty-string mode: it anchors the encoder
         if self.modes[0].words != frozenset({EMPTY}):
             raise AssertionError("canonical ordering must put the empty mode first")
@@ -196,6 +198,7 @@ class _Family:
                 sol = solve_ilp(build_ilp(self.table.links[i], prices), below=cutoff)
                 out.append(None if sol is None else
                            (sol.objective, partial(decode_solution, sol, self.modes[i])))
+            self.bounded = prices.bounded
             return out
         cutoffs = None
         if below is not None and self.cfg.family != "full-binary":
@@ -233,12 +236,13 @@ def construct(p, cfg: BuildConfig) -> tuple[CodeForest, OptimalityReport]:
     and keeps that tree unless the solve returns a cheaper one.  A binary
     build solves all of an iteration's trees by one minimum over its
     family's split table; any other build runs one tree search per mode,
-    all sharing one :class:`SearchTable`.  Each iteration logs one
-    ``AIFV_LOG=DEBUG`` line: trees solved, mirrored, placed (first
-    iteration), kept and replaced, the piece lists in the shared search
-    table so far, the splits in the split table, the seconds spent in
-    tree solves and in the Markov layer, and the chain's blocks and
-    absorbing blocks.
+    all sharing one :class:`SearchTable` and the process's piece table.
+    Each iteration logs one ``AIFV_LOG=DEBUG`` line: trees solved,
+    mirrored, placed (first iteration), kept and replaced, the piece
+    lists in the process's piece table so far, the splits in the split
+    table, the children the iteration's tree searches bounded, the
+    seconds spent in tree solves and in the Markov layer, and the chain's
+    blocks and absorbing blocks.
 
     The full basic family's F-optimum is G-optimal, so for
     ``family="full-binary"`` the report's ``g_checked`` is whether the
@@ -299,10 +303,10 @@ def construct(p, cfg: BuildConfig) -> tuple[CodeForest, OptimalityReport]:
         new_costs, lbars, j_star = cost_update_general(lengths, chain, blocks, pis)
         markov_s = time.perf_counter() - markov_s
         log.debug("iteration=%d solved=%d mirrored=%d placed=%d kept=%d replaced=%d "
-                  "piece_lists=%d splits=%d solve_s=%.6f markov_s=%.6f blocks=%d absorbing=%d",
-                  iteration, solved, k - solved, placed, kept, replaced,
-                  0 if fam.table is None else len(fam.table.piece_lists),
-                  0 if fam.splits is None else len(fam.splits), solve_s, markov_s,
+                  "piece_lists=%d splits=%d bounded=%d solve_s=%.6f markov_s=%.6f blocks=%d "
+                  "absorbing=%d", iteration, solved, k - solved, placed, kept, replaced,
+                  0 if fam.table is None else len(fam.table.pieces.piece_lists),
+                  0 if fam.splits is None else len(fam.splits), fam.bounded, solve_s, markov_s,
                   len(blocks.blocks), blocks.n_absorbing)
         if reuse:
             if _mirror_pins_consistent(blocks, fam.mirror):

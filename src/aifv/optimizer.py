@@ -20,21 +20,26 @@ tree or None; without a cutoff the first tree the search completes is
 optimal.  Every iteration of the forest construction thus runs the same
 search.
 
-Every fact of a tree problem has one owner.  One :class:`SearchTable`
-per build holds what no link price changes: the delay, the depth bound,
-the probabilities and the links, link ``i`` being the family's mode
-``i``.  It fills, as the searches ask, the pieces that fit at each
-(position, tree interval end, symbols left), the candidate symbols of
-each placed set and the probability sums of every symbol set.
-:func:`link_prices` turns each iteration's cost vector, in the table's
-link order, into the :class:`LinkPrices` every tree of that iteration
-reads.  A tree's problem is its mode and those prices.  A piece costs
-its depth plus the price at its link index, and a solved tree's link
-indices are its forest links.  An expansion pushes only its best
-surviving child and a popped child pushes its next sibling (partial
-expansion, Yoshizumi et al., AAAI 2000), so the heap holds one entry per
-expansion instead of one per child, yet pops the same states in the
-same order.
+Every fact of a tree problem has one owner.  One :class:`PieceTable`
+per process and (delay, depth bound, links), from :func:`piece_table`,
+holds what neither a probability nor a price changes: the links, link
+``i`` being the family's mode ``i``, and, filled as the searches ask,
+the pieces that fit at each (position, tree interval end, symbols left).
+Every build over the same links shares it.  One :class:`SearchTable` per
+build adds the probabilities: the probability sums of every symbol set
+and the candidate symbols of each placed set.  :func:`link_prices` turns
+each iteration's cost vector, in the table's link order, into the
+:class:`LinkPrices` every tree of that iteration reads; they also keep
+each piece list's order by cost, which goes with them at the end of the
+iteration.  A tree's problem is its mode and those prices.  A piece
+costs its depth plus the price at its link index, and a solved tree's
+link indices are its forest links.  An expansion makes no child: each
+candidate symbol pushes one stream that makes its children in ascending
+piece cost, keyed by a bound on all of them, only when that key comes
+up (partial expansion, Yoshizumi et al., AAAI 2000, with selective
+child generation, Felner et al., AAAI 2012).  The heap pops the same
+states in the same order as one holding every child, and most children
+are never bounded.
 
 A binary alphabet needs no search: :mod:`aifv.splits` solves every
 tree of an iteration at once, choosing among trees of equal cost the
@@ -46,7 +51,9 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
+from operator import add
 from typing import Sequence
 
 from .bitstrings import BitString
@@ -99,35 +106,28 @@ def aifvm_link_ids(n: int) -> list[ContinuousModeId]:
     return ids
 
 
-_NO_PIECES: tuple[tuple, tuple, tuple] = ((), (), ())
+_NO_PIECES: tuple[tuple, tuple, float] = ((), (), 0.0)
 
 
-class SearchTable:
-    """What the tree searches of one build read that no link price
-    changes, filled as the searches ask for it.
+class PieceTable:
+    """The pieces that fit in the trees of one delay, depth bound and
+    link list, which no probability and no link price changes, filled as
+    the searches ask for them.
 
-    The table is fixed by the delay, the depth bound, the links and the
-    symbol probabilities, and checks their shape once for the build.
     Link ``i`` is ``links[i]``, in the caller's order: the family's mode
-    ``i``.  The table holds the probability sum and entropy term of
-    every symbol set, the candidate symbols of each placed set, and the
-    pieces that fit at each (position, tree interval end, symbols left)
-    as three parallel tuples: their depths, their link indices, and the
-    log2 of the room each leaves as a share of the unit interval.  A
-    depth-d piece linked by index ``i`` is ``widths[i] << (d_max - d)``
-    wide.  A key without pieces shares one empty entry, and equal
-    log-room values share one float.
+    ``i``.  A depth-d piece linked by index ``i`` is
+    ``widths[i] << (d_max - d)`` wide.  The pieces that fit at each
+    (position, tree interval end, symbols left) are kept as two parallel
+    tuples, their depths and their link indices, with the log2 of the
+    largest room any of them leaves as a share of the unit interval.  A
+    key without pieces shares one empty entry.
     """
 
-    def __init__(self, n: int, d_max: int, links: Sequence[ContinuousModeId],
-                 probs: Sequence[float]):
-        if not probs:
-            raise ValueError("one probability per symbol required")
+    def __init__(self, n: int, d_max: int, links: Sequence[ContinuousModeId]):
         if d_max < 1:
             raise ValueError("depth bound must be at least 1")
         self.n, self.d_max = n, d_max
         self.links = tuple(links)
-        self.probs = probs = tuple(float(x) for x in probs)
         self.scale = 1 << (d_max + n)
         # per k1, its links' (k2, index) pairs, k2 ascending
         by_k1: dict[int, list[tuple[int, int]]] = {}
@@ -136,25 +136,15 @@ class SearchTable:
         self.by_k1 = {k1: tuple(zip(*sorted(pairs))) for k1, pairs in by_k1.items()}
         self.widths = tuple((1 << n) - c.k1 - c.k2 for c in self.links)
         self.min_width = min(self.widths)
-        m = len(probs)
-        self.psum = psum = [0.0] * (1 << m)
-        self.hsum = hsum = [0.0] * (1 << m)
-        for mask in range(1, 1 << m):
-            low = mask & -mask
-            sym = low.bit_length() - 1
-            psum[mask] = psum[mask ^ low] + probs[sym]
-            hsum[mask] = hsum[mask ^ low] - probs[sym] * math.log2(probs[sym])
-        # keyed by ((end * scale + x) * m + symbols left); x < end <= scale
-        self.piece_lists: dict[int, tuple[tuple, tuple, tuple]] = {}
-        self._room_logs: dict[int, float] = {}  # room left -> its log2 share
-        self._cands: dict[int, list[int]] = {}
+        # keyed by ((symbols left * (scale + 1) + end) * scale + x); x < end <= scale
+        self.piece_lists: dict[int, tuple[tuple, tuple, float]] = {}
 
-    def pieces_at(self, x: int, end: int, rem_after: int) -> tuple[tuple, tuple, tuple]:
+    def pieces_at(self, x: int, end: int, rem_after: int) -> tuple[tuple, tuple, float]:
         """Every piece that can start at ``x`` in a tree whose interval
         ends at ``end``, with ``rem_after`` symbols still to place after
-        it, in (depth, k2) order, as the parallel tuples (depths, link
-        indices, log-room terms); the log-room term is 0.0 when no symbol
-        remains.
+        it, in (depth, k2) order, as ``(depths, link indices, log room)``:
+        the last is ``log2`` of the largest room a piece leaves, as a
+        share of the unit interval, and 0.0 when no symbol remains.
 
         A depth-d piece linked to (k1, k2) is ``(2^n - k1 - k2) << (d_max - d)``
         wide and x fixes its k1.  The room it leaves must be at least
@@ -164,11 +154,17 @@ class SearchTable:
         whose depth-0 piece spans the whole unit interval, so one
         remaining symbol's widest piece already covers any room left.
         """
-        key = (end * self.scale + x) * len(self.probs) + rem_after
+        key = (rem_after * (self.scale + 1) + end) * self.scale + x
         out = self.piece_lists.get(key)
         if out is None:
             pieces = tuple(self._fit(x, end, rem_after))
-            out = self.piece_lists[key] = tuple(zip(*pieces)) if pieces else _NO_PIECES
+            if pieces:
+                depths, idxs, ends = zip(*pieces)
+                room_log = math.log2((end - min(ends)) / self.scale) if rem_after else 0.0
+                out = depths, idxs, room_log
+            else:
+                out = _NO_PIECES
+            self.piece_lists[key] = out
         return out
 
     def _fit(self, x: int, end: int, rem_after: int):
@@ -196,14 +192,43 @@ class SearchTable:
                 i = bisect_left(k2s, free - (room >> unit))
                 j = bisect_right(k2s, free - (room >> unit), i)
             for t in range(i, j):
-                pe = x + ((free - k2s[t]) << unit)
-                yield d, idxs[t], self._room_log(end - pe) if rem_after else 0.0
+                yield d, idxs[t], x + ((free - k2s[t]) << unit)
 
-    def _room_log(self, left: int) -> float:
-        out = self._room_logs.get(left)
-        if out is None:
-            out = self._room_logs[left] = math.log2(left / self.scale)
-        return out
+
+@cache
+def piece_table(n: int, d_max: int, links: tuple[ContinuousModeId, ...]) -> PieceTable:
+    """The piece table of ``links`` at delay ``n`` and depth bound
+    ``d_max``, one per process, shared by every build over them."""
+    return PieceTable(n, d_max, links)
+
+
+class SearchTable:
+    """What the tree searches of one build read that no link price
+    changes.
+
+    The build's piece table, shared with every build of the same delay,
+    depth bound and links, gives the pieces and the links: link ``i`` is
+    the family's mode ``i``.  Per build the table holds the probability
+    sum and entropy term of every symbol set, and fills the candidate
+    symbols of each placed set as the searches ask for them.
+    """
+
+    def __init__(self, pieces: PieceTable, probs: Sequence[float]):
+        if not probs:
+            raise ValueError("one probability per symbol required")
+        self.pieces = pieces
+        self.n, self.d_max, self.links = pieces.n, pieces.d_max, pieces.links
+        self.scale, self.widths = pieces.scale, pieces.widths
+        self.probs = probs = tuple(float(x) for x in probs)
+        m = len(probs)
+        self.psum = psum = [0.0] * (1 << m)
+        self.hsum = hsum = [0.0] * (1 << m)
+        for mask in range(1, 1 << m):
+            low = mask & -mask
+            sym = low.bit_length() - 1
+            psum[mask] = psum[mask ^ low] + probs[sym]
+            hsum[mask] = hsum[mask ^ low] - probs[sym] * math.log2(probs[sym])
+        self._cands: dict[int, list[int]] = {}
 
     def candidates(self, used_mask: int) -> list[int]:
         """The unplaced symbols, ascending, that come first among the
@@ -220,20 +245,40 @@ class SearchTable:
         return cands
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class LinkPrices:
     """One iteration's link costs, shared by every tree solved against
     them.
 
     ``flat[i]`` is the cost of link ``i`` of ``table``, the search table
     the prices were made for.  ``alpha_min`` is the least link cost plus
-    the log of the share of the cell the link keeps.
+    the log of the share of the cell the link keeps.  ``bounded`` counts
+    the children the solves against these prices have bounded.  The
+    prices keep, per piece list a search has read, its pieces in
+    ascending cost (:meth:`cost_order`); they go with the prices, at the
+    end of the iteration.
     """
 
     table: SearchTable
     flat: tuple[float, ...]
     min_cost: float
     alpha_min: float
+    bounded: int = 0
+    _orders: dict = field(default_factory=dict, repr=False)
+
+    def cost_order(self, x: int, end: int, rem_after: int) -> tuple:
+        """The pieces of ``pieces_at(x, end, rem_after)`` by cost, as
+        ``(pieces, costs, order)``: ``costs[j]`` is piece j's depth plus
+        its link's price, and ``order`` the piece positions in ascending
+        cost, ties in table order."""
+        key = (x, end, rem_after)
+        out = self._orders.get(key)
+        if out is None:
+            pieces = self.table.pieces.pieces_at(x, end, rem_after)
+            costs = list(map(add, pieces[0], map(self.flat.__getitem__, pieces[1])))
+            order = sorted(range(len(costs)), key=costs.__getitem__)
+            out = self._orders[key] = (pieces, costs, order)
+        return out
 
 
 def link_prices(table: SearchTable, costs: Sequence[float]) -> LinkPrices:
@@ -337,20 +382,37 @@ def solve_ilp(
     solve raises :class:`ValueError`.  States are deduplicated by
     position and placed set; symbols of equal probability are placed in
     ascending index order.  Deterministic: ties in the bound fall back to
-    insertion order, which also decides among trees of equal cost.
+    the order in which children are made, by expansion, candidate symbol
+    and piece, which also decides among trees of equal cost.
 
     The search reads its link costs and bound constants from
-    ``model.prices``, and its pieces, candidate symbols and probability
-    sums from the search table those prices were made for, which every
-    solve of a build shares and fills.  A piece's cost is its depth plus
-    the price at its link index, and each piece carries the log of the
-    room it leaves, so a child's bound costs a few float operations.
-    Children are merged lazily: an expansion bounds and prunes all of its
-    children, sorts the survivors by (bound, insertion number) and pushes
-    only the first, and popping a child pushes its next sibling.  The
-    heap thus pops the same states in the same order, under the same
-    node budget, as one holding every child.  States point to their
-    parents, and the path is rebuilt once at the end.
+    ``model.prices``, its pieces from the build's piece table, and its
+    candidate symbols and probability sums from the search table those
+    prices were made for, which every solve of a build shares and fills.
+    A piece's cost is its depth plus the price at its link index, and
+    each piece carries the log of the room it leaves, so a child's bound
+    costs a few float operations.
+
+    Children are made lazily (partial expansion with selective child
+    generation, after Felner et al., AAAI 2012).  An expansion makes no
+    child: it pushes one stream per candidate symbol, which walks the
+    pieces in ascending cost (:meth:`LinkPrices.cost_order`).  A stream's
+    key is ``g + p * A`` at its next piece of cost ``A``, plus the rest
+    bound at the largest room log among the pieces; IEEE add, multiply
+    and max are monotone, so the key bounds every child the stream has
+    yet to make and never falls.  A popped stream makes children while it
+    stays the heap's least entry, drops each against the cutoff in force
+    at its expansion, and pushes the rest of itself; it is no node.
+    Child ``j`` of candidate ``i`` takes the tie key
+    ``base + i * (P + 1) + 1 + j`` for the expansion's first key
+    ``base`` and its ``P`` pieces, its stream ``base + i * (P + 1)``:
+    keys rise in the order of the expansion, candidate and piece, and a
+    stream sorts just below its children.  The heap thus pops the same
+    states in the same order, under the same node budget, as one holding
+    every surviving child, and stops before bounding most of them.  The
+    last symbol's children are bounded by their cost and made at once,
+    up to the first at the cutoff.  States point to their parents, and
+    the path is rebuilt once at the end.
 
     A returned tree names its links by index.  It is checked by
     :func:`check_assignment` as a tiling of the mode's interval, and its
@@ -361,7 +423,6 @@ def solve_ilp(
     table = prices.table
     n, d_max, probs = table.n, table.d_max, table.probs
     m = len(probs)
-    flat = prices.flat
     min_cost, alpha_min = prices.min_cost, prices.alpha_min
     scale, widths = table.scale, table.widths
     mode_id = model.mode_id
@@ -369,23 +430,19 @@ def solve_ilp(
     end = ((1 << n) - mode_id.k2) << d_max
     log2 = math.log2
     psum, hsum = table.psum, table.hsum
-    pieces_at, candidates = table.pieces_at, table.candidates
+    cost_order, candidates = prices.cost_order, table.candidates
 
     full_mask = (1 << m) - 1
-    nodes = 0
+    nodes = bounded = 0
     # A state's node is None at the start, else (parent node, symbol,
     # depth, link index); g accumulates p * (depth + link cost).
     best = None  # the cheapest tree so far, (g, node)
     cutoff = math.inf if below is None else below
 
-    heap: list = []
+    # Heap entries are (bound, tie, x, used, g, node, stream, t): a state
+    # when ``stream`` is None, else the children not yet made of one
+    # candidate of the state's expansion, from row t of its cost order on.
     heappush, heappop = heapq.heappush, heapq.heappop
-
-    def push_child(group: tuple, i: int) -> None:
-        kids, x, used, node = group
-        f2, seq2, g2, sym, d, idx = kids[i]
-        heappush(heap, (f2, seq2, x + (widths[idx] << (d_max - d)), used | (1 << sym), g2,
-                        (node, sym, d, idx), group, i))
 
     # A state's lower bound on the cost still to come: the entropy of the
     # unplaced probabilities over the log share of the interval left to
@@ -394,19 +451,44 @@ def solve_ilp(
     p_total = psum[full_mask]
     ent = hsum[full_mask] + p_total * (
         log2(p_total) - log2((end - start) / scale) + alpha_min)
-    heap.append((max(ent, p_total * min_cost) - BOUND_SLACK, 0, start, 0, 0.0, None, None, 0))
-    seq = 0
+    heap: list = [(max(ent, p_total * min_cost) - BOUND_SLACK, 0, start, 0, 0.0, None, None, 0)]
+    ties = 1  # the next expansion's first tie key
     closed: dict[tuple[int, int], float] = {}
     while heap:
-        f, _, x, used, g, node, group, i = heappop(heap)
+        f, tie, x, used, g, node, stream, t = heappop(heap)
+        if stream is not None:
+            # make the stream's children, each dropped against the cutoff
+            # of its expansion, while the stream stays the heap's least
+            # entry; f bounds every child left, so none was due before
+            (depths, idxs, _), costs, order, rest, sym, p, cut, h_total, p_total, \
+                log_p, floor = stream
+            while True:
+                j = order[t]
+                d, idx = depths[j], idxs[j]
+                x2 = x + (widths[idx] << (d_max - d))
+                ent = h_total + p_total * (log_p - log2((end - x2) / scale) + alpha_min)
+                g2 = g + p * costs[j]
+                f2 = g2 + ((floor if floor > ent else ent) - BOUND_SLACK)
+                bounded += 1
+                if f2 < cut:
+                    heappush(heap, (f2, tie + 1 + j, x2, used | (1 << sym), g2,
+                                    (node, sym, d, idx), None, 0))
+                t += 1
+                if t == len(order):
+                    break
+                f = (g + p * costs[order[t]]) + rest
+                if f >= cut:
+                    break
+                if heap and heap[0][:2] < (f, tie):
+                    heappush(heap, (f, tie, x, used, g, node, stream, t))
+                    break
+            continue
         nodes += 1
         if nodes > node_budget:
             raise ResourceLimitError(f"node budget {node_budget} exhausted "
                                      f"for mode ({mode_id.k1}, {mode_id.k2})")
         if f >= cutoff:
             break
-        if group is not None and i + 1 < len(group[0]):
-            push_child(group, i + 1)
         state = (x, used)
         prev = closed.get(state)
         if prev is not None and prev <= g:
@@ -416,32 +498,48 @@ def solve_ilp(
             # the last piece ends at ``end`` and the tree costs f = g < cutoff
             best, cutoff = (g, node), g - 1e-15
             continue
-        depths, idxs, room_logs = pieces_at(x, end, (full_mask ^ used).bit_count() - 1)
-        kids = []
-        for sym in candidates(used):
+        rem_after = (full_mask ^ used).bit_count() - 1
+        pieces, costs, order = cost_order(x, end, rem_after)
+        if not order:
+            continue
+        # child j of candidate i takes tie key base + i * stride + 1 + j
+        # and its stream base + i * stride: keys rise with candidate and
+        # piece, and lie above every earlier expansion's
+        base, stride = ties, len(order) + 1
+        cands = candidates(used)
+        ties += len(cands) * stride
+        if not rem_after:
+            # the last symbol: a child's bound is its cost, ascending here
+            (sym,) = cands
+            p = probs[sym]
+            depths, idxs, _ = pieces
+            for j in order:
+                g2 = g + p * costs[j]
+                bounded += 1
+                if g2 >= cutoff:
+                    break
+                d, idx = depths[j], idxs[j]
+                heappush(heap, (g2, base + 1 + j, end, full_mask, g2, (node, sym, d, idx),
+                                None, 0))
+            continue
+        cost, room_log = costs[order[0]], pieces[2]
+        for sym in cands:
             p = probs[sym]
             left = full_mask ^ used ^ (1 << sym)
-            if not left:
-                for d, idx in zip(depths, idxs):
-                    g2 = g + p * (d + flat[idx])
-                    if g2 < cutoff:
-                        seq += 1
-                        kids.append((g2, seq, g2, sym, d, idx))
-                continue
-            # the same bound at the piece's end, the symbol's terms hoisted;
-            # the conditional is max(ent, floor) without the call
+            # the bound at a piece's end with the symbol's terms hoisted;
+            # at the largest room log of the pieces it bounds the rest of
+            # every child, so the cheapest child left bounds them all
             p_total, h_total = psum[left], hsum[left]
             log_p, floor = log2(p_total), p_total * min_cost
-            for d, idx, room_log in zip(depths, idxs, room_logs):
-                ent = h_total + p_total * (log_p - room_log + alpha_min)
-                g2 = g + p * (d + flat[idx])
-                f2 = g2 + ((floor if floor > ent else ent) - BOUND_SLACK)
-                if f2 < cutoff:
-                    seq += 1
-                    kids.append((f2, seq, g2, sym, d, idx))
-        if kids:
-            kids.sort()
-            push_child((kids, x, used, node), 0)
+            ent = h_total + p_total * (log_p - room_log + alpha_min)
+            rest = (floor if floor > ent else ent) - BOUND_SLACK
+            f2 = (g + p * cost) + rest
+            if f2 < cutoff:
+                heappush(heap, (f2, base, x, used, g, node,
+                                (pieces, costs, order, rest, sym, p, cutoff, h_total, p_total,
+                                 log_p, floor), 0))
+            base += stride
+    prices.bounded += bounded
 
     if best is None:
         if below is None:
@@ -463,6 +561,7 @@ def solve_ilp(
         codewords[sym] = BitString(d, x >> (n + d_max - d))
         links[sym] = idx
         x += widths[idx] << (d_max - d)
+    flat = prices.flat
     recomputed = sum(probs[s] * (codewords[s].length + flat[links[s]]) for s in range(m))
     solution = TreeSolution(tuple(codewords), tuple(links), float(recomputed), order)
     bad = check_assignment(model, solution)

@@ -1,3 +1,4 @@
+import gc
 import heapq
 import itertools
 import logging
@@ -5,6 +6,7 @@ import math
 import random
 import re
 import tracemalloc
+from functools import cache, partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +30,7 @@ from aifv.builder import BuildConfig, construct, default_depth
 from aifv.optimizer import (
     BOUND_SLACK,
     ModelError,
+    PieceTable,
     ResourceLimitError,
     SearchTable,
     TreeSolution,
@@ -37,6 +40,7 @@ from aifv.optimizer import (
     decode_solution,
     initial_costs,
     link_prices,
+    piece_table,
     solve_ilp,
 )
 from aifv.splits import brute_force_binary, full_split_table, interval_split_table
@@ -70,6 +74,12 @@ def family_links(n, aifvm):
     return aifvm_link_ids(n) if aifvm else enumerate_continuous_ids(n)
 
 
+def search_table(n, d_max, links, probs):
+    """The search table of one build over ``links``, its pieces read
+    from the process's piece table."""
+    return SearchTable(piece_table(n, d_max, tuple(links)), probs)
+
+
 def priced(table, costs):
     """Prices for ``table`` from a cost per link id."""
     return link_prices(table, [costs[cid] for cid in table.links])
@@ -77,7 +87,7 @@ def priced(table, costs):
 
 def tree_model(n, mode_id, probs, costs, d_max, aifvm=False):
     """One tree's model, priced for it alone."""
-    return build_ilp(mode_id, priced(SearchTable(n, d_max, family_links(n, aifvm), probs), costs))
+    return build_ilp(mode_id, priced(search_table(n, d_max, family_links(n, aifvm), probs), costs))
 
 
 def link_ids(model, solution):
@@ -477,7 +487,7 @@ def test_split_minimum_is_the_tree_search(n, aifvm, p0, pool, on_start, extra_de
     costs = [rng.choice(pool) + (id_cost[cid] if on_start else 0.0) for cid in links]
     below = None if cutoffs is None else [rng.choice(cutoffs) for _ in links]
     table = interval_split_table(n, d_max, tuple(links))
-    prices = link_prices(SearchTable(n, d_max, links, probs), costs)
+    prices = link_prices(search_table(n, d_max, links, probs), costs)
     try:
         choice, objective = brute_force_binary(table, probs, costs, below)
     except ValueError as e:
@@ -518,6 +528,50 @@ def test_a_second_binary_build_builds_no_split_table():
     construct((0.6, 0.4), BuildConfig(n=4, max_depth=default_depth(2, 4)))
     assert interval_split_table.cache_info().misses == info.misses
     assert interval_split_table.cache_info().hits == info.hits + 2
+
+
+def test_a_second_search_build_fills_no_piece_list():
+    """The pieces of a build over three or more symbols come from one
+    piece table per process and (delay, depth bound, links): a second
+    build of the same source finds every piece list it reads already
+    there, and a build of another source adds to the same lists."""
+    probs = sources_polynomial(5)[2]
+    construct(probs, BuildConfig(n=2))
+    info = piece_table.cache_info()
+    table = piece_table(2, default_depth(5, 2), tuple(enumerate_continuous_ids(2)))
+    filled = dict(table.piece_lists)
+    construct(probs, BuildConfig(n=2, max_depth=default_depth(5, 2)))
+    assert filled and table.piece_lists == filled
+    assert all(table.piece_lists[key] is lists for key, lists in filled.items())
+    construct(sources_polynomial(5)[0], BuildConfig(n=2))
+    assert table.piece_lists.keys() >= filled.keys()
+    assert piece_table.cache_info().misses == info.misses
+    assert piece_table.cache_info().hits == info.hits + 3
+
+
+def test_six_quinary_builds_keep_only_their_piece_tables():
+    """The simulation's six builds (P0-P2 at N=2 and 3), from an empty
+    piece store, leave under 4 MB allocated: the two piece tables and no
+    iteration's cost orders (measured: 1.3 MB in 583 and 2052 lists; the
+    orders of every iteration, kept, would add 9 MB)."""
+    fresh = cache(piece_table.__wrapped__)
+    tracing = tracemalloc.is_tracing()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(aifv.builder, "piece_table", fresh)
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for n in (2, 3):
+                for probs in sources_polynomial(5):
+                    construct(probs, BuildConfig(n=n))
+            gc.collect()  # free lists hold what the builds let go
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+    assert fresh.cache_info().currsize == 2
+    assert kept < 4_000_000
 
 
 def test_split_table_memory_at_delay_6():
@@ -624,7 +678,7 @@ def test_solver_output_satisfies_reference_model(n, aifvm, weights, extra_depth,
     costs = {cid: c0 + bumps[i % len(bumps)]
              for i, (cid, c0) in enumerate(id_costs(n).items())}
     links = family_links(n, aifvm)
-    prices = priced(SearchTable(n, n + 2 + extra_depth, links, probs), costs)
+    prices = priced(search_table(n, n + 2 + extra_depth, links, probs), costs)
     for cid in links:
         model = build_ilp(cid, prices)
         sol = solve_ilp(model)
@@ -636,14 +690,14 @@ def test_solver_output_satisfies_reference_model(n, aifvm, weights, extra_depth,
 
 
 def test_build_ilp_guards():
-    """The table checks the problem's shape once, the prices their
+    """The tables check the problem's shape once, the prices their
     length, and each tree model its mode."""
-    links = enumerate_continuous_ids(2)
+    links = tuple(enumerate_continuous_ids(2))
     with pytest.raises(ValueError, match="one probability per symbol"):
-        SearchTable(2, 4, links, ())
+        SearchTable(piece_table(2, 4, links), ())
     with pytest.raises(ValueError, match="depth bound"):
-        SearchTable(2, 0, links, (1.0,))
-    table = SearchTable(2, 4, links, (1.0,))
+        piece_table(2, 0, links)
+    table = SearchTable(piece_table(2, 4, links), (1.0,))
     for count in (3, 5):
         with pytest.raises(ValueError, match=f"^{count} costs given for 4 links$"):
             link_prices(table, [0.0] * count)
@@ -658,11 +712,13 @@ def test_build_ilp_guards():
 # solve and the pieces enumerated and filtered per (state, symbol)
 
 
-def solve_ilp_reference(model, node_budget=10_000_000):
+def solve_ilp_reference(model, node_budget=10_000_000, below=None):
     """The branch-and-bound written without shared prices: every link is
     priced for this tree alone, and every piece that ends inside the
     interval is generated for each symbol, then filtered by the room
-    left for the other symbols."""
+    left for the other symbols.  With ``below``, states and children
+    bounded at or above it are cut until a tree is found, and None
+    means no tree costs less."""
     table = model.prices.table
     n, d_max, probs = table.n, table.d_max, table.probs
     m = len(probs)
@@ -741,6 +797,12 @@ def solve_ilp_reference(model, node_budget=10_000_000):
             raise ResourceLimitError(f"node budget {node_budget} exhausted")
 
     best = None
+
+    def limit():
+        if best is not None:
+            return best[0] - 1e-15
+        return math.inf if below is None else below
+
     heap = []
     seq = 0
     heapq.heappush(heap, (lower_bound(start, full_mask), seq, start, 0, 0.0, ()))
@@ -748,7 +810,7 @@ def solve_ilp_reference(model, node_budget=10_000_000):
     while heap:
         f, _, x, used, g, path = heapq.heappop(heap)
         spend()
-        if best is not None and f >= best[0] - 1e-15:
+        if f >= limit():
             break
         state = (x, used)
         prev = closed.get(state)
@@ -771,12 +833,14 @@ def solve_ilp_reference(model, node_budget=10_000_000):
                     continue
                 g2 = g + probs[sym] * cost
                 f2 = g2 + lower_bound(pe, left)
-                if best is not None and f2 >= best[0] - 1e-15:
+                if f2 >= limit():
                     continue
                 seq += 1
                 heapq.heappush(heap, (f2, seq, pe, new_used, g2, path + ((sym, d, v, k1, k2),)))
 
     if best is None:
+        if below is not None:
+            return None
         raise ModelError(f"no feasible tree for mode {model.mode_id}")
     objective, path = best
     order = [sym for sym, *_ in path]
@@ -841,11 +905,13 @@ def drawn_prices(table, pool, on_start, seed):
     return priced(table, costs)
 
 
-def case_table(n, aifvm, weights, links=None):
-    """A fresh search table of one drawn case of ``REFERENCE_CASES``,
-    its links in the family's order unless ``links`` are given."""
+def case_table(n, aifvm, weights, links=None, fresh=False):
+    """A search table of one drawn case of ``REFERENCE_CASES``, its links
+    in the family's order unless ``links`` are given; its pieces come
+    from the process's piece table, or with ``fresh`` from an empty one."""
     probs = tuple(w / sum(weights) for w in weights)
-    return SearchTable(n, n + 2, family_links(n, aifvm) if links is None else links, probs)
+    links = tuple(family_links(n, aifvm) if links is None else links)
+    return SearchTable((PieceTable if fresh else piece_table)(n, n + 2, links), probs)
 
 
 def reference_models(n, aifvm, weights, pool, on_start, seed):
@@ -892,25 +958,77 @@ def test_solve_below_a_cutoff_matches_the_cold_solve(n, aifvm, weights, pool, on
             assert check_assignment(model, warm) == []
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 3),
+    aifvm=st.booleans(),
+    weights=st.lists(st.integers(1, 3), min_size=5, max_size=6)
+    | st.lists(st.integers(1, 1000), min_size=5, max_size=6, unique=True),
+    extra_depth=st.integers(0, 6),
+    pool=REFERENCE_CASES["pool"],
+    on_start=st.booleans(),
+    seed=st.integers(0, 2 ** 16),
+    pick=st.integers(0, 2 ** 16),
+    offset=st.sampled_from([None, 0.5, -1e-9]),
+)
+def test_solver_matches_reference_at_five_and_six_symbols(n, aifvm, weights, extra_depth, pool,
+                                                         on_start, seed, pick, offset):
+    """The simulation's alphabet and one symbol more, with tied and with
+    distinct weights: cold, and below a cutoff just above or below the
+    optimum, the search returns the reference's tree, or None where it
+    does, its objective bit for bit, and spends its least node budget."""
+    probs = tuple(w / sum(weights) for w in weights)
+    table = search_table(n, n + 2 + extra_depth, family_links(n, aifvm), probs)
+    prices = drawn_prices(table, pool, on_start, seed)
+    model = build_ilp(table.links[pick % len(table.links)], prices)
+    below = None if offset is None else solve_ilp_reference(model).objective + offset
+    got, want = solve_ilp(model, below=below), solve_ilp_reference(model, below=below)
+    if want is None:
+        assert got is None and offset < 0
+    else:
+        assert (got.codewords, got.links, got.order, got.objective) == (
+            want.codewords, want.links, want.order, want.objective)
+    budget = least_budget(partial(solve_ilp, below=below), model)
+    solve_ilp_reference(model, node_budget=budget, below=below)
+    with pytest.raises(ResourceLimitError):
+        solve_ilp_reference(model, node_budget=budget - 1, below=below)
+
+
+@pytest.mark.parametrize("d_max", [3, 4])
+def test_a_stream_drops_children_against_the_cutoff_of_its_expansion(d_max):
+    """Four equal symbols at delay 1, below a cutoff 0.1 above the
+    optimum: the tree the search completes lowers the cutoff under
+    children its streams have yet to make.  The search that holds every
+    child pops one of them and stops there; a stream that dropped them
+    against the lowered cutoff would empty the heap one node earlier."""
+    table = search_table(1, d_max, [ContinuousModeId(0, 0)], (0.25,) * 4)
+    model = build_ilp(ContinuousModeId(0, 0), link_prices(table, [1.0]))
+    below = solve_ilp_reference(model).objective + 0.1
+    budget = least_budget(partial(solve_ilp, below=below), model)
+    assert budget == least_budget(partial(solve_ilp_reference, below=below), model) == 6
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(**REFERENCE_CASES, other_seed=st.integers(0, 2 ** 16), pick=st.integers(0, 2 ** 16),
        offset=st.sampled_from([None, 0.5, -1e-9]))
 def test_shared_table_solves_like_a_fresh_one(n, aifvm, weights, pool, on_start, seed,
                                               other_seed, pick, offset):
     """A solve through a table that the other modes of the build have
-    filled, under other prices, returns what a solve with a fresh table
-    returns, cold or below a cutoff, and spends the same nodes."""
+    filled, under other prices, returns what a solve with a fresh table,
+    its piece table empty, returns, cold or below a cutoff, and spends
+    the same nodes."""
     table = case_table(n, aifvm, weights)
     mode_id = table.links[pick % len(table.links)]
     other = drawn_prices(table, pool, not on_start, other_seed)
     for cid in table.links:
         if cid != mode_id:
             solve_ilp(build_ilp(cid, other))
-    filled = len(table.piece_lists)
+    filled = len(table.pieces.piece_lists)
     model = build_ilp(mode_id, drawn_prices(table, pool, on_start, seed))
 
     def fresh_model():
-        return build_ilp(mode_id, drawn_prices(case_table(n, aifvm, weights), pool, on_start, seed))
+        return build_ilp(mode_id, drawn_prices(case_table(n, aifvm, weights, fresh=True), pool,
+                                               on_start, seed))
 
     below = None if offset is None else solve_ilp(fresh_model()).objective + offset
 
@@ -922,7 +1040,7 @@ def test_shared_table_solves_like_a_fresh_one(n, aifvm, weights, pool, on_start,
 
     assert shared(model) == fresh(model)
     assert least_budget(shared, model) == least_budget(fresh, model)
-    assert len(table.piece_lists) >= filled
+    assert len(table.pieces.piece_lists) >= filled
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -930,19 +1048,19 @@ def test_shared_table_solves_like_a_fresh_one(n, aifvm, weights, pool, on_start,
 def test_shuffled_links_give_the_same_pieces_and_trees(n, aifvm, weights, pool, on_start, seed):
     """A table given its links in another order yields the same pieces,
     read through its links, and solves every mode to the same tree."""
-    ordered = case_table(n, aifvm, weights)
+    ordered = case_table(n, aifvm, weights, fresh=True)
     links = list(ordered.links)
     random.Random(seed).shuffle(links)
-    shuffled = case_table(n, aifvm, weights, links)
+    shuffled = case_table(n, aifvm, weights, links, fresh=True)
     prices = [drawn_prices(t, pool, on_start, seed) for t in (ordered, shuffled)]
     for cid in ordered.links:
         a, b = (solve_ilp(build_ilp(cid, p)) for p in prices)
         assert (a.codewords, a.order, a.objective) == (b.codewords, b.order, b.objective)
         assert [ordered.links[i] for i in a.links] == [shuffled.links[i] for i in b.links]
-    assert ordered.piece_lists.keys() == shuffled.piece_lists.keys()
-    for key, (depths, idxs, room_logs) in ordered.piece_lists.items():
-        depths2, idxs2, room_logs2 = shuffled.piece_lists[key]
-        assert (depths, room_logs) == (depths2, room_logs2)
+    assert ordered.pieces.piece_lists.keys() == shuffled.pieces.piece_lists.keys()
+    for key, (depths, idxs, room_log) in ordered.pieces.piece_lists.items():
+        depths2, idxs2, room_log2 = shuffled.pieces.piece_lists[key]
+        assert (depths, room_log) == (depths2, room_log2)
         assert [ordered.links[i] for i in idxs] == [shuffled.links[i] for i in idxs2]
 
 
@@ -1008,12 +1126,14 @@ def test_iteration_debug_lines_account_for_every_solve(caplog):
     solved tree is placed (first iteration), kept or replaced, every mode
     is solved or mirrored, and the chain has at least one absorbing
     block.  A binary build reads one split table, whose size each line
-    gives; a build over more symbols searches one tree per solved mode,
-    and its shared piece lists only grow."""
+    gives, and bounds no child; a build over more symbols searches one
+    tree per solved mode, its shared piece lists only grow, and each line
+    gives the children that iteration's searches bounded, as counted on
+    its prices."""
     for p, n, binary in (((0.9, 0.1), 4, True), (sources_polynomial(5)[2], 2, False)):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="aifv.builder"):
-            _, solved_models, minima, report = recorded_build(p, n)
+            made, solved_models, minima, report = recorded_build(p, n)
         messages = [r.getMessage() for r in caplog.records
                     if r.name == "aifv.builder" and r.levelno == logging.DEBUG]
         assert all(message.startswith("iteration=") for message in messages)
@@ -1030,14 +1150,17 @@ def test_iteration_debug_lines_account_for_every_solve(caplog):
         assert all(c["placed"] == 0 for c in counts[1:])
         piece_lists = [c["piece_lists"] for c in counts]
         splits = [c["splits"] for c in counts]
+        bounded = [c["bounded"] for c in counts]
         if binary:
             assert sum(c["kept"] for c in counts) > sum(c["replaced"] for c in counts) > 0
             assert piece_lists == [0] * len(lines) and solved_models == []
             assert splits == [len(table) for table, _ in minima] and splits[0] > 0
+            assert bounded == [0] * len(lines)
         else:
             assert sum(c["solved"] for c in counts) == len(solved_models)
             assert piece_lists[0] > 0 and piece_lists == sorted(piece_lists)
             assert splits == [0] * len(lines) and minima == []
+            assert bounded == [prices.bounded for prices in made] and min(bounded) > 0
 
 
 def test_solver_matches_reference_on_build_costs(n4_build):
@@ -1049,7 +1172,7 @@ def test_solver_matches_reference_on_build_costs(n4_build):
     d_max = default_depth(2, 4)
     links = enumerate_continuous_ids(4)
     for table, costs in minima:
-        prices = link_prices(SearchTable(4, d_max, links, probs), costs)
+        prices = link_prices(search_table(4, d_max, links, probs), costs)
         choice, objective = brute_force_binary(table, probs, costs)
         for i, cid in enumerate(links):
             model = build_ilp(cid, prices)
