@@ -51,11 +51,11 @@ def extended_huffman(p, order: int) -> float:
         raise ValueError("block order must be at least 1")
     if m ** order > 10 ** 6:
         raise ValueError("block alphabet too large")
-    blocks = list(itertools.product(range(m), repeat=order))
-    block_probs = [1.0 for _ in blocks]
-    for i, block in enumerate(blocks):
-        for s in block:
-            block_probs[i] *= probs[s]
+    # block probabilities in itertools.product order, each the product
+    # 1.0 * p[s1] * ... * p[s_order] taken left to right
+    block_probs = [1.0]
+    for _ in range(order):
+        block_probs = [q * x for q in block_probs for x in probs]
     lengths = huffman_lengths(tuple(block_probs))
     return sum(q * ln for q, ln in zip(block_probs, lengths)) / order
 
@@ -342,11 +342,12 @@ def _check_rows(sources, *lists) -> None:
             seen.add(value)
 
 
-def _forest_for(label_cache, dist, family, n, tolerance, max_depth):
+def _build_for(label_cache, dist, family, n, tolerance, max_depth):
+    """The forest and report of one build, made once per call's cache."""
     key = (dist.probs, family, n)
     if key not in label_cache:
         cfg = BuildConfig(n=n, family=family, tolerance=tolerance, max_depth=max_depth)
-        label_cache[key] = construct(dist.probs, cfg)[0]
+        label_cache[key] = construct(dist.probs, cfg)
     return label_cache[key]
 
 
@@ -368,8 +369,10 @@ def run_theoretical(cfg: TheoreticalRun) -> list[ExperimentRow]:
         for kind, family, values in (("aifv", "continuous", cfg.aifv_delays),
                                      ("aifvm", "aifvm", cfg.aifvm_orders)):
             for value in values:
-                forest = _forest_for(cache, dist, family, value, cfg.tolerance, cfg.max_depth)
-                length = expected_code_length(forest, dist.probs)
+                forest, report = _build_for(cache, dist, family, value, cfg.tolerance,
+                                            cfg.max_depth)
+                # the build checked its forest's length and reports it
+                length = report.expected_len
                 rows.append(ExperimentRow(label, f"{kind}-{value}", value,
                                           folded_codebook_size(forest), 0, 0, 0,
                                           length, h, relative_redundancy(length, h)))
@@ -412,7 +415,7 @@ def run_simulation(cfg: SimulationRun) -> list[ExperimentRow]:
         for kind, family, values in (("aifv", "continuous", cfg.aifv_delays),
                                      ("aifvm", "aifvm", cfg.aifvm_orders)):
             for value in values:
-                forest = _forest_for(cache, dist, family, value, cfg.tolerance, cfg.max_depth)
+                forest = _build_for(cache, dist, family, value, cfg.tolerance, cfg.max_depth)[0]
                 forests.append((f"{kind}-{value}", value, folded_codebook_size(forest), forest))
         # (name, N or m, codebook size, length walk, encoder, decoder, bits per text item)
         coders = [(name, n_or_m, book, partial(encoded_lengths, forest),

@@ -15,13 +15,14 @@ improve.
 
 from __future__ import annotations
 
-import heapq
 import logging
 import math
+import operator
 import time
+from collections import deque
 from dataclasses import dataclass, replace
-from functools import partial
-from typing import Callable
+from functools import cache, partial
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,7 +36,14 @@ from .markov import (
     transition_matrix,
     worst_block_invariant,
 )
-from .modes import Mode, basic_family, enumerate_continuous_ids, flip_mode, mode_from_id
+from .modes import (
+    ContinuousModeId,
+    Mode,
+    basic_family,
+    enumerate_continuous_ids,
+    flip_mode,
+    mode_from_id,
+)
 from .optimizer import (
     FAMILIES,
     INIT_RULES,
@@ -50,7 +58,7 @@ from .optimizer import (
     solve_ilp,
 )
 from .sources import as_probs
-from .splits import brute_force_binary, full_split_table, interval_split_table
+from .splits import brute_force_binary, full_split_table, interval_split_table, mode_rows
 
 log = logging.getLogger("aifv.builder")
 
@@ -133,64 +141,95 @@ def default_depth(m: int, n: int) -> int:
     return 3 * max(1, math.ceil(math.log2(m))) + n
 
 
+class ModeFamily(NamedTuple):
+    """A family's modes as every build of its delay reads them: the
+    modes, an interval family's links (``ids``, link ``i`` being mode
+    ``i``; None for the full family), each mode's mirror image (None
+    when the family is not closed under flipping), the modes a build
+    with mirror reuse solves (the lesser of each mirror pair) and each
+    mode's ``formula`` starting cost."""
+
+    modes: tuple[Mode, ...]
+    ids: tuple[ContinuousModeId, ...] | None
+    mirror: tuple[int, ...] | None
+    solved: tuple[int, ...]
+    costs: tuple[float, ...]
+
+
+@cache
+def mode_family(family: str, n: int) -> ModeFamily:
+    """The modes of ``family`` at delay ``n``, made once per process and
+    (family, delay); the full family's are :func:`basic_family`'s."""
+    if family == "full-binary":
+        modes, ids = basic_family(n)[0], None
+    else:
+        ids = tuple(enumerate_continuous_ids(n) if family == "continuous" else aifvm_link_ids(n))
+        modes = tuple(mode_from_id(n, cid) for cid in ids)
+    # index 0 must be the empty-string mode: it anchors the encoder
+    if modes[0].words != frozenset({EMPTY}):
+        raise AssertionError("canonical ordering must put the empty mode first")
+    per_words = {m.words: i for i, m in enumerate(modes)}
+    mirror = tuple(per_words.get(flip_mode(m).words) for m in modes)
+    if None in mirror:
+        mirror = None  # family not closed under flipping
+    solved = tuple(range(len(modes)) if mirror is None else
+                   (i for i, j in enumerate(mirror) if j >= i))
+    return ModeFamily(modes, ids, mirror, solved, tuple(initial_costs(modes)))
+
+
 class _Family:
     """A fixed mode family plus its tree solver: for a binary alphabet
-    the split table of every mode (``splits``), otherwise the search
+    the split table of every mode (``splits``) and of the modes a build
+    with mirror reuse solves (``solved_splits``), otherwise the search
     table every tree solve of the build shares (``table``)."""
 
     def __init__(self, cfg: BuildConfig, probs: tuple[float, ...]):
         self.cfg = cfg
         self.probs = probs
         n = cfg.n
-        self.table = self.splits = None
+        self.table = self.splits = self.solved_splits = None
         self.bounded = 0  # children the last iteration's tree searches bounded
+        self.priced = 0  # splits the last iteration's split minimum priced
         if cfg.family == "full-binary":
             if len(probs) != 2:
                 raise BuildError("the full basic family is solvable for binary alphabets only")
             if n > 3:
                 raise BuildError("full basic family supported for delays 1..3")
-            self.modes = basic_family(n)[0]
+        family = mode_family(cfg.family, n)
+        self.modes, self.mirror, self.solved = family.modes, family.mirror, family.solved
+        self.starting_costs = family.costs
+        if cfg.family == "full-binary":
             self.splits = full_split_table(n)
         else:
-            ids = enumerate_continuous_ids(n) if cfg.family == "continuous" else aifvm_link_ids(n)
-            self.modes = [mode_from_id(n, cid) for cid in ids]
             depth = default_depth(len(probs), n) if cfg.max_depth is None else cfg.max_depth
             # link i of the table is mode i of the family
             if len(probs) == 2:
-                self.splits = interval_split_table(n, depth, tuple(ids))
+                self.splits = interval_split_table(n, depth, family.ids)
             else:
-                self.table = SearchTable(piece_table(n, depth, tuple(ids)), probs)
-        # index 0 must be the empty-string mode: it anchors the encoder
-        if self.modes[0].words != frozenset({EMPTY}):
-            raise AssertionError("canonical ordering must put the empty mode first")
-        self.mirror = self._mirror_map()
-
-    def _mirror_map(self) -> list[int] | None:
-        per_words = {m.words: i for i, m in enumerate(self.modes)}
-        out = []
-        for m in self.modes:
-            j = per_words.get(flip_mode(m).words)
-            if j is None:
-                return None  # family not closed under flipping
-            out.append(j)
-        return out
+                self.table = SearchTable(piece_table(n, depth, family.ids), probs)
+        self.mirror_index = None if self.mirror is None else np.array(self.mirror)
+        if self.splits is not None and self.mirror is not None:
+            self.solved_splits = mode_rows(self.splits, self.solved)
 
     def initial_cost_vector(self) -> np.ndarray:
         if self.cfg.init == "huffman-floor":
-            return np.array([0.0 if m.words == frozenset({EMPTY}) else HUFFMAN_FLOOR_COST
-                             for m in self.modes])
-        return np.array(initial_costs(self.modes))
+            # every mode but the empty-string mode, mode 0, costs the floor
+            costs = np.full(len(self.modes), HUFFMAN_FLOOR_COST)
+            costs[0] = 0.0
+            return costs
+        return np.array(self.starting_costs)
 
     def solve_trees(
-        self, todo: list[int], costs: np.ndarray, below: list[float] | None
+        self, todo: Sequence[int], costs: np.ndarray, below: list[float] | None
     ) -> list[tuple[float, Callable[[], CodeTree]] | None]:
-        """The optimal cost of each mode in ``todo`` and a call that makes
-        its tree, so that a caller keeping its previous tree makes none.
-        With ``below``, a mode's entry is None when no tree costs less
-        than its cutoff; the full family takes no cutoff.  A binary
-        family's trees come from one minimum over its split table, the
-        others' from one tree search each, all against one iteration's
-        prices."""
+        """The optimal cost of each mode in ``todo`` (every mode, or the
+        family's ``solved`` modes) and a call that makes its tree, so
+        that a caller keeping its previous tree makes none.  With
+        ``below``, a mode's entry is None when no tree costs less than
+        its cutoff; the full family takes no cutoff.  A binary family's
+        trees come from one minimum over the split table of the modes in
+        ``todo``, the others' from one tree search each, all against one
+        iteration's prices."""
         if self.splits is None:
             prices = link_prices(self.table, costs)
             out = []
@@ -200,17 +239,17 @@ class _Family:
                            (sol.objective, partial(decode_solution, sol, self.modes[i])))
             self.bounded = prices.bounded
             return out
-        cutoffs = None
-        if below is not None and self.cfg.family != "full-binary":
-            cutoffs = np.full(len(self.modes), math.inf)
-            cutoffs[todo] = below
-        choice, objective = brute_force_binary(self.splits, self.probs, costs, cutoffs)
-        return [None if choice[i] < 0 else
-                (float(objective[i]), partial(self.splits.tree, int(choice[i]), self.modes[i]))
-                for i in todo]
+        table = self.splits if len(todo) == len(self.modes) else self.solved_splits
+        if self.cfg.family == "full-binary":
+            below = None
+        choice, objective = brute_force_binary(table, self.probs, costs, below)
+        self.priced = len(table)
+        return [None if choice[pos] < 0 else
+                (float(objective[pos]), partial(table.tree, int(choice[pos]), self.modes[i]))
+                for pos, i in enumerate(todo)]
 
 
-def _mirror_pins_consistent(blocks, mirror: list[int]) -> bool:
+def _mirror_pins_consistent(blocks, mirror: Sequence[int]) -> bool:
     """True when every mirror-paired absorption block pins mirrored trees,
     which keeps the updated cost vector exactly mirror-symmetric."""
     for j in range(blocks.n_absorbing):
@@ -231,18 +270,24 @@ def construct(p, cfg: BuildConfig) -> tuple[CodeForest, OptimalityReport]:
     then emits the best-performing absorption block, reindexed with the
     empty-string mode at tree 0.
 
-    From the second iteration on, each tree solve starts from the cost of
-    the mode's previous tree under the new prices, less ``RETAIN_EPS``,
-    and keeps that tree unless the solve returns a cheaper one.  A binary
-    build solves all of an iteration's trees by one minimum over its
-    family's split table; any other build runs one tree search per mode,
-    all sharing one :class:`SearchTable` and the process's piece table.
+    The family's modes, mirror map and starting costs are made once per
+    process (:func:`mode_family`).  From the second iteration on, each
+    tree solve starts from the cost of the mode's previous tree under
+    the new prices, less ``RETAIN_EPS``, and keeps that tree unless the
+    solve returns a cheaper one.  A binary build solves all of an
+    iteration's trees by one minimum over the split table of the modes
+    it solves; any other build runs one tree search per mode, all
+    sharing one :class:`SearchTable` and the process's piece table.
+    A kept tree keeps its expected codeword length, and an iteration
+    that keeps every tree makes no Markov pass: the update is a function
+    of the forest and the source alone, so it would return the last
+    blocks, lbars and costs bit for bit, and the build converges there.
     Each iteration logs one ``AIFV_LOG=DEBUG`` line: trees solved,
     mirrored, placed (first iteration), kept and replaced, the piece
-    lists in the process's piece table so far, the splits in the split
-    table, the children the iteration's tree searches bounded, the
-    seconds spent in tree solves and in the Markov layer, and the chain's
-    blocks and absorbing blocks.
+    lists in the process's piece table so far, the splits the split
+    minimum priced, the children the iteration's tree searches bounded,
+    the seconds spent in tree solves and in the Markov layer (0 when no
+    pass was made), and the chain's blocks and absorbing blocks.
 
     The full basic family's F-optimum is G-optimal, so for
     ``family="full-binary"`` the report's ``g_checked`` is whether the
@@ -259,18 +304,19 @@ def construct(p, cfg: BuildConfig) -> tuple[CodeForest, OptimalityReport]:
     converged = False
 
     prev_trees: list[CodeTree] | None = None
+    lengths: list[float] = []
     for iteration in range(1, cfg.max_iterations + 1):
         trees = [None] * k
         solve_s = time.perf_counter()
-        todo = [i for i in range(k) if not reuse or fam.mirror[i] >= i]
+        todo = fam.solved if reuse else range(k)
         if prev_trees is None:
             prev_objs = below = None
         else:
             # Python floats: the search compares the cutoff in its inner loop
-            prev_objs = [float(sum(
-                probs[s] * (prev_trees[i].codewords[s].length + costs[prev_trees[i].links[s]])
-                for s in range(len(probs))
-            )) for i in todo]
+            flat = costs.tolist()
+            prev_objs = [sum(probs[s] * (t.codewords[s].length + flat[t.links[s]])
+                             for s in range(len(probs)))
+                         for t in map(prev_trees.__getitem__, todo)]
             below = [obj - RETAIN_EPS for obj in prev_objs]
         kept = replaced = 0
         for pos, (i, found) in enumerate(zip(todo, fam.solve_trees(todo, costs, below))):
@@ -292,27 +338,32 @@ def construct(p, cfg: BuildConfig) -> tuple[CodeForest, OptimalityReport]:
         solve_s = time.perf_counter() - solve_s
         solved = len(todo)
         placed = solved if prev_trees is None else 0
+        unchanged = prev_trees is not None and all(map(operator.is_, trees, prev_trees))
+        if unchanged:
+            # the last pass's blocks, lbars and (updated) costs stand
+            new_costs, markov_s = costs, 0.0
+        else:
+            lengths = [lengths[i] if prev_trees is not None and t is prev_trees[i] else
+                       sum(cw.length * probs[s] for s, cw in enumerate(t.codewords))
+                       for i, t in enumerate(trees)]
+            markov_s = time.perf_counter()
+            chain = transition_matrix(CodeForest(tuple(trees), cfg.n), probs)
+            blocks = block_decompose(chain)
+            pis = stationary(chain, blocks)
+            new_costs, lbars, j_star = cost_update_general(lengths, chain, blocks, pis)
+            markov_s = time.perf_counter() - markov_s
         prev_trees = trees
-        forest_all = CodeForest(tuple(trees), cfg.n)
-        lengths = [sum(cw.length * probs[s] for s, cw in enumerate(t.codewords))
-                   for t in trees]
-        markov_s = time.perf_counter()
-        chain = transition_matrix(forest_all, probs)
-        blocks = block_decompose(chain)
-        pis = stationary(chain, blocks)
-        new_costs, lbars, j_star = cost_update_general(lengths, chain, blocks, pis)
-        markov_s = time.perf_counter() - markov_s
         log.debug("iteration=%d solved=%d mirrored=%d placed=%d kept=%d replaced=%d "
                   "piece_lists=%d splits=%d bounded=%d solve_s=%.6f markov_s=%.6f blocks=%d "
                   "absorbing=%d", iteration, solved, k - solved, placed, kept, replaced,
                   0 if fam.table is None else len(fam.table.pieces.piece_lists),
-                  0 if fam.splits is None else len(fam.splits), fam.bounded, solve_s, markov_s,
+                  fam.priced, fam.bounded, solve_s, markov_s,
                   len(blocks.blocks), blocks.n_absorbing)
-        if reuse:
+        if reuse and not unchanged:
             if _mirror_pins_consistent(blocks, fam.mirror):
                 # exact mathematics guarantees mirror symmetry here, so
                 # averaging only cancels rounding noise
-                new_costs = 0.5 * (new_costs + new_costs[np.array(fam.mirror)])
+                new_costs = 0.5 * (new_costs + new_costs[fam.mirror_index])
             else:
                 log.info("mirror pinning broke; solving all modes independently from now on")
                 reuse = False
@@ -396,18 +447,25 @@ def huffman_lengths(p) -> list[int]:
     """Optimal code lengths; likelier symbols never get longer codes
     (ties resolved by symbol index), so the assignment is deterministic."""
     probs = as_probs(p)
-    # (weight, id, symbols below): merged nodes take ids len(probs) upward
-    heap = [(w, i, (i,)) for i, w in enumerate(probs)]
-    heapq.heapify(heap)
-    depth = [0] * len(probs)
-    for next_id in range(len(probs), 2 * len(probs) - 1):
-        w1, _, a = heapq.heappop(heap)
-        w2, _, b = heapq.heappop(heap)
-        for s in a + b:
-            depth[s] += 1
-        heapq.heappush(heap, (w1 + w2, next_id, a + b))
-    out = [0] * len(probs)
-    for ln, sym in zip(sorted(depth), sorted(range(len(probs)), key=lambda s: (-probs[s], s))):
+    m = len(probs)
+    # (weight, id) nodes, merged nodes taking ids m upward.  Rounded sums
+    # of ever larger pairs never decrease, so merged nodes queue up in
+    # (weight, id) order, and the fronts of the two queues pop as one
+    # heap over every node would.
+    leaves = deque(sorted((w, i) for i, w in enumerate(probs)))
+    merged: deque[tuple[float, int]] = deque()
+    parent = [0] * (2 * m - 1)
+    for node in range(m, 2 * m - 1):
+        (w1, a), (w2, b) = [(leaves if leaves and (not merged or leaves[0] < merged[0])
+                             else merged).popleft() for _ in range(2)]
+        parent[a] = parent[b] = node
+        merged.append((w1 + w2, node))
+    # a node's parent has a larger id, so depths fill from the root down
+    depth = [0] * (2 * m - 1)
+    for node in range(2 * m - 3, -1, -1):
+        depth[node] = depth[parent[node]] + 1
+    out = [0] * m
+    for ln, sym in zip(sorted(depth[:m]), sorted(range(m), key=lambda s: (-probs[s], s))):
         out[sym] = ln
     return out
 

@@ -5,7 +5,9 @@ splits, (first piece, closing piece) pairs, depends on no price.  A
 :class:`SplitTable` holds every split of every mode of a family as flat
 (depth, link, depth, link) columns, built once per process, and
 :func:`brute_force_binary` prices the whole table with one gather per
-iteration and takes each mode's minimum.
+iteration and takes each mode's minimum.  A build that solves only one
+mode of each mirror pair prices :func:`mode_rows`, the table of those
+modes' splits alone.
 
 For the interval families (``continuous``, ``aifvm``) the table is
 built by arithmetic: a first piece depends only on the mode's left
@@ -47,7 +49,10 @@ class SplitTable:
     being mode ``i``), delay and depth bound, from which the tree
     search's bound is read to choose among equal-cost splits as the
     search does; the full family's table has none of them (``ids`` is
-    None), and its first piece is symbol 0's.
+    None), and its first piece is symbol 0's.  A table of some of the
+    family's modes (:func:`mode_rows`) names them in ``modes``: its mode
+    ``j`` is the family's mode ``modes[j]``, and its links are still the
+    family's.
     """
 
     depth_a: np.ndarray
@@ -60,6 +65,7 @@ class SplitTable:
     ids: tuple[ContinuousModeId, ...] | None = None
     n: int = 0
     d_max: int = 0
+    modes: tuple[int, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.depth_a)
@@ -208,6 +214,22 @@ def full_split_table(n: int) -> SplitTable:
     return SplitTable(*np.concatenate(parts).T, starts)
 
 
+@cache
+def mode_rows(table: SplitTable, modes: tuple[int, ...]) -> SplitTable:
+    """The splits of the modes ``modes`` of a family's whole ``table``,
+    in ``modes`` order and, per mode, in table order: the table that
+    prices only those modes, built once per process, table and modes."""
+    at = list(modes)
+    counts = np.diff(table.starts)[at]
+    starts = np.zeros(len(modes) + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    rows = np.repeat(table.starts[:-1][at] - starts[:-1], counts) + np.arange(starts[-1])
+    columns = (table.depth_a, table.link_a, table.value_a,
+               table.depth_b, table.link_b, table.value_b)
+    return SplitTable(*(col[rows] for col in columns), starts, table.ids, table.n, table.d_max,
+                      modes)
+
+
 def brute_force_binary(
     table: SplitTable,
     probs: Sequence[float],
@@ -218,11 +240,11 @@ def brute_force_binary(
     ``p0 * (depth + cost) + p1 * (depth + cost)``, ``costs[i]`` pricing
     link ``i``: one gather and one minimum per mode over the whole table.
 
-    Returns ``(choice, objective)``: ``choice[i]`` is the row of mode
-    ``i``'s split, plus ``len(table)`` when symbol 1 takes the first
-    piece, and -1 when no split costs less than ``below[i]``.  Without
-    ``below`` every mode must have a split, else :class:`ValueError`
-    names the first that has none.
+    Returns ``(choice, objective)``: ``choice[i]`` is the row of the
+    table's mode ``i``'s split, plus ``len(table)`` when symbol 1 takes
+    the first piece, and -1 when no split costs less than ``below[i]``.
+    Without ``below`` every mode must have a split, else
+    :class:`ValueError` names the first that has none.
 
     An interval family's choice is the tree :func:`solve_ilp` returns:
     among the splits of least cost, the one whose first piece has the
@@ -245,7 +267,8 @@ def brute_force_binary(
     counts = np.diff(table.starts)
     has = counts > 0
     if below is None and not has.all():
-        k1, k2 = table.ids[int(np.argmin(has))]
+        first = int(np.argmin(has))
+        k1, k2 = table.ids[first if table.modes is None else table.modes[first]]
         raise ValueError(f"no tree of mode ({k1}, {k2}) fits depth bound {table.d_max}")
     best = np.full(k, np.inf)
     for g in costs_by_first:

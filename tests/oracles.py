@@ -24,6 +24,13 @@
   loop keeping the first cheapest.  The running code reads the
   partitions off leaf bit masks into one split table and takes every
   mode's minimum over it at once.
+* Huffman code lengths from one heap of (weight, id, symbols below)
+  nodes, every symbol below a merge one level deeper, and the extended
+  Huffman code over blocks whose probabilities multiply along each
+  ``itertools.product`` tuple.  The running code merges from two
+  queues, sorted leaves and first-in first-out merged nodes, reads the
+  depths off parent links, and builds the block probabilities by
+  repeated outer product.
 * The range coder as an encoder and a decoder object, each keeping
   ``low`` and ``span`` as attributes and normalising in a method.  The
   running coder is one loop per direction on local variables, and both
@@ -41,6 +48,8 @@
 from __future__ import annotations
 
 import functools
+import heapq
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable
@@ -67,6 +76,7 @@ from aifv.modes import (
     mode_from_id,
 )
 from aifv.optimizer import IlpModel, LinkPrices, ModelError, TreeSolution, initial_costs
+from aifv.sources import as_probs
 
 # ---------------------------------------------------------------------------
 # word-set algebra on leaves and prefixes
@@ -675,6 +685,43 @@ def range_decode_reference(p, data: bytes, count: int) -> list[int]:
         dec.consume(cums[s], freqs[s], FREQ_TOTAL)
         out.append(s)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Huffman lengths from one heap
+
+
+def heap_huffman_lengths(p) -> list[int]:
+    """Optimal code lengths, ties resolved by symbol index."""
+    probs = as_probs(p)
+    # (weight, id, symbols below): merged nodes take ids len(probs) upward
+    heap = [(w, i, (i,)) for i, w in enumerate(probs)]
+    heapq.heapify(heap)
+    depth = [0] * len(probs)
+    for next_id in range(len(probs), 2 * len(probs) - 1):
+        w1, _, a = heapq.heappop(heap)
+        w2, _, b = heapq.heappop(heap)
+        for s in a + b:
+            depth[s] += 1
+        heapq.heappush(heap, (w1 + w2, next_id, a + b))
+    out = [0] * len(probs)
+    for ln, sym in zip(sorted(depth), sorted(range(len(probs)), key=lambda s: (-probs[s], s))):
+        out[sym] = ln
+    return out
+
+
+def product_extended_huffman(p, order: int) -> float:
+    """Expected bits per symbol of the heap Huffman code over
+    ``order``-symbol blocks, each block's probability multiplied along
+    its tuple."""
+    probs = tuple(p)
+    blocks = list(itertools.product(range(len(probs)), repeat=order))
+    block_probs = [1.0 for _ in blocks]
+    for i, block in enumerate(blocks):
+        for s in block:
+            block_probs[i] *= probs[s]
+    lengths = heap_huffman_lengths(tuple(block_probs))
+    return sum(q * ln for q, ln in zip(block_probs, lengths)) / order
 
 
 # ---------------------------------------------------------------------------

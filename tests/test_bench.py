@@ -33,7 +33,7 @@ from aifv.sources import (
     sources_binary_grid,
     sources_polynomial,
 )
-from oracles import range_decode_reference, range_encode_reference
+from oracles import product_extended_huffman, range_decode_reference, range_encode_reference
 
 
 def test_binary_grid():
@@ -81,6 +81,25 @@ def test_extended_huffman_improves_along_divisibility_chain():
         for a, b in zip(chain, chain[1:]):
             assert b <= a + 1e-12
         assert extended_huffman(probs, 5) <= chain[0] + 1e-12
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(weights=st.lists(st.sampled_from([1, 2, 3]) | st.integers(1, 1000), min_size=2,
+                        max_size=6),
+       order=st.integers(1, 4))
+def test_extended_huffman_is_the_heap_code_over_product_blocks(weights, order):
+    """Block probabilities by repeated outer product and the two-queue
+    Huffman merge give the heap code's length over blocks multiplied
+    along their tuples, bit for bit."""
+    probs = tuple(w / sum(weights) for w in weights)
+    assert extended_huffman(probs, order) == product_extended_huffman(probs, order)
+
+
+def test_extended_huffman_on_the_eval_grid_is_the_heap_code():
+    for dist in sources_binary_grid():
+        for order in (2, 5, 8):
+            assert (extended_huffman(dist.probs, order)
+                    == product_extended_huffman(dist.probs, order))
 
 
 def test_scaled_frequencies_total():

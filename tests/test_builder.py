@@ -1,12 +1,19 @@
+import gc
 import hashlib
+import itertools
 import math
 import random
+import tracemalloc
 from dataclasses import replace
+from functools import cache
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import aifv.builder
 import aifv.modes
+from aifv import markov
 from aifv.builder import (
     BuildConfig,
     check_g_optimality_binary,
@@ -15,12 +22,14 @@ from aifv.builder import (
     folded_codebook_size,
     huffman,
     huffman_lengths,
+    mode_family,
 )
 from aifv.forest import decode, encode, format_codebook, validate_full, validate_rule1
 from aifv.markov import SingularChainError
 from aifv.modes import flip_mode
-from aifv.sources import sources_polynomial
+from aifv.sources import sources_binary_grid, sources_polynomial
 from conftest import report_record, worst_trace
+from oracles import heap_huffman_lengths
 
 
 def entropy(probs):
@@ -133,6 +142,13 @@ def test_determinism_bit_identical():
     assert r1 == r2
 
 
+def unpaired(family, n):
+    """The family's modes with no mirror map, as if not closed under
+    flipping: a build solves every mode."""
+    fam = mode_family(family, n)
+    return fam._replace(mirror=None, solved=tuple(range(len(fam.modes))))
+
+
 def test_symmetry_reuse_matches_independent():
     rng = random.Random(9)
     for _ in range(6):
@@ -141,7 +157,7 @@ def test_symmetry_reuse_matches_independent():
         _, with_reuse = construct(probs, BuildConfig(n=3))
         with pytest.MonkeyPatch.context() as mp:
             # a family that looks not mirror-closed is solved mode by mode
-            mp.setattr(aifv.builder._Family, "_mirror_map", lambda self: None)
+            mp.setattr(aifv.builder, "mode_family", unpaired)
             _, without = construct(probs, BuildConfig(n=3))
         assert abs(with_reuse.expected_len - without.expected_len) <= 1e-12
 
@@ -150,16 +166,139 @@ def test_symmetry_reuse_matches_independent():
     (BuildConfig(n=3, family="full-binary"), 225),
     (BuildConfig(n=4), 64),
 ])
-def test_a_build_flips_each_family_mode_once(monkeypatch, cfg, flips):
-    """Mirrored trees take their mode from the family, so a build flips
-    each mode's words once, to pair the modes, however many iterations
-    it runs."""
+def test_a_process_flips_each_family_mode_once(monkeypatch, cfg, flips):
+    """Mirrored trees take their mode from the family, and the family is
+    made once per process, so a process flips each mode's words once, to
+    pair the modes, however many builds and iterations it runs."""
     calls = []
     flip_words = aifv.modes.flip_words
     monkeypatch.setattr(aifv.modes, "flip_words", lambda ws: calls.append(ws) or flip_words(ws))
-    _, report = construct((0.9, 0.1), cfg)
-    assert report.iterations > 1
+    mode_family.cache_clear()
+    reports = [construct(probs, cfg)[1] for probs in ((0.9, 0.1), (0.7, 0.3))]
+    assert min(report.iterations for report in reports) > 1
     assert len(calls) == flips
+
+
+@pytest.mark.parametrize("cfg", [BuildConfig(n=3, family="full-binary"), BuildConfig(n=4),
+                                 BuildConfig(n=3, family="aifvm")])
+def test_a_second_build_of_a_family_makes_no_mode(monkeypatch, cfg):
+    """A build after the first of its family and delay, from another
+    source, makes no mode, flips none and prices no starting cost."""
+    construct((0.75, 0.25), cfg)
+    calls = {"mode_from_id": 0, "flip_words": 0, "initial_costs": 0}
+    for module, name in ((aifv.builder, "mode_from_id"), (aifv.modes, "flip_words"),
+                         (aifv.builder, "initial_costs")):
+        def counted(*args, fn=getattr(module, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    _, report = construct((0.9, 0.1), cfg)
+    assert report.converged
+    assert calls == {"mode_from_id": 0, "flip_words": 0, "initial_costs": 0}
+
+
+def test_cached_families_stay_small():
+    """Every family of delays 1 to 7 (the full family to 3), made once
+    per process, keeps under 10 MB (measured: 7.5 MB, 5.8 MB of it the
+    4096 continuous modes of delay 7)."""
+    fresh = cache(mode_family.__wrapped__)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for n in range(1, 8):
+            for family in ("continuous", "aifvm", "full-binary")[:3 if n <= 3 else 2]:
+                fresh(family, n)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert fresh.cache_info().currsize == 17
+    assert kept < 10_000_000
+
+
+def build_cases():
+    """Binary builds of every family, and builds over three to five
+    symbols."""
+    binary = st.builds(
+        lambda p0, family, n, init: ((p0, 1 - p0), BuildConfig(
+            n=min(n, 3) if family == "full-binary" else max(n, 2 if family == "aifvm" else 1),
+            family=family, init=init)),
+        st.sampled_from([0.5, 0.6, 0.75, 0.9]) | st.floats(0.51, 0.99),
+        st.sampled_from(["continuous", "aifvm", "full-binary"]), st.integers(1, 5),
+        st.sampled_from(["formula", "huffman-floor"]))
+    multi = st.builds(
+        lambda weights, n: (tuple(w / sum(weights) for w in weights), BuildConfig(n=n)),
+        st.lists(st.integers(1, 20), min_size=3, max_size=5), st.integers(1, 2))
+    return binary | multi
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=build_cases())
+def test_a_final_iteration_that_keeps_every_tree_makes_no_markov_pass(case):
+    """A build of delay 2 or more converges on an iteration that keeps
+    every tree, and that iteration makes no Markov pass: a converged
+    build calls ``transition_matrix`` once per iteration, the last call
+    being :func:`expected_code_length`'s.  What the pass would have
+    given is what the build kept, bit for bit: a fresh pass over the
+    last forest gives the last pass's lbars and raw costs, so it would
+    also have taken the same mirror averaging, and the kept costs are
+    the last pass's (the cost change is 0.0)."""
+    probs, cfg = case
+    chains, raw, kept = [], [], []
+    tm, update, invariant = (aifv.builder.transition_matrix, aifv.builder.cost_update_general,
+                             aifv.builder.worst_block_invariant)
+
+    def recording_update(*args):
+        raw.append(update(*args))
+        return raw[-1]
+
+    def recording_invariant(c_new, *args):
+        kept.append(c_new.copy())
+        return invariant(c_new, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(aifv.builder, "transition_matrix", lambda *a: chains.append(a) or tm(*a))
+        mp.setattr(aifv.builder, "cost_update_general", recording_update)
+        mp.setattr(aifv.builder, "worst_block_invariant", recording_invariant)
+        _, report = construct(probs, cfg)
+    assert report.converged
+    if cfg.n == 1 and report.iterations == 1:
+        return  # one mode: the first pass already fixes the costs
+    assert len(chains) == report.iterations and len(raw) == report.iterations - 1
+    assert report.max_dcost_trace[-1] == 0.0
+    assert report.iteration_lbars[-1] == report.iteration_lbars[-2]
+    forest, _ = chains[-2]  # the last pass's forest, every tree of it kept
+    lengths = [sum(cw.length * probs[s] for s, cw in enumerate(t.codewords))
+               for t in forest.trees]
+    chain = markov.transition_matrix(forest, probs)
+    blocks = markov.block_decompose(chain)
+    costs, lbars, _ = markov.cost_update_general(lengths, chain, blocks,
+                                                 markov.stationary(chain, blocks))
+    assert np.array_equal(costs, raw[-1][0]) and lbars == raw[-1][1]
+    assert tuple(lbars) == report.iteration_lbars[-1]
+    assert np.array_equal(kept[-1], kept[-2])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(weights=st.lists(st.sampled_from([1, 2, 4]) | st.integers(1, 10 ** 6),
+                        min_size=2, max_size=40))
+def test_huffman_lengths_are_the_heap_merges(weights):
+    """The two-queue merge gives the lengths of one heap over all nodes,
+    ties included."""
+    probs = tuple(w / sum(weights) for w in weights)
+    assert huffman_lengths(probs) == heap_huffman_lengths(probs)
+
+
+def test_huffman_lengths_on_the_binary_grid_blocks():
+    """The eval's block alphabets: every grid source at orders 2, 5, 8."""
+    for dist in sources_binary_grid():
+        for order in (2, 5, 8):
+            blocks = [math.prod(dist.probs[s] for s in block)
+                      for block in itertools.product(range(2), repeat=order)]
+            assert huffman_lengths(blocks) == heap_huffman_lengths(blocks)
 
 
 @pytest.mark.parametrize("build", [

@@ -26,7 +26,7 @@ from aifv.modes import (
     mode_from_id,
 )
 import aifv.builder
-from aifv.builder import BuildConfig, construct, default_depth
+from aifv.builder import BuildConfig, construct, default_depth, mode_family
 from aifv.optimizer import (
     BOUND_SLACK,
     ModelError,
@@ -43,7 +43,7 @@ from aifv.optimizer import (
     piece_table,
     solve_ilp,
 )
-from aifv.splits import brute_force_binary, full_split_table, interval_split_table
+from aifv.splits import brute_force_binary, full_split_table, interval_split_table, mode_rows
 from aifv.sources import sources_polynomial
 from oracles import (
     allowed_links,
@@ -504,6 +504,57 @@ def test_split_minimum_is_the_tree_search(n, aifvm, p0, pool, on_start, extra_de
         tree = table.tree(int(choice[i]), mode_from_id(n, cid))
         assert (tree.codewords, tree.links) == (sol.codewords, sol.links), cid
         assert objective[i] == sol.objective, cid
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 5), family=st.sampled_from(["continuous", "aifvm", "full-binary"]),
+       p0=st.sampled_from([0.5, 0.75, 0.9]) | st.floats(0.5, 0.99),
+       pool=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5]) | st.floats(0.0, 3.0),
+                     min_size=1, max_size=4),
+       extra_depth=st.sampled_from([None, -1, 0, 1]),
+       cutoffs=st.none() | st.lists(st.sampled_from([math.inf, 0.5, 1.0, 2.0])
+                                    | st.floats(0.0, 4.0), min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 16))
+def test_split_minimum_over_the_solved_modes_is_the_whole_tables(n, family, p0, pool,
+                                                                   extra_depth, cutoffs, seed):
+    """Over the split table of the modes a build with mirror reuse solves
+    (one of each mirror pair), every mode's choice, read as a row of the
+    family's whole table, and its cost are the whole table's, bit for
+    bit, cold or below a cutoff, ties included; a depth bound some mode
+    cannot meet raises the whole table's error."""
+    if family == "full-binary":
+        n = min(n, 3)
+    elif family == "aifvm":
+        n = max(n, 2)
+    fam = mode_family(family, n)
+    if family == "full-binary":
+        whole = full_split_table(n)
+    else:
+        d_max = default_depth(2, n) if extra_depth is None else max(1, n + extra_depth)
+        whole = interval_split_table(n, d_max, fam.ids)
+    solved = mode_rows(whole, fam.solved)
+    assert solved.modes == fam.solved and mode_rows(whole, fam.solved) is solved
+    assert len(solved) == sum(int(whole.starts[i + 1] - whole.starts[i]) for i in fam.solved)
+    rng = random.Random(seed)
+    costs = [rng.choice(pool) for _ in fam.modes]
+    below = None if cutoffs is None else [rng.choice(cutoffs) for _ in fam.modes]
+    probs = (p0, 1 - p0)
+    try:
+        choice, objective = brute_force_binary(whole, probs, costs, below)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
+            brute_force_binary(solved, probs, costs, below)
+        return
+    solved_choice, solved_objective = brute_force_binary(
+        solved, probs, costs, None if below is None else [below[i] for i in fam.solved])
+    for j, i in enumerate(fam.solved):
+        assert solved_objective[j] == objective[i]
+        c = int(solved_choice[j])
+        if c < 0:
+            assert choice[i] == -1
+            continue
+        row = whole.starts[i] + c % len(solved) - solved.starts[j]
+        assert row + (c >= len(solved)) * len(whole) == choice[i]
 
 
 def test_a_second_full_binary_build_builds_no_partition_table():
@@ -1125,11 +1176,14 @@ def test_iteration_debug_lines_account_for_every_solve(caplog):
     """One ``AIFV_LOG=DEBUG`` line per iteration and no other: every
     solved tree is placed (first iteration), kept or replaced, every mode
     is solved or mirrored, and the chain has at least one absorbing
-    block.  A binary build reads one split table, whose size each line
-    gives, and bounds no child; a build over more symbols searches one
-    tree per solved mode, its shared piece lists only grow, and each line
-    gives the children that iteration's searches bounded, as counted on
-    its prices."""
+    block.  Every iteration but the last spends time in the Markov
+    layer; the last keeps every tree, makes no pass (``markov_s`` is 0)
+    and repeats the chain's blocks.  A binary build reads one split
+    table, of the modes it solves, whose size each line gives, and
+    bounds no child; a build over more symbols searches one tree per
+    solved mode, its shared piece lists only grow, and each line gives
+    the children that iteration's searches bounded, as counted on its
+    prices."""
     for p, n, binary in (((0.9, 0.1), 4, True), (sources_polynomial(5)[2], 2, False)):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="aifv.builder"):
@@ -1144,8 +1198,13 @@ def test_iteration_debug_lines_account_for_every_solve(caplog):
         for c, line in zip(counts, lines):
             assert c["solved"] == c["placed"] + c["kept"] + c["replaced"]
             assert c["solved"] + c["mirrored"] == len(enumerate_continuous_ids(n))
-            assert float(line["solve_s"]) > 0 and float(line["markov_s"]) > 0
+            assert float(line["solve_s"]) > 0
             assert c["blocks"] >= c["absorbing"] >= 1
+        assert all(float(line["markov_s"]) > 0 for line in lines[:-1])
+        assert float(lines[-1]["markov_s"]) == 0
+        assert counts[-1]["kept"] == counts[-1]["solved"]
+        assert [counts[-1][f] for f in ("blocks", "absorbing")] == [counts[-2][f] for f in
+                                                                      ("blocks", "absorbing")]
         assert counts[0]["placed"] == counts[0]["solved"]
         assert all(c["placed"] == 0 for c in counts[1:])
         piece_lists = [c["piece_lists"] for c in counts]
@@ -1155,6 +1214,7 @@ def test_iteration_debug_lines_account_for_every_solve(caplog):
             assert sum(c["kept"] for c in counts) > sum(c["replaced"] for c in counts) > 0
             assert piece_lists == [0] * len(lines) and solved_models == []
             assert splits == [len(table) for table, _ in minima] and splits[0] > 0
+            assert all(table.modes == mode_family("continuous", n).solved for table, _ in minima)
             assert bounded == [0] * len(lines)
         else:
             assert sum(c["solved"] for c in counts) == len(solved_models)
@@ -1165,22 +1225,29 @@ def test_iteration_debug_lines_account_for_every_solve(caplog):
 
 def test_solver_matches_reference_on_build_costs(n4_build):
     """At every iteration's costs of the N=4 build, the tree search
-    matches the reference search, and the split minimum the build took
-    picks the search's tree."""
+    matches the reference search, the split minimum over every mode
+    picks the search's tree, and the split minimum the build took, over
+    the modes it solves, picks the same trees."""
     _, _, minima, _ = n4_build
     probs = (0.9, 0.1)
     d_max = default_depth(2, 4)
     links = enumerate_continuous_ids(4)
+    whole = interval_split_table(4, d_max, tuple(links))
     for table, costs in minima:
         prices = link_prices(search_table(4, d_max, links, probs), costs)
-        choice, objective = brute_force_binary(table, probs, costs)
+        choice, objective = brute_force_binary(whole, probs, costs)
         for i, cid in enumerate(links):
             model = build_ilp(cid, prices)
             assert_same_tree(model)
             sol = solve_ilp(model)
-            tree = table.tree(int(choice[i]), mode_from_id(4, cid))
+            tree = whole.tree(int(choice[i]), mode_from_id(4, cid))
             assert (tree.codewords, tree.links, objective[i]) == (sol.codewords, sol.links,
                                                                   sol.objective)
+        solved_choice, solved_objective = brute_force_binary(table, probs, costs)
+        for j, i in enumerate(table.modes):
+            mode = mode_from_id(4, links[i])
+            assert table.tree(int(solved_choice[j]), mode) == whole.tree(int(choice[i]), mode)
+            assert solved_objective[j] == objective[i]
 
 
 def test_solver_matches_reference_on_quinary_build_costs(quinary_build):
