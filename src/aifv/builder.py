@@ -58,7 +58,7 @@ from .optimizer import (
     solve_ilp,
 )
 from .sources import as_probs
-from .splits import brute_force_binary, full_split_table, interval_split_table, mode_rows
+from .splits import brute_force_binary, full_split_table, interval_split_table
 
 log = logging.getLogger("aifv.builder")
 
@@ -179,15 +179,16 @@ def mode_family(family: str, n: int) -> ModeFamily:
 
 class _Family:
     """A fixed mode family plus its tree solver: for a binary alphabet
-    the split table of every mode (``splits``) and of the modes a build
-    with mirror reuse solves (``solved_splits``), otherwise the search
-    table every tree solve of the build shares (``table``)."""
+    the split table of the modes the build solves (``splits``), looked up
+    once for the ``solved`` modes and once more for every mode should
+    mirror reuse switch off, otherwise the search table every tree solve
+    of the build shares (``table``)."""
 
     def __init__(self, cfg: BuildConfig, probs: tuple[float, ...]):
         self.cfg = cfg
         self.probs = probs
         n = cfg.n
-        self.table = self.splits = self.solved_splits = None
+        self.table = self.splits = None
         self.bounded = 0  # children the last iteration's tree searches bounded
         self.priced = 0  # splits the last iteration's split minimum priced
         if cfg.family == "full-binary":
@@ -199,17 +200,17 @@ class _Family:
         self.modes, self.mirror, self.solved = family.modes, family.mirror, family.solved
         self.starting_costs = family.costs
         if cfg.family == "full-binary":
-            self.splits = full_split_table(n)
+            self.split_table = partial(full_split_table, n)
         else:
             depth = default_depth(len(probs), n) if cfg.max_depth is None else cfg.max_depth
             # link i of the table is mode i of the family
             if len(probs) == 2:
-                self.splits = interval_split_table(n, depth, family.ids)
+                self.split_table = partial(interval_split_table, n, depth, family.ids)
             else:
                 self.table = SearchTable(piece_table(n, depth, family.ids), probs)
+        if self.table is None:
+            self.splits = self.split_table(self.solved)
         self.mirror_index = None if self.mirror is None else np.array(self.mirror)
-        if self.splits is not None and self.mirror is not None:
-            self.solved_splits = mode_rows(self.splits, self.solved)
 
     def initial_cost_vector(self) -> np.ndarray:
         if self.cfg.init == "huffman-floor":
@@ -226,10 +227,9 @@ class _Family:
         family's ``solved`` modes) and a call that makes its tree, so
         that a caller keeping its previous tree makes none.  With
         ``below``, a mode's entry is None when no tree costs less than
-        its cutoff; the full family takes no cutoff.  A binary family's
-        trees come from one minimum over the split table of the modes in
-        ``todo``, the others' from one tree search each, all against one
-        iteration's prices."""
+        its cutoff.  A binary family's trees come from one minimum over
+        the split table of the modes in ``todo``, the others' from one
+        tree search each, all against one iteration's prices."""
         if self.splits is None:
             prices = link_prices(self.table, costs)
             out = []
@@ -239,9 +239,10 @@ class _Family:
                            (sol.objective, partial(decode_solution, sol, self.modes[i])))
             self.bounded = prices.bounded
             return out
-        table = self.splits if len(todo) == len(self.modes) else self.solved_splits
-        if self.cfg.family == "full-binary":
-            below = None
+        if len(todo) != len(self.splits.modes):
+            # mirror reuse switched off: every mode from now on
+            self.splits = self.split_table(tuple(todo))
+        table = self.splits
         choice, objective = brute_force_binary(table, self.probs, costs, below)
         self.priced = len(table)
         return [None if choice[pos] < 0 else

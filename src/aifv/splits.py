@@ -1,13 +1,13 @@
-"""Binary alphabets: every tree of every mode as a split, priced at once.
+"""Binary alphabets: every tree of the modes a build solves as a split,
+priced at once.
 
 With two symbols a tree is two abutting pieces, so the list of a mode's
 splits, (first piece, closing piece) pairs, depends on no price.  A
-:class:`SplitTable` holds every split of every mode of a family as flat
-(depth, link, depth, link) columns, built once per process, and
-:func:`brute_force_binary` prices the whole table with one gather per
-iteration and takes each mode's minimum.  A build that solves only one
-mode of each mirror pair prices :func:`mode_rows`, the table of those
-modes' splits alone.
+:class:`SplitTable` holds every split of the family modes a build solves
+(one of each mirror pair, or every mode) as flat (depth, link, depth,
+link) columns, built once per process, and :func:`brute_force_binary`
+prices the whole table with one gather per iteration and takes each
+mode's minimum.
 
 For the interval families (``continuous``, ``aifvm``) the table is
 built by arithmetic: a first piece depends only on the mode's left
@@ -39,20 +39,18 @@ from .optimizer import BOUND_SLACK
 
 @dataclass(frozen=True, eq=False)
 class SplitTable:
-    """Every two-piece tree of every mode of one binary family, as flat
+    """Every two-piece tree of some modes of one binary family, as flat
     columns: split ``s`` gives its first piece the codeword
     ``(depth_a[s], value_a[s])`` and link ``link_a[s]``, and its closing
-    piece ``(depth_b[s], value_b[s])`` and ``link_b[s]``.  Mode ``i``'s
-    splits are rows ``starts[i]`` to ``starts[i + 1]``.
+    piece ``(depth_b[s], value_b[s])`` and ``link_b[s]``.  The table's
+    mode ``j`` is the family's mode ``modes[j]``, and its splits are rows
+    ``starts[j]`` to ``starts[j + 1]``; links are the family's modes.
 
     An interval family's table also holds its links (``ids``, link ``i``
     being mode ``i``), delay and depth bound, from which the tree
     search's bound is read to choose among equal-cost splits as the
     search does; the full family's table has none of them (``ids`` is
-    None), and its first piece is symbol 0's.  A table of some of the
-    family's modes (:func:`mode_rows`) names them in ``modes``: its mode
-    ``j`` is the family's mode ``modes[j]``, and its links are still the
-    family's.
+    None), and its first piece is symbol 0's.
     """
 
     depth_a: np.ndarray
@@ -62,10 +60,10 @@ class SplitTable:
     link_b: np.ndarray
     value_b: np.ndarray
     starts: np.ndarray
+    modes: tuple[int, ...]
     ids: tuple[ContinuousModeId, ...] | None = None
     n: int = 0
     d_max: int = 0
-    modes: tuple[int, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.depth_a)
@@ -82,10 +80,11 @@ class SplitTable:
 
 
 @cache
-def interval_split_table(n: int, d_max: int, ids: tuple[ContinuousModeId, ...]) -> SplitTable:
-    """The splits of every mode of an interval family whose links (and
-    modes) are ``ids``, built once per process and (delay, depth bound,
-    links).
+def interval_split_table(n: int, d_max: int, ids: tuple[ContinuousModeId, ...],
+                         modes: tuple[int, ...]) -> SplitTable:
+    """The splits of the modes ``modes``, in that order, of an interval
+    family whose links (and modes) are ``ids``, built once per process
+    and (delay, depth bound, links, modes).
 
     Positions are in units of ``2^-(d_max + n)``.  A first piece starts
     at its mode's start ``K1 << d_max``, so its link's left margin is
@@ -151,7 +150,7 @@ def interval_split_table(n: int, d_max: int, ids: tuple[ContinuousModeId, ...]) 
     parts: list[list[np.ndarray]] = [[] for _ in range(6)]
     counts = []
     # consecutive modes of one left margin share their first pieces
-    for k1_mode, group in groupby(ids, key=lambda cid: cid.k1):
+    for k1_mode, group in groupby((ids[i] for i in modes), key=lambda cid: cid.k1):
         group = list(group)
         first = firsts[k1_mode]
         # per mode and first piece, the length its closing piece must have
@@ -169,35 +168,35 @@ def interval_split_table(n: int, d_max: int, ids: tuple[ContinuousModeId, ...]) 
     for part in parts:
         columns.append(np.concatenate(part))
         part.clear()  # one column at a time: the pieces go as their column is made
-    starts = np.zeros(len(ids) + 1, dtype=np.int64)
+    starts = np.zeros(len(modes) + 1, dtype=np.int64)
     np.cumsum(counts, out=starts[1:])
-    return SplitTable(*columns, starts, ids, n, d_max)
+    return SplitTable(*columns, starts, modes, ids, n, d_max)
 
 
 @cache
-def full_split_table(n: int) -> SplitTable:
-    """The splits of every mode of the full basic family of delay ``n``:
-    every ordered two-way partition of the mode's length-``n`` leaves,
-    in mask order over the leaves sorted by value, symbol 0 taking the
-    first part.  A part's codeword is its leaves' common prefix and its
-    link the basic mode covering their suffixes; built once per process
-    and delay.
+def full_split_table(n: int, modes: tuple[int, ...]) -> SplitTable:
+    """The splits of the modes ``modes``, in that order, of the full
+    basic family of delay ``n``: every ordered two-way partition of a
+    mode's length-``n`` leaves, in mask order over the leaves sorted by
+    value, symbol 0 taking the first part.  A part's codeword is its
+    leaves' common prefix and its link the basic mode covering their
+    suffixes; built once per process, delay and modes.
 
     A mode is read as the bit mask of the leaves it covers: word ``w``
     covers the leaf values ``[w << (n - |w|), (w + 1) << (n - |w|))``.
     """
     if not 1 <= n <= 3:
         raise ValueError("the full basic family is split for delays 1..3")
-    modes = basic_family(n)[0]
+    family = basic_family(n)[0]
 
     def cover(cells):
         """The leaf mask of (value, depth) cells."""
         return sum(((1 << (1 << (n - d))) - 1) << (v << (n - d)) for v, d in cells)
 
-    index_of = {cover((w.value, w.length) for w in m.words): i for i, m in enumerate(modes)}
+    index_of = {cover((w.value, w.length) for w in m.words): i for i, m in enumerate(family)}
     parts = []
-    for m in modes:
-        mask = cover((w.value, w.length) for w in m.words)
+    for i in modes:
+        mask = cover((w.value, w.length) for w in family[i].words)
         leaves = [v for v in range(1 << n) if mask >> v & 1]
         rows = []
         for split in range(1, (1 << len(leaves)) - 1):
@@ -211,23 +210,7 @@ def full_split_table(n: int) -> SplitTable:
             rows.append(row)
         parts.append(np.array(rows, dtype=np.uint8))  # depths, values and links fit a byte
     starts = np.cumsum([0] + [len(part) for part in parts])
-    return SplitTable(*np.concatenate(parts).T, starts)
-
-
-@cache
-def mode_rows(table: SplitTable, modes: tuple[int, ...]) -> SplitTable:
-    """The splits of the modes ``modes`` of a family's whole ``table``,
-    in ``modes`` order and, per mode, in table order: the table that
-    prices only those modes, built once per process, table and modes."""
-    at = list(modes)
-    counts = np.diff(table.starts)[at]
-    starts = np.zeros(len(modes) + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    rows = np.repeat(table.starts[:-1][at] - starts[:-1], counts) + np.arange(starts[-1])
-    columns = (table.depth_a, table.link_a, table.value_a,
-               table.depth_b, table.link_b, table.value_b)
-    return SplitTable(*(col[rows] for col in columns), starts, table.ids, table.n, table.d_max,
-                      modes)
+    return SplitTable(*np.concatenate(parts).T, starts, modes)
 
 
 def brute_force_binary(
@@ -268,7 +251,7 @@ def brute_force_binary(
     has = counts > 0
     if below is None and not has.all():
         first = int(np.argmin(has))
-        k1, k2 = table.ids[first if table.modes is None else table.modes[first]]
+        k1, k2 = table.ids[table.modes[first]]
         raise ValueError(f"no tree of mode ({k1}, {k2}) fits depth bound {table.d_max}")
     best = np.full(k, np.inf)
     for g in costs_by_first:

@@ -24,6 +24,9 @@
   loop keeping the first cheapest.  The running code reads the
   partitions off leaf bit masks into one split table and takes every
   mode's minimum over it at once.
+* A binary family's split table of some modes, gathered row by row
+  from the table of every mode.  The running code builds the table of
+  the modes a build solves directly.
 * Huffman code lengths from one heap of (weight, id, symbols below)
   nodes, every symbol below a merge one level deeper, and the extended
   Huffman code over blocks whose probabilities multiply along each
@@ -77,6 +80,7 @@ from aifv.modes import (
 )
 from aifv.optimizer import IlpModel, LinkPrices, ModelError, TreeSolution, initial_costs
 from aifv.sources import as_probs
+from aifv.splits import SplitTable
 
 # ---------------------------------------------------------------------------
 # word-set algebra on leaves and prefixes
@@ -579,6 +583,21 @@ def brute_force_partition(n: int, index: int, probs, costs) -> tuple[CodeTree, f
             best, best_entry = value, entry
     head0, link0, head1, link1 = best_entry
     return CodeTree((head0, head1), (link0, link1), modes[index]), float(best)
+
+
+def mode_rows(table: SplitTable, modes: tuple[int, ...]) -> SplitTable:
+    """The splits of the family modes ``modes`` gathered from ``table``,
+    a split table that lists each of them: in ``modes`` order and, per
+    mode, in table order."""
+    at = [table.modes.index(i) for i in modes]
+    counts = np.diff(table.starts)[at]
+    starts = np.zeros(len(modes) + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    rows = np.repeat(table.starts[:-1][at] - starts[:-1], counts) + np.arange(starts[-1])
+    columns = (table.depth_a, table.link_a, table.value_a,
+               table.depth_b, table.link_b, table.value_b)
+    return SplitTable(*(col[rows] for col in columns), starts, modes, table.ids, table.n,
+                      table.d_max)
 
 
 # ---------------------------------------------------------------------------

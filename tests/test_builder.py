@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import itertools
+import logging
 import math
 import random
 import tracemalloc
@@ -18,6 +19,7 @@ from aifv.builder import (
     BuildConfig,
     check_g_optimality_binary,
     construct,
+    default_depth,
     expected_code_length,
     folded_codebook_size,
     huffman,
@@ -28,6 +30,7 @@ from aifv.forest import decode, encode, format_codebook, validate_full, validate
 from aifv.markov import SingularChainError
 from aifv.modes import flip_mode
 from aifv.sources import sources_binary_grid, sources_polynomial
+from aifv.splits import full_split_table, interval_split_table
 from conftest import report_record, worst_trace
 from oracles import heap_huffman_lengths
 
@@ -160,6 +163,52 @@ def test_symmetry_reuse_matches_independent():
             mp.setattr(aifv.builder, "mode_family", unpaired)
             _, without = construct(probs, BuildConfig(n=3))
         assert abs(with_reuse.expected_len - without.expected_len) <= 1e-12
+
+
+# SHA-256 of format_codebook(forest) + repr(report), build after build,
+# over the builds of test_mirror_reuse_fallback_solves_every_mode,
+# computed while a build gathered its solved modes' split table from the
+# table of every mode.
+FALLBACK_DIGEST = "e01b852470ffe9fd21b8b7ddfc1ab514376959012f3faf97491434df469c5a17"
+
+
+def test_mirror_reuse_fallback_solves_every_mode(caplog):
+    """With mirror pinning broken at every check, a binary build solves
+    the lesser mode of each mirror pair at the first iteration and every
+    mode from the second on: it reaches the L of a build without mirror
+    reuse, each later DEBUG line counts the split table of every mode,
+    and its codebook and report are pinned."""
+    digest = hashlib.sha256()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(aifv.builder, "_mirror_pins_consistent", lambda blocks, mirror: False)
+        for p0 in (0.55, 0.7, 0.9, 0.99):
+            probs = (p0, 1 - p0)
+            for family, delays in (("continuous", range(2, 6)), ("full-binary", (2, 3))):
+                for n in delays:
+                    cfg = BuildConfig(n=n, family=family)
+                    caplog.clear()
+                    with caplog.at_level(logging.DEBUG, logger="aifv.builder"):
+                        forest, report = construct(probs, cfg)
+                    splits = [int(dict(field.split("=") for field in r.getMessage().split())
+                                  ["splits"])
+                              for r in caplog.records if r.levelno == logging.DEBUG]
+                    fam = mode_family(family, n)
+                    every = tuple(range(len(fam.modes)))
+                    if family == "full-binary":
+                        solved, whole = (full_split_table(n, modes) for modes in
+                                         (fam.solved, every))
+                    else:
+                        solved, whole = (interval_split_table(n, default_depth(2, n), fam.ids,
+                                                              modes)
+                                         for modes in (fam.solved, every))
+                    assert report.iterations > 1 and len(solved) < len(whole)
+                    assert splits == [len(solved)] + [len(whole)] * (report.iterations - 1)
+                    digest.update((format_codebook(forest) + repr(report)).encode())
+                    with pytest.MonkeyPatch.context() as unmirrored:
+                        unmirrored.setattr(aifv.builder, "mode_family", unpaired)
+                        _, without = construct(probs, cfg)
+                    assert abs(report.expected_len - without.expected_len) <= 1e-12
+    assert digest.hexdigest() == FALLBACK_DIGEST
 
 
 @pytest.mark.parametrize("cfg, flips", [
@@ -307,6 +356,8 @@ def test_huffman_lengths_on_the_binary_grid_blocks():
       for p0 in (0.6, 0.75, 0.9, 0.95) for n in (3, 4)),
     pytest.param(lambda: construct(sources_polynomial(5)[2], BuildConfig(n=2)), id="P2-M5-N2"),
     pytest.param(lambda: construct((0.9, 0.1), BuildConfig(n=3, family="aifvm")), id="aifvm3"),
+    *(pytest.param(lambda p0=p0: check_g_optimality_binary((p0, 1 - p0), 3), id=f"full3-p0={p0}")
+      for p0 in (0.6, 0.9)),
 ])
 def test_warm_start_builds_what_cold_solves_build(build):
     """Seeding each solve with the previous tree's cost changes no

@@ -8,6 +8,7 @@ import re
 import tracemalloc
 from functools import cache, partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -43,7 +44,7 @@ from aifv.optimizer import (
     piece_table,
     solve_ilp,
 )
-from aifv.splits import brute_force_binary, full_split_table, interval_split_table, mode_rows
+from aifv.splits import brute_force_binary, full_split_table, interval_split_table
 from aifv.sources import sources_polynomial
 from oracles import (
     allowed_links,
@@ -57,6 +58,7 @@ from oracles import (
     id_of_mode,
     interval_of,
     merge_intervals,
+    mode_rows,
     model_rows,
     partition_table,
     reference_check,
@@ -72,6 +74,16 @@ B = BitString.from_text
 
 def family_links(n, aifvm):
     return aifvm_link_ids(n) if aifvm else enumerate_continuous_ids(n)
+
+
+def full_table(n):
+    """The full basic family's split table of every mode."""
+    return full_split_table(n, tuple(range(len(basic_family(n)[0]))))
+
+
+def interval_table(n, d_max, links):
+    """The split table of every mode of the interval family ``links``."""
+    return interval_split_table(n, d_max, tuple(links), tuple(range(len(links))))
 
 
 def search_table(n, d_max, links, probs):
@@ -332,7 +344,7 @@ def test_binary_expansions_bounded_by_delay():
 def full_rows(n, index):
     """Basic mode ``index``'s rows of the full split table, each as
     (codeword, link) for symbol 0 and then symbol 1."""
-    table = full_split_table(n)
+    table = full_table(n)
     return [(BitString(int(table.depth_a[s]), int(table.value_a[s])), int(table.link_a[s]),
              BitString(int(table.depth_b[s]), int(table.value_b[s])), int(table.link_b[s]))
             for s in range(table.starts[index], table.starts[index + 1])]
@@ -376,7 +388,7 @@ def test_brute_force_matches_ilp_on_continuous_links():
         for _ in range(20):
             p0 = rng.uniform(0.51, 0.99)
             probs = (p0, 1 - p0)
-            _, bf_obj = brute_force_binary(full_split_table(n), probs, costs)
+            _, bf_obj = brute_force_binary(full_table(n), probs, costs)
             for cid in enumerate_continuous_ids(n):
                 index = index_of[mode_from_id(n, cid).words]
                 sol = solve_ilp(tree_model(n, cid, probs, cont_costs, 3 + n))
@@ -385,9 +397,9 @@ def test_brute_force_matches_ilp_on_continuous_links():
 
 def test_brute_force_guards():
     with pytest.raises(ValueError, match="binary alphabet"):
-        brute_force_binary(full_split_table(1), (0.3, 0.3, 0.4), [0.0])
+        brute_force_binary(full_table(1), (0.3, 0.3, 0.4), [0.0])
     with pytest.raises(ValueError, match="delays 1..3"):
-        full_split_table(4)
+        full_split_table(4, (0,))
 
 
 @pytest.mark.parametrize("n, index", [(1, 1), (2, 9), (3, 225), (2, -1)])
@@ -423,7 +435,7 @@ def test_brute_force_returns_first_minimal_partition():
         for _ in range(3):
             costs = [rng.choice((0.0, 0.5, 1.0, 1.5)) for _ in family]
             p0 = rng.choice((0.5, 0.75, rng.uniform(0.51, 0.99)))
-            table = full_split_table(n)
+            table = full_table(n)
             choice, objective = brute_force_binary(table, (p0, 1 - p0), costs)
             for index, mode in enumerate(family):
                 best = None
@@ -452,7 +464,7 @@ def test_full_family_split_minimum_matches_the_partition_loop(n, p0, pool, seed)
     rng = random.Random(seed)
     costs = [rng.choice(pool) for _ in family]
     probs = (p0, 1 - p0)
-    table = full_split_table(n)
+    table = full_table(n)
     choice, objective = brute_force_binary(table, probs, costs)
     for index, mode in enumerate(family):
         tree, obj = brute_force_partition(n, index, probs, costs)
@@ -486,7 +498,7 @@ def test_split_minimum_is_the_tree_search(n, aifvm, p0, pool, on_start, extra_de
     id_cost = id_costs(n)
     costs = [rng.choice(pool) + (id_cost[cid] if on_start else 0.0) for cid in links]
     below = None if cutoffs is None else [rng.choice(cutoffs) for _ in links]
-    table = interval_split_table(n, d_max, tuple(links))
+    table = interval_table(n, d_max, links)
     prices = link_prices(search_table(n, d_max, links, probs), costs)
     try:
         choice, objective = brute_force_binary(table, probs, costs, below)
@@ -517,8 +529,9 @@ def test_split_minimum_is_the_tree_search(n, aifvm, p0, pool, on_start, extra_de
        seed=st.integers(0, 2 ** 16))
 def test_split_minimum_over_the_solved_modes_is_the_whole_tables(n, family, p0, pool,
                                                                    extra_depth, cutoffs, seed):
-    """Over the split table of the modes a build with mirror reuse solves
-    (one of each mirror pair), every mode's choice, read as a row of the
+    """The split table of the modes a build with mirror reuse solves (one
+    of each mirror pair), built directly, is the whole table's rows of
+    those modes; over it every mode's choice, read as a row of the
     family's whole table, and its cost are the whole table's, bit for
     bit, cold or below a cutoff, ties included; a depth bound some mode
     cannot meet raises the whole table's error."""
@@ -528,13 +541,13 @@ def test_split_minimum_over_the_solved_modes_is_the_whole_tables(n, family, p0, 
         n = max(n, 2)
     fam = mode_family(family, n)
     if family == "full-binary":
-        whole = full_split_table(n)
+        whole, solved = full_table(n), full_split_table(n, fam.solved)
     else:
         d_max = default_depth(2, n) if extra_depth is None else max(1, n + extra_depth)
-        whole = interval_split_table(n, d_max, fam.ids)
-    solved = mode_rows(whole, fam.solved)
-    assert solved.modes == fam.solved and mode_rows(whole, fam.solved) is solved
-    assert len(solved) == sum(int(whole.starts[i + 1] - whole.starts[i]) for i in fam.solved)
+        whole = interval_table(n, d_max, fam.ids)
+        solved = interval_split_table(n, d_max, fam.ids, fam.solved)
+    assert_same_split_table(solved, mode_rows(whole, fam.solved))
+    assert solved.modes == fam.solved
     rng = random.Random(seed)
     costs = [rng.choice(pool) for _ in fam.modes]
     below = None if cutoffs is None else [rng.choice(cutoffs) for _ in fam.modes]
@@ -557,28 +570,58 @@ def test_split_minimum_over_the_solved_modes_is_the_whole_tables(n, family, p0, 
         assert row + (c >= len(solved)) * len(whole) == choice[i]
 
 
+def assert_same_split_table(table, other):
+    """The two tables list the same splits of the same modes, column by
+    column, types included."""
+    for field in ("depth_a", "link_a", "value_a", "depth_b", "link_b", "value_b", "starts"):
+        a, b = getattr(table, field), getattr(other, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+    assert (table.modes, table.ids, table.n, table.d_max) == (other.modes, other.ids, other.n,
+                                                              other.d_max)
+
+
+@pytest.mark.parametrize("family, delays", [("continuous", range(1, 7)), ("aifvm", range(2, 5)),
+                                            ("full-binary", range(1, 4))])
+def test_solved_mode_split_tables_are_the_whole_tables_rows(family, delays):
+    """At the default depth bound, the split table of the modes a build
+    with mirror reuse solves, built directly, is the gather of those
+    modes' rows from the table of every mode, column by column."""
+    for n in delays:
+        fam = mode_family(family, n)
+        if family == "full-binary":
+            whole, solved = full_table(n), full_split_table(n, fam.solved)
+        else:
+            whole = interval_table(n, default_depth(2, n), fam.ids)
+            solved = interval_split_table(n, default_depth(2, n), fam.ids, fam.solved)
+        assert_same_split_table(solved, mode_rows(whole, fam.solved))
+
+
 def test_a_second_full_binary_build_builds_no_partition_table():
-    """The full family's partitions are listed once per process and
-    delay, into its split table: a build after the first at the same
-    delay finds the table."""
+    """The full family's partitions are listed once per process, delay
+    and modes, into the split table of the modes a build solves: a build
+    after the first at the same delay finds the table."""
     aifv.builder.check_g_optimality_binary((0.75, 0.25), 3)
     info = full_split_table.cache_info()
     aifv.builder.check_g_optimality_binary((0.9, 0.1), 3)
     assert full_split_table.cache_info().misses == info.misses
     assert full_split_table.cache_info().hits == info.hits + 1
-    assert full_split_table(3) is full_split_table(3)
+    solved = mode_family("full-binary", 3).solved
+    assert full_split_table(3, solved) is full_split_table(3, solved)
 
 
 def test_a_second_binary_build_builds_no_split_table():
     """An interval family's split table is built once per process and
-    (delay, depth bound, links): later builds at the same delay and
-    depth, from other sources, find it."""
+    (delay, depth bound, links, modes): later builds at the same delay
+    and depth, from other sources, find it."""
     construct((0.75, 0.25), BuildConfig(n=4))
     info = interval_split_table.cache_info()
     construct((0.9, 0.1), BuildConfig(n=4))
     construct((0.6, 0.4), BuildConfig(n=4, max_depth=default_depth(2, 4)))
     assert interval_split_table.cache_info().misses == info.misses
     assert interval_split_table.cache_info().hits == info.hits + 2
+    fam = mode_family("continuous", 4)
+    table = interval_split_table(4, default_depth(2, 4), fam.ids, fam.solved)
+    assert table is interval_split_table(4, default_depth(2, 4), fam.ids, fam.solved)
 
 
 def test_a_second_search_build_fills_no_piece_list():
@@ -626,26 +669,37 @@ def test_six_quinary_builds_keep_only_their_piece_tables():
 
 
 def test_split_table_memory_at_delay_6():
-    """The N=6 continuous split table keeps under 0.5 MB and its build
-    peaks under 1.5 MB.  From N=6 to N=8 the table grows 64-fold (8x
-    the splits per bit) and the build's per-margin temporaries 16-fold,
-    so these bounds hold the N=8 build under 64 * 0.5 + 16 * 1 = 48 MB
-    (measured at N=8: 21 MB kept, 38 MB peak)."""
-    ids = tuple(enumerate_continuous_ids(6))
+    """A fresh N=6 continuous build leaves one split table, of the modes
+    it solves (one of each mirror pair); built alone that table keeps
+    under 0.3 MB and its build peaks under 1.3 MB (measured: 0.25 MB
+    kept, 1.16 MB peak; the table of every mode plus a gathered copy of
+    the solved modes' rows kept 0.58 MB).  From N=6 to N=8 the table
+    grows 64-fold (8x the splits per bit) and the build's per-margin
+    temporaries 16-fold, so these bounds hold the N=8 build under
+    64 * 0.3 + 16 * 1.3 = 40 MB (measured at N=8: 10.8 MB kept, 22 MB
+    peak)."""
+    fam = mode_family("continuous", 6)
+    fresh = cache(interval_split_table.__wrapped__)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(aifv.builder, "interval_split_table", fresh)
+        construct((0.9, 0.1), BuildConfig(n=6))
+    assert fresh.cache_info().currsize == 1
+    assert fresh(6, default_depth(2, 6), fam.ids, fam.solved).modes == fam.solved
+    assert fresh.cache_info().currsize == 1
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        table = interval_split_table.__wrapped__(6, default_depth(2, 6), ids)
+        table = interval_split_table.__wrapped__(6, default_depth(2, 6), fam.ids, fam.solved)
         kept, peak = (size - base for size in tracemalloc.get_traced_memory())
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert len(table) == 32768
-    assert kept < 500_000
-    assert peak < 1_500_000
+    assert len(table) == 16896
+    assert kept < 300_000
+    assert peak < 1_300_000
 
 
 def test_symmetric_modes_equal_objectives():
@@ -1232,7 +1286,7 @@ def test_solver_matches_reference_on_build_costs(n4_build):
     probs = (0.9, 0.1)
     d_max = default_depth(2, 4)
     links = enumerate_continuous_ids(4)
-    whole = interval_split_table(4, d_max, tuple(links))
+    whole = interval_table(4, d_max, links)
     for table, costs in minima:
         prices = link_prices(search_table(4, d_max, links, probs), costs)
         choice, objective = brute_force_binary(whole, probs, costs)
